@@ -2,356 +2,40 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_parser.hpp"
-#include "bench/bench_writer.hpp"
-#include "cache/artifact_cache.hpp"
-#include "diag/bsat.hpp"
-#include "diag/bsim.hpp"
-#include "diag/cover.hpp"
-#include "diag/hybrid.hpp"
-#include "gen/profiles.hpp"
-#include "netlist/scan.hpp"
+#include "app/command.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "report/experiment.hpp"
-#include "report/testfile.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace satdiag::serve {
 namespace {
 
-/// A request failure with a machine-readable code; caught at the
-/// execute_request boundary and rendered as a structured error response.
-class HandlerError : public std::runtime_error {
- public:
-  HandlerError(const char* code, const std::string& message)
-      : std::runtime_error(message), code_(code) {}
-  const char* code() const { return code_; }
-
- private:
-  const char* code_;
-};
-
-[[noreturn]] void bad_request(const std::string& message) {
-  throw HandlerError(kErrBadRequest, message);
+/// Rebuild an argv so the request goes through the same CliArgs parsing and
+/// strict value validation as the one-shot CLI.
+CliArgs request_args(const Request& req) {
+  std::vector<std::string> tokens = {"satdiag", req.command};
+  tokens.insert(tokens.end(), req.positional.begin(), req.positional.end());
+  for (const auto& [name, value] : req.args) {
+    tokens.push_back("--" + name + "=" + value);
+  }
+  std::vector<const char*> argv;
+  argv.reserve(tokens.size());
+  for (const std::string& token : tokens) argv.push_back(token.c_str());
+  CliArgs args;
+  std::string error;
+  if (!args.parse(static_cast<int>(argv.size()), argv.data(), error)) {
+    throw CliUsageError(error);
+  }
+  return args;
 }
 
-/// Flags each served command accepts — the serve analogue of the CLI's
-/// kKnownFlags (no --stats/--csv: formatting flags are meaningless over the
-/// wire, and the `metrics` command is the stats surface).
-const std::map<std::string, std::vector<std::string>>& serve_flags() {
-  static const std::map<std::string, std::vector<std::string>> kFlags = {
-      {"gen", {"profile", "scale", "seed", "out"}},
-      {"diagnose",
-       {"tests", "approach", "k", "limit", "max-solutions", "threads"}},
-      {"experiment",
-       {"circuits", "errors", "tests", "scale", "seed", "limit",
-        "max-solutions", "threads"}},
-      {"ping", {"sleep-ms"}},
-      {"metrics", {}},
-  };
-  return kFlags;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) bad_request("cannot read '" + path + "'");
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Parsed, diagnosis-ready (full-scan when sequential) netlist, cached by
-/// file content so a renamed copy of the same circuit still hits.
-std::shared_ptr<const Netlist> load_netlist_cached(const std::string& path) {
-  const std::string content = read_file(path);
-  const cache::ArtifactKey key = cache::KeyBuilder(cache::ArtifactKind::kNetlist)
-                                     .mix("serve.bench")
-                                     .mix(content)
-                                     .key();
-  return cache::ArtifactCache::global().get_or_build<Netlist>(key, [&] {
-    Netlist nl = parse_bench_string(content);
-    if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
-    const std::size_t bytes = nl.size() * 64 + content.size();
-    return std::make_pair(std::make_shared<const Netlist>(std::move(nl)),
-                          bytes);
-  });
-}
-
-/// Parsed test-set, cached by (netlist fingerprint, file content): golden
-/// observations are only meaningful relative to one circuit structure.
-std::shared_ptr<const TestSet> load_tests_cached(const Netlist& nl,
-                                                 const std::string& path) {
-  const std::string content = read_file(path);
-  const cache::ArtifactKey key =
-      cache::KeyBuilder(cache::ArtifactKind::kGoldenOutputs)
-          .mix(cache::netlist_fingerprint(nl))
-          .mix("serve.tests")
-          .mix(content)
-          .key();
-  return cache::ArtifactCache::global().get_or_build<TestSet>(key, [&] {
-    TestSet tests = read_test_set_string(content, nl);
-    const std::size_t bytes = content.size() + tests.size() * 32;
-    return std::make_pair(std::make_shared<const TestSet>(std::move(tests)),
-                          bytes);
-  });
-}
-
-/// Generated profile circuit, cached by the full generation recipe.
-std::shared_ptr<const Netlist> gen_circuit_cached(const CircuitProfile& profile,
-                                                  double scale,
-                                                  std::uint64_t seed) {
-  const cache::ArtifactKey key = cache::KeyBuilder(cache::ArtifactKind::kNetlist)
-                                     .mix("serve.gen")
-                                     .mix(profile.name)
-                                     .mix_double(scale)
-                                     .mix(seed)
-                                     .key();
-  return cache::ArtifactCache::global().get_or_build<Netlist>(key, [&] {
-    Netlist nl = make_profile_circuit(profile, scale, seed);
-    const std::size_t bytes = nl.size() * 64;
-    return std::make_pair(std::make_shared<const Netlist>(std::move(nl)),
-                          bytes);
-  });
-}
-
-void write_solutions(JsonWriter& w, const Netlist& nl,
-                     const std::vector<std::vector<GateId>>& solutions) {
-  w.key("corrections");
-  w.begin_array();
-  for (const auto& solution : solutions) {
-    w.begin_array();
-    for (GateId g : solution) w.value(nl.gate_name(g));
-    w.end_array();
-  }
-  w.end_array();
-}
-
-/// Execution budget: the command's own --limit, clamped to what is left of
-/// the request deadline after the admission-queue wait.
-Deadline execution_deadline(double limit_seconds, const Deadline& deadline) {
-  return Deadline::after_seconds(
-      std::min(limit_seconds, deadline.remaining_seconds()));
-}
-
-std::string handle_gen(const CliArgs& args) {
-  const std::string profile_name = args.get_string("profile", "s1423_like");
-  const auto profile = find_profile(profile_name);
-  if (!profile) bad_request("unknown profile '" + profile_name + "'");
-  const double scale = args.get_double("scale", 1.0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::shared_ptr<const Netlist> nl =
-      gen_circuit_cached(*profile, scale, seed);
-
-  const std::string out_path = args.get_string("out", "");
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) bad_request("cannot write '" + out_path + "'");
-    write_bench(out, *nl);
-  }
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("profile", profile_name);
-  w.kv("gates", static_cast<std::uint64_t>(nl->size()));
-  w.kv("inputs", static_cast<std::uint64_t>(nl->inputs().size()));
-  w.kv("outputs", static_cast<std::uint64_t>(nl->outputs().size()));
-  w.kv("dffs", static_cast<std::uint64_t>(nl->dffs().size()));
-  if (out_path.empty()) {
-    // No server-side file requested: the bench text IS the result.
-    w.kv("bench", write_bench_string(*nl));
-  } else {
-    w.kv("path", out_path);
-  }
-  w.end_object();
-  return os.str();
-}
-
-std::string handle_diagnose(const CliArgs& args, const Deadline& deadline) {
-  if (args.positional().size() < 2) bad_request("diagnose needs a .bench file");
-  const std::shared_ptr<const Netlist> nl_ptr =
-      load_netlist_cached(args.positional()[1]);
-  const Netlist& nl = *nl_ptr;
-  const std::string tests_path = args.get_string("tests", "");
-  if (tests_path.empty()) bad_request("--tests required");
-  const std::shared_ptr<const TestSet> tests_ptr =
-      load_tests_cached(nl, tests_path);
-  const TestSet& tests = *tests_ptr;
-  if (tests.empty()) bad_request("empty test set");
-
-  const unsigned k = static_cast<unsigned>(args.get_int("k", 1));
-  const double limit = args.get_double("limit", 300.0);
-  const std::int64_t cap = args.get_int("max-solutions", -1);
-  const std::string approach = args.get_string("approach", "bsat");
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    bad_request("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  if (threads > 1 && approach != "bsat" && approach != "hybrid") {
-    bad_request("--threads requires a SAT-backed approach (bsat or hybrid)");
-  }
-
-  const auto render = [&](const char* approach_name,
-                          const std::vector<std::vector<GateId>>& solutions,
-                          bool complete, double build_s, double first_s,
-                          double all_s) {
-    std::ostringstream os;
-    JsonWriter w(os, /*indent=*/0);
-    w.begin_object();
-    w.kv("approach", approach_name);
-    w.kv("solutions", static_cast<std::uint64_t>(solutions.size()));
-    w.kv("complete", complete);
-    w.kv("build_seconds", build_s);
-    w.kv("first_seconds", first_s);
-    w.kv("all_seconds", all_s);
-    write_solutions(w, nl, solutions);
-    w.end_object();
-    return os.str();
-  };
-
-  if (approach == "bsim") {
-    const BsimResult result = basic_sim_diagnose(nl, tests);
-    std::vector<std::vector<GateId>> gmax;
-    for (GateId g : result.gmax) gmax.push_back({g});
-    return render("bsim", gmax, true, 0.0, 0.0, 0.0);
-  }
-  if (approach == "cov") {
-    CovOptions options;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    const CovResult result = sc_diagnose(nl, tests, options);
-    return render("cov", result.solutions, result.complete,
-                  result.build_seconds, result.first_seconds,
-                  result.all_seconds);
-  }
-  if (approach == "bsat") {
-    BsatOptions options;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const BsatResult result = basic_sat_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    return render("bsat", result.solutions, result.complete,
-                  result.build_seconds, result.first_seconds,
-                  result.all_seconds);
-  }
-  if (approach == "hybrid") {
-    HybridOptions options;
-    options.mode = HybridMode::kSeedActivity;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const HybridResult result = hybrid_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    return render("hybrid", result.solutions, result.complete,
-                  result.sim_seconds, 0.0, result.sat_seconds);
-  }
-  bad_request("unknown approach '" + approach + "'");
-}
-
-std::string handle_experiment(const CliArgs& args, const Deadline& deadline) {
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    bad_request("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  std::vector<std::string> circuits;
-  const std::string circuits_arg = args.get_string("circuits", "s1423_like");
-  for (std::string_view name : split(circuits_arg, ',')) {
-    name = trim(name);
-    if (name.empty()) continue;
-    if (!find_profile(std::string(name))) {
-      bad_request("unknown profile '" + std::string(name) + "'");
-    }
-    circuits.emplace_back(name);
-  }
-  if (circuits.empty()) bad_request("--circuits requires at least one name");
-  std::vector<std::size_t> test_counts;
-  const std::string tests_arg = args.get_string("tests", "4,8");
-  for (std::string_view m : split(tests_arg, ',')) {
-    m = trim(m);
-    if (m.empty()) continue;
-    if (m.find_first_not_of("0123456789") != std::string_view::npos) {
-      bad_request("--tests entries must be positive integers (got '" +
-                  std::string(m) + "')");
-    }
-    const long value = std::stol(std::string(m));
-    if (value < 1) bad_request("--tests entries must be >= 1");
-    test_counts.push_back(static_cast<std::size_t>(value));
-  }
-  if (test_counts.empty()) bad_request("--tests requires at least one count");
-
-  const double limit = args.get_double("limit", 60.0);
-  const Deadline exec_deadline = execution_deadline(limit, deadline);
-  std::vector<ExperimentConfig> configs;
-  for (const std::string& circuit : circuits) {
-    for (std::size_t m : test_counts) {
-      ExperimentConfig config;
-      config.circuit = circuit;
-      config.scale = args.get_double("scale", 0.25);
-      config.num_errors = static_cast<std::size_t>(args.get_int("errors", 2));
-      config.num_tests = m;
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-      config.time_limit_seconds = exec_deadline.remaining_seconds();
-      config.max_solutions = args.get_int("max-solutions", -1);
-      configs.push_back(std::move(config));
-    }
-  }
-
-  ExperimentGridOptions grid;
-  grid.num_threads = static_cast<std::size_t>(threads);
-  const std::vector<ExperimentCell> cells = run_experiment_grid(configs, grid);
-
-  // Same row shape as the CLI's experiment result section (satdiag_cli.cpp)
-  // so report consumers need one schema for both transports.
-  sat::Solver::Stats grid_stats;
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("cells", static_cast<std::uint64_t>(cells.size()));
-  w.key("rows");
-  w.begin_array();
-  for (const ExperimentCell& cell : cells) {
-    w.begin_object();
-    w.kv("circuit", cell.config.circuit);
-    w.kv("tests", static_cast<std::uint64_t>(cell.config.num_tests));
-    w.kv("errors", static_cast<std::uint64_t>(cell.config.num_errors));
-    w.kv("prepared", cell.prepared);
-    if (cell.prepared) {
-      grid_stats.merge(cell.row.bsat.solver_stats);
-      w.kv("bsim_seconds", cell.row.bsim_seconds);
-      w.kv("bsat_solutions",
-           static_cast<std::uint64_t>(cell.row.bsat.solutions.size()));
-      w.kv("bsat_all_seconds", cell.row.bsat.all_seconds);
-      w.kv("bsat_complete", cell.row.bsat.complete);
-      w.kv("bsat_conflicts", cell.row.bsat.solver_stats.conflicts);
-      w.kv("bsat_decisions", cell.row.bsat.solver_stats.decisions);
-      w.kv("bsat_propagations", cell.row.bsat.solver_stats.propagations);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  obs::add_solver_stats(grid_stats);
-  return os.str();
-}
-
-std::string handle_ping(const CliArgs& args) {
-  const std::int64_t sleep_ms = args.get_int("sleep-ms", 0);
-  if (sleep_ms < 0) bad_request("--sleep-ms must be >= 0");
+std::string ping(std::int64_t sleep_ms) {
+  if (sleep_ms < 0) throw CliUsageError("--sleep-ms must be >= 0");
   // Deterministic load-test stand-in: occupy an execution slot for a known
   // time. Capped so a typo cannot wedge a slot for minutes.
   const std::int64_t capped = std::min<std::int64_t>(sleep_ms, 10'000);
@@ -367,7 +51,7 @@ std::string handle_ping(const CliArgs& args) {
   return os.str();
 }
 
-std::string handle_metrics() {
+std::string metrics() {
   obs::refresh_process_metrics();
   std::ostringstream metrics;
   obs::MetricsRegistry::global().write_json(metrics, /*indent=*/0);
@@ -382,93 +66,53 @@ std::string handle_metrics() {
   return os.str();
 }
 
-/// The "satdiag.report" v1 envelope around a command's result section —
-/// identical to the CLI's --report-json artifact, rendered compact and with
-/// the trailing newline stripped so it splices into a one-line frame.
-std::string wrap_report(const std::string& command, const CliArgs& args,
-                        double wall_seconds, std::string result_json) {
-  obs::RunReport report;
-  report.command = command;
-  for (const auto& [flag, value] : args.raw_values()) {
-    report.config[flag] = value;
-  }
-  const auto& pos = args.positional();
-  std::string joined;
-  for (std::size_t i = 1; i < pos.size(); ++i) {
-    if (!joined.empty()) joined += ' ';
-    joined += pos[i];
-  }
-  report.config["positional"] = joined;
-  report.wall_seconds = wall_seconds;
-  report.result_json = std::move(result_json);
-  std::ostringstream os;
-  report.write_json(os, /*indent=*/0);
-  std::string text = os.str();
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  return text;
-}
-
 }  // namespace
 
-bool known_command(const std::string& command) {
-  return serve_flags().count(command) != 0;
-}
-
-std::string execute_request(const Request& req, const Deadline& deadline) {
+std::string execute_request(const Request& req, const Deadline& deadline,
+                            std::size_t lanes) {
   try {
-    if (!known_command(req.command)) {
-      bad_request("unknown command '" + req.command + "'");
-    }
-    // Rebuild an argv so the request goes through the same CliArgs parsing
-    // and strict value validation as the one-shot CLI.
-    std::vector<std::string> tokens = {"satdiag", req.command};
-    tokens.insert(tokens.end(), req.positional.begin(), req.positional.end());
-    for (const auto& [name, value] : req.args) {
-      tokens.push_back("--" + name + "=" + value);
-    }
-    std::vector<const char*> argv;
-    argv.reserve(tokens.size());
-    for (const std::string& token : tokens) argv.push_back(token.c_str());
-    CliArgs args;
-    std::string parse_error;
-    if (!args.parse(static_cast<int>(argv.size()), argv.data(), parse_error)) {
-      bad_request(parse_error);
-    }
-    const std::vector<std::string>& known = serve_flags().at(req.command);
-    for (const auto& [name, value] : req.args) {
-      (void)value;
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        bad_request("unknown flag --" + name + " for '" + req.command + "'");
-      }
-    }
-
-    Timer wall;
-    std::string result;
-    if (req.command == "metrics") {
+    const CliArgs args = request_args(req);
+    const std::string& command = req.command;
+    if (command == "metrics") {
       // Observability must stay readable under load and is not wrapped in a
       // run report: there is no "run" behind it.
-      return ok_response(req.id, handle_metrics());
-    } else if (req.command == "gen") {
-      result = handle_gen(args);
-    } else if (req.command == "diagnose") {
-      result = handle_diagnose(args, deadline);
-    } else if (req.command == "experiment") {
-      result = handle_experiment(args, deadline);
-    } else {
-      result = handle_ping(args);
+      app::reject_unused_flags(args, command);
+      return ok_response(req.id, metrics());
     }
-    return ok_response(req.id,
-                       wrap_report(req.command, args, wall.seconds(),
-                                   std::move(result)));
-  } catch (const CliUsageError& e) {
-    return error_response(req.id, kErrBadRequest, e.what());
-  } catch (const HandlerError& e) {
-    return error_response(req.id, e.code(), e.what());
+    Timer wall;
+    std::string result;
+    if (command == "ping") {
+      const std::int64_t sleep_ms = args.get_int("sleep-ms", 0);
+      app::reject_unused_flags(args, command);
+      result = ping(sleep_ms);
+    } else if (command == "gen") {
+      const app::GenRequest gen = app::parse_gen(args);
+      app::reject_unused_flags(args, command);
+      result = app::to_json(app::execute(gen));
+    } else if (command == "diagnose") {
+      const app::DiagnoseRequest diagnose = app::parse_diagnose(args, lanes);
+      app::reject_unused_flags(args, command);
+      result = app::to_json(app::execute(diagnose, deadline));
+    } else if (command == "experiment") {
+      const app::ExperimentRequest experiment =
+          app::parse_experiment(args, lanes);
+      app::reject_unused_flags(args, command);
+      result = app::to_json(app::execute(experiment, deadline));
+    } else {
+      throw CliUsageError("unknown command '" + command + "'");
+    }
+    // Compact and without the trailing newline, so it splices into a
+    // one-line frame.
+    std::ostringstream os;
+    app::make_report(command, args, wall.seconds(), std::move(result))
+        .write_json(os, /*indent=*/0);
+    std::string report = os.str();
+    while (!report.empty() && report.back() == '\n') report.pop_back();
+    return ok_response(req.id, report);
   } catch (const std::exception& e) {
-    // Parser/loader exceptions carry input-shaped messages; anything the
-    // handlers did not classify is the request's fault only if it came from
-    // parsing, so surface it as bad_request with the message and keep
-    // internal_error for the truly unexpected (bad_alloc has no message).
+    // Usage, parser, and loader errors carry input-shaped messages and are
+    // the request's fault; internal_error is kept for the truly unexpected
+    // (bad_alloc has no message).
     const char* what = e.what();
     if (what != nullptr && *what != '\0') {
       return error_response(req.id, kErrBadRequest, what);

@@ -1,18 +1,17 @@
 // Request execution for the serve daemon.
 //
-// One admitted request = one library call on the exec/ runtime, with the
-// same option derivation as the one-shot CLI (tools/satdiag_cli.cpp): the
-// same defaults, the same strict value parsing, the same flag whitelists.
-// That is the serve bit-identity contract — a diagnose request returns the
-// same solution sets the CLI prints for the same inputs.
+// A request is turned back into CliArgs and runs through the command layer
+// the one-shot CLI uses (app/command.hpp): the same typed parse, the same
+// execute(), the same result JSON. Served results therefore equal the CLI's
+// by construction. Serve reads only its own `ping --sleep-ms`; any flag the
+// command parser did not read — including the CLI-only --stats, --csv and
+// gen --out — is an "unknown flag" bad_request.
 //
-// Repeat requests on the same inputs hit cache::ArtifactCache: parsed
-// .bench netlists (full-scan view included) are cached under kNetlist keyed
-// by file CONTENT, parsed test-sets under kGoldenOutputs keyed by netlist
-// fingerprint + file content, and generated circuits under kNetlist keyed
-// by (profile, scale, seed) — warm requests pay only the solve.
+// Repeat requests on the same inputs hit cache::ArtifactCache through the
+// command layer's loader, so warm requests pay only the solve.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -20,15 +19,14 @@
 
 namespace satdiag::serve {
 
-/// True for commands execute_request understands ("shutdown" is handled by
-/// the server itself; anything else is a bad_request).
-bool known_command(const std::string& command);
-
 /// Execute one admitted request and return its complete one-line response
 /// frame (no trailing newline). `deadline` is the request's remaining
 /// budget — it already covered the admission-queue wait, and execution
-/// limits (--limit) are clamped to what is left. Never throws: every
-/// failure becomes a structured error response.
-std::string execute_request(const Request& req, const Deadline& deadline);
+/// limits (--limit) are clamped to what is left. `lanes` is the server's
+/// --threads: the default for SAT-backed diagnoses and experiments that
+/// omit `threads`. Never throws: every failure becomes a structured error
+/// response.
+std::string execute_request(const Request& req, const Deadline& deadline,
+                            std::size_t lanes = 1);
 
 }  // namespace satdiag::serve

@@ -2,8 +2,8 @@
 //
 // Framing is newline-delimited JSON: one request object per line in, one
 // response object per line out, over a plain TCP stream. A request body is
-// exactly the existing CLI surface — the same subcommand names with the
-// same flag sets:
+// the CLI surface — the same subcommand names and options, minus the CLI's
+// output flags (--stats, --csv, gen --out):
 //
 //   {"id": "r1", "command": "diagnose", "positional": ["faulty.bench"],
 //    "args": {"tests": "tests.txt", "approach": "bsat", "k": 2}}

@@ -243,14 +243,8 @@ std::string Server::process_frame(const std::string& frame,
   }
   metrics.accepted.add();
   metrics.active.set(static_cast<std::int64_t>(admission_.active()));
-  // Requests that omit --threads run with the server's lane count, exactly
-  // as `satdiag diagnose --threads N` would.
-  if (options_.threads > 1 && req.args.find("threads") == req.args.end() &&
-      (req.command == "diagnose" || req.command == "experiment")) {
-    req.args.emplace("threads", std::to_string(options_.threads));
-  }
   Timer request_timer;
-  std::string response = execute_request(req, deadline);
+  std::string response = execute_request(req, deadline, options_.threads);
   metrics.request_us.observe(
       static_cast<std::uint64_t>(request_timer.seconds() * 1e6));
   admission_.release();

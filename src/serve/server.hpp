@@ -32,8 +32,8 @@ struct ServeOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; port() reports the bound one.
   int port = 0;
-  /// Execution lanes per request (forwarded as the CLI --threads would be)
-  /// and the default admission width.
+  /// Execution lanes per request (the --threads default of diagnoses and
+  /// experiments that omit it) and the default admission width.
   std::size_t threads = 1;
   /// Max concurrently executing requests; 0 derives from `threads`.
   std::size_t max_inflight = 0;

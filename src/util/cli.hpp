@@ -4,8 +4,8 @@
 // typo cannot silently fall back to defaults, and numeric getters validate
 // the FULL value string — `--k 2x` or `--limit abc` throw CliUsageError
 // naming the flag and the offending value instead of silently running with
-// garbage budgets (the value-level analogue of the subcommand flag
-// whitelist in tools/satdiag_cli.cpp).
+// garbage budgets. unused() is the flag-level half: the command layer
+// (app/command.hpp) reports any flag no parser read as unknown.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the `satdiag serve` daemon over real TCP:
-# start the server on an ephemeral port, then drive it with a python3
-# newline-delimited-JSON client covering ping, diagnose (twice, to check
-# the warm artifact-cache path), metrics, a malformed frame, and a clean
-# `shutdown` request. The served diagnose corrections must be identical
-# to a one-shot `satdiag diagnose` run over the same fixtures.
+# start the server with two lanes on an ephemeral port, then drive it with
+# a python3 newline-delimited-JSON client covering ping, bsat diagnose
+# (twice, to check the warm artifact-cache path), bsim diagnose (which must
+# not inherit the server's lanes), metrics, a malformed frame, and a clean
+# `shutdown` request. Each served report's whole `result` must equal the
+# one-shot `satdiag diagnose --report-json` result over the same fixtures,
+# with the wall-clock `*_seconds` fields normalized.
 set -euo pipefail
 
 CLI="$1"
@@ -28,15 +30,13 @@ fi
 "$CLI" inject "$TMP/c.bench" --errors 1 --seed 3 \
     --out "$TMP/faulty.bench" --tests-out "$TMP/tests.txt" > /dev/null
 
-# One-shot reference run; correction lines look like "{g12, g30}".
+# One-shot reference runs.
 "$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
-    --approach bsat --k 2 | grep '^{' | sort > "$TMP/oneshot.txt"
-if [ ! -s "$TMP/oneshot.txt" ]; then
-  echo "FAIL: one-shot diagnose produced no corrections" >&2
-  exit 1
-fi
+    --approach bsat --k 2 --report-json "$TMP/oneshot_bsat.json" > /dev/null
+"$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
+    --approach bsim --report-json "$TMP/oneshot_bsim.json" > /dev/null
 
-"$CLI" serve --port 0 > "$TMP/serve.log" 2>&1 &
+"$CLI" serve --port 0 --threads 2 > "$TMP/serve.log" 2>&1 &
 SERVE_PID=$!
 
 # The daemon prints "serving on 127.0.0.1:PORT" once the socket is bound.
@@ -58,10 +58,10 @@ if [ -z "$PORT" ]; then
   exit 1
 fi
 
-python3 - "$PORT" "$TMP/faulty.bench" "$TMP/tests.txt" "$TMP/oneshot.txt" <<'EOF'
+python3 - "$PORT" "$TMP/faulty.bench" "$TMP/tests.txt" "$TMP" <<'EOF'
 import json, socket, sys
 
-port, bench, tests, oneshot_path = sys.argv[1:5]
+port, bench, tests, tmp = sys.argv[1:5]
 
 sock = socket.create_connection(("127.0.0.1", int(port)), timeout=30)
 sock_file = sock.makefile("rw", encoding="utf-8", newline="\n")
@@ -82,6 +82,22 @@ def check(cond, message):
     if not cond:
         sys.exit("FAIL: " + message)
 
+def normalized(result):
+    return {k: "<T>" if k.endswith("_seconds") else v
+            for k, v in result.items()}
+
+def oneshot(approach):
+    with open("%s/oneshot_%s.json" % (tmp, approach)) as f:
+        return normalized(json.load(f)["result"])
+
+def check_result(resp, approach):
+    check(resp.get("status") == "ok",
+          "%s diagnose failed: %r" % (approach, resp))
+    served = normalized(resp["report"]["result"])
+    check(served == oneshot(approach),
+          "served %s result %r != one-shot %r"
+          % (approach, served, oneshot(approach)))
+
 resp = rpc({"id": "p1", "command": "ping"})
 check(resp.get("status") == "ok" and resp.get("id") == "p1",
       "ping failed: %r" % resp)
@@ -89,16 +105,16 @@ check(resp.get("status") == "ok" and resp.get("id") == "p1",
 diagnose = {"id": "d1", "command": "diagnose", "positional": [bench],
             "args": {"tests": tests, "approach": "bsat", "k": 2}}
 resp = rpc(diagnose)
-check(resp.get("status") == "ok", "diagnose failed: %r" % resp)
+check_result(resp, "bsat")
 report = resp["report"]
 check(report.get("schema") == "satdiag.report",
       "unexpected report schema: %r" % report.get("schema"))
-served = sorted("{%s}" % ", ".join(c)
-                for c in report["result"]["corrections"])
-with open(oneshot_path) as f:
-    oneshot = sorted(line.strip() for line in f if line.strip())
-check(served == oneshot,
-      "served corrections %r != one-shot %r" % (served, oneshot))
+check(report["result"]["corrections"],
+      "served diagnose produced no corrections")
+
+# The server's two lanes are only the default of SAT-backed approaches.
+check_result(rpc({"id": "b1", "command": "diagnose", "positional": [bench],
+                  "args": {"tests": tests, "approach": "bsim"}}), "bsim")
 
 def cache_hits():
     resp = rpc({"id": "m", "command": "metrics"})
@@ -107,11 +123,7 @@ def cache_hits():
 
 cold = cache_hits()
 diagnose["id"] = "d2"
-resp = rpc(diagnose)
-check(resp.get("status") == "ok", "repeat diagnose failed: %r" % resp)
-check(sorted("{%s}" % ", ".join(c)
-             for c in resp["report"]["result"]["corrections"]) == oneshot,
-      "repeat diagnose diverged from one-shot run")
+check_result(rpc(diagnose), "bsat")
 warm = cache_hits()
 check(warm > cold, "warm repeat did not raise cache.hits (%d -> %d)"
       % (cold, warm))

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "gen/profiles.hpp"
 #include "netlist/analysis.hpp"
 
 namespace satdiag {
+
+// Prints a profile by name. Without it gtest prints the raw object bytes,
+// string pointer included, so the discovered test names would change from one
+// run to the next. Declared in satdiag itself so gtest finds it by ADL.
+void PrintTo(const CircuitProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
 namespace {
 
 GeneratorParams small_params(std::uint64_t seed) {

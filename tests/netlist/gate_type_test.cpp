@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace satdiag {
 namespace {
 
@@ -56,6 +58,15 @@ struct TruthCase {
   std::vector<bool> inputs;
   bool expected;
 };
+
+// Names each case by its value, e.g. "NAND_01_is_1". Without it gtest prints
+// the raw object bytes, vector pointer included, so the discovered test names
+// would change from one run to the next.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << gate_type_name(c.type) << '_';
+  for (bool in : c.inputs) *os << (in ? '1' : '0');
+  *os << "_is_" << (c.expected ? '1' : '0');
+}
 
 class GateEvalTest : public ::testing::TestWithParam<TruthCase> {};
 

@@ -16,10 +16,12 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_writer.hpp"
 #include "diag/bsat.hpp"
+#include "diag/bsim.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/profiles.hpp"
@@ -168,12 +170,24 @@ const Fixture& fixture() {
   return *f;
 }
 
-std::string diagnose_frame(const std::string& id, int k = 1) {
+/// A diagnose frame over the fixture; `extra` is spliced into "args"
+/// verbatim (e.g. R"(,"threads":2)").
+std::string diagnose_frame(const std::string& id, int k = 1,
+                           const std::string& approach = "bsat",
+                           const std::string& extra = "") {
   std::ostringstream os;
   os << R"({"id":")" << id << R"(","command":"diagnose","positional":[")"
      << fixture().bench_path << R"("],"args":{"tests":")"
-     << fixture().tests_path << R"(","approach":"bsat","k":)" << k << "}}";
+     << fixture().tests_path << R"(","approach":")" << approach
+     << R"(","k":)" << k << extra << "}}";
   return os.str();
+}
+
+/// The error code and message of a non-ok response.
+std::pair<std::string, std::string> error_of(const JsonValue& v) {
+  const JsonValue* error = v.find("error");
+  if (error == nullptr) return {"<none>", ""};
+  return {field_string(*error, "code"), field_string(*error, "message")};
 }
 
 /// Corrections (sets of gate names) from an ok diagnose response.
@@ -224,8 +238,8 @@ TEST(ServerTest, PingMetricsAndMalformedFrames) {
 TEST(ServerTest, StrictValueParsingIsAStructuredError) {
   TestServer ts({});
   Client c(ts.port());
-  // Real fixture paths so the strict "--k" value check is the failure the
-  // request hits (file loading happens first).
+  // Real fixture paths so the strict "--k" value check is the only failure
+  // the request can hit.
   const JsonValue v = c.rpc(
       R"({"id":"b","command":"diagnose","positional":[")" +
       fixture().bench_path + R"("],"args":{"tests":")" +
@@ -235,6 +249,103 @@ TEST(ServerTest, StrictValueParsingIsAStructuredError) {
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(field_string(*error, "code"), kErrBadRequest);
   EXPECT_NE(error->find("message")->string.find("--k"), std::string::npos);
+}
+
+TEST(ServerTest, OutOfRangeKIsABadRequestAndServerStaysUp) {
+  TestServer ts({});
+  Client c(ts.port());
+  const std::string gates = std::to_string(fixture().faulty.size());
+  for (int k : {-1, 0}) {
+    for (const char* approach : {"bsat", "cov", "hybrid"}) {
+      const JsonValue v = c.rpc(diagnose_frame("k", k, approach));
+      EXPECT_EQ(field_string(v, "status"), "error") << approach << " k=" << k;
+      const auto [code, message] = error_of(v);
+      EXPECT_EQ(code, kErrBadRequest);
+      EXPECT_EQ(message, "--k must be in [1, " + gates + "] (got " +
+                             std::to_string(k) + ")");
+    }
+  }
+  // The daemon survived: the same connection still gets answers.
+  EXPECT_EQ(field_string(c.rpc(R"({"id":"p","command":"ping"})"), "status"),
+            "ok");
+  EXPECT_EQ(field_string(c.rpc(diagnose_frame("ok")), "status"), "ok");
+}
+
+TEST(ServerTest, UnknownAndCliOnlyFlagsAreRejected) {
+  TestServer ts({});
+  Client c(ts.port());
+  const auto expect_unknown = [&](const std::string& frame,
+                                  const std::string& message) {
+    const JsonValue v = c.rpc(frame);
+    EXPECT_EQ(field_string(v, "status"), "error") << frame;
+    EXPECT_EQ(error_of(v), std::make_pair(std::string(kErrBadRequest), message))
+        << frame;
+  };
+  expect_unknown(diagnose_frame("u", 1, "bsat", R"(,"aproach":"cov")"),
+                 "unknown flag --aproach for 'diagnose'");
+  // Rendering flags of the one-shot CLI mean nothing over the wire.
+  expect_unknown(diagnose_frame("s", 1, "bsat", R"(,"stats":true)"),
+                 "unknown flag --stats for 'diagnose'");
+  expect_unknown(
+      R"({"id":"c","command":"experiment","args":{"circuits":"s298_like","csv":true}})",
+      "unknown flag --csv for 'experiment'");
+  // A served gen returns the bench text inline; it never writes server-side
+  // files.
+  const std::string out_path = testing::TempDir() + "served_gen_out.bench";
+  expect_unknown(R"({"id":"g","command":"gen","args":{"profile":"s298_like","out":")" +
+                     out_path + R"("}})",
+                 "unknown flag --out for 'gen'");
+  EXPECT_FALSE(std::ifstream(out_path).good());
+  expect_unknown(R"({"id":"m","command":"metrics","args":{"x":1}})",
+                 "unknown flag --x for 'metrics'");
+
+  // The same commands without the stray flags are fine.
+  const JsonValue gen =
+      c.rpc(R"({"id":"g","command":"gen","args":{"profile":"s298_like"}})");
+  ASSERT_EQ(field_string(gen, "status"), "ok");
+  EXPECT_FALSE(gen.find("report")->find("result")->find("bench")->string.empty());
+  EXPECT_EQ(field_string(c.rpc(diagnose_frame("d")), "status"), "ok");
+}
+
+TEST(ServerTest, OverflowingExperimentTestCountIsABadRequest) {
+  TestServer ts({});
+  Client c(ts.port());
+  const JsonValue v = c.rpc(
+      R"({"id":"e","command":"experiment","args":{"tests":"99999999999999999999999"}})");
+  EXPECT_EQ(field_string(v, "status"), "error");
+  EXPECT_EQ(error_of(v),
+            std::make_pair(std::string(kErrBadRequest),
+                           std::string("--tests entries must be positive "
+                                       "integers (got "
+                                       "'99999999999999999999999')")));
+}
+
+TEST(ServerTest, ServerLanesAreOnlyTheSatBackedDefault) {
+  const Fixture& fx = fixture();
+  std::set<std::vector<std::string>> gmax;
+  for (GateId g : basic_sim_diagnose(fx.faulty, fx.tests).gmax) {
+    gmax.insert({fx.faulty.gate_name(g)});
+  }
+  ASSERT_FALSE(gmax.empty());
+
+  ServeOptions options;
+  options.threads = 2;
+  TestServer ts(options);
+  Client c(ts.port());
+  // bsim and cov cannot use lanes, so the server's --threads does not
+  // apply to them...
+  JsonValue v = c.rpc(diagnose_frame("b", 1, "bsim"));
+  ASSERT_EQ(field_string(v, "status"), "ok") << error_of(v).second;
+  EXPECT_EQ(response_corrections(v), gmax);
+  v = c.rpc(diagnose_frame("c", 1, "cov"));
+  EXPECT_EQ(field_string(v, "status"), "ok") << error_of(v).second;
+  v = c.rpc(diagnose_frame("s", 1, "bsat"));
+  EXPECT_EQ(field_string(v, "status"), "ok") << error_of(v).second;
+  // ...but an explicit request for lanes they cannot use is still an error.
+  v = c.rpc(diagnose_frame("t", 1, "bsim", R"(,"threads":2)"));
+  EXPECT_EQ(error_of(v).first, kErrBadRequest);
+  EXPECT_EQ(error_of(v).second,
+            "--threads requires a SAT-backed approach (bsat or hybrid)");
 }
 
 TEST(ServerTest, DiagnoseMatchesDirectExecution) {
@@ -340,8 +451,11 @@ TEST(ServerTest, ConcurrentClientsGetIdenticalResults) {
     threads.emplace_back([&, i] {
       Client c(ts.port());
       for (int j = 0; j < 3; ++j) {
-        const JsonValue v =
-            c.rpc(diagnose_frame("c" + std::to_string(i * 10 + j)));
+        // Appended rather than "c" + to_string(): GCC 12's -Wrestrict
+        // false positive (bug 105329) fires on the concatenation at -O2.
+        std::string id = "c";
+        id += std::to_string(i * 10 + j);
+        const JsonValue v = c.rpc(diagnose_frame(id));
         if (field_string(v, "status") == "ok") {
           ++ok_count[i];
           results[i] = response_corrections(v);

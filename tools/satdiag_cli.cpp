@@ -37,7 +37,8 @@
 //                       exec/ lane indices (also: SATDIAG_LOG_TIMES=1)
 //   --verbose           raise the log level to info (library progress lines)
 //
-// The bench format is ISCAS89 .bench; the test format is documented in
+// A flag the subcommand does not read is an error (exit 2), as is an
+// out-of-range value. The bench format is ISCAS89 .bench; the test format is documented in
 // src/report/testfile.hpp.
 #include <algorithm>
 #include <atomic>
@@ -45,31 +46,25 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <optional>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "app/command.hpp"
 #include "bench/bench_parser.hpp"
 #include "bench/bench_writer.hpp"
-#include "diag/bsat.hpp"
-#include "diag/cover.hpp"
-#include "diag/hybrid.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
-#include "gen/profiles.hpp"
 #include "netlist/scan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "repair/realize.hpp"
 #include "report/experiment.hpp"
-#include "serve/server.hpp"
 #include "report/format.hpp"
 #include "report/testfile.hpp"
+#include "serve/server.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -96,12 +91,6 @@ int usage() {
   print_usage(stderr);
   return 2;
 }
-
-Netlist load_bench(const std::string& path) { return parse_bench_file(path); }
-
-/// The report's "result" section, set by whichever cmd_* ran; spliced
-/// verbatim into the run report / report-json output.
-std::string g_result_json;
 
 /// --stats output, driven by the metrics registry snapshot so every
 /// subsystem that publishes a metric shows up without CLI changes. Dotted
@@ -149,27 +138,27 @@ void print_solutions(const Netlist& nl,
   }
 }
 
-int cmd_gen(const CliArgs& args) {
-  const std::string profile_name = args.get_string("profile", "s1423_like");
-  const auto profile = find_profile(profile_name);
-  if (!profile) return fail("unknown profile '" + profile_name + "'");
-  const Netlist nl = make_profile_circuit(
-      *profile, args.get_double("scale", 1.0),
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
+int run_gen(const CliArgs& args, std::string& result_json) {
   const std::string out_path = args.get_string("out", "");
+  const app::GenRequest req = app::parse_gen(args);
+  app::reject_unused_flags(args, "gen");
   if (out_path.empty()) return fail("--out required");
+  const app::GenResult result = app::execute(req);
+  const Netlist& nl = *result.netlist;
   std::ofstream out(out_path);
   if (!out) return fail("cannot write '" + out_path + "'");
   write_bench(out, nl);
   std::printf("wrote %s: %zu gates, %zu PIs, %zu POs, %zu DFFs\n",
               out_path.c_str(), nl.size(), nl.inputs().size(),
               nl.outputs().size(), nl.dffs().size());
+  result_json = app::to_json(result, out_path);
   return 0;
 }
 
-int cmd_stats(const CliArgs& args) {
+int run_stats(const CliArgs& args) {
+  app::reject_unused_flags(args, "stats");
   if (args.positional().size() < 2) return fail("stats needs a .bench file");
-  const Netlist nl = load_bench(args.positional()[1]);
+  const Netlist nl = parse_bench_file(args.positional()[1]);
   std::printf("circuit: %s\n", nl.name().c_str());
   std::printf("  gates (combinational): %zu\n", nl.num_combinational_gates());
   std::printf("  primary inputs:        %zu\n", nl.inputs().size());
@@ -192,16 +181,20 @@ int cmd_stats(const CliArgs& args) {
   return 0;
 }
 
-int cmd_inject(const CliArgs& args) {
+int run_inject(const CliArgs& args) {
+  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  InjectorOptions inject;
+  inject.num_errors = static_cast<std::size_t>(args.get_int("errors", 1));
+  const std::string out_path = args.get_string("out", "");
+  const std::string tests_path = args.get_string("tests-out", "");
+  const std::size_t m = static_cast<std::size_t>(args.get_int("num-tests", 16));
+  app::reject_unused_flags(args, "inject");
   if (args.positional().size() < 2) return fail("inject needs a .bench file");
-  Netlist nl = load_bench(args.positional()[1]);
+  Netlist nl = parse_bench_file(args.positional()[1]);
   if (!nl.dffs().empty()) {
     std::printf("sequential circuit: using the full-scan view\n");
     nl = make_full_scan(nl).comb;
   }
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  InjectorOptions inject;
-  inject.num_errors = static_cast<std::size_t>(args.get_int("errors", 1));
   const auto errors = inject_errors(nl, rng, inject);
   if (!errors) return fail("no detectable error set found");
   for (const DesignError& e : *errors) {
@@ -210,17 +203,13 @@ int cmd_inject(const CliArgs& args) {
   }
   const Netlist faulty = apply_errors(nl, *errors);
 
-  const std::string out_path = args.get_string("out", "");
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     if (!out) return fail("cannot write '" + out_path + "'");
     write_bench(out, faulty);
     std::printf("wrote faulty netlist to %s\n", out_path.c_str());
   }
-  const std::string tests_path = args.get_string("tests-out", "");
   if (!tests_path.empty()) {
-    const std::size_t m =
-        static_cast<std::size_t>(args.get_int("num-tests", 16));
     const TestSet tests = generate_failing_tests(nl, *errors, m, rng);
     std::ofstream out(tests_path);
     if (!out) return fail("cannot write '" + tests_path + "'");
@@ -231,179 +220,48 @@ int cmd_inject(const CliArgs& args) {
   return 0;
 }
 
-int cmd_diagnose(const CliArgs& args) {
-  if (args.positional().size() < 2) return fail("diagnose needs a .bench file");
-  obs::Span load_span("phase.load");
-  Netlist nl = load_bench(args.positional()[1]);
-  if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
-  const std::string tests_path = args.get_string("tests", "");
-  if (tests_path.empty()) return fail("--tests required");
-  std::ifstream in(tests_path);
-  if (!in) return fail("cannot read '" + tests_path + "'");
-  const TestSet tests = read_test_set(in, nl);
-  if (tests.empty()) return fail("empty test set");
-  load_span.close();
-
-  const unsigned k = static_cast<unsigned>(args.get_int("k", 1));
-  const double limit = args.get_double("limit", 300.0);
-  const std::int64_t cap = args.get_int("max-solutions", -1);
-  const std::string approach = args.get_string("approach", "bsat");
+int run_diagnose(const CliArgs& args, std::string& result_json) {
   const bool want_stats = args.get_bool("stats", false);
-  if (want_stats && approach != "bsat" && approach != "hybrid") {
+  const app::DiagnoseRequest req = app::parse_diagnose(args);
+  app::reject_unused_flags(args, "diagnose");
+  if (want_stats && !app::sat_backed(req.approach)) {
     return fail("--stats requires a SAT-backed approach (bsat or hybrid)");
   }
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    return fail("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  // A flag that cannot take effect must not be silently accepted: the user
-  // would believe the run was parallel.
-  if (threads > 1 && approach != "bsat" && approach != "hybrid") {
-    return fail("--threads requires a SAT-backed approach (bsat or hybrid)");
-  }
-
-  const auto set_result_json = [&](const char* approach_name,
-                                   std::size_t num_solutions, bool complete,
-                                   double build_s, double first_s,
-                                   double all_s) {
-    std::ostringstream os;
-    JsonWriter w(os, /*indent=*/0);
-    w.begin_object();
-    w.kv("approach", approach_name);
-    w.kv("solutions", static_cast<std::uint64_t>(num_solutions));
-    w.kv("complete", complete);
-    w.kv("build_seconds", build_s);
-    w.kv("first_seconds", first_s);
-    w.kv("all_seconds", all_s);
-    w.end_object();
-    g_result_json = os.str();
-  };
-
-  if (approach == "bsim") {
-    obs::Span sim_span("phase.sim");
-    const BsimResult result = basic_sim_diagnose(nl, tests);
+  const app::DiagnoseResult result = app::execute(req);
+  const Netlist& nl = *result.netlist;
+  const char* truncated = result.complete ? "" : " (truncated)";
+  if (req.approach == "bsim") {
     std::printf("marked %zu gates; Gmax (%u marks):\n",
-                result.marked_union.size(), result.max_marks);
-    for (GateId g : result.gmax) {
+                result.bsim.marked_union.size(), result.bsim.max_marks);
+    for (GateId g : result.bsim.gmax) {
       std::printf("  %s (M=%u)\n", nl.gate_name(g).c_str(),
-                  result.mark_count[g]);
+                  result.bsim.mark_count[g]);
     }
-    set_result_json("bsim", result.gmax.size(), true, 0.0, 0.0, 0.0);
-    return 0;
-  }
-  if (approach == "cov") {
-    CovOptions options;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    obs::Span sim_span("phase.sim");
-    const CovResult result = sc_diagnose(nl, tests, options);
+  } else if (req.approach == "cov") {
     std::printf("%zu irredundant covers%s:\n", result.solutions.size(),
-                result.complete ? "" : " (truncated)");
-    print_solutions(nl, result.solutions);
-    set_result_json("cov", result.solutions.size(), result.complete,
-                    result.build_seconds, result.first_seconds,
-                    result.all_seconds);
-    return 0;
-  }
-  if (approach == "bsat") {
-    BsatOptions options;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const BsatResult result = basic_sat_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
+                truncated);
+  } else if (req.approach == "bsat") {
     std::printf("%zu valid corrections%s (CNF %.2fs, all %.2fs):\n",
-                result.solutions.size(), result.complete ? "" : " (truncated)",
-                result.build_seconds, result.all_seconds);
-    print_solutions(nl, result.solutions);
-    if (want_stats) print_registry_stats();
-    set_result_json("bsat", result.solutions.size(), result.complete,
-                    result.build_seconds, result.first_seconds,
-                    result.all_seconds);
-    return 0;
-  }
-  if (approach == "hybrid") {
-    HybridOptions options;
-    options.mode = HybridMode::kSeedActivity;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const HybridResult result = hybrid_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
+                result.solutions.size(), truncated, result.build_seconds,
+                result.all_seconds);
+  } else {
     std::printf("%zu valid corrections (sim %.2fs + sat %.2fs):\n",
-                result.solutions.size(), result.sim_seconds,
-                result.sat_seconds);
-    print_solutions(nl, result.solutions);
-    if (want_stats) print_registry_stats();
-    set_result_json("hybrid", result.solutions.size(), result.complete,
-                    result.sim_seconds, 0.0, result.sat_seconds);
-    return 0;
+                result.solutions.size(), result.build_seconds,
+                result.all_seconds);
   }
-  return fail("unknown approach '" + approach + "'");
+  if (req.approach != "bsim") print_solutions(nl, result.solutions);
+  if (want_stats) print_registry_stats();
+  result_json = app::to_json(result);
+  return 0;
 }
 
-int cmd_experiment(const CliArgs& args) {
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    return fail("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  std::vector<std::string> circuits;
-  // Bind before split(): the views point into this string, and a temporary
-  // would be destroyed before a C++20 range-for body runs.
-  const std::string circuits_arg = args.get_string("circuits", "s1423_like");
-  for (std::string_view name : split(circuits_arg, ',')) {
-    name = trim(name);
-    if (name.empty()) continue;
-    if (!find_profile(std::string(name))) {
-      return fail("unknown profile '" + std::string(name) + "'");
-    }
-    circuits.emplace_back(name);
-  }
-  if (circuits.empty()) return fail("--circuits requires at least one name");
-  std::vector<std::size_t> test_counts;
-  const std::string tests_arg = args.get_string("tests", "4,8");
-  for (std::string_view m : split(tests_arg, ',')) {
-    m = trim(m);
-    if (m.empty()) continue;
-    // Strict parse: "8abc" must not silently run with m=8.
-    if (m.find_first_not_of("0123456789") != std::string_view::npos) {
-      return fail("--tests entries must be positive integers (got '" +
-                  std::string(m) + "')");
-    }
-    const long value = std::stol(std::string(m));
-    if (value < 1) return fail("--tests entries must be >= 1");
-    test_counts.push_back(static_cast<std::size_t>(value));
-  }
-  if (test_counts.empty()) return fail("--tests requires at least one count");
-
-  std::vector<ExperimentConfig> configs;
-  for (const std::string& circuit : circuits) {
-    for (std::size_t m : test_counts) {
-      ExperimentConfig config;
-      config.circuit = circuit;
-      config.scale = args.get_double("scale", 0.25);
-      config.num_errors =
-          static_cast<std::size_t>(args.get_int("errors", 2));
-      config.num_tests = m;
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-      config.time_limit_seconds = args.get_double("limit", 60.0);
-      config.max_solutions = args.get_int("max-solutions", -1);
-      configs.push_back(std::move(config));
-    }
-  }
+int run_experiment(const CliArgs& args, std::string& result_json) {
   const bool csv = args.get_bool("csv", false);
-
-  ExperimentGridOptions grid;
-  grid.num_threads = static_cast<std::size_t>(threads);
-  const std::vector<ExperimentCell> cells = run_experiment_grid(configs, grid);
-
+  const app::ExperimentRequest req = app::parse_experiment(args);
+  app::reject_unused_flags(args, "experiment");
+  const app::ExperimentResult result = app::execute(req);
   TablePrinter table(table2_header());
-  for (const ExperimentCell& cell : cells) {
+  for (const ExperimentCell& cell : result.cells) {
     if (!cell.prepared) {
       std::fprintf(stderr, "skipping %s m=%zu (preparation failed)\n",
                    cell.config.circuit.c_str(), cell.config.num_tests);
@@ -412,57 +270,26 @@ int cmd_experiment(const CliArgs& args) {
     table.add_row(table2_row(cell.row));
   }
   std::printf("%s", csv ? table.to_csv().c_str() : table.to_string().c_str());
-
-  // Publish the grid's solver work into the registry (summed over cells)
-  // and echo a per-cell summary — including each cell's own solver
-  // counters, which run_experiment_grid now surfaces — into the report.
-  sat::Solver::Stats grid_stats;
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("cells", static_cast<std::uint64_t>(cells.size()));
-  w.key("rows");
-  w.begin_array();
-  for (const ExperimentCell& cell : cells) {
-    w.begin_object();
-    w.kv("circuit", cell.config.circuit);
-    w.kv("tests", static_cast<std::uint64_t>(cell.config.num_tests));
-    w.kv("errors", static_cast<std::uint64_t>(cell.config.num_errors));
-    w.kv("prepared", cell.prepared);
-    if (cell.prepared) {
-      grid_stats.merge(cell.row.bsat.solver_stats);
-      w.kv("bsim_seconds", cell.row.bsim_seconds);
-      w.kv("bsat_solutions",
-           static_cast<std::uint64_t>(cell.row.bsat.solutions.size()));
-      w.kv("bsat_all_seconds", cell.row.bsat.all_seconds);
-      w.kv("bsat_complete", cell.row.bsat.complete);
-      w.kv("bsat_conflicts", cell.row.bsat.solver_stats.conflicts);
-      w.kv("bsat_decisions", cell.row.bsat.solver_stats.decisions);
-      w.kv("bsat_propagations", cell.row.bsat.solver_stats.propagations);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  g_result_json = os.str();
-  obs::add_solver_stats(grid_stats);
+  result_json = app::to_json(result);
   return 0;
 }
 
-int cmd_repair(const CliArgs& args) {
-  if (args.positional().size() < 2) return fail("repair needs a .bench file");
-  Netlist nl = load_bench(args.positional()[1]);
-  if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
+int run_repair(const CliArgs& args) {
   const std::string tests_path = args.get_string("tests", "");
+  // Bind before split(): the views point into this string, and a temporary
+  // would be destroyed before a C++20 range-for body runs.
+  const std::string gates_arg = args.get_string("gates", "");
+  app::reject_unused_flags(args, "repair");
+  if (args.positional().size() < 2) return fail("repair needs a .bench file");
   if (tests_path.empty()) return fail("--tests required");
-  std::ifstream in(tests_path);
-  if (!in) return fail("cannot read '" + tests_path + "'");
-  const TestSet tests = read_test_set(in, nl);
+  const std::shared_ptr<const Netlist> nl_ptr =
+      app::load_netlist(args.positional()[1]);
+  const Netlist& nl = *nl_ptr;
+  const std::shared_ptr<const TestSet> tests_ptr =
+      app::load_tests(nl, tests_path);
+  const TestSet& tests = *tests_ptr;
 
   std::vector<GateId> gates;
-  // Same dangling-view hazard as in cmd_experiment: keep the string alive
-  // past the range-for initializer.
-  const std::string gates_arg = args.get_string("gates", "");
   for (std::string_view name : split(gates_arg, ',')) {
     name = trim(name);
     if (name.empty()) continue;
@@ -501,7 +328,7 @@ extern "C" void serve_signal_handler(int) {
   }
 }
 
-int cmd_serve(const CliArgs& args) {
+int run_serve(const CliArgs& args) {
   serve::ServeOptions options;
   const std::int64_t port = args.get_int("port", 0);
   if (port < 0 || port > 65535) {
@@ -527,6 +354,8 @@ int cmd_serve(const CliArgs& args) {
     return fail("--max-request-seconds must be > 0");
   }
 
+  app::reject_unused_flags(args, "serve");
+
   serve::Server server(options);
   std::string error;
   if (!server.start(error)) return fail("serve: " + error);
@@ -545,50 +374,20 @@ int cmd_serve(const CliArgs& args) {
   return 0;
 }
 
-// Flags each subcommand understands; anything else is a typo and must not
-// silently fall back to defaults (cmd_* query flags lazily, interleaved with
-// work, so this is checked up front rather than via unused() afterwards).
-const std::map<std::string, std::vector<std::string>> kKnownFlags = {
-    {"gen", {"profile", "scale", "seed", "out"}},
-    {"stats", {}},
-    {"inject", {"seed", "errors", "out", "tests-out", "num-tests"}},
-    {"diagnose",
-     {"tests", "approach", "k", "limit", "max-solutions", "stats", "threads"}},
-    {"experiment",
-     {"circuits", "errors", "tests", "scale", "seed", "limit", "max-solutions",
-      "threads", "csv"}},
-    {"repair", {"tests", "gates"}},
-    {"serve",
-     {"port", "threads", "max-inflight", "queue-depth",
-      "max-request-seconds"}},
-};
-
 /// Runs the subcommand under the trace's enclosing "cli.run" span (closed
 /// on return, before main() drains the rings). -1 = unknown command.
-int dispatch(const std::string& command, const CliArgs& args) {
+/// Job commands leave their result JSON for the run report in `result_json`.
+int dispatch(const std::string& command, const CliArgs& args,
+             std::string& result_json) {
   obs::Span run_span("cli.run");
-  if (command == "gen") return cmd_gen(args);
-  if (command == "stats") return cmd_stats(args);
-  if (command == "inject") return cmd_inject(args);
-  if (command == "diagnose") return cmd_diagnose(args);
-  if (command == "experiment") return cmd_experiment(args);
-  if (command == "repair") return cmd_repair(args);
-  if (command == "serve") return cmd_serve(args);
+  if (command == "gen") return run_gen(args, result_json);
+  if (command == "stats") return run_stats(args);
+  if (command == "inject") return run_inject(args);
+  if (command == "diagnose") return run_diagnose(args, result_json);
+  if (command == "experiment") return run_experiment(args, result_json);
+  if (command == "repair") return run_repair(args);
+  if (command == "serve") return run_serve(args);
   return -1;
-}
-
-int check_flags(const std::string& command, const CliArgs& args) {
-  const auto it = kKnownFlags.find(command);
-  if (it == kKnownFlags.end()) return 0;  // unknown command: usage() handles it
-  // Before any get_* call every parsed flag is still "unused", i.e. this
-  // yields the full set of flags the user passed.
-  for (const std::string& flag : args.unused()) {
-    if (std::find(it->second.begin(), it->second.end(), flag) ==
-        it->second.end()) {
-      return fail("unknown flag --" + flag + " for '" + command + "'");
-    }
-  }
-  return 0;
 }
 
 }  // namespace
@@ -624,8 +423,9 @@ int main(int argc, char** argv) {
                   error)) {
     return fail(error);
   }
-  // Global observability flags, queried BEFORE check_flags() so every
-  // subcommand accepts them (check_flags sees only still-unqueried flags).
+  // Global observability flags, queried before dispatch so every
+  // subcommand accepts them (the unknown-flag check sees only flags nobody
+  // queried).
   const std::string trace_out = args.get_string("trace-out", "");
   const std::string report_json = args.get_string("report-json", "");
   const std::string stats_json = args.get_string("stats-json", "");
@@ -646,11 +446,11 @@ int main(int argc, char** argv) {
         "serve does not support --trace-out/--report-json/--stats-json; "
         "use the `metrics` request instead");
   }
-  if (const int rc = check_flags(command, args)) return rc;
   int rc = -1;
+  std::string result_json;
   Timer wall;
   try {
-    rc = dispatch(command, args);
+    rc = dispatch(command, args, result_json);
   } catch (const std::exception& e) {
     return fail(e.what());
   }
@@ -675,20 +475,8 @@ int main(int argc, char** argv) {
     return fail("cannot write '" + trace_out + "'");
   }
   if (!report_json.empty()) {
-    obs::RunReport report;
-    report.command = command;
-    for (const auto& [flag, value] : args.raw_values()) {
-      report.config[flag] = value;
-    }
-    const auto& pos = args.positional();
-    std::string joined;
-    for (std::size_t i = 1; i < pos.size(); ++i) {
-      if (!joined.empty()) joined += ' ';
-      joined += pos[i];
-    }
-    report.config["positional"] = joined;
-    report.wall_seconds = wall.seconds();
-    report.result_json = g_result_json;
+    const obs::RunReport report =
+        app::make_report(command, args, wall.seconds(), std::move(result_json));
     if (report_json == "-") {
       report.write_json(std::cout);
     } else if (!report.write_json_file(report_json)) {
