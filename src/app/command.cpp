@@ -25,13 +25,27 @@ namespace {
   throw CliUsageError(message);
 }
 
-std::size_t parse_threads(const CliArgs& args, std::size_t default_threads) {
-  const std::int64_t threads =
-      args.get_int("threads", static_cast<std::int64_t>(default_threads));
-  if (threads < 1) {
-    usage_error("--threads must be >= 1 (got " + std::to_string(threads) + ")");
+// Range checks for numeric options: a negative count would wrap to
+// SIZE_MAX, and a zero scale or budget silently runs degenerate work.
+
+double parse_positive(const CliArgs& args, const std::string& flag,
+                      double fallback) {
+  const double value = args.get_double(flag, fallback);
+  if (!(value > 0)) {
+    usage_error("--" + flag + " must be > 0 (got " + strprintf("%g", value) +
+                ")");
   }
-  return static_cast<std::size_t>(threads);
+  return value;
+}
+
+/// -1 means unlimited; 0 would truncate before the first solution.
+std::int64_t parse_max_solutions(const CliArgs& args) {
+  const std::int64_t value = args.get_int("max-solutions", -1);
+  if (value != -1 && value < 1) {
+    usage_error("--max-solutions must be -1 or >= 1 (got " +
+                std::to_string(value) + ")");
+  }
+  return value;
 }
 
 std::string read_file(const std::string& path) {
@@ -62,6 +76,17 @@ void write_solutions(JsonWriter& w, const Netlist& nl,
 }
 
 }  // namespace
+
+std::size_t parse_count(const CliArgs& args, const std::string& flag,
+                        std::size_t fallback) {
+  const std::int64_t value =
+      args.get_int(flag, static_cast<std::int64_t>(fallback));
+  if (value < 1) {
+    usage_error("--" + flag + " must be >= 1 (got " + std::to_string(value) +
+                ")");
+  }
+  return static_cast<std::size_t>(value);
+}
 
 void reject_unused_flags(const CliArgs& args, const std::string& command) {
   const std::vector<std::string> unused = args.unused();
@@ -110,7 +135,7 @@ GenRequest parse_gen(const CliArgs& args) {
   if (!profile) usage_error("unknown profile '" + name + "'");
   GenRequest req;
   req.profile = *profile;
-  req.scale = args.get_double("scale", 1.0);
+  req.scale = parse_positive(args, "scale", 1.0);
   req.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   return req;
 }
@@ -171,12 +196,12 @@ DiagnoseRequest parse_diagnose(const CliArgs& args,
     usage_error("unknown approach '" + req.approach + "'");
   }
   req.k = args.get_int("k", 1);
-  req.limit_seconds = args.get_double("limit", 300.0);
-  req.max_solutions = args.get_int("max-solutions", -1);
+  req.limit_seconds = parse_positive(args, "limit", 300.0);
+  req.max_solutions = parse_max_solutions(args);
   // A flag that cannot take effect must not be silently accepted: the user
   // would believe the run was parallel.
   const bool sat = sat_backed(req.approach);
-  req.threads = parse_threads(args, sat ? default_threads : 1);
+  req.threads = parse_count(args, "threads", sat ? default_threads : 1);
   if (req.threads > 1 && !sat) {
     usage_error("--threads requires a SAT-backed approach (bsat or hybrid)");
   }
@@ -270,7 +295,7 @@ std::string to_json(const DiagnoseResult& result) {
 ExperimentRequest parse_experiment(const CliArgs& args,
                                    std::size_t default_threads) {
   ExperimentRequest req;
-  req.threads = parse_threads(args, default_threads);
+  req.threads = parse_count(args, "threads", default_threads);
   // Bind before split(): the views point into this string, and a temporary
   // would be destroyed before a C++20 range-for body runs.
   const std::string circuits_arg = args.get_string("circuits", "s1423_like");
@@ -301,11 +326,11 @@ ExperimentRequest parse_experiment(const CliArgs& args,
     req.test_counts.push_back(static_cast<std::size_t>(value));
   }
   if (req.test_counts.empty()) usage_error("--tests requires at least one count");
-  req.scale = args.get_double("scale", 0.25);
-  req.errors = static_cast<std::size_t>(args.get_int("errors", 2));
+  req.scale = parse_positive(args, "scale", 0.25);
+  req.errors = parse_count(args, "errors", 2);
   req.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  req.limit_seconds = args.get_double("limit", 60.0);
-  req.max_solutions = args.get_int("max-solutions", -1);
+  req.limit_seconds = parse_positive(args, "limit", 60.0);
+  req.max_solutions = parse_max_solutions(args);
   return req;
 }
 

@@ -38,6 +38,11 @@ namespace satdiag::app {
 /// every flag they understand.
 void reject_unused_flags(const CliArgs& args, const std::string& command);
 
+/// A count option (threads, errors, tests): throws CliUsageError("--F must
+/// be >= 1 (got N)") below 1 instead of wrapping a negative to SIZE_MAX.
+std::size_t parse_count(const CliArgs& args, const std::string& flag,
+                        std::size_t fallback);
+
 // --- Loader ---------------------------------------------------------------
 
 /// Diagnosis-ready netlist (full-scan view when sequential).

@@ -163,8 +163,7 @@ ClauseStream build_copy_template(const Netlist& nl,
   {
     std::size_t pos = 0;
     std::uint32_t arena_off = 0;  // stream-relative arena word of the clause
-    for (std::uint32_t ci = 0; ci < ts.sizes.size(); ++ci) {
-      const std::uint32_t size = ts.sizes[ci];
+    for (const std::uint32_t size : ts.sizes) {
       if (size < 2) {
         ++ts.num_units;
       } else {
@@ -172,8 +171,8 @@ ClauseStream build_copy_template(const Netlist& nl,
         const std::uint32_t c1 = ts.lits[pos + 1];
         auto& plan = size == 2 ? ts.watch_plan_bin : ts.watch_plan_long;
         const std::uint32_t off = size == 2 ? 0 : arena_off;
-        plan.push_back({c0 ^ 1u, c1, ci, off});  // watch list of ~lit: code^1
-        plan.push_back({c1 ^ 1u, c0, ci, off});
+        plan.push_back({c0 ^ 1u, c1, off});  // watch list of ~lit: code^1
+        plan.push_back({c1 ^ 1u, c0, off});
         if (size >= 3) arena_off += size + sat::kStampClauseOverhead;
       }
       pos += size;
@@ -193,8 +192,7 @@ ClauseStream build_copy_template(const Netlist& nl,
 }
 
 sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
-                             std::span<const sat::Var> extern_vars,
-                             StampScratch& scratch) {
+                             std::span<const sat::Var> extern_vars) {
   obs::Span span("cnf.stamp_copy", "clauses",
                  static_cast<std::int64_t>(ts.sizes.size()));
   assert(extern_vars.size() == ts.extern_gates.size());
@@ -211,47 +209,29 @@ sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
     solver.add_stamped_stream(ts.lits, ts.sizes, ts.watch_plan_long,
                               ts.watch_plan_bin, base,
                               ClauseStream::kExternVarBase, extern_vars);
-    g_copies_stamped.fetch_add(1, std::memory_order_relaxed);
-    g_clauses_stamped.fetch_add(ts.sizes.size(), std::memory_order_relaxed);
-    return base;
-  }
-
-  // Rare general case (template units or assigned selects, e.g. restricted
-  // universes after assumptions were fixed at the root): relocate into
-  // scratch and take the simplifying bulk load.
-  const auto relocate = [&](std::uint32_t code) {
-    const auto as_lit = Lit::from_index(static_cast<int>(code));
-    const Var v = as_lit.var();
-    const Var resolved =
-        v >= ClauseStream::kExternVarBase
-            ? extern_vars[static_cast<std::size_t>(
-                  v - ClauseStream::kExternVarBase)]
-            : base + v;
-    return Lit(resolved, as_lit.sign());
-  };
-  scratch.lits.clear();
-  scratch.lits.reserve(ts.lits.size());
-  for (const std::uint32_t code : ts.lits) {
-    scratch.lits.push_back(relocate(code));
-  }
-  // Relocating a watch index is the same map: ~l shares l's variable, and
-  // the code layout is (var << 1) | sign.
-  const auto relocate_plan = [&](const std::vector<sat::StreamWatchOp>& in,
-                                 std::vector<sat::StreamWatchOp>& out) {
-    out.clear();
-    out.reserve(in.size());
-    for (const sat::StreamWatchOp& op : in) {
-      out.push_back(
-          {static_cast<std::uint32_t>(relocate(op.watch_index).index()),
-           static_cast<std::uint32_t>(relocate(op.other_index).index()),
-           op.clause, op.arena_offset});
+  } else {
+    // General case (template units, or selects already assigned at the
+    // root): relocate clause by clause into the simplifying add_clause,
+    // which drops satisfied clauses, strips false literals and propagates
+    // units in order.
+    sat::Clause clause;
+    std::size_t pos = 0;
+    for (const std::uint32_t size : ts.sizes) {
+      clause.clear();
+      for (std::uint32_t k = 0; k < size; ++k) {
+        const auto as_lit = Lit::from_index(static_cast<int>(ts.lits[pos + k]));
+        const Var v = as_lit.var();
+        const Var resolved =
+            v >= ClauseStream::kExternVarBase
+                ? extern_vars[static_cast<std::size_t>(
+                      v - ClauseStream::kExternVarBase)]
+                : base + v;
+        clause.push_back(Lit(resolved, as_lit.sign()));
+      }
+      pos += size;
+      if (!solver.add_clause(clause)) break;
     }
-  };
-  relocate_plan(ts.watch_plan_long, scratch.plan_long);
-  relocate_plan(ts.watch_plan_bin, scratch.plan_bin);
-  solver.add_clause_stream(scratch.lits, ts.sizes, scratch.plan_long,
-                           scratch.plan_bin);
-
+  }
   g_copies_stamped.fetch_add(1, std::memory_order_relaxed);
   g_clauses_stamped.fetch_add(ts.sizes.size(), std::memory_order_relaxed);
   return base;

@@ -7,7 +7,7 @@
 // (mux clauses, gating clauses, correction/orig variables, gate functions)
 // over *relative* variable indices, together with a per-copy variable-layout
 // descriptor. Stamping a copy is then literal-offset relocation into the
-// solver's bulk loader (sat::Solver::add_clause_stream) — near-memcpy —
+// solver's bulk loader (sat::Solver::add_stamped_stream) — near-memcpy —
 // and the encoder walk happens once per (circuit, cone, universe, options)
 // key, cached process-wide in cache::ArtifactCache.
 //
@@ -24,7 +24,7 @@
 //
 // Clauses are normalized at template-build time (sorted in template-code
 // order, duplicates removed, tautologies dropped). Relocation maps variables
-// injectively, so the normalized stream satisfies add_clause_stream's
+// injectively, so the normalized stream satisfies add_stamped_stream's
 // no-duplicate/no-tautology precondition after relocation too.
 #pragma once
 
@@ -71,7 +71,7 @@ struct ClauseStream {
   /// Deferred watch attachments (two per clause of size >= 3 resp. == 2),
   /// over template codes, stable-sorted by watch list. Relocation is
   /// injective, so runs of equal watch_index stay contiguous after it and
-  /// sat::Solver::add_clause_stream can fill each watch list in one
+  /// sat::Solver::add_stamped_stream can fill each watch list in one
   /// sequential pass — see StreamWatchOp in sat/solver.hpp.
   std::vector<sat::StreamWatchOp> watch_plan_long;
   std::vector<sat::StreamWatchOp> watch_plan_bin;
@@ -89,22 +89,15 @@ ClauseStream build_copy_template(const Netlist& nl,
                                  const std::vector<bool>& instrumented,
                                  bool gating_clauses, bool internal_decisions);
 
-/// Caller-owned relocation storage for stamp_clause_stream, reused across
-/// copies so per-stamp allocation amortizes away.
-struct StampScratch {
-  std::vector<sat::Lit> lits;
-  std::vector<sat::StreamWatchOp> plan_long;
-  std::vector<sat::StreamWatchOp> plan_bin;
-};
-
 /// Stamp one copy into `solver`: allocate num_locals fresh variables in one
 /// batch (flags/freezes from the layout descriptor), relocate the literal
 /// stream and watch plan by the new variable base (extern slots through
-/// `extern_vars`, one per extern_gates entry), and bulk-load it. Returns the
+/// `extern_vars`, one per extern_gates entry), and bulk-load it. A stream
+/// with unit clauses, or with an extern already assigned at the root, is
+/// relocated and loaded one add_clause call per clause instead. Returns the
 /// copy's variable base.
 sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
-                             std::span<const sat::Var> extern_vars,
-                             StampScratch& scratch);
+                             std::span<const sat::Var> extern_vars);
 
 /// Process-wide stamping counters (CLI --stats / bench reporting).
 struct ClauseStreamStats {

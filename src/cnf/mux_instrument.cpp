@@ -208,15 +208,13 @@ DiagnosisInstance build_stamped_instance(
     solver.reserve_vars(upcoming);
   }
 
-  StampScratch scratch;
   for (std::size_t t = 0; t < tests.size(); ++t) {
     const Test& test = tests[t];
     assert(test.input_values.size() == nl.inputs().size());
 
     const CopyPlan& plan = plan_for(t);
     const ClauseStream& ts = *plan.ts;
-    const Var base =
-        stamp_clause_stream(solver, ts, plan.extern_vars, scratch);
+    const Var base = stamp_clause_stream(solver, ts, plan.extern_vars);
 
     CircuitEncoding enc;
     enc.gate_var.assign(nl.size(), -1);

@@ -12,14 +12,4 @@ ShardPlan ShardPlan::make(std::size_t num_items, std::size_t grain) {
   return plan;
 }
 
-Rng shard_rng(std::uint64_t root_seed, std::size_t shard) {
-  // Same derivation shape as the experiment seed-retry stream: a distinct
-  // odd-multiplier perturbation per shard, passed through the Rng's SplitMix
-  // seeding so neighbouring shards decorrelate.
-  return Rng((root_seed + static_cast<std::uint64_t>(shard + 1) *
-                              0x517cc1b727220a95ULL) *
-                 0x9e3779b97f4a7c15ULL +
-             0x2545f4914f6cdd1dULL);
-}
-
 }  // namespace satdiag::exec

@@ -9,8 +9,9 @@
 //    slots, so the dynamic shard->lane assignment cannot reorder anything,
 //  * the reduction folds shard accumulators left-to-right in shard order
 //    after the join,
-//  * stochastic shard bodies draw from a per-shard Rng stream derived from a
-//    root seed (shard_rng), not from a shared generator.
+//  * shard bodies never draw from a shared random generator: randomness is
+//    drawn serially before the fan-out (fault simulation's input words) or
+//    per item from its own seed (experiment cells).
 // Lane indices exist only to address worker-owned scratch state (simulator
 // clones, per-worker solvers); the values a body computes must not depend on
 // them. Exceptions are deterministic too: every shard runs to completion (or
@@ -29,7 +30,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/rng.hpp"
 
 namespace satdiag::exec {
 
@@ -53,10 +53,6 @@ struct ShardPlan {
     return {begin, std::min(begin + grain, num_items)};
   }
 };
-
-/// The deterministic Rng stream of one shard: derived from the root seed and
-/// the shard index alone, so any thread count replays identical draws.
-Rng shard_rng(std::uint64_t root_seed, std::size_t shard);
 
 namespace detail {
 

@@ -103,9 +103,8 @@ std::vector<ExperimentCell> run_experiment_grid(
     const ExperimentGridOptions& options = {});
 
 /// The pinned Table-2 reproduction grid: {s1423_like p=4, s6669_like p=3,
-/// s38417_like p=2} x m in {4, 8, 16, 32}. One definition shared by
-/// bench_table2_runtime and bench_parallel's "table2_mt" workload so the
-/// serial and multi-threaded BENCH rows always measure identical work.
+/// s38417_like p=2} x m in {4, 8, 16, 32}, as run by bench_table2_runtime
+/// (its serial and --threads N BENCH rows measure identical work).
 std::vector<ExperimentConfig> table2_grid_configs(double scale, double limit,
                                                   std::int64_t max_solutions,
                                                   std::uint64_t seed);

@@ -276,183 +276,6 @@ bool Solver::add_stamped_stream(std::span<const std::uint32_t> codes,
   return true;
 }
 
-bool Solver::add_clause_stream(std::span<const Lit> lits,
-                               std::span<const std::uint32_t> sizes,
-                               std::span<const StreamWatchOp> plan_long,
-                               std::span<const StreamWatchOp> plan_bin) {
-  if (decision_level() != 0) cancel_until(0);  // leftover solve() trail
-  if (!ok_) return false;
-#ifndef NDEBUG
-  for (Lit l : lits) assert(!is_eliminated(l.var()));
-#endif
-  // Arena upper bound up front; watch capacity is handled run-by-run when
-  // the plan is applied.
-  reserve_amortized(arena_.data, arena_.data.size() + lits.size() +
-                                     kClauseOverhead * sizes.size());
-  stream_crefs_.assign(sizes.size(), kCRefUndef);
-  stream_fast_.assign(sizes.size(), 0);
-
-  bool flushed = false;
-  const auto flush = [&]() {
-    if (flushed) return;
-    flushed = true;
-    apply_stream_plan(plan_long, plan_bin);
-  };
-
-  // Fast pass: while nothing gets enqueued, root values cannot change, so
-  // untouched clauses go straight to the arena and their watch attachments
-  // defer to the sorted plan. The first unit flushes the plan (propagation
-  // must see every prior clause attached, exactly like incremental
-  // add_clause) and demotes the rest of the stream to the slow path.
-  std::size_t ci = 0;
-  std::size_t pos = 0;
-  for (; ci < sizes.size(); ++ci) {
-    const std::uint32_t size = sizes[ci];
-    const std::span<const Lit> clause = lits.subspan(pos, size);
-    pos += size;
-    bool satisfied = false;
-    std::uint32_t num_false = 0;
-    for (const Lit l : clause) {
-      const LBool v = value(l);
-      if (v == LBool::kTrue) {
-        satisfied = true;
-        break;
-      }
-      num_false += static_cast<std::uint32_t>(v == LBool::kFalse);
-    }
-    if (satisfied) continue;
-    if (num_false == 0) {
-      if (size >= 3) {
-        const CRef cref = arena_.alloc(clause, /*learnt=*/false);
-        clauses_.push_back(cref);
-        stream_crefs_[ci] = cref;
-        stream_fast_[ci] = 1;
-        continue;
-      }
-      if (size == 2) {
-        stream_fast_[ci] = 1;  // bin watches come from the plan
-        ++num_bin_clauses_;
-        continue;
-      }
-      flush();
-      unchecked_enqueue(clause[0], kCRefUndef);
-      if (propagate() != kCRefUndef) {
-        ok_ = false;
-        return false;
-      }
-      ++ci;
-      break;
-    }
-    // The root trail shortens this clause: attach it immediately (its plan
-    // ops stay disabled). Only a shrunken *unit* changes values and forces
-    // the slow path.
-    stream_clause_.clear();
-    for (const Lit l : clause) {
-      if (value(l) != LBool::kFalse) stream_clause_.push_back(l);
-    }
-    if (stream_clause_.empty()) {
-      flush();
-      ok_ = false;
-      return false;
-    }
-    if (stream_clause_.size() == 1) {
-      flush();
-      unchecked_enqueue(stream_clause_[0], kCRefUndef);
-      if (propagate() != kCRefUndef) {
-        ok_ = false;
-        return false;
-      }
-      ++ci;
-      break;
-    }
-    if (stream_clause_.size() == 2) {
-      attach_binary(stream_clause_[0], stream_clause_[1], /*learnt=*/false);
-      ++num_bin_clauses_;
-      continue;
-    }
-    const CRef cref = arena_.alloc(stream_clause_, /*learnt=*/false);
-    clauses_.push_back(cref);
-    attach_clause(cref);
-  }
-
-  // Slow path: values are re-read per clause so a unit propagated mid-stream
-  // simplifies everything after it, exactly as a sequence of add_clause
-  // calls would.
-  for (; ci < sizes.size(); ++ci) {
-    const std::uint32_t size = sizes[ci];
-    const std::span<const Lit> clause = lits.subspan(pos, size);
-    pos += size;
-    stream_clause_.clear();
-    bool satisfied = false;
-    for (const Lit l : clause) {
-      const LBool v = value(l);
-      if (v == LBool::kTrue) {
-        satisfied = true;
-        break;
-      }
-      if (v != LBool::kFalse) stream_clause_.push_back(l);
-    }
-    if (satisfied) continue;
-    if (stream_clause_.empty()) {
-      ok_ = false;
-      return false;
-    }
-    if (stream_clause_.size() == 1) {
-      unchecked_enqueue(stream_clause_[0], kCRefUndef);
-      if (propagate() != kCRefUndef) {
-        ok_ = false;
-        return false;
-      }
-      continue;
-    }
-    if (stream_clause_.size() == 2) {
-      attach_binary(stream_clause_[0], stream_clause_[1], /*learnt=*/false);
-      ++num_bin_clauses_;
-      continue;
-    }
-    const CRef cref = arena_.alloc(stream_clause_, /*learnt=*/false);
-    clauses_.push_back(cref);
-    attach_clause(cref);
-  }
-  flush();
-  return true;
-}
-
-void Solver::apply_stream_plan(std::span<const StreamWatchOp> plan_long,
-                               std::span<const StreamWatchOp> plan_bin) {
-  // Ops arrive sorted by watch_index: fill each list in one run with one
-  // capacity reservation, sweeping the list headers in index order instead
-  // of jumping between 2·|clauses| random lists.
-  std::size_t i = 0;
-  while (i < plan_long.size()) {
-    const std::uint32_t idx = plan_long[i].watch_index;
-    std::size_t j = i;
-    while (j < plan_long.size() && plan_long[j].watch_index == idx) ++j;
-    auto& list = watches_[idx];
-    reserve_amortized(list, list.size() + (j - i));
-    for (; i < j; ++i) {
-      const StreamWatchOp& op = plan_long[i];
-      if (!stream_fast_[op.clause]) continue;
-      list.push_back({stream_crefs_[op.clause],
-                      Lit::from_index(static_cast<int>(op.other_index))});
-    }
-  }
-  i = 0;
-  while (i < plan_bin.size()) {
-    const std::uint32_t idx = plan_bin[i].watch_index;
-    std::size_t j = i;
-    while (j < plan_bin.size() && plan_bin[j].watch_index == idx) ++j;
-    auto& list = bin_watches_[idx];
-    reserve_amortized(list, list.size() + (j - i));
-    for (; i < j; ++i) {
-      const StreamWatchOp& op = plan_bin[i];
-      if (!stream_fast_[op.clause]) continue;
-      list.push_back(
-          {Lit::from_index(static_cast<int>(op.other_index)), /*learnt=*/0u});
-    }
-  }
-}
-
 std::vector<Clause> Solver::snapshot_clauses() const {
   std::vector<Clause> out;
   for (std::size_t i = 0; i < root_trail_size(); ++i) {
@@ -1444,9 +1267,6 @@ bool Solver::within_budget() const {
       stats_.conflicts >= static_cast<std::uint64_t>(conflict_budget_)) {
     return false;
   }
-  if (interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed)) {
-    return false;
-  }
   return !deadline_.expired();
 }
 
@@ -1585,10 +1405,9 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   while (status == LBool::kUndef) {
     if (!within_budget()) break;
     if (decision_level() == 0) {
-      // Restart boundary: exchange clauses (portfolio hook), then run the
-      // budgeted simplification pipeline when it is due.
-      if (share_hook_) share_hook_(*this);
-      if (!ok_ || (inprocess_due() && !inprocess())) {
+      // Restart boundary: run the budgeted simplification pipeline when it
+      // is due.
+      if (inprocess_due() && !inprocess()) {
         status = LBool::kFalse;
         break;
       }

@@ -35,10 +35,10 @@
 //
 // Clause sharing: export_learnts()/import_clause() move low-LBD learnts
 // between solvers working on the *same* base formula (the BSAT partition
-// shards exchange at the per-bound barrier; solve_portfolio exchanges via
-// set_share_hook between restarts). Learnt clauses are implied by the clause
-// database alone — assumptions never taint them — so exchange is sound
-// whenever the receivers' clause databases are supersets of the exporter's.
+// shards exchange at the per-bound barrier). Learnt clauses are implied by
+// the clause database alone — assumptions never taint them — so exchange is
+// sound whenever the receivers' clause databases are supersets of the
+// exporter's.
 //
 // Extra hooks used by the diagnosis layer:
 //  * decision markers — BSAT restricts decisions to select/correction vars,
@@ -47,9 +47,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -67,23 +65,22 @@ struct SharedClause {
   unsigned lbd = 0;
 };
 
-/// One deferred watch attachment of a stamped clause stream: push clause
-/// number `clause`'s watcher onto watch list `watch_index`, with
-/// `other_index` the Lit::index() of the other watched literal (the blocker
-/// for long clauses, the implied literal for binaries). Streams carry these
-/// pre-sorted by watch_index so Solver::add_clause_stream can fill each
-/// watch list in one contiguous run instead of 2·|clauses| random appends —
-/// the dominant cost of bulk instance construction (see clause_stream.hpp).
+/// One deferred watch attachment of a stamped clause stream: push a watcher
+/// onto watch list `watch_index`, with `other_index` the Lit::index() of the
+/// other watched literal (the blocker for long clauses, the implied literal
+/// for binaries). Streams carry these pre-sorted by watch_index so
+/// Solver::add_stamped_stream can fill each watch list in one contiguous run
+/// instead of 2·|clauses| random appends — the dominant cost of bulk
+/// instance construction (see clause_stream.hpp).
 ///
 /// `arena_offset` is the clause's word offset within the stream's arena
-/// segment assuming no clause simplifies away (kStampClauseOverhead words of
-/// header per clause): the pristine loader resolves an op's clause reference
-/// as segment base + arena_offset, with no per-clause bookkeeping. Zero for
-/// binary ops (binaries live outside the arena).
+/// segment (kStampClauseOverhead words of header per clause): the loader
+/// resolves an op's clause reference as segment base + arena_offset, with no
+/// per-clause bookkeeping. Zero for binary ops (binaries live outside the
+/// arena).
 struct StreamWatchOp {
   std::uint32_t watch_index;
   std::uint32_t other_index;
-  std::uint32_t clause;
   std::uint32_t arena_offset;
 };
 
@@ -158,35 +155,6 @@ class Solver {
   bool add_clause(Lit a, Lit b) { return add_clause(Clause{a, b}); }
   bool add_clause(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
 
-  /// Bulk-load path for stamped clause templates: `lits` is the concatenated
-  /// literal stream, `sizes` the clause lengths in order. Semantically
-  /// equivalent to one add_clause call per clause — root-satisfied clauses
-  /// are dropped, root-false literals stripped, shrunken units enqueued and
-  /// propagated in sequence — but with no per-clause allocation or sorting.
-  ///
-  /// `plan_long`/`plan_bin` are the stream's watch attachments (two per
-  /// clause of size >= 3 resp. == 2), sorted by watch_index, with literal
-  /// indices already relocated to this solver's variables. Clauses whose
-  /// literals are all unassigned at the root — the entire stream in the
-  /// common instance-construction case — have their watchers appended
-  /// list-by-list from the plan after the arena pass, turning the random
-  /// watch-list appends (the dominant bulk-load cost) into sequential runs
-  /// with one capacity reservation each. A clause the root trail shortens is
-  /// attached immediately instead and its plan ops are skipped; the first
-  /// clause that *enqueues* (a unit) flushes the plan, propagates, and drops
-  /// the remainder of the stream to the clause-at-a-time path so every later
-  /// clause sees the propagated values exactly as a sequence of add_clause
-  /// calls would.
-  ///
-  /// Preconditions (guaranteed by ClauseStream normalization/relocation): no
-  /// clause contains duplicate or complementary literals, and the plans list
-  /// every size >= 2 clause of the stream. Returns false when the formula
-  /// becomes UNSAT at the root.
-  bool add_clause_stream(std::span<const Lit> lits,
-                         std::span<const std::uint32_t> sizes,
-                         std::span<const StreamWatchOp> plan_long,
-                         std::span<const StreamWatchOp> plan_bin);
-
   /// Pristine template stamping, fused with relocation: `codes` are
   /// unrelocated stream codes ((var << 1) | sign) where var < extern_base
   /// is a stream-local variable (resolved to local_base + var) and var >=
@@ -198,7 +166,7 @@ class Solver {
   /// and attaches watches straight from the sorted plan — no intermediate
   /// relocation buffers, no per-clause bookkeeping. This is the standard
   /// instance-construction case; streams with units or assigned externs go
-  /// through add_clause_stream instead.
+  /// through add_clause one clause at a time instead.
   bool add_stamped_stream(std::span<const std::uint32_t> codes,
                           std::span<const std::uint32_t> sizes,
                           std::span<const StreamWatchOp> plan_long,
@@ -277,21 +245,11 @@ class Solver {
   /// eliminated variable or is already satisfied at the root. Imported
   /// clauses are not re-exported.
   bool import_clause(const SharedClause& shared);
-  /// Invoked at every restart boundary (root level, before the next search
-  /// segment) — the portfolio's lock-light exchange point. The hook may call
-  /// export_learnts/import_clause on the passed solver.
-  void set_share_hook(std::function<void(Solver&)> hook) {
-    share_hook_ = std::move(hook);
-  }
 
   // ---- budgets ----------------------------------------------------------------
   void set_conflict_budget(std::int64_t conflicts) { conflict_budget_ = conflicts; }
   void clear_budgets() { conflict_budget_ = -1; deadline_ = Deadline(); }
   void set_deadline(Deadline d) { deadline_ = d; }
-  /// Cooperative cancellation for portfolio racing: while `flag` is set the
-  /// solver behaves as if its budget expired (solve() returns kUndef at the
-  /// next budget check). The flag outlives the solve call; nullptr detaches.
-  void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
   // ---- heuristic hooks ------------------------------------------------------
   void set_decision_var(Var v, bool decidable);
@@ -326,7 +284,7 @@ class Solver {
     std::uint64_t tier_local = 0;
 
     /// Aggregate another solver's counters (per-worker stats of the
-    /// parallel diagnosis paths and the portfolio merge into one report).
+    /// parallel diagnosis paths merge into one report).
     void merge(const Stats& other) {
       conflicts += other.conflicts;
       decisions += other.decisions;
@@ -470,10 +428,6 @@ class Solver {
 
   void attach_clause(CRef c);
   void attach_binary(Lit a, Lit b, bool learnt);
-  /// Apply the deferred watch attachments of the current clause stream
-  /// (clauses with stream_fast_ set), one sorted run per watch list.
-  void apply_stream_plan(std::span<const StreamWatchOp> plan_long,
-                         std::span<const StreamWatchOp> plan_bin);
   void detach_clause(CRef c);
   void remove_clause(CRef c);
   void unchecked_enqueue(Lit p, CRef reason);
@@ -582,13 +536,6 @@ class Solver {
   std::vector<LBool> model_;
   ExtendStack extend_;
 
-  // add_clause_stream scratch: the per-clause filter buffer plus the
-  // deferred-attach state (per stream clause: its arena reference and
-  // whether its plan ops apply).
-  std::vector<Lit> stream_clause_;
-  std::vector<CRef> stream_crefs_;
-  std::vector<std::uint8_t> stream_fast_;
-
   // analyze() scratch
   std::vector<bool> seen_;
   std::vector<Lit> analyze_stack_;
@@ -613,12 +560,10 @@ class Solver {
   // learnt binaries awaiting export.
   std::size_t export_unit_watermark_ = 0;
   std::vector<std::pair<Lit, Lit>> bin_export_queue_;
-  std::function<void(Solver&)> share_hook_;
 
   double max_learnts_ = 0;
   std::int64_t conflict_budget_ = -1;
   Deadline deadline_;
-  const std::atomic<bool>* interrupt_ = nullptr;
   std::uint64_t wasted_ = 0;  // arena words lost to deleted clauses
 
   Stats stats_;

@@ -44,6 +44,37 @@ expect_usage \
     "--tests entries must be positive integers (got '99999999999999999999999')" \
     experiment --circuits s298_like --tests 99999999999999999999999
 
+# Counts, scales, budgets and solution caps out of range: a negative count
+# would wrap to SIZE_MAX, and zero would silently run degenerate work.
+for n in -2 0; do
+  expect_usage "--num-tests must be >= 1 (got $n)" \
+      inject "$CIRCUIT" --num-tests "$n" --out "$TMP/f.bench" \
+      --tests-out "$TMP/t.txt"
+  expect_usage "--errors must be >= 1 (got $n)" \
+      inject "$CIRCUIT" --errors "$n" --out "$TMP/f.bench"
+  expect_usage "--errors must be >= 1 (got $n)" \
+      experiment --circuits s298_like --tests 4 --errors "$n"
+done
+test ! -e "$TMP/f.bench"
+for scale in 0 -1; do
+  expect_usage "--scale must be > 0 (got $scale)" \
+      gen --profile s298_like --scale "$scale" --out "$TMP/c.bench"
+  expect_usage "--scale must be > 0 (got $scale)" \
+      experiment --circuits s298_like --tests 4 --scale "$scale"
+done
+for limit in -1 0; do
+  expect_usage "--limit must be > 0 (got $limit)" \
+      diagnose "$CIRCUIT" --tests "$TESTS" --limit "$limit"
+  expect_usage "--limit must be > 0 (got $limit)" \
+      experiment --circuits s298_like --tests 4 --limit "$limit"
+done
+for cap in 0 -5; do
+  expect_usage "--max-solutions must be -1 or >= 1 (got $cap)" \
+      diagnose "$CIRCUIT" --tests "$TESTS" --max-solutions "$cap"
+  expect_usage "--max-solutions must be -1 or >= 1 (got $cap)" \
+      experiment --circuits s298_like --tests 4 --max-solutions "$cap"
+done
+
 # Flags a subcommand does not read are typos, never silently ignored.
 expect_usage "unknown flag --aproach for 'diagnose'" \
     diagnose "$CIRCUIT" --tests "$TESTS" --aproach cov

@@ -5,7 +5,7 @@
 // identical to the reference walk encoder, for every instance shape: test
 // counts, cone-of-influence on/off, gating clauses on/off, restricted
 // instrumented universes, constrained passing outputs, and templates that
-// contain unit clauses (const gates — the non-pristine solver load). On top
+// contain unit clauses (const gates — the non-pristine stamp path). On top
 // of DB identity, the BSAT solution sets are pinned across builders and
 // thread counts.
 #include "cnf/clause_stream.hpp"
@@ -33,8 +33,11 @@ std::vector<Clause> sorted_db(const DiagnosisInstance& inst) {
 }
 
 /// Build the instance with both builders and require an identical database.
+/// `select_assigned`, when given, is set if the stamped instance ends with a
+/// select line assigned at the root.
 void expect_identical(const Netlist& nl, const TestSet& tests,
-                      DiagnosisInstanceOptions options) {
+                      DiagnosisInstanceOptions options,
+                      bool* select_assigned = nullptr) {
   options.template_stamped = false;
   const DiagnosisInstance walk = build_diagnosis_instance(nl, tests, options);
   options.template_stamped = true;
@@ -51,6 +54,9 @@ void expect_identical(const Netlist& nl, const TestSet& tests,
         << "copy " << t;
   }
   EXPECT_EQ(sorted_db(walk), sorted_db(stamped));
+  if (select_assigned != nullptr) {
+    *select_assigned = stamped.solver.any_assigned(stamped.select_var);
+  }
 }
 
 std::vector<std::vector<bool>> golden_outputs(const Netlist& nl,
@@ -71,6 +77,7 @@ std::vector<std::vector<bool>> golden_outputs(const Netlist& nl,
 }
 
 TEST(ClauseStreamTest, DbIdentityAcrossShapes) {
+  std::size_t select_assigned_instances = 0;
   for (const std::uint64_t seed : {1ull, 7ull}) {
     for (const std::size_t num_tests : {std::size_t{1}, std::size_t{12}}) {
       difftest::DiffConfig config;
@@ -87,11 +94,16 @@ TEST(ClauseStreamTest, DbIdentityAcrossShapes) {
           options.gating_clauses = gating;
           SCOPED_TRACE(config.describe() + (coi ? " coi" : " full") +
                        (gating ? " gating" : " ungated"));
-          expect_identical(di.nl, di.tests, options);
+          bool select_assigned = false;
+          expect_identical(di.nl, di.tests, options, &select_assigned);
+          select_assigned_instances += select_assigned ? 1 : 0;
         }
       }
     }
   }
+  // Root-assigned selects send later copies down the non-pristine stamp
+  // path (one add_clause per clause); the fixtures must keep reaching it.
+  EXPECT_GT(select_assigned_instances, 0u);
 }
 
 TEST(ClauseStreamTest, DbIdentityRestrictedUniverse) {
@@ -130,8 +142,8 @@ TEST(ClauseStreamTest, DbIdentityConstrainedPassingOutputs) {
 }
 
 // Const gates put unit clauses into the copy template, which forces the
-// solver's simplifying (non-pristine) stream load — root propagation from
-// the units must leave the reachable database equal to the walk's.
+// non-pristine stamp path (one add_clause per clause) — root propagation
+// from the units must leave the reachable database equal to the walk's.
 TEST(ClauseStreamTest, DbIdentityWithUnitTemplates) {
   Netlist nl;
   const GateId a = nl.add_input("a");
@@ -144,6 +156,14 @@ TEST(ClauseStreamTest, DbIdentityWithUnitTemplates) {
   const GateId o = nl.add_gate(GateType::kNand, "o", {g3, c1});
   nl.add_output(o);
   nl.finalize();
+
+  // The fixture must keep a const gate, or it stops reaching that path.
+  bool has_const = false;
+  for (GateId g = 0; g < nl.size(); ++g) {
+    has_const = has_const || nl.type(g) == GateType::kConst0 ||
+                nl.type(g) == GateType::kConst1;
+  }
+  ASSERT_TRUE(has_const);
 
   const TestSet tests{
       satdiag::Test{{true, true}, 0, true},

@@ -1,5 +1,5 @@
 // Deterministic sharded map-reduce: shard plans, ordered reduction, lane
-// state, per-shard Rng streams, and deterministic exception propagation.
+// state, and deterministic exception propagation.
 #include "exec/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -82,35 +82,6 @@ TEST(ParallelMapReduceTest, SumOverShardsMatchesSerialSum) {
       [](std::uint64_t& t, std::uint64_t&& part) { t += part; },
       /*grain=*/7);
   EXPECT_EQ(total, 10000ULL * 9999ULL / 2ULL);
-}
-
-TEST(ShardRngTest, StreamsAreReproducibleAndDistinctPerShard) {
-  Rng a = shard_rng(42, 0);
-  Rng a2 = shard_rng(42, 0);
-  Rng b = shard_rng(42, 1);
-  const std::uint64_t first_a = a.next_u64();
-  EXPECT_EQ(first_a, a2.next_u64());
-  EXPECT_NE(first_a, b.next_u64());
-  Rng other_seed = shard_rng(43, 0);
-  EXPECT_NE(first_a, other_seed.next_u64());
-}
-
-TEST(ShardRngTest, ParallelDrawsEqualSerialDraws) {
-  // The canonical stochastic-shard pattern: per-shard streams derived from
-  // the root seed make the draws independent of thread count.
-  const auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    const ShardPlan plan = ShardPlan::make(100, 10);
-    std::vector<std::uint64_t> draws(plan.num_shards());
-    parallel_for(
-        pool, plan.num_shards(),
-        [&](std::size_t shard, std::size_t) {
-          draws[shard] = shard_rng(7, shard).next_u64();
-        },
-        /*grain=*/1);
-    return draws;
-  };
-  EXPECT_EQ(run(1), run(8));
 }
 
 TEST(ParallelForTest, LowestShardExceptionIsRethrownDeterministically) {

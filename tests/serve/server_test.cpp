@@ -320,6 +320,35 @@ TEST(ServerTest, OverflowingExperimentTestCountIsABadRequest) {
                                        "'99999999999999999999999')")));
 }
 
+TEST(ServerTest, OutOfRangeOptionsAreBadRequestsAndServerStaysUp) {
+  TestServer ts({});
+  Client c(ts.port());
+  const auto expect_bad = [&](const std::string& frame,
+                              const std::string& message) {
+    const JsonValue v = c.rpc(frame);
+    EXPECT_EQ(field_string(v, "status"), "error") << frame;
+    EXPECT_EQ(error_of(v), std::make_pair(std::string(kErrBadRequest), message))
+        << frame;
+  };
+  const std::string experiment =
+      R"({"id":"e","command":"experiment","args":{"circuits":"s298_like","tests":"4",)";
+  expect_bad(diagnose_frame("l", 1, "bsat", R"(,"limit":0)"),
+             "--limit must be > 0 (got 0)");
+  expect_bad(diagnose_frame("m", 1, "cov", R"(,"max-solutions":0)"),
+             "--max-solutions must be -1 or >= 1 (got 0)");
+  expect_bad(diagnose_frame("m", 1, "bsat", R"(,"max-solutions":-5)"),
+             "--max-solutions must be -1 or >= 1 (got -5)");
+  expect_bad(experiment + R"("errors":-1}})",
+             "--errors must be >= 1 (got -1)");
+  expect_bad(experiment + R"("scale":0}})", "--scale must be > 0 (got 0)");
+  expect_bad(experiment + R"("limit":-1}})", "--limit must be > 0 (got -1)");
+  expect_bad(R"({"id":"g","command":"gen","args":{"profile":"s298_like","scale":-1}})",
+             "--scale must be > 0 (got -1)");
+  // The daemon survived: the same connection still gets answers.
+  EXPECT_EQ(field_string(c.rpc(R"({"id":"p","command":"ping"})"), "status"),
+            "ok");
+}
+
 TEST(ServerTest, ServerLanesAreOnlyTheSatBackedDefault) {
   const Fixture& fx = fixture();
   std::set<std::vector<std::string>> gmax;

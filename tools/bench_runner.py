@@ -52,16 +52,14 @@ BENCHES = {
          "--seed", "1", "--threads", "1"],
     ),
     "table2_mt4": (
-        "bench_parallel",
-        ["--workload", "experiment", "--scale", "0.1", "--limit", "60",
-         "--max-solutions", "2000", "--seed", "1", "--threads", "4",
-         "--json"],
+        "bench_table2_runtime",
+        ["--scale", "0.1", "--limit", "60", "--max-solutions", "2000",
+         "--seed", "1", "--threads", "4"],
     ),
     "table2_mt8": (
-        "bench_parallel",
-        ["--workload", "experiment", "--scale", "0.1", "--limit", "60",
-         "--max-solutions", "2000", "--seed", "1", "--threads", "8",
-         "--json"],
+        "bench_table2_runtime",
+        ["--scale", "0.1", "--limit", "60", "--max-solutions", "2000",
+         "--seed", "1", "--threads", "8"],
     ),
     # Construction-bound: walk vs template-stamped instance building on a
     # table2-scale multi-test instance (cold = empty artifact cache, warm =
@@ -122,12 +120,6 @@ BENCHES = {
         "bench_xbatch",
         ["--circuit", "s38417_like", "--scale", "1.0", "--errors", "2",
          "--tests", "16", "--seed", "1", "--rounds", "1", "--json"],
-    ),
-    # Seed-portfolio SAT racing (bench_parallel multi-workload driver).
-    "portfolio": (
-        "bench_parallel",
-        ["--workload", "portfolio", "--seed", "1", "--threads", "4",
-         "--json"],
     ),
     # Report-driven CLI workloads: the run report's phase timings become
     # sub-rows, attributing any wall-clock drift to a pipeline stage.

@@ -184,10 +184,10 @@ int run_stats(const CliArgs& args) {
 int run_inject(const CliArgs& args) {
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   InjectorOptions inject;
-  inject.num_errors = static_cast<std::size_t>(args.get_int("errors", 1));
+  inject.num_errors = app::parse_count(args, "errors", 1);
   const std::string out_path = args.get_string("out", "");
   const std::string tests_path = args.get_string("tests-out", "");
-  const std::size_t m = static_cast<std::size_t>(args.get_int("num-tests", 16));
+  const std::size_t m = app::parse_count(args, "num-tests", 16);
   app::reject_unused_flags(args, "inject");
   if (args.positional().size() < 2) return fail("inject needs a .bench file");
   Netlist nl = parse_bench_file(args.positional()[1]);
