@@ -30,30 +30,6 @@ std::vector<GateId> DiagnosisInstance::selected_gates_from_model() const {
 
 namespace {
 
-/// Sorted, deduplicated, validated instrumented gate set (empty request =
-/// every combinational gate). Shared by the stamped and walk builders.
-std::vector<GateId> resolve_instrumented(
-    const Netlist& nl, const DiagnosisInstanceOptions& options) {
-  std::vector<GateId> instrumented;
-  if (options.instrumented.empty()) {
-    for (GateId g = 0; g < nl.size(); ++g) {
-      if (nl.is_combinational(g)) instrumented.push_back(g);
-    }
-  } else {
-    instrumented = options.instrumented;
-    std::sort(instrumented.begin(), instrumented.end());
-    instrumented.erase(
-        std::unique(instrumented.begin(), instrumented.end()),
-        instrumented.end());
-    for (GateId g : instrumented) {
-      if (!nl.is_combinational(g)) {
-        throw NetlistError("only combinational gates can be instrumented");
-      }
-    }
-  }
-  return instrumented;
-}
-
 // Cone cache tags. fanin_cone is a pure function of (netlist, roots), so
 // (fingerprint, root tag) addresses a cone exactly; per-test cones use the
 // erroneous output gate as tag, the constrain_passing_outputs cone covers
@@ -75,6 +51,86 @@ std::shared_ptr<const std::vector<bool>> cached_cone(
         const std::size_t bytes = sizeof(*cone) + cone->size() / 8;
         return {std::move(cone), bytes};
       });
+}
+
+/// Cone-of-influence reduction: the fanin cone of each copy's constrained
+/// output(s). Empty when the reduction is off (every gate is encoded in
+/// every copy); with constrain_passing_outputs every copy constrains all
+/// outputs, so one shared cone serves every copy.
+struct CopyCones {
+  std::vector<std::shared_ptr<const std::vector<bool>>> cones;
+  std::vector<std::uint64_t> tags;  // cache tag of each cone
+
+  /// Index into cones/tags of test copy t.
+  std::size_t index(std::size_t t) const { return cones.size() == 1 ? 0 : t; }
+};
+
+/// Which gates are rooted where is decided here; `cone_of(tag, roots)`
+/// supplies each cone. The stamped builder reads cones from the artifact
+/// cache (templates need the union-restricted universe before they can
+/// even be keyed); the walk builder computes them with fanin_cone directly,
+/// so it stays an independent check of the cached cones.
+template <class ConeOf>
+CopyCones copy_cones(const Netlist& nl, const TestSet& tests,
+                     const DiagnosisInstanceOptions& options,
+                     ConeOf cone_of) {
+  CopyCones out;
+  if (!options.cone_of_influence) return out;
+  if (options.constrain_passing_outputs) {
+    out.cones.push_back(cone_of(kAllOutputsTag, nl.outputs()));
+    out.tags.push_back(kAllOutputsTag);
+    return out;
+  }
+  out.cones.reserve(tests.size());
+  out.tags.reserve(tests.size());
+  for (const Test& test : tests) {
+    const GateId out_gate = test_output_gate(nl, test);
+    out.cones.push_back(cone_of(out_gate, {out_gate}));
+    out.tags.push_back(out_gate);
+  }
+  return out;
+}
+
+CopyCones cached_copy_cones(const Netlist& nl, const cache::ArtifactKey& nl_fp,
+                            const TestSet& tests,
+                            const DiagnosisInstanceOptions& options) {
+  return copy_cones(nl, tests, options,
+                    [&](std::uint64_t tag, const std::vector<GateId>& roots) {
+                      return cached_cone(nl, nl_fp, tag, roots);
+                    });
+}
+
+/// The universe rule shared by both builders and diagnosis_universe():
+/// sorted, deduplicated, validated instrumented set (empty request = every
+/// combinational gate), restricted to the union of the copy cones.
+std::vector<GateId> resolve_universe(const Netlist& nl,
+                                     const DiagnosisInstanceOptions& options,
+                                     const CopyCones& cones) {
+  std::vector<GateId> universe;
+  if (options.instrumented.empty()) {
+    for (GateId g = 0; g < nl.size(); ++g) {
+      if (nl.is_combinational(g)) universe.push_back(g);
+    }
+  } else {
+    universe = options.instrumented;
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()),
+                   universe.end());
+    for (GateId g : universe) {
+      if (!nl.is_combinational(g)) {
+        throw NetlistError("only combinational gates can be instrumented");
+      }
+    }
+  }
+  if (cones.cones.empty()) return universe;
+  std::vector<bool> union_cone(nl.size(), false);
+  for (const auto& cone : cones.cones) {
+    for (GateId g = 0; g < nl.size(); ++g) {
+      if ((*cone)[g]) union_cone[g] = true;
+    }
+  }
+  std::erase_if(universe, [&](GateId g) { return !union_cone[g]; });
+  return universe;
 }
 
 std::shared_ptr<const ClauseStream> cached_copy_template(
@@ -117,37 +173,9 @@ DiagnosisInstance build_stamped_instance(
     cfg.enabled = false;
     solver.set_inprocess(cfg);
   }
-  inst.instrumented = resolve_instrumented(nl, options);
-
   const cache::ArtifactKey nl_fp = cache::netlist_fingerprint(nl);
-
-  // Cone-of-influence reduction (see the walk builder for semantics). Cones
-  // are cache artifacts of their own: templates need the union-restricted
-  // instrumented set before they can even be keyed.
-  std::vector<std::shared_ptr<const std::vector<bool>>> cones;
-  std::vector<std::uint64_t> cone_tags;
-  if (options.cone_of_influence) {
-    if (options.constrain_passing_outputs) {
-      cones.push_back(cached_cone(nl, nl_fp, kAllOutputsTag, nl.outputs()));
-      cone_tags.push_back(kAllOutputsTag);
-    } else {
-      cones.reserve(tests.size());
-      cone_tags.reserve(tests.size());
-      for (const Test& test : tests) {
-        const GateId out_gate = test_output_gate(nl, test);
-        cones.push_back(cached_cone(nl, nl_fp, out_gate, {out_gate}));
-        cone_tags.push_back(out_gate);
-      }
-    }
-    std::vector<bool> union_cone(nl.size(), false);
-    for (const auto& cone : cones) {
-      for (GateId g = 0; g < nl.size(); ++g) {
-        if ((*cone)[g]) union_cone[g] = true;
-      }
-    }
-    std::erase_if(inst.instrumented,
-                  [&](GateId g) { return !union_cone[g]; });
-  }
+  const CopyCones cones = cached_copy_cones(nl, nl_fp, tests, options);
+  inst.instrumented = resolve_universe(nl, options, cones);
 
   // Shared select lines first — identical allocation order to the walk.
   inst.select_index.assign(nl.size(), DiagnosisInstance::kNoSelect);
@@ -169,15 +197,12 @@ DiagnosisInstance build_stamped_instance(
   };
   std::unordered_map<std::uint64_t, CopyPlan> plans;
   const auto plan_for = [&](std::size_t t) -> const CopyPlan& {
-    const std::uint64_t tag =
-        cones.empty() ? kNoConeTag
-                      : (cones.size() == 1 ? cone_tags[0] : cone_tags[t]);
+    const bool coi = !cones.cones.empty();
+    const std::uint64_t tag = coi ? cones.tags[cones.index(t)] : kNoConeTag;
     auto [it, inserted] = plans.try_emplace(tag);
     if (inserted) {
       const std::vector<bool>* cone =
-          cones.empty() ? nullptr
-                        : (cones.size() == 1 ? cones[0].get()
-                                             : cones[t].get());
+          coi ? cones.cones[cones.index(t)].get() : nullptr;
       it->second.ts = cached_copy_template(nl, nl_fp, cone, tag,
                                            instrumented_flags,
                                            inst.instrumented, options);
@@ -263,6 +288,14 @@ DiagnosisInstance build_stamped_instance(
 
 }  // namespace
 
+std::vector<GateId> diagnosis_universe(
+    const Netlist& nl, const TestSet& tests,
+    const DiagnosisInstanceOptions& options) {
+  return resolve_universe(
+      nl, options,
+      cached_copy_cones(nl, cache::netlist_fingerprint(nl), tests, options));
+}
+
 DiagnosisInstance build_diagnosis_instance(
     const Netlist& nl, const TestSet& tests,
     const DiagnosisInstanceOptions& options) {
@@ -286,34 +319,15 @@ DiagnosisInstance build_diagnosis_instance(
     solver.set_inprocess(cfg);
   }
 
-  inst.instrumented = resolve_instrumented(nl, options);
-
-  // Cone-of-influence reduction: per-copy cones of the constrained outputs,
-  // instrumented set restricted to their union. `cones` stays empty (and
-  // every gate is encoded in every copy) when the reduction is off; with
-  // constrain_passing_outputs every copy constrains all outputs, so one
-  // shared cone serves every copy.
-  std::vector<std::vector<bool>> cones;
-  if (options.cone_of_influence) {
-    std::vector<bool> union_cone(nl.size(), false);
-    if (options.constrain_passing_outputs) {
-      cones.push_back(fanin_cone(nl, nl.outputs()));
-      union_cone = cones.back();
-    } else {
-      cones.reserve(tests.size());
-      for (const Test& test : tests) {
-        cones.push_back(fanin_cone(nl, {test_output_gate(nl, test)}));
-        for (GateId g = 0; g < nl.size(); ++g) {
-          if (cones.back()[g]) union_cone[g] = true;
-        }
-      }
-    }
-    std::erase_if(inst.instrumented,
-                  [&](GateId g) { return !union_cone[g]; });
-  }
+  const CopyCones cones = copy_cones(
+      nl, tests, options,
+      [&](std::uint64_t, const std::vector<GateId>& roots) {
+        return std::make_shared<const std::vector<bool>>(
+            fanin_cone(nl, roots));
+      });
+  inst.instrumented = resolve_universe(nl, options, cones);
   const auto in_copy = [&](std::size_t t, GateId g) -> bool {
-    if (cones.empty()) return true;
-    return cones.size() == 1 ? cones[0][g] : cones[t][g];
+    return cones.cones.empty() || (*cones.cones[cones.index(t)])[g];
   };
 
   // Shared select lines (free/decision variables). Frozen: the diagnosis

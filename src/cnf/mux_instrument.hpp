@@ -94,6 +94,14 @@ struct DiagnosisInstance {
   std::size_t num_tests() const { return copies.size(); }
 };
 
+/// The gates build_diagnosis_instance instruments, in select-index order:
+/// the requested set (empty = every combinational gate), sorted and
+/// deduplicated, and under cone_of_influence restricted to the union of the
+/// test copies' cones. The BSAT partitioner indexes select lines with it.
+std::vector<GateId> diagnosis_universe(const Netlist& nl,
+                                       const TestSet& tests,
+                                       const DiagnosisInstanceOptions& options);
+
 /// Build the instance. `tests` must be non-empty; test input_values must
 /// cover nl.inputs().
 DiagnosisInstance build_diagnosis_instance(

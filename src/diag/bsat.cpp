@@ -8,8 +8,9 @@
 #include <set>
 
 #include "exec/parallel.hpp"
-#include "netlist/analysis.hpp"
 #include "obs/trace.hpp"
+#include "sat/allsat.hpp"
+#include "sim/simulator.hpp"
 
 namespace satdiag {
 namespace {
@@ -34,6 +35,50 @@ void seed_select_activity(sat::Solver& solver,
   }
 }
 
+/// Subset blocking: forbids `correction` and every superset of it.
+sat::Clause blocking_clause(const DiagnosisInstance& inst,
+                            const std::vector<GateId>& correction) {
+  sat::Clause blocking;
+  for (GateId g : correction) {
+    blocking.push_back(sat::neg(inst.select_var[inst.select_index[g]]));
+  }
+  return blocking;
+}
+
+/// True when some test fails on the unmodified circuit, i.e. the empty
+/// correction violates the instance. Otherwise the enumeration would report
+/// the empty set serially and every singleton in parallel (the partition
+/// clauses forbid the empty model). One 64-lane sweep per 64 tests through
+/// the simulator's reference loop rather than a ParallelSimulator, so the
+/// check adds no traced sim.compile step to the BSAT run report.
+bool some_test_fails(const Netlist& nl, const TestSet& tests,
+                     const DiagnosisInstanceOptions& inst) {
+  std::vector<std::uint64_t> value(nl.size(), 0);
+  for (std::size_t base = 0; base < tests.size(); base += 64) {
+    const std::size_t batch = std::min<std::size_t>(64, tests.size() - base);
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < batch; ++b) {
+        if (tests[base + b].input_values[i]) word |= 1ULL << b;
+      }
+      value[nl.inputs()[i]] = word;
+    }
+    sweep_words(nl, value);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const Test& test = tests[base + b];
+      const auto bit = [&](GateId g) { return ((value[g] >> b) & 1ULL) != 0; };
+      if (bit(test_output_gate(nl, test)) != test.correct_value) return true;
+      if (!inst.constrain_passing_outputs) continue;
+      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+        if (bit(nl.outputs()[o]) != inst.expected_outputs[base + b][o]) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 BsatResult serial_sat_diagnose(const Netlist& nl, const TestSet& tests,
                                const BsatOptions& options) {
   BsatResult result;
@@ -41,7 +86,6 @@ BsatResult serial_sat_diagnose(const Netlist& nl, const TestSet& tests,
   Timer build_timer;
   DiagnosisInstanceOptions inst_options = options.instance;
   inst_options.max_k = options.k;
-  inst_options.cone_of_influence = options.cone_of_influence;
   // Declared before the instance so instance teardown at function exit is
   // still inside the enumerate phase (the report's phase split is expected
   // to account for (nearly) the whole run).
@@ -65,63 +109,36 @@ BsatResult serial_sat_diagnose(const Netlist& nl, const TestSet& tests,
   enumerate_span.open("phase.enumerate");
   Timer solve_timer;
   bool first_recorded = false;
-  // Index of the current bound's first solution: each bound's slice is
-  // sorted into the canonical order when the bound finishes (or on early
-  // exit), matching the parallel path's merge order.
-  std::size_t bound_start = 0;
-  const auto finish = [&] {
-    std::sort(result.solutions.begin() +
-                  static_cast<std::ptrdiff_t>(bound_start),
-              result.solutions.end());
-    result.all_seconds = solve_timer.seconds();
-    if (!first_recorded) result.first_seconds = result.all_seconds;
-    result.solver_stats = solver.stats();
+  const auto cap_reached = [&] {
+    return options.max_solutions >= 0 &&
+           static_cast<std::int64_t>(result.solutions.size()) >=
+               options.max_solutions;
+  };
+  const auto on_model = [&](const sat::Solver&) {
+    std::vector<GateId> correction = inst.selected_gates_from_model();
+    if (!first_recorded) {
+      result.first_seconds = solve_timer.seconds();
+      first_recorded = true;
+    }
+    sat::Clause blocking = blocking_clause(inst, correction);
+    result.solutions.push_back(std::move(correction));
+    return blocking;
   };
   for (unsigned bound = 1; bound <= options.k; ++bound) {
     obs::Span bound_span("bsat.bound", "bound", bound);
-    const auto assumptions = inst.assume_at_most(bound);
-    bound_start = result.solutions.size();
-    for (;;) {
-      if (options.deadline.expired() ||
-          (options.max_solutions >= 0 &&
-           static_cast<std::int64_t>(result.solutions.size()) >=
-               options.max_solutions)) {
-        result.complete = false;
-        finish();
-        return result;
-      }
-      solver.set_deadline(options.deadline);
-      const sat::LBool status = solver.solve(assumptions);
-      if (status == sat::LBool::kUndef) {
-        result.complete = false;
-        break;
-      }
-      if (status == sat::LBool::kFalse) break;  // bound exhausted
-      std::vector<GateId> correction = inst.selected_gates_from_model();
-      if (!first_recorded) {
-        result.first_seconds = solve_timer.seconds();
-        first_recorded = true;
-      }
-      // Block this correction and every superset of it.
-      sat::Clause blocking;
-      for (GateId g : correction) {
-        blocking.push_back(sat::neg(inst.select_var[inst.select_index[g]]));
-      }
-      result.solutions.push_back(std::move(correction));
-      // block_model keeps the search trail alive: the next solve() with the
-      // same assumptions resumes instead of replaying the whole instance.
-      if (blocking.empty() || !solver.block_model(std::move(blocking))) {
-        // Empty correction satisfies every test (cannot happen with failing
-        // tests) or the instance became UNSAT: enumeration finished.
-        finish();
-        return result;
-      }
-    }
+    const std::size_t bound_start = result.solutions.size();
+    const sat::EnumStop stop =
+        sat::enumerate(solver, inst.assume_at_most(bound), options.deadline,
+                       cap_reached, on_model);
+    // Each bound's slice in canonical order, matching the parallel path's
+    // merge order.
     std::sort(result.solutions.begin() +
                   static_cast<std::ptrdiff_t>(bound_start),
               result.solutions.end());
-    bound_start = result.solutions.size();
-    if (!result.complete) break;
+    if (stop != sat::EnumStop::kExhausted) {
+      result.complete = !sat::truncated(stop);
+      break;
+    }
   }
   result.all_seconds = solve_timer.seconds();
   if (!first_recorded) result.first_seconds = result.all_seconds;
@@ -177,7 +194,6 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
       [&](std::size_t s, std::size_t) {
         DiagnosisInstanceOptions inst_options = options.instance;
         inst_options.max_k = options.k;
-        inst_options.cone_of_influence = options.cone_of_influence;
         // Identical instance in every shard: same universe, same variable
         // numbering (required for sharing blocking clauses and learnts).
         inst_options.instrumented = universe;
@@ -253,35 +269,27 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
           DiagnosisInstance& inst = *shard.inst;
           auto assumptions = inst.assume_at_most(bound);
           assumptions.push_back(shard.activate);
-          for (;;) {
-            if (options.deadline.expired() ||
-                (options.max_solutions >= 0 &&
-                 total_found.load(std::memory_order_relaxed) >=
-                     options.max_solutions)) {
-              truncated.store(true, std::memory_order_relaxed);
-              return;
-            }
-            inst.solver.set_deadline(options.deadline);
-            const sat::LBool status = inst.solver.solve(assumptions);
-            if (status == sat::LBool::kUndef) {
-              truncated.store(true, std::memory_order_relaxed);
-              return;
-            }
-            if (status == sat::LBool::kFalse) return;  // bound exhausted
-            std::vector<GateId> correction =
-                inst.selected_gates_from_model();
-            sat::Clause blocking;
-            for (GateId g : correction) {
-              blocking.push_back(
-                  sat::neg(inst.select_var[inst.select_index[g]]));
-            }
-            shard.bound_solutions.push_back(std::move(correction));
-            total_found.fetch_add(1, std::memory_order_relaxed);
-            // The partition clause guarantees non-empty corrections.
-            if (!inst.solver.block_model(std::move(blocking))) {
-              shard.exhausted = true;
-              return;
-            }
+          const sat::EnumStop stop = sat::enumerate(
+              inst.solver, assumptions, options.deadline,
+              [&] {
+                return options.max_solutions >= 0 &&
+                       total_found.load(std::memory_order_relaxed) >=
+                           options.max_solutions;
+              },
+              [&](const sat::Solver&) {
+                std::vector<GateId> correction =
+                    inst.selected_gates_from_model();
+                sat::Clause blocking = blocking_clause(inst, correction);
+                shard.bound_solutions.push_back(std::move(correction));
+                total_found.fetch_add(1, std::memory_order_relaxed);
+                return blocking;
+              });
+          // The partition clause rules out the empty model, so a stop
+          // other than exhaustion or a budget means root-UNSAT.
+          if (sat::truncated(stop)) {
+            truncated.store(true, std::memory_order_relaxed);
+          } else if (stop != sat::EnumStop::kExhausted) {
+            shard.exhausted = true;
           }
         },
         /*grain=*/1);
@@ -298,12 +306,7 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
         if (t == s || shards[t].exhausted) continue;
         DiagnosisInstance& inst = *shards[t].inst;
         for (const auto& solution : shards[s].bound_solutions) {
-          sat::Clause blocking;
-          for (GateId g : solution) {
-            blocking.push_back(
-                sat::neg(inst.select_var[inst.select_index[g]]));
-          }
-          if (!inst.solver.add_clause(std::move(blocking))) {
+          if (!inst.solver.add_clause(blocking_clause(inst, solution))) {
             shards[t].exhausted = true;
             break;
           }
@@ -321,33 +324,31 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
     // learnt derived in any shard is implied in all of them. Deterministic:
     // each shard's batch is a pure function of its own (single-threaded)
     // search, and imports happen in fixed shard order.
-    if (options.share_learnts && num_shards > 1) {
-      std::vector<std::vector<sat::SharedClause>> batches(num_shards);
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (shards[s].exhausted) continue;
-        shards[s].inst->solver.export_learnts(
-            kShardShareMaxLbd, kShardShareMaxClauses, batches[s]);
-      }
-      exec::parallel_for(
-          pool, num_shards,
-          [&](std::size_t t, std::size_t) {
-            if (shards[t].exhausted) return;
-            sat::Solver& solver = shards[t].inst->solver;
-            std::set<sat::Clause> seen;  // dedup across producer batches
-            for (std::size_t s = 0; s < num_shards; ++s) {
-              if (s == t) continue;
-              for (const sat::SharedClause& shared : batches[s]) {
-                if (!seen.insert(shared.lits).second) continue;
-                solver.import_clause(shared);
-                if (!solver.ok()) {
-                  shards[t].exhausted = true;
-                  return;
-                }
+    std::vector<std::vector<sat::SharedClause>> batches(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (shards[s].exhausted) continue;
+      shards[s].inst->solver.export_learnts(
+          kShardShareMaxLbd, kShardShareMaxClauses, batches[s]);
+    }
+    exec::parallel_for(
+        pool, num_shards,
+        [&](std::size_t t, std::size_t) {
+          if (shards[t].exhausted) return;
+          sat::Solver& solver = shards[t].inst->solver;
+          std::set<sat::Clause> seen;  // dedup across producer batches
+          for (std::size_t s = 0; s < num_shards; ++s) {
+            if (s == t) continue;
+            for (const sat::SharedClause& shared : batches[s]) {
+              if (!seen.insert(shared.lits).second) continue;
+              solver.import_clause(shared);
+              if (!solver.ok()) {
+                shards[t].exhausted = true;
+                return;
               }
             }
-          },
-          /*grain=*/1);
-    }
+          }
+        },
+        /*grain=*/1);
     std::sort(result.solutions.begin() +
                   static_cast<std::ptrdiff_t>(bound_start),
               result.solutions.end());
@@ -381,34 +382,12 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
                               const BsatOptions& options) {
   assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
   assert(!tests.empty());
+  if (!some_test_fails(nl, tests, options.instance)) return {};
   if (options.num_threads > 1) {
-    std::vector<GateId> universe = options.instance.instrumented;
-    if (universe.empty()) {
-      for (GateId g = 0; g < nl.size(); ++g) {
-        if (nl.is_combinational(g)) universe.push_back(g);
-      }
-    } else {
-      std::sort(universe.begin(), universe.end());
-      universe.erase(std::unique(universe.begin(), universe.end()),
-                     universe.end());
-    }
-    if (options.cone_of_influence) {
-      // Pre-apply the instance builder's universe restriction so the
-      // partition boundaries index the instrumented universe the shards
-      // actually build (the activation clauses index select_var directly).
-      // Must mirror the builder's root selection exactly: with
-      // constrain_passing_outputs every copy constrains all outputs.
-      std::vector<GateId> roots;
-      if (options.instance.constrain_passing_outputs) {
-        roots.assign(nl.outputs().begin(), nl.outputs().end());
-      } else {
-        for (const Test& test : tests) {
-          roots.push_back(test_output_gate(nl, test));
-        }
-      }
-      const std::vector<bool> cone = fanin_cone(nl, roots);
-      std::erase_if(universe, [&](GateId g) { return !cone[g]; });
-    }
+    // The partition boundaries index the instrumented universe the shards
+    // actually build (the activation clauses index select_var directly).
+    const std::vector<GateId> universe =
+        diagnosis_universe(nl, tests, options.instance);
     if (universe.size() > 1) {
       return parallel_sat_diagnose(nl, tests, options, universe);
     }

@@ -20,17 +20,17 @@ struct BsatOptions {
   unsigned k = 1;
   /// Instance construction knobs (instrumented set, gating clauses,
   /// cardinality encoding, ...). max_k inside is overridden with `k`.
-  DiagnosisInstanceOptions instance;
+  /// Cone-of-influence reduction is on by default here: the enumerated
+  /// solution sets are provably unchanged (a gate outside every cone is
+  /// never essential); switch it off to reproduce the paper's unreduced
+  /// instance sizes.
+  DiagnosisInstanceOptions instance = [] {
+    DiagnosisInstanceOptions coi;
+    coi.cone_of_influence = true;
+    return coi;
+  }();
   std::int64_t max_solutions = -1;  // unlimited when negative
   Deadline deadline;
-  /// Cone-of-influence reduction of the diagnosis instance (see
-  /// DiagnosisInstanceOptions::cone_of_influence): each test copy encodes
-  /// only the fanin cone of its erroneous output and the candidate universe
-  /// is restricted to the union of those cones. The enumerated solution
-  /// sets are provably unchanged — a gate outside every cone is never
-  /// essential — so this is on by default; switch off to reproduce the
-  /// paper's unreduced instance sizes.
-  bool cone_of_influence = true;
   /// Hybrid hook (Sec. 6): per-gate weights (e.g. BSIM mark counts M(g));
   /// select variables of heavily marked gates are boosted in the decision
   /// heuristic and hinted to positive polarity. Empty = off.
@@ -42,15 +42,12 @@ struct BsatOptions {
   /// assuming a per-partition activation variable. Bounds are synchronized
   /// at a barrier where every worker's solutions are merged (canonical
   /// order), cross-blocked into every other worker, and low-LBD learnts are
-  /// exchanged (see share_learnts). Complete enumerations are bit-identical
-  /// for every thread count; truncated runs (deadline / max_solutions) may
+  /// exchanged (sound there: after the symmetric cross-blocking every
+  /// worker's clause database implies every other's; deterministic, it only
+  /// changes search effort). Complete enumerations are bit-identical for
+  /// every thread count; truncated runs (deadline / max_solutions) may
   /// differ in which solutions they kept.
   std::size_t num_threads = 1;
-  /// Exchange low-glue learnt clauses between partition workers at each
-  /// bound barrier (after symmetric cross-blocking, where every worker's
-  /// clause database implies every other's, making the exchange sound).
-  /// Deterministic; affects only search effort, never the solution sets.
-  bool share_learnts = true;
 };
 
 struct BsatResult {
@@ -69,7 +66,9 @@ struct BsatResult {
   sat::Solver::Stats solver_stats;
 };
 
-/// Run BasicSATDiagnose(nl, tests, k).
+/// Run BasicSATDiagnose(nl, tests, k). When no test fails on `nl` (the
+/// empty correction satisfies the instance) there is nothing to diagnose:
+/// the result holds no correction and is complete.
 BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
                               const BsatOptions& options);
 

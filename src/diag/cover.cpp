@@ -80,69 +80,54 @@ CovResult solve_covering_sat(const std::vector<std::vector<GateId>>& sets,
   }
 
   // Enumerate bound 1..k; model-minimize before blocking so spuriously
-  // asserted selectors cannot produce redundant covers.
+  // asserted selectors cannot produce redundant covers. Subset blocking
+  // forbids every superset of an emitted cover, so no cover repeats.
   Timer solve_timer;
   bool first_recorded = false;
-  std::set<std::vector<GateId>> emitted;
-  for (unsigned bound = 1; bound <= options.k; ++bound) {
-    const auto assumptions = tracker.assume_at_most(bound);
-    for (;;) {
-      if (options.deadline.expired() ||
-          (options.max_solutions >= 0 &&
+  const auto cap_reached = [&] {
+    return options.max_solutions >= 0 &&
            static_cast<std::int64_t>(result.solutions.size()) >=
-               options.max_solutions)) {
-        result.complete = false;
-        result.first_seconds =
-            first_recorded ? result.first_seconds : solve_timer.seconds();
-        result.all_seconds = solve_timer.seconds();
-        return result;
-      }
-      solver.set_deadline(options.deadline);
-      const sat::LBool status = solver.solve(assumptions);
-      if (status == sat::LBool::kUndef) {
-        result.complete = false;
-        break;
-      }
-      if (status == sat::LBool::kFalse) break;  // next bound
-      // Project the model.
-      std::vector<GateId> cover;
-      for (std::size_t i = 0; i < universe.size(); ++i) {
-        if (solver.model_value(selectors[i]) == sat::LBool::kTrue) {
-          cover.push_back(universe[i]);
-        }
-      }
-      // Greedy minimization: drop elements that are not needed. The result
-      // is an irredundant sub-cover of the model.
-      for (std::size_t i = 0; i < cover.size();) {
-        std::vector<GateId> reduced;
-        reduced.reserve(cover.size() - 1);
-        for (std::size_t j = 0; j < cover.size(); ++j) {
-          if (j != i) reduced.push_back(cover[j]);
-        }
-        if (is_cover(sets, reduced)) {
-          cover = std::move(reduced);
-        } else {
-          ++i;
-        }
-      }
-      if (!first_recorded) {
-        result.first_seconds = solve_timer.seconds();
-        first_recorded = true;
-      }
-      if (emitted.insert(cover).second) {
-        result.solutions.push_back(cover);
-      }
-      // Subset blocking: any superset of an irredundant cover is redundant.
-      // block_model resumes the search in place on the next solve().
-      sat::Clause blocking;
-      for (GateId g : cover) blocking.push_back(sat::neg(var_of[g]));
-      if (!solver.block_model(std::move(blocking))) {
-        result.all_seconds = solve_timer.seconds();
-        if (!first_recorded) result.first_seconds = result.all_seconds;
-        return result;
+               options.max_solutions;
+  };
+  const auto on_model = [&](const sat::Solver& model) {
+    std::vector<GateId> cover;
+    for (std::size_t i = 0; i < universe.size(); ++i) {
+      if (model.model_value(selectors[i]) == sat::LBool::kTrue) {
+        cover.push_back(universe[i]);
       }
     }
-    if (!result.complete) break;
+    // Greedy minimization: drop elements that are not needed. The result
+    // is an irredundant sub-cover of the model.
+    for (std::size_t i = 0; i < cover.size();) {
+      std::vector<GateId> reduced;
+      reduced.reserve(cover.size() - 1);
+      for (std::size_t j = 0; j < cover.size(); ++j) {
+        if (j != i) reduced.push_back(cover[j]);
+      }
+      if (is_cover(sets, reduced)) {
+        cover = std::move(reduced);
+      } else {
+        ++i;
+      }
+    }
+    if (!first_recorded) {
+      result.first_seconds = solve_timer.seconds();
+      first_recorded = true;
+    }
+    // Subset blocking: any superset of an irredundant cover is redundant.
+    sat::Clause blocking;
+    for (GateId g : cover) blocking.push_back(sat::neg(var_of[g]));
+    result.solutions.push_back(std::move(cover));
+    return blocking;
+  };
+  for (unsigned bound = 1; bound <= options.k; ++bound) {
+    const sat::EnumStop stop =
+        sat::enumerate(solver, tracker.assume_at_most(bound),
+                       options.deadline, cap_reached, on_model);
+    if (stop != sat::EnumStop::kExhausted) {
+      result.complete = !sat::truncated(stop);
+      break;
+    }
   }
   result.all_seconds = solve_timer.seconds();
   if (!first_recorded) result.first_seconds = result.all_seconds;

@@ -7,7 +7,7 @@
 
 #include "cnf/tseitin.hpp"
 #include "fault/injector.hpp"
-#include "sat/solver.hpp"
+#include "sat/allsat.hpp"
 #include "sim/simulator.hpp"
 #include "util/logging.hpp"
 
@@ -199,37 +199,36 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
     solver.add_clause(std::move(block));
   }
 
-  while (tests.size() < count) {
-    if (options.deadline.expired()) break;
-    solver.set_deadline(options.deadline);
-    const sat::LBool status = solver.solve();
-    if (status != sat::LBool::kTrue) break;  // no more distinct failing tests
-    std::vector<bool> vec;
-    vec.reserve(nl.inputs().size());
-    for (GateId in : nl.inputs()) {
-      vec.push_back(solver.model_value(gold_enc.gate_var[in]) ==
-                    sat::LBool::kTrue);
-    }
-    std::size_t added = 0;
-    for (std::size_t oi = 0; oi < nl.outputs().size() &&
-                             tests.size() < count &&
-                             added < options.max_triples_per_vector;
-         ++oi) {
-      if (solver.model_value(diff_vars[oi]) == sat::LBool::kTrue) {
-        const bool golden_value =
-            solver.model_value(gold_enc.gate_var[nl.outputs()[oi]]) ==
-            sat::LBool::kTrue;
-        tests.push_back(Test{vec, oi, golden_value});
-        ++added;
-      }
-    }
-    // Block this input cube (in-search: the next solve() resumes in place).
-    sat::Clause block;
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      block.push_back(gold_enc.lit(nl.inputs()[i], /*negated=*/vec[i]));
-    }
-    if (!solver.block_model(std::move(block))) break;
-  }
+  // One distinct input vector per model: harvest its failing triples, then
+  // block the full input cube.
+  sat::enumerate(
+      solver, {}, options.deadline, [&] { return tests.size() >= count; },
+      [&](const sat::Solver& model) {
+        std::vector<bool> vec;
+        vec.reserve(nl.inputs().size());
+        for (GateId in : nl.inputs()) {
+          vec.push_back(model.model_value(gold_enc.gate_var[in]) ==
+                        sat::LBool::kTrue);
+        }
+        std::size_t added = 0;
+        for (std::size_t oi = 0; oi < nl.outputs().size() &&
+                                 tests.size() < count &&
+                                 added < options.max_triples_per_vector;
+             ++oi) {
+          if (model.model_value(diff_vars[oi]) == sat::LBool::kTrue) {
+            const bool golden_value =
+                model.model_value(gold_enc.gate_var[nl.outputs()[oi]]) ==
+                sat::LBool::kTrue;
+            tests.push_back(Test{vec, oi, golden_value});
+            ++added;
+          }
+        }
+        sat::Clause block;
+        for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+          block.push_back(gold_enc.lit(nl.inputs()[i], /*negated=*/vec[i]));
+        }
+        return block;
+      });
   return tests;
 }
 

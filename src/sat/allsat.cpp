@@ -2,50 +2,22 @@
 
 namespace satdiag::sat {
 
-AllSatResult enumerate_all(Solver& solver, const std::vector<Var>& projection,
-                           std::span<const Lit> assumptions,
-                           const AllSatOptions& options) {
-  AllSatResult result;
+EnumStop enumerate(Solver& solver, std::span<const Lit> assumptions,
+                   Deadline deadline,
+                   const std::function<bool()>& cap_reached,
+                   const std::function<Clause(const Solver&)>& on_model) {
   for (;;) {
-    if (options.deadline.expired()) return result;
-    if (options.max_solutions >= 0 &&
-        static_cast<std::int64_t>(result.solutions.size()) >=
-            options.max_solutions) {
-      return result;
-    }
-    solver.set_deadline(options.deadline);
+    if (deadline.expired()) return EnumStop::kDeadline;
+    if (cap_reached()) return EnumStop::kCap;
+    solver.set_deadline(deadline);
     const LBool status = solver.solve(assumptions);
-    if (status == LBool::kUndef) return result;  // budget exhausted
-    if (status == LBool::kFalse) {
-      result.complete = true;
-      return result;
-    }
-    std::vector<Var> asserted;
-    for (Var v : projection) {
-      if (solver.model_value(v) == LBool::kTrue) asserted.push_back(v);
-    }
-    Clause blocking;
-    if (options.block_positive_subset) {
-      for (Var v : asserted) blocking.push_back(neg(v));
-    } else {
-      for (Var v : projection) {
-        blocking.push_back(solver.model_value(v) == LBool::kTrue ? neg(v)
-                                                                 : pos(v));
-      }
-    }
-    result.solutions.push_back(std::move(asserted));
-    if (blocking.empty()) {
-      // The empty projection satisfied the instance; no further distinct
-      // projected solution exists under subset blocking.
-      result.complete = true;
-      return result;
-    }
+    if (status == LBool::kUndef) return EnumStop::kDeadline;
+    if (status == LBool::kFalse) return EnumStop::kExhausted;
+    Clause blocking = on_model(solver);
+    if (blocking.empty()) return EnumStop::kEmptyModel;
     // In-search blocking: keeps the trail so the next solve() continues
     // where this model was found instead of replaying the search.
-    if (!solver.block_model(std::move(blocking))) {
-      result.complete = true;
-      return result;
-    }
+    if (!solver.block_model(std::move(blocking))) return EnumStop::kRootUnsat;
   }
 }
 

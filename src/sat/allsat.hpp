@@ -1,47 +1,48 @@
-// All-solutions SAT enumeration over a projection variable set.
+// All-solutions SAT enumeration: the one solve -> block loop.
 //
-// BasicSATDiagnose (Fig. 3 of the paper) enumerates every satisfying
-// assignment of the diagnosis instance, projected onto the multiplexer
-// select lines, and "adds a blocking clause for each solution". This helper
-// implements exactly that loop: solve, project the model onto the tracked
-// variables, block the projected cube, repeat until UNSAT.
-//
-// Blocking clauses here negate the *positive* select literals only (the
-// projected solutions of interest are the sets of asserted selects, and the
-// enumeration below is used with cardinality bounds that keep those sets
-// small); with `block_full_cube` the classic full-cube blocking over all
-// projection variables is used instead.
+// BasicSATDiagnose (Fig. 3 of the paper) and SCDiagnose (Fig. 4) share one
+// loop: solve under the cardinality bound, project the model onto the select
+// lines, "add a blocking clause for each solution", repeat until UNSAT.
+// enumerate() is that loop, and every all-solutions job in the tree drives
+// it: BSAT and its partition shards, COV, sequential diagnosis, and the SAT
+// ATPG fallback of test generation. The caller's on_model callback records
+// its solution and returns the blocking clause (the negated asserted selects
+// for subset blocking, the full cube for exact model enumeration); the loop
+// owns the budget checks, the solve and the in-search blocking. Bounds stay
+// with the callers: parallel BSAT synchronizes its shards between them.
 #pragma once
 
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "sat/solver.hpp"
 #include "util/timer.hpp"
 
 namespace satdiag::sat {
 
-struct AllSatOptions {
-  /// Block only the asserted projection variables (subset blocking: forbids
-  /// every superset too — what BSAT wants, since supersets of a correction
-  /// are non-essential). When false, blocks the full cube (exact model
-  /// enumeration over the projection).
-  bool block_positive_subset = true;
-  Deadline deadline;
-  std::int64_t max_solutions = -1;  // unlimited when negative
+/// Why enumerate() returned.
+enum class EnumStop {
+  kExhausted,   // UNSAT under the assumptions: no further solution
+  kRootUnsat,   // a blocking clause made the formula UNSAT at the root
+  kEmptyModel,  // on_model returned an empty clause: nothing left to block
+  kCap,         // the cap predicate held
+  kDeadline,    // the deadline (or another solver budget) ran out
 };
 
-struct AllSatResult {
-  /// One entry per enumerated solution: the asserted projection variables.
-  std::vector<std::vector<Var>> solutions;
-  bool complete = false;  // false when a budget stopped the enumeration
-};
+/// True when the stop left solutions unseen (cap or deadline).
+inline bool truncated(EnumStop stop) {
+  return stop == EnumStop::kCap || stop == EnumStop::kDeadline;
+}
 
-/// Enumerate solutions projected onto `projection` under `assumptions`.
-/// The solver keeps the blocking clauses afterwards (that is what Fig. 3
+/// Enumerate models under `assumptions`: before each solve check the
+/// deadline and `cap_reached`, then hand each model to `on_model` and block
+/// the clause it returns. Blocking is in-search (Solver::block_model), so
+/// every literal of a returned clause must be over a decision variable. The
+/// solver keeps the blocking clauses afterwards (that is what Fig. 3
 /// prescribes: smaller corrections stay blocked as k increases).
-AllSatResult enumerate_all(Solver& solver, const std::vector<Var>& projection,
-                           std::span<const Lit> assumptions,
-                           const AllSatOptions& options = {});
+EnumStop enumerate(Solver& solver, std::span<const Lit> assumptions,
+                   Deadline deadline,
+                   const std::function<bool()>& cap_reached,
+                   const std::function<Clause(const Solver&)>& on_model);
 
 }  // namespace satdiag::sat

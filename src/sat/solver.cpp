@@ -1423,7 +1423,7 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
     // stack (every non-eliminated variable is assigned — see
     // pick_totalize_lit).
     if (!extend_.empty()) extend_.extend(model_);
-    // Keep the trail: an enumeration loop's block_model() + re-solve
+    // Keep the trail: sat::enumerate's block_model() + re-solve
     // continues from here instead of replaying the whole search.
     return status;
   }

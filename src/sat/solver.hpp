@@ -197,8 +197,9 @@ class Solver {
   /// (the default). Completeness of the in-place continuation relies on the
   /// search re-deciding a blocking literal that a later backjump unassigns;
   /// a non-decidable variable could leave the clause silently unsatisfied
-  /// in a "model". All enumeration loops in-tree block over decision
-  /// variables (selects / selectors / inputs).
+  /// in a "model". In the library only sat::enumerate (allsat.hpp) calls
+  /// it, and every enumeration blocks over decision variables (selects /
+  /// selectors / inputs).
   bool block_model(Clause lits);
 
   bool ok() const { return ok_; }
@@ -206,7 +207,7 @@ class Solver {
   // ---- frozen-variable contract ------------------------------------------
   /// Exempt v from variable elimination. Mandatory for any variable that
   /// future add_clause/solve calls will mention (decision variables are
-  /// exempt automatically — every enumeration loop blocks over them).
+  /// exempt automatically — sat::enumerate blocks over them).
   /// Freezing is permanent and cheap; model reads need no freezing.
   void freeze(Var v) { frozen_[static_cast<std::size_t>(v)] = true; }
   bool is_frozen(Var v) const { return frozen_[static_cast<std::size_t>(v)]; }

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "cnf/tseitin.hpp"
+#include "sat/allsat.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -177,54 +178,47 @@ SeqDiagnoseResult seq_sat_diagnose(const Netlist& sequential,
   result.num_clauses = solver.num_clauses();
 
   Timer solve_timer;
-  for (unsigned bound = 1; bound <= options.k; ++bound) {
-    const auto assumptions = tracker.assume_at_most(bound);
-    for (;;) {
-      if (options.deadline.expired() ||
-          (options.max_solutions >= 0 &&
+  const auto cap_reached = [&] {
+    return options.max_solutions >= 0 &&
            static_cast<std::int64_t>(result.solutions.size()) >=
-               options.max_solutions)) {
-        result.complete = false;
-        result.all_seconds = solve_timer.seconds();
-        return result;
-      }
-      solver.set_deadline(options.deadline);
-      const sat::LBool status = solver.solve(assumptions);
-      if (status == sat::LBool::kUndef) {
-        result.complete = false;
-        break;
-      }
-      if (status == sat::LBool::kFalse) break;
-      std::vector<GateId> correction;
-      sat::Clause blocking;
-      for (std::size_t i = 0; i < instrumented.size(); ++i) {
-        if (solver.model_value(select_var[i]) == sat::LBool::kTrue) {
-          correction.push_back(instrumented[i]);
-          blocking.push_back(sat::neg(select_var[i]));
-        }
-      }
-      if (correction.empty()) {
-        // The model selected zero corrections: the test constraints are
-        // satisfiable by the UNMODIFIED circuit, i.e. the test-set never
-        // actually fails and the diagnosis problem is degenerate. The old
-        // code pushed an empty "correction" and returned with complete ==
-        // true — callers saw a bogus complete enumeration containing the
-        // empty set. Report the case distinctly instead; any non-empty
-        // selection found earlier is subsumed by the empty one and carries
-        // no diagnostic meaning either, so the solution list is cleared.
-        result.tests_consistent = true;
-        result.solutions.clear();
-        result.all_seconds = solve_timer.seconds();
-        return result;
-      }
-      std::sort(correction.begin(), correction.end());
-      result.solutions.push_back(std::move(correction));
-      if (!solver.add_clause(std::move(blocking))) {
-        result.all_seconds = solve_timer.seconds();
-        return result;
+               options.max_solutions;
+  };
+  const auto on_model = [&](const sat::Solver&) {
+    // `instrumented` ascends, so the correction comes out sorted.
+    std::vector<GateId> correction;
+    sat::Clause blocking;
+    for (std::size_t i = 0; i < instrumented.size(); ++i) {
+      if (solver.model_value(select_var[i]) == sat::LBool::kTrue) {
+        correction.push_back(instrumented[i]);
+        blocking.push_back(sat::neg(select_var[i]));
       }
     }
-    if (!result.complete) break;
+    if (!correction.empty()) result.solutions.push_back(std::move(correction));
+    return blocking;
+  };
+  for (unsigned bound = 1; bound <= options.k; ++bound) {
+    const std::size_t bound_start = result.solutions.size();
+    const sat::EnumStop stop = sat::enumerate(
+        solver, tracker.assume_at_most(bound), options.deadline, cap_reached,
+        on_model);
+    if (stop == sat::EnumStop::kEmptyModel) {
+      // The model selected zero corrections: the test constraints are
+      // satisfiable by the UNMODIFIED circuit, i.e. the test-set never
+      // actually fails and the diagnosis problem is degenerate. Any
+      // non-empty selection found earlier is subsumed by the empty one and
+      // carries no diagnostic meaning either, so the list is cleared.
+      result.tests_consistent = true;
+      result.solutions.clear();
+      break;
+    }
+    // Canonical order per bound, independent of the search.
+    std::sort(result.solutions.begin() +
+                  static_cast<std::ptrdiff_t>(bound_start),
+              result.solutions.end());
+    if (stop != sat::EnumStop::kExhausted) {
+      result.complete = !sat::truncated(stop);
+      break;
+    }
   }
   result.all_seconds = solve_timer.seconds();
   return result;

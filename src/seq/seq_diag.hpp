@@ -42,7 +42,8 @@ struct SeqDiagnoseOptions {
 };
 
 struct SeqDiagnoseResult {
-  /// Essential valid corrections (original-netlist gate ids).
+  /// Essential valid corrections (original-netlist gate ids): bounds in
+  /// ascending order, each bound's solutions sorted.
   std::vector<std::vector<GateId>> solutions;
   bool complete = true;
   /// True when the solver found a model selecting ZERO corrections: the

@@ -192,18 +192,11 @@ void ParallelSimulator::run() {
 }
 
 void ParallelSimulator::run_full() {
-  for (GateId g : nl_->topo_order()) {
-    if (nl_->is_combinational(g)) {
-      const auto fanins = nl_->fanins(g);
-      fanin_buf_.resize(fanins.size());
-      for (std::size_t i = 0; i < fanins.size(); ++i) {
-        fanin_buf_[i] = values_[fanins[i]];
-      }
-      values_[g] =
-          eval_gate_words(eval_type_[g], fanin_buf_.data(), fanin_buf_.size());
-    }
-    if (has_value_override_[g]) values_[g] = value_override_[g];
-  }
+  sweep_words(
+      *nl_, values_, fanin_buf_, [this](GateId g) { return eval_type_[g]; },
+      [this](GateId g, std::uint64_t& word) {
+        if (has_value_override_[g]) word = value_override_[g];
+      });
   // A full sweep satisfies every pending dirty mark.
   worklist_.reset();
   all_dirty_ = false;

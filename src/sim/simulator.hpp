@@ -29,6 +29,40 @@
 
 namespace satdiag {
 
+/// The reference evaluation loop: one topological pass over `nl` through
+/// the generic per-gate dispatch (eval_gate_words), one 64-pattern word per
+/// gate. On entry `values` (nl.size() words) holds the primary-input and
+/// DFF-output words; every other gate, constants included, is evaluated
+/// here. `type_of(g)` is the function gate g evaluates, and
+/// `finish(g, word)` may replace any gate's word before its fanouts read
+/// it. Needs no CompiledNetlist, so a one-shot caller pays no compile step.
+template <class TypeOf, class Finish>
+void sweep_words(const Netlist& nl, std::span<std::uint64_t> values,
+                 std::vector<std::uint64_t>& fanin_buf, TypeOf type_of,
+                 Finish finish) {
+  for (GateId g : nl.topo_order()) {
+    const GateType type = nl.type(g);
+    if (type != GateType::kInput && type != GateType::kDff) {
+      const auto fanins = nl.fanins(g);
+      fanin_buf.resize(fanins.size());
+      for (std::size_t i = 0; i < fanins.size(); ++i) {
+        fanin_buf[i] = values[fanins[i]];
+      }
+      values[g] = eval_gate_words(type_of(g), fanin_buf.data(),
+                                  fanin_buf.size());
+    }
+    finish(g, values[g]);
+  }
+}
+
+/// sweep_words with the netlist's own gate functions and no overrides.
+inline void sweep_words(const Netlist& nl, std::span<std::uint64_t> values) {
+  std::vector<std::uint64_t> fanin_buf;
+  sweep_words(
+      nl, values, fanin_buf, [&nl](GateId g) { return nl.type(g); },
+      [](GateId, std::uint64_t&) {});
+}
+
 class ParallelSimulator {
  public:
   explicit ParallelSimulator(const Netlist& nl);

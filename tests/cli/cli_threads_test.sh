@@ -54,6 +54,17 @@ cmp "$TMP/sol_1.txt" "$TMP/sol_2.txt"
 cmp "$TMP/sol_1.txt" "$TMP/sol_8.txt"
 test -s "$TMP/sol_1.txt"
 
+# A test set the circuit already passes (the golden circuit against the
+# injected error's tests): nothing to diagnose at any thread count. Whole
+# output compared except the header's wall-clock times.
+for n in 1 4; do
+  "$CLI" diagnose "$TMP/c.bench" --tests "$TMP/tests.txt" \
+      --approach bsat --k 2 --threads "$n" \
+      | sed 's/(.*)//' > "$TMP/pass_$n.txt"
+done
+cmp "$TMP/pass_1.txt" "$TMP/pass_4.txt"
+grep -q '^0 valid corrections' "$TMP/pass_1.txt"
+
 # The merged --stats report must include the counters at --threads > 1.
 mt_stats="$("$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
     --approach bsat --k 2 --threads 4 --stats)"

@@ -35,10 +35,22 @@ TEST_P(StaticAtMostTest, ModelCountMatchesBinomialSum) {
   }
   ASSERT_TRUE(encode_at_most_static(solver, lits, c.bound, c.encoding));
 
-  sat::AllSatOptions options;
-  options.block_positive_subset = false;  // count exact models
-  const auto result = sat::enumerate_all(solver, vars, {}, options);
-  ASSERT_TRUE(result.complete);
+  // Count exact models: block the full cube over `vars`.
+  std::vector<std::vector<Var>> models;
+  const sat::EnumStop stop = sat::enumerate(
+      solver, {}, Deadline(), [] { return false; },
+      [&](const Solver& model) {
+        std::vector<Var> asserted;
+        sat::Clause blocking;
+        for (Var v : vars) {
+          const bool on = model.model_value(v) == LBool::kTrue;
+          if (on) asserted.push_back(v);
+          blocking.push_back(on ? sat::neg(v) : sat::pos(v));
+        }
+        models.push_back(std::move(asserted));
+        return blocking;
+      });
+  ASSERT_FALSE(sat::truncated(stop));
 
   std::size_t expected = 0;
   for (unsigned i = 0; i <= c.bound && i <= c.n; ++i) {
@@ -49,8 +61,8 @@ TEST_P(StaticAtMostTest, ModelCountMatchesBinomialSum) {
     }
     expected += binom;
   }
-  EXPECT_EQ(result.solutions.size(), expected);
-  for (const auto& model : result.solutions) {
+  EXPECT_EQ(models.size(), expected);
+  for (const auto& model : models) {
     EXPECT_LE(model.size(), c.bound);
   }
 }

@@ -223,20 +223,66 @@ TEST(BsatTest, MaxSolutionsTruncates) {
   EXPECT_EQ(result.solutions.size(), 1u);
 }
 
+TEST(BsatTest, PassingTestsYieldNoCorrection) {
+  // Every test fails on the faulty circuit and passes on the golden one:
+  // the empty correction satisfies the golden instance. No correction is
+  // made up, and the (empty) enumeration is complete. The thread-count
+  // side is in ParallelDeterminismTest.
+  const Scenario s = make_scenario(13, 1, 4);
+  BsatOptions options;
+  options.k = 2;
+  const BsatResult result = basic_sat_diagnose(s.golden, s.tests, options);
+  EXPECT_TRUE(result.solutions.empty());
+  EXPECT_TRUE(result.complete);
+}
+
+TEST(BsatTest, PassCheckSimulatesConstantGates) {
+  // z = OR(AND(a, one), b) with `one` a CONST1 gate; one test at a=1, b=0,
+  // where the circuit gives z=1.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId one = nl.add_const(true, "one");
+  const GateId y = nl.add_gate(GateType::kAnd, "y", {a, one});
+  const GateId z = nl.add_gate(GateType::kOr, "z", {y, b});
+  nl.add_output(z);
+  nl.finalize();
+  TestSet tests(1);
+  tests[0].input_values = {true, false};
+  tests[0].output_index = 0;
+  // Demanding z=0 fails: both gates on the path are corrections. Demanding
+  // z=1 passes: nothing to diagnose.
+  for (const bool demanded : {false, true}) {
+    tests[0].correct_value = demanded;
+    const std::vector<std::vector<GateId>> expected =
+        demanded ? std::vector<std::vector<GateId>>{}
+                 : std::vector<std::vector<GateId>>{{y}, {z}};
+    for (std::size_t threads : {1u, 4u}) {
+      BsatOptions options;
+      options.k = 2;
+      options.num_threads = threads;
+      const BsatResult result = basic_sat_diagnose(nl, tests, options);
+      EXPECT_EQ(result.solutions, expected)
+          << "z=" << demanded << ", " << threads << " threads";
+      EXPECT_TRUE(result.complete);
+    }
+  }
+}
+
 TEST(BsatTest, InstanceSizeReported) {
   const Scenario s = make_scenario(12, 1, 4);
   BsatOptions options;
   options.k = 1;
   // Theta(|I| * m) variables (paper Table 1): at least one var per gate per
   // test copy — on the unreduced instance the paper describes.
-  options.cone_of_influence = false;
+  options.instance.cone_of_influence = false;
   const BsatResult unreduced = basic_sat_diagnose(s.faulty, s.tests, options);
   EXPECT_GE(unreduced.num_vars, s.faulty.size() * s.tests.size());
   EXPECT_GT(unreduced.num_clauses, 0u);
 
   // The default cone-of-influence instance never exceeds the unreduced one
   // and still reports a non-trivial size.
-  options.cone_of_influence = true;
+  options.instance.cone_of_influence = true;
   const BsatResult reduced = basic_sat_diagnose(s.faulty, s.tests, options);
   EXPECT_LE(reduced.num_vars, unreduced.num_vars);
   EXPECT_LE(reduced.num_clauses, unreduced.num_clauses);

@@ -120,6 +120,24 @@ TEST(CoverTest, SingleSetSingletons) {
             (std::set<std::vector<GateId>>{{3}, {5}, {9}}));
 }
 
+TEST(CoverTest, CompleteEnumerationEndingRootUnsatIsCanonical) {
+  // One set {0..n-1} at k=1: blocking the last singleton leaves the
+  // instance UNSAT at the root. That exit used to skip the canonical sort.
+  for (GateId n = 4; n <= 12; ++n) {
+    Sets sets(1);
+    std::vector<std::vector<GateId>> expected;
+    for (GateId g = 0; g < n; ++g) {
+      sets[0].push_back(g);
+      expected.push_back({g});
+    }
+    CovOptions options;
+    options.k = 1;
+    const CovResult result = solve_covering_sat(sets, options);
+    EXPECT_TRUE(result.complete) << "n=" << n;
+    EXPECT_EQ(result.solutions, expected) << "n=" << n;
+  }
+}
+
 TEST(CoverTest, MaxSolutionsTruncates) {
   const Sets sets{{0, 1, 2, 3, 4}};
   CovOptions options;

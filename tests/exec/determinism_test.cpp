@@ -119,10 +119,9 @@ TEST(ParallelDeterminismTest, BsatClauseSharingKeepsSolutionSetsIdentical) {
   BsatOptions options;
   options.k = 2;
   options.num_threads = 4;
-  options.share_learnts = true;
   const BsatResult shared =
       basic_sat_diagnose(prepared.faulty, prepared.tests, options);
-  options.share_learnts = false;
+  options.num_threads = 1;  // one solver: nothing to share
   const BsatResult isolated =
       basic_sat_diagnose(prepared.faulty, prepared.tests, options);
   EXPECT_EQ(shared.solutions, isolated.solutions);
@@ -130,6 +129,23 @@ TEST(ParallelDeterminismTest, BsatClauseSharingKeepsSolutionSetsIdentical) {
   EXPECT_GT(shared.solver_stats.learnts_exported, 0u);
   EXPECT_EQ(isolated.solver_stats.learnts_exported, 0u);
   EXPECT_EQ(isolated.solver_stats.learnts_imported, 0u);
+}
+
+TEST(ParallelDeterminismTest, BsatOnPassingTestsFindsNothingAtAnyThreadCount) {
+  // The injected errors' tests all pass on the golden circuit: the empty
+  // correction satisfies the instance, so there is nothing to diagnose.
+  // The serial enumeration used to report the empty set and the partition
+  // shards (whose clauses forbid the empty model) every singleton.
+  const PreparedExperiment prepared = prepare("s298_like", 1, 4);
+  for (std::size_t threads : {1u, 4u}) {
+    BsatOptions options;
+    options.k = 2;
+    options.num_threads = threads;
+    const BsatResult result =
+        basic_sat_diagnose(prepared.golden, prepared.tests, options);
+    EXPECT_TRUE(result.solutions.empty()) << "threads=" << threads;
+    EXPECT_TRUE(result.complete) << "threads=" << threads;
+  }
 }
 
 TEST(ParallelDeterminismTest, BsatMergedStatsCountAllWorkers) {

@@ -170,7 +170,7 @@ TEST(EngineAgreementTest, ConeOfInfluencePreservesBsatSolutions) {
     for (const bool coi : {false, true}) {
       for (const std::size_t threads : {1, 2, 8}) {
         BsatOptions options = base;
-        options.cone_of_influence = coi;
+        options.instance.cone_of_influence = coi;
         options.num_threads = threads;
         const BsatResult result =
             basic_sat_diagnose(inst->faulty, inst->tests, options);

@@ -3,6 +3,7 @@
 // model count stays exactly predictable.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "sat/allsat.hpp"
@@ -10,18 +11,37 @@
 namespace satdiag::sat {
 namespace {
 
+/// Exact model enumeration over `vars` (full-cube blocking); returns the
+/// asserted variables of each model, or nothing when the run was truncated.
+std::optional<std::vector<std::vector<Var>>> all_models(
+    Solver& solver, const std::vector<Var>& vars) {
+  std::vector<std::vector<Var>> models;
+  const EnumStop stop = enumerate(
+      solver, {}, Deadline(), [] { return false; },
+      [&](const Solver& model) {
+        std::vector<Var> asserted;
+        Clause blocking;
+        for (Var v : vars) {
+          const bool on = model.model_value(v) == LBool::kTrue;
+          if (on) asserted.push_back(v);
+          blocking.push_back(on ? neg(v) : pos(v));
+        }
+        models.push_back(std::move(asserted));
+        return blocking;
+      });
+  if (truncated(stop)) return std::nullopt;
+  return models;
+}
+
 TEST(AllSatStressTest, FullCubeOverTenVariablesCountsExactly) {
   Solver solver;
   std::vector<Var> vars;
   for (int i = 0; i < 10; ++i) vars.push_back(solver.new_var());
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  const auto result = enumerate_all(solver, vars, {}, options);
-  ASSERT_TRUE(result.complete);
-  EXPECT_EQ(result.solutions.size(), 1024u);
+  const auto models = all_models(solver, vars);
+  ASSERT_TRUE(models.has_value());
+  EXPECT_EQ(models->size(), 1024u);
   // All distinct.
-  std::set<std::vector<Var>> unique(result.solutions.begin(),
-                                    result.solutions.end());
+  std::set<std::vector<Var>> unique(models->begin(), models->end());
   EXPECT_EQ(unique.size(), 1024u);
 }
 
@@ -46,12 +66,10 @@ TEST(AllSatStressTest, ConstrainedEnumerationExactCount) {
       }
     }
   }
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  const auto result = enumerate_all(solver, vars, {}, options);
-  ASSERT_TRUE(result.complete);
-  EXPECT_EQ(result.solutions.size(), 64u);
-  for (const auto& model : result.solutions) {
+  const auto models = all_models(solver, vars);
+  ASSERT_TRUE(models.has_value());
+  EXPECT_EQ(models->size(), 64u);
+  for (const auto& model : *models) {
     EXPECT_EQ(model.size(), 3u);  // one asserted var per group
   }
 }
@@ -60,11 +78,9 @@ TEST(AllSatStressTest, SolverRemainsUsableAfterLongEnumeration) {
   Solver solver;
   std::vector<Var> vars;
   for (int i = 0; i < 9; ++i) vars.push_back(solver.new_var());
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  const auto result = enumerate_all(solver, vars, {}, options);
-  ASSERT_TRUE(result.complete);
-  EXPECT_EQ(result.solutions.size(), 512u);
+  const auto models = all_models(solver, vars);
+  ASSERT_TRUE(models.has_value());
+  EXPECT_EQ(models->size(), 512u);
   // After exhaustive blocking the instance is UNSAT for good.
   EXPECT_EQ(solver.solve(), LBool::kFalse);
 }

@@ -8,16 +8,52 @@
 namespace satdiag::sat {
 namespace {
 
+/// What one enumerate() run saw: the asserted projection variables of each
+/// model, how often the cap was asked, and why the loop stopped.
+struct Enumeration {
+  std::vector<std::vector<Var>> solutions;
+  std::size_t cap_checks = 0;
+  EnumStop stop = EnumStop::kExhausted;
+};
+
+/// Enumerate with full-cube blocking (exact model enumeration over
+/// `projection`) or, with `subset`, by blocking only the asserted variables.
+Enumeration enumerate_projection(Solver& s, const std::vector<Var>& projection,
+                                 std::span<const Lit> assumptions = {},
+                                 bool subset = false,
+                                 std::int64_t max_solutions = -1,
+                                 Deadline deadline = {}) {
+  Enumeration out;
+  out.stop = enumerate(
+      s, assumptions, deadline,
+      [&] {
+        ++out.cap_checks;
+        return max_solutions >= 0 &&
+               static_cast<std::int64_t>(out.solutions.size()) >=
+                   max_solutions;
+      },
+      [&](const Solver& model) {
+        std::vector<Var> asserted;
+        Clause blocking;
+        for (Var v : projection) {
+          const bool on = model.model_value(v) == LBool::kTrue;
+          if (on) asserted.push_back(v);
+          if (on || !subset) blocking.push_back(on ? neg(v) : pos(v));
+        }
+        out.solutions.push_back(std::move(asserted));
+        return blocking;
+      });
+  return out;
+}
+
 TEST(AllSatTest, FullCubeEnumerationCountsModels) {
   // (a or b): exactly 3 models over {a, b}.
   Solver s;
   const Var a = s.new_var();
   const Var b = s.new_var();
   s.add_clause(pos(a), pos(b));
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  const auto result = enumerate_all(s, {a, b}, {}, options);
-  EXPECT_TRUE(result.complete);
+  const auto result = enumerate_projection(s, {a, b});
+  EXPECT_FALSE(truncated(result.stop));
   EXPECT_EQ(result.solutions.size(), 3u);
 }
 
@@ -27,8 +63,8 @@ TEST(AllSatTest, SubsetBlockingYieldsMinimalSets) {
   const Var a = s.new_var();
   const Var b = s.new_var();
   s.add_clause(pos(a), pos(b));
-  const auto result = enumerate_all(s, {a, b}, {});
-  EXPECT_TRUE(result.complete);
+  const auto result = enumerate_projection(s, {a, b}, {}, /*subset=*/true);
+  EXPECT_FALSE(truncated(result.stop));
   std::set<std::vector<Var>> sets(result.solutions.begin(),
                                   result.solutions.end());
   // Supersets like {a, b} may appear first, but after blocking both
@@ -43,8 +79,8 @@ TEST(AllSatTest, UnsatGivesEmptyComplete) {
   const Var a = s.new_var();
   s.add_clause(pos(a));
   s.add_clause(neg(a));
-  const auto result = enumerate_all(s, {a}, {});
-  EXPECT_TRUE(result.complete);
+  const auto result = enumerate_projection(s, {a});
+  EXPECT_EQ(result.stop, EnumStop::kExhausted);
   EXPECT_TRUE(result.solutions.empty());
 }
 
@@ -53,12 +89,10 @@ TEST(AllSatTest, MaxSolutionsTruncates) {
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) vars.push_back(s.new_var());
   // No constraints: full-cube enumeration has 16 models.
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  options.max_solutions = 5;
-  const auto result = enumerate_all(s, vars, {}, options);
-  EXPECT_FALSE(result.complete);
+  const auto result = enumerate_projection(s, vars, {}, false, 5);
+  EXPECT_EQ(result.stop, EnumStop::kCap);
   EXPECT_EQ(result.solutions.size(), 5u);
+  EXPECT_EQ(result.cap_checks, 6u);  // asked before every solve
 }
 
 TEST(AllSatTest, AssumptionsRestrictEnumeration) {
@@ -67,37 +101,51 @@ TEST(AllSatTest, AssumptionsRestrictEnumeration) {
   const Var b = s.new_var();
   s.add_clause(pos(a), pos(b));
   std::vector<Lit> assume{neg(a)};
-  AllSatOptions options;
-  options.block_positive_subset = false;
-  const auto result = enumerate_all(s, {a, b}, assume, options);
-  EXPECT_TRUE(result.complete);
+  const auto result = enumerate_projection(s, {a, b}, assume);
+  // Exhausted under the assumption, not at the root: {a} is still a model.
+  EXPECT_EQ(result.stop, EnumStop::kExhausted);
   ASSERT_EQ(result.solutions.size(), 1u);
   EXPECT_EQ(result.solutions[0], std::vector<Var>{b});
+  EXPECT_EQ(s.solve(), LBool::kTrue);
 }
 
 TEST(AllSatTest, EmptyProjectionSolutionTerminates) {
   // Satisfiable with all projection vars false: the empty set blocks
-  // everything and enumeration reports completeness.
+  // everything, so the loop stops without blocking it.
   Solver s;
   const Var a = s.new_var();
   (void)a;
   const Var unconstrained = s.new_var();
   s.add_clause(neg(unconstrained));
-  const auto result = enumerate_all(s, {unconstrained}, {});
-  EXPECT_TRUE(result.complete);
+  const auto result =
+      enumerate_projection(s, {unconstrained}, {}, /*subset=*/true);
+  EXPECT_EQ(result.stop, EnumStop::kEmptyModel);
   ASSERT_EQ(result.solutions.size(), 1u);
   EXPECT_TRUE(result.solutions[0].empty());
+  EXPECT_TRUE(s.ok());
 }
 
 TEST(AllSatTest, ExpiredDeadlineStopsImmediately) {
   Solver s;
   const Var a = s.new_var();
   s.add_clause(pos(a));
-  AllSatOptions options;
-  options.deadline = Deadline::after_seconds(-1.0);
-  const auto result = enumerate_all(s, {a}, {}, options);
-  EXPECT_FALSE(result.complete);
+  const auto result = enumerate_projection(s, {a}, {}, false, -1,
+                                           Deadline::after_seconds(-1.0));
+  EXPECT_EQ(result.stop, EnumStop::kDeadline);
   EXPECT_TRUE(result.solutions.empty());
+  EXPECT_EQ(result.cap_checks, 0u);  // the deadline is checked first
+}
+
+TEST(AllSatTest, BlockingTheLastModelIsRootUnsat) {
+  // The unit (a) fixes a at the root: blocking its only model leaves the
+  // formula UNSAT for good.
+  Solver s;
+  const Var a = s.new_var();
+  s.add_clause(pos(a));
+  const auto result = enumerate_projection(s, {a});
+  EXPECT_EQ(result.stop, EnumStop::kRootUnsat);
+  EXPECT_EQ(result.solutions.size(), 1u);
+  EXPECT_FALSE(s.ok());
 }
 
 }  // namespace
