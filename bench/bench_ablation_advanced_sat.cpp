@@ -9,16 +9,17 @@
 //   +nodecide — additionally restrict decisions to selects/corrections
 //   two-pass  — region-head first pass + refined second pass
 //
-// Two solver-core ablation knobs ride along:
-//   --no-inprocess   disable the inprocessing pipeline in every variant
-//                    (probing / vivification / subsumption / BVE),
-//   --card ENC       cardinality encoding: sequential | totalizer | pairwise
-//                    (pairwise substitutes the sequential tracker, see
-//                    cnf/cardinality.hpp).
+// --card ENC selects the cardinality encoding: sequential | totalizer |
+// pairwise (pairwise substitutes the sequential tracker, see
+// cnf/cardinality.hpp).
+//
+// Exits 1 when base, +gating and +gating+nodecide all complete but do not
+// return the same canonical solution list. Two-pass is a heuristic and is
+// left out of that check.
 //
 // Run:  ./bench_ablation_advanced_sat [--circuit s1423_like] [--scale 0.5]
 //       [--tests 8] [--errors 1] [--seed 3] [--limit 120]
-//       [--no-inprocess] [--card sequential]
+//       [--card sequential]
 #include <cstdio>
 #include <string>
 
@@ -42,7 +43,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
   const double limit = args.get_double("limit", 120.0);
   config.time_limit_seconds = limit;
-  const bool inprocess = !args.get_bool("no-inprocess", false);
   const std::string card_name = args.get_string("card", "sequential");
   CardEncoding card = CardEncoding::kSequential;
   if (card_name == "totalizer") {
@@ -61,11 +61,9 @@ int main(int argc, char** argv) {
   }
   const unsigned k = static_cast<unsigned>(config.num_errors);
   std::printf(
-      "# advanced-SAT ablation on %s (%zu gates), p=%zu, m=%zu,"
-      " inprocess=%s, card=%s\n",
+      "# advanced-SAT ablation on %s (%zu gates), p=%zu, m=%zu, card=%s\n",
       config.circuit.c_str(), prepared->faulty.size(), config.num_errors,
-      prepared->tests.size(), inprocess ? "on" : "off",
-      card_encoding_name(card));
+      prepared->tests.size(), card_encoding_name(card));
 
   TablePrinter table({"variant", "CNF s", "first s", "all s", "#sol",
                       "decisions", "complete"});
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
     options.deadline = Deadline::after_seconds(limit);
     options.instance.gating_clauses = gating;
     options.instance.internal_decisions = decisions;
-    options.instance.inprocess = inprocess;
     options.instance.card_encoding = card;
     const BsatResult r =
         basic_sat_diagnose(prepared->faulty, prepared->tests, options);
@@ -89,7 +86,7 @@ int main(int argc, char** argv) {
   };
 
   const BsatResult base = run_variant("base", false, true);
-  run_variant("+gating", true, true);
+  const BsatResult gated = run_variant("+gating", true, true);
   const BsatResult tuned = run_variant("+gating+nodecide", true, false);
 
   {
@@ -111,10 +108,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.to_string().c_str());
-  if (base.complete && tuned.complete) {
-    std::printf("\n# solution space unchanged: %s (base %zu vs tuned %zu)\n",
-                base.solutions.size() == tuned.solutions.size() ? "yes" : "NO",
-                base.solutions.size(), tuned.solutions.size());
+  bool unchanged = true;
+  if (base.complete && gated.complete && tuned.complete) {
+    unchanged = base.solutions == gated.solutions &&
+                base.solutions == tuned.solutions;
+    std::printf(
+        "\n# solution space unchanged: %s (base %zu, gating %zu, tuned %zu)\n",
+        unchanged ? "yes" : "NO", base.solutions.size(),
+        gated.solutions.size(), tuned.solutions.size());
     if (tuned.all_seconds > 0) {
       std::printf("# wall-clock all-solutions (base/tuned): %.1fx\n",
                   base.all_seconds / tuned.all_seconds);
@@ -130,5 +131,5 @@ int main(int argc, char** argv) {
               static_cast<double>(tuned.solver_stats.decisions));
     }
   }
-  return 0;
+  return unchanged ? 0 : 1;
 }

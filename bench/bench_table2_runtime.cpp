@@ -49,10 +49,6 @@ int main(int argc, char** argv) {
       run_experiment_grid(configs, grid);
 
   TablePrinter table(table2_header());
-  double bsim_seconds = 0.0;
-  double cov_build_seconds = 0.0, cov_solve_seconds = 0.0;
-  double bsat_build_seconds = 0.0, bsat_solve_seconds = 0.0;
-  std::size_t cells = 0;
   for (const ExperimentCell& cell : grid_cells) {
     if (!cell.prepared) {
       std::fprintf(stderr, "skipping %s m=%zu (preparation failed)\n",
@@ -60,21 +56,7 @@ int main(int argc, char** argv) {
       continue;
     }
     table.add_row(table2_row(cell.row));
-    ++cells;
-    bsim_seconds += cell.row.bsim_seconds;
-    cov_build_seconds += cell.row.cov.cnf_seconds;
-    cov_solve_seconds += cell.row.cov.all_seconds;
-    bsat_build_seconds += cell.row.bsat.cnf_seconds;
-    bsat_solve_seconds += cell.row.bsat.all_seconds;
   }
-  // Aggregate build-vs-solve split for tools/bench_runner.py: instance
-  // construction (CNF) against search, summed over the grid.
-  std::printf(
-      "{\"bench\":\"table2_runtime\",\"cells\":%zu,\"bsim_seconds\":%.3f,"
-      "\"cov_build_seconds\":%.3f,\"cov_solve_seconds\":%.3f,"
-      "\"bsat_build_seconds\":%.3f,\"bsat_solve_seconds\":%.3f}\n",
-      cells, bsim_seconds, cov_build_seconds, cov_solve_seconds,
-      bsat_build_seconds, bsat_solve_seconds);
   std::printf("# Table 2 reproduction (scale %.2f, limit %.0fs, cap %lld)\n",
               scale, limit, static_cast<long long>(max_solutions));
   std::printf("# '*' marks cells truncated by the resource limit\n");

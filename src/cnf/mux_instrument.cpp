@@ -168,11 +168,6 @@ DiagnosisInstance build_stamped_instance(
     const DiagnosisInstanceOptions& options) {
   DiagnosisInstance inst;
   Solver& solver = inst.solver;
-  if (!options.inprocess) {
-    sat::InprocessConfig cfg = solver.inprocess_config();
-    cfg.enabled = false;
-    solver.set_inprocess(cfg);
-  }
   const cache::ArtifactKey nl_fp = cache::netlist_fingerprint(nl);
   const CopyCones cones = cached_copy_cones(nl, nl_fp, tests, options);
   inst.instrumented = resolve_universe(nl, options, cones);
@@ -313,11 +308,6 @@ DiagnosisInstance build_diagnosis_instance(
   // build_copy_template and vice versa.
   DiagnosisInstance inst;
   Solver& solver = inst.solver;
-  if (!options.inprocess) {
-    sat::InprocessConfig cfg = solver.inprocess_config();
-    cfg.enabled = false;
-    solver.set_inprocess(cfg);
-  }
 
   const CopyCones cones = copy_cones(
       nl, tests, options,

@@ -54,10 +54,6 @@ struct DiagnosisInstanceOptions {
   /// Golden output values per test (over netlist.outputs()), used only with
   /// constrain_passing_outputs.
   std::vector<std::vector<bool>> expected_outputs;
-  /// Inprocessing (probing / vivification / subsumption / bounded variable
-  /// elimination between restarts) in the instance solver. Ablation knob;
-  /// solution sets are inprocessing-invariant.
-  bool inprocess = true;
   /// Build copies by stamping cached ClauseStream templates (one encoder
   /// walk per distinct (circuit, cone, universe, options) key, relocated per
   /// copy) instead of re-walking the netlist per test. Produces a

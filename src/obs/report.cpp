@@ -19,7 +19,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 /// Register the full standard catalogue so snapshots expose a stable key set
 /// regardless of which code paths actually ran (the report golden test and
-/// bench_runner key off the names).
+/// perfbench's counter snapshot key off the names).
 void ensure_standard_metrics() {
   MetricsRegistry& reg = MetricsRegistry::global();
   for (const char* name :

@@ -15,8 +15,8 @@
 //   }
 // "phases" holds only the non-nesting "phase."-prefixed spans, so their
 // seconds partition the run's wall-clock (the acceptance bound: sum within
-// 10% of wall_seconds on a single-threaded run). tools/bench_runner.py and
-// the future serve daemon consume the same artifact — bump kSchemaVersion
+// 10% of wall_seconds on a single-threaded run). CI's observability smoke
+// and the serve daemon consume the same artifact — bump kSchemaVersion
 // on any incompatible shape change (see README "Observability").
 #pragma once
 

@@ -3,7 +3,7 @@
 # (`--report-json`, `--trace-out`, `--stats-json`).
 #
 # The report's *shape* is the contract (schema "satdiag.report" v1, consumed
-# by tools/bench_runner.py and CI): every numeric value is normalized to
+# by CI's observability smoke): every numeric value is normalized to
 # "<N>" and fixture paths to "<P*>", then the result is compared
 # byte-for-byte against tests/cli/golden/report.golden — so adding,
 # renaming, or dropping a key, a phase, a span name, or a metric fails
