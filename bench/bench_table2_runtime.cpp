@@ -4,7 +4,7 @@
 // per-cell columns BSIM, COV CNF/One/All, BSAT CNF/One/All. Synthetic
 // profile circuits stand in for the ISCAS89 netlists (DESIGN.md).
 //
-// Defaults are sized for a laptop run (--scale 0.25, 60 s per approach and
+// Defaults are sized for a laptop run (--scale 0.25, 30 s per approach and
 // cell, solution cap). Pass --full for the paper-scale configuration with
 // the original 30-minute limit.
 //
@@ -59,7 +59,9 @@ int main(int argc, char** argv) {
   }
   std::printf("# Table 2 reproduction (scale %.2f, limit %.0fs, cap %lld)\n",
               scale, limit, static_cast<long long>(max_solutions));
-  std::printf("# '*' marks cells truncated by the resource limit\n");
+  std::printf(
+      "# '*' marks cells stopped by the time limit or the solution cap "
+      "(--max-solutions)\n");
   std::printf("%s", csv ? table.to_csv().c_str() : table.to_string().c_str());
   std::printf("\n# Expected shape (paper): BSIM < COV.All << BSAT.All;\n"
               "# BSAT.CNF grows with |I|*m; COV stays near BSIM.\n");

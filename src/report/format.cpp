@@ -7,7 +7,8 @@ namespace satdiag {
 
 std::string timing_cell(double seconds, bool complete) {
   std::string cell = format_seconds(seconds);
-  if (!complete) cell += "*";  // truncated by the resource limit
+  // Stopped by the time limit or the solution cap (--max-solutions).
+  if (!complete) cell += "*";
   return cell;
 }
 

@@ -130,6 +130,7 @@ void Solver::reserve_vars(std::size_t extra) {
 void Solver::set_inprocess(const InprocessConfig& config) {
   inprocess_cfg_ = config;
   next_inprocess_ = stats_.conflicts + config.first_conflicts;
+  first_inprocess_props_ = stats_.propagations + config.run_budget();
   inprocess_interval_ = std::max<std::uint64_t>(1, config.interval_conflicts);
 }
 
@@ -1385,12 +1386,14 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   if (decision_level() > 0) {
     // Search state left over from a previous satisfiable call (see
     // block_model): continue in place when the assumptions are unchanged,
-    // otherwise start over.
+    // otherwise start over. A due inprocessing run also starts over: an
+    // enumeration that continues in place and rarely restarts would
+    // otherwise never reach decision level 0, where the run happens.
     const bool same_assumptions =
         assumptions.size() == assumptions_.size() &&
         std::equal(assumptions.begin(), assumptions.end(),
                    assumptions_.begin());
-    if (!same_assumptions) cancel_until(0);
+    if (!same_assumptions || inprocess_due()) cancel_until(0);
   }
   assumptions_.assign(assumptions.begin(), assumptions.end());
 #ifndef NDEBUG

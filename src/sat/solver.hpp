@@ -88,21 +88,32 @@ struct StreamWatchOp {
 /// layout; stream builders use it to precompute StreamWatchOp::arena_offset.
 inline constexpr std::uint32_t kStampClauseOverhead = 3;
 
+/// Conflicts before the first inprocessing run and between runs.
+inline constexpr std::uint64_t kInprocessInterval = 2000;
+
 /// Budgets and thresholds of the inprocessing pipeline. The defaults suit
 /// the diagnosis workloads; tests shrink the intervals to force the pipeline
 /// onto tiny formulas.
 struct InprocessConfig {
   bool enabled = true;
   /// Conflict count before the first run (0 = preprocess on first solve).
-  /// Preprocessing up front pays off on the search-bound diagnosis
-  /// instances; enumeration-style instances whose formula stops
-  /// simplifying are protected by the no-progress back-off instead (a run
-  /// that accomplishes nothing multiplies the interval by 8, see
-  /// Solver::inprocess).
-  std::uint64_t first_conflicts = 0;
+  /// The schedule runs on the search's clock: the first run is due after
+  /// first_conflicts conflicts or once the search has made run_budget()
+  /// propagations, whichever comes first. The propagation rule is ski
+  /// rental: a search pays at most about one run's worth of work before it
+  /// buys the run. Every solver of the perfbench diag_pool and serve_mix
+  /// workloads ends below both (seed 1: at most 1.8k conflicts and 1.7M
+  /// propagations, against the default 3.3M), so it never pays for
+  /// subsumption, probing, vivification or elimination, and its models need
+  /// no reconstruction. Enumerations that are long in propagations but short
+  /// in conflicts (BSAT.All on the larger Table 2 circuits) still get the
+  /// run early. Instances whose formula stops simplifying are protected by
+  /// the no-progress back-off (a run that accomplishes nothing multiplies
+  /// the interval by 8, see Solver::inprocess).
+  std::uint64_t first_conflicts = kInprocessInterval;
   /// Conflicts between runs; doubles after every productive run
   /// (geometric back-off).
-  std::uint64_t interval_conflicts = 2000;
+  std::uint64_t interval_conflicts = kInprocessInterval;
   /// Propagation budgets per run.
   std::uint64_t probe_budget = 200000;
   std::uint64_t vivify_budget = 100000;
@@ -121,6 +132,11 @@ struct InprocessConfig {
   /// Glue thresholds of the learnt-DB tiers.
   unsigned core_lbd = 3;
   unsigned mid_lbd = 6;
+
+  /// Work one run may do at most: the sum of its pass budgets.
+  std::uint64_t run_budget() const {
+    return probe_budget + vivify_budget + subsume_budget + elim_budget;
+  }
 };
 
 class Solver {
@@ -457,7 +473,10 @@ class Solver {
   // ---- inprocessing internals (solver.cpp + the sat/ module files) -------
   bool inprocess();
   bool inprocess_due() const {
-    return inprocess_cfg_.enabled && stats_.conflicts >= next_inprocess_;
+    if (!inprocess_cfg_.enabled) return false;
+    return stats_.conflicts >= next_inprocess_ ||
+           (stats_.inprocess_runs == 0 &&
+            stats_.propagations >= first_inprocess_props_);
   }
   /// Forget root-level reasons (analyze/analyze_final skip level-0 vars, so
   /// they are never read): afterwards no arena clause is locked and the
@@ -550,10 +569,11 @@ class Solver {
   std::uint64_t lbd_epoch_ = 0;
 
   // Mirror the InprocessConfig defaults so a solver that never calls
-  // set_inprocess() still honors first_conflicts instead of running the
-  // pipeline on its first visit to decision level 0.
+  // set_inprocess() schedules its first pipeline run like one configured
+  // explicitly.
   InprocessConfig inprocess_cfg_;
   std::uint64_t next_inprocess_ = InprocessConfig{}.first_conflicts;
+  std::uint64_t first_inprocess_props_ = InprocessConfig{}.run_budget();
   std::uint64_t inprocess_interval_ = InprocessConfig{}.interval_conflicts;
   int totalize_head_ = 0;  // pick_totalize_lit() scan cursor
 

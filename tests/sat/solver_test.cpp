@@ -297,5 +297,49 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_GT(st.propagations, 0u);
 }
 
+// The default inprocessing schedule runs on the search's clock: a solve that
+// ends within first_conflicts conflicts and run_budget() propagations never
+// runs the pipeline, a longer one does. The solvers keep the default
+// configuration (no set_inprocess), so a return to start-of-solve
+// preprocessing fails here.
+TEST(SolverTest, DefaultScheduleSkipsPipelineOnShortSolves) {
+  Solver s;
+  build_php(s, 6, 5);  // ~150 conflicts
+  EXPECT_EQ(s.solve(), LBool::kFalse);
+  ASSERT_LT(s.stats().conflicts, InprocessConfig{}.first_conflicts);
+  ASSERT_LT(s.stats().propagations, InprocessConfig{}.run_budget());
+  EXPECT_EQ(s.stats().inprocess_runs, 0u);
+  EXPECT_EQ(s.stats().vars_eliminated, 0u);
+}
+
+// An enumeration that is long in propagations but short in conflicts gets
+// the pipeline once its propagations pass one run's budget, also when the
+// next solve would otherwise continue the previous search in place.
+TEST(SolverTest, DefaultScheduleRunsPipelineOnLongPropagationSolves) {
+  Solver s;
+  constexpr int kChain = 20000;
+  for (int i = 0; i < kChain; ++i) s.new_var();
+  for (int i = 0; i + 1 < kChain; ++i) s.add_clause(neg(i), pos(i + 1));
+  const std::vector<Lit> head = {pos(0)};
+  bool assume_head = false;
+  while (s.stats().propagations < InprocessConfig{}.run_budget()) {
+    assume_head = !assume_head;
+    ASSERT_EQ(assume_head ? s.solve(head) : s.solve(), LBool::kTrue);
+  }
+  EXPECT_EQ(s.stats().inprocess_runs, 0u);
+  // Same assumptions as the last call.
+  ASSERT_EQ(assume_head ? s.solve(head) : s.solve(), LBool::kTrue);
+  EXPECT_EQ(s.stats().conflicts, 0u);
+  EXPECT_EQ(s.stats().inprocess_runs, 1u);
+}
+
+TEST(SolverTest, DefaultScheduleRunsPipelineOnLongSolves) {
+  Solver s;
+  build_php(s, 8, 7);  // ~5000 conflicts
+  EXPECT_EQ(s.solve(), LBool::kFalse);
+  ASSERT_GT(s.stats().conflicts, InprocessConfig{}.first_conflicts);
+  EXPECT_GE(s.stats().inprocess_runs, 1u);
+}
+
 }  // namespace
 }  // namespace satdiag::sat
