@@ -16,10 +16,12 @@ bool x_check_with(ThreeValuedSimulator& sim, const Netlist& nl,
                   const TestSet& tests, const std::vector<GateId>& candidate) {
   for (std::size_t base = 0; base < tests.size(); base += 64) {
     const std::size_t batch = std::min<std::size_t>(64, tests.size() - base);
+    // Clear before assigning inputs: the undo trail then restores exactly
+    // the previous injection's writes and no source change rides along.
+    sim.clear_overrides();
     for (std::size_t b = 0; b < batch; ++b) {
       sim.set_input_vector(b, tests[base + b].input_values);
     }
-    sim.clear_overrides();
     for (GateId g : candidate) sim.inject_x(g);
     sim.run();
     for (std::size_t b = 0; b < batch; ++b) {
@@ -73,8 +75,8 @@ bool EffectAnalyzer::is_valid_correction(const std::vector<GateId>& candidate,
 bool EffectAnalyzer::x_check(const std::vector<GateId>& candidate) const {
   // Reuses the member simulator: re-assigning identical input words is a
   // no-op for the dirty-cone engine, so with one pattern batch (≤ 64 tests)
-  // only the candidate's injection cones — and the previous call's revert
-  // cones — are re-evaluated.
+  // a call costs an undo-trail restore of the previous call's writes plus
+  // one evaluation of the candidate's injection cones.
   return x_check_with(sim3_, *nl_, *tests_, candidate);
 }
 

@@ -48,18 +48,19 @@ StuckAtFaultSimResult simulate_stuck_at_faults(
                                                std::size_t lane) {
       ParallelSimulator& sim =
           lane_sim.get(lane, [&] { return prototype; });
-      std::uint8_t detections = 0;
-      for (int polarity = 0; polarity < 2; ++polarity) {
-        sim.set_value_override(sites[i], polarity ? ~0ULL : 0ULL);
-        sim.run();
-        std::uint64_t diff = 0;
-        for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-          diff |= golden[o] ^ sim.value(nl.outputs()[o]);
-        }
-        if (diff != 0) ++detections;
-        sim.clear_overrides();
+      // One flip per site: the lanes are independent, so stuck-at-v
+      // differs from the good circuit exactly in the lanes where the good
+      // value is !v, and flipping every lane grades both polarities at once.
+      const std::uint64_t good = sim.value(sites[i]);
+      sim.set_value_override(sites[i], ~good);
+      sim.run();
+      std::uint64_t observed = 0;  // lanes where the flip reaches an output
+      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+        observed |= golden[o] ^ sim.value(nl.outputs()[o]);
       }
-      round_detections[i] = detections;
+      sim.clear_overrides();
+      round_detections[i] = static_cast<std::uint8_t>(
+          ((observed & good) != 0) + ((observed & ~good) != 0));
     });
 
     result.faults += sites.size() * 2;

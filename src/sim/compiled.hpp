@@ -6,7 +6,8 @@
 // dense stream for full sweeps. Backends interpret the same stream with
 // their own value planes — ParallelSimulator with one 64-pattern word per
 // gate, ThreeValuedSimulator with dual (value, known) bitplanes — and share
-// LevelWorklist for dirty-cone incremental scheduling.
+// LevelWorklist for dirty-cone incremental scheduling and UndoTrail for
+// restoring the planes when what-if overrides are cleared.
 //
 // The netlist must not be mutated (substitute_type) after compilation: gate
 // functions are baked into the opcode stream. Backends own their
@@ -148,8 +149,12 @@ class LevelWorklist {
     if (!scheduled_[g]) {
       scheduled_[g] = 1;
       buckets_[nl_->levels()[g]].push_back(g);
+      ++pending_;
     }
   }
+
+  /// True when no gate is scheduled.
+  bool empty() const { return pending_ == 0; }
 
   /// Schedule the combinational fanouts of g. DFFs latch only on an explicit
   /// clock edge; the frame boundary stops the cone.
@@ -172,20 +177,101 @@ class LevelWorklist {
       }
       bucket.clear();
     }
+    pending_ = 0;
   }
 
   /// Drop all pending marks (a full sweep satisfies every dirty cone).
   void reset() {
+    if (empty()) return;
     for (auto& bucket : buckets_) {
       for (GateId g : bucket) scheduled_[g] = 0;
       bucket.clear();
     }
+    pending_ = 0;
   }
 
  private:
   const Netlist* nl_;
   std::vector<std::vector<GateId>> buckets_;
   std::vector<std::uint8_t> scheduled_;
+  std::size_t pending_ = 0;  // scheduled gates not yet drained
+};
+
+/// Undo log of an incremental backend's value plane while what-if
+/// overrides are live, so clear_overrides() costs O(#words written) instead
+/// of a second evaluation of the overridden cones.
+///
+/// The backend sets its first override only at a clean checkpoint (no
+/// pending work; it settles any first). From then on it logs the old word
+/// of every value-plane write with record(), and every source word assigned
+/// while live with record_source() — including, before the first override
+/// on a source, the source's own word, which the override then masks.
+/// restore() writes the logged words back newest first, which returns the
+/// plane exactly to the checkpoint, and then re-assigns the logged source
+/// words in order through the backend's ordinary source path, so a source
+/// changed while overrides were live becomes ordinary pending work for the
+/// next run(). `Word` is the backend's per-gate value (a 64-pattern word,
+/// or a (value, known) plane pair).
+template <class Word>
+class UndoTrail {
+ public:
+  explicit UndoTrail(std::size_t gates) : on_site_(gates, 0) {}
+
+  /// True while any override is set.
+  bool live() const { return !sites_.empty(); }
+  /// Gates carrying an override, in the order they got their first one.
+  const std::vector<GateId>& sites() const { return sites_; }
+  void add_site(GateId g) {
+    if (!on_site_[g]) {
+      on_site_[g] = 1;
+      sites_.push_back(g);
+    }
+  }
+
+  /// Log the word a value-plane write is about to replace (no-op unless
+  /// live).
+  void record(GateId g, const Word& old) {
+    if (live()) writes_.push_back({g, old});
+  }
+  /// Log source g's own word, assigned while live.
+  void record_source(GateId g, const Word& word) {
+    assert(live());
+    sources_.push_back({g, word});
+  }
+  /// The latest word logged for source g; g must have one.
+  const Word& source_word(GateId g) const {
+    for (auto it = sources_.rbegin(); it != sources_.rend(); ++it) {
+      if (it->gate == g) return it->word;
+    }
+    assert(false && "no source word logged for this gate");
+    return sources_.back().word;
+  }
+
+  /// Undo every logged write through `write(g, word)`, drop the override
+  /// sites, then replay the logged source words through
+  /// `assign_source(g, word)` (called with the trail no longer live).
+  template <class Write, class AssignSource>
+  void restore(Write&& write, AssignSource&& assign_source) {
+    for (auto it = writes_.rbegin(); it != writes_.rend(); ++it) {
+      write(it->gate, it->word);
+    }
+    writes_.clear();
+    for (GateId g : sites_) on_site_[g] = 0;
+    sites_.clear();
+    for (const Entry& e : sources_) assign_source(e.gate, e.word);
+    sources_.clear();
+  }
+
+ private:
+  struct Entry {
+    GateId gate;
+    Word word;
+  };
+
+  std::vector<std::uint8_t> on_site_;
+  std::vector<GateId> sites_;
+  std::vector<Entry> writes_;
+  std::vector<Entry> sources_;
 };
 
 }  // namespace satdiag

@@ -49,12 +49,11 @@ Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity) {
 }
 
 ThreeValuedSimulator::ThreeValuedSimulator(const Netlist& nl)
-    : nl_(&nl), compiled_(nl), worklist_(nl) {
+    : nl_(&nl), compiled_(nl), worklist_(nl), trail_(nl.size()) {
   const std::size_t n = nl.size();
   val_.assign(n, 0);
   known_.assign(n, 0);
   x_mask_.assign(n, 0);
-  on_x_trail_.assign(n, 0);
   for (GateId g = 0; g < n; ++g) {
     if (nl.type(g) == GateType::kConst0) known_[g] = ~0ULL;
     if (nl.type(g) == GateType::kConst1) {
@@ -143,7 +142,7 @@ ThreeValuedSimulator::Planes ThreeValuedSimulator::exec(GateId g) const {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty-cone bookkeeping
+// Dirty-cone and undo bookkeeping
 
 void ThreeValuedSimulator::schedule(GateId g) {
   if (!all_dirty_) worklist_.schedule(g);
@@ -153,17 +152,32 @@ void ThreeValuedSimulator::schedule_fanouts(GateId g) {
   if (!all_dirty_) worklist_.schedule_fanouts(g);
 }
 
+void ThreeValuedSimulator::write(GateId g, Planes p) {
+  trail_.record(g, planes(g));
+  store(g, p);
+}
+
+ThreeValuedSimulator::Planes ThreeValuedSimulator::source_planes(
+    GateId g) const {
+  return x_mask_[g] ? trail_.source_word(g) : planes(g);
+}
+
+void ThreeValuedSimulator::assign_source(GateId g, Planes p) {
+  if (p == source_planes(g)) return;
+  if (trail_.live()) trail_.record_source(g, p);
+  if (x_mask_[g]) apply_mask(g, p);  // a live injection keeps masking lanes
+  if (p != planes(g)) {
+    write(g, p);
+    schedule_fanouts(g);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mutators
 
 void ThreeValuedSimulator::set_source(GateId g, Val3 v) {
   assert(nl_->is_source(g));
-  Planes p{v.one, v.one | v.zero};
-  if (x_mask_[g]) apply_mask(g, p);  // a live injection keeps masking lanes
-  if (p != Planes{val_[g], known_[g]}) {
-    store(g, p);
-    schedule_fanouts(g);
-  }
+  assign_source(g, Planes{v.one, v.one | v.zero});
 }
 
 void ThreeValuedSimulator::set_input_vector(std::size_t bit,
@@ -178,33 +192,30 @@ void ThreeValuedSimulator::set_input_lanes(std::uint64_t lanes,
   if (lanes == 0) return;
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const GateId g = nl_->inputs()[i];
-    Planes p{val_[g], known_[g]};
+    Planes p = source_planes(g);
     p.val = bits[i] ? (p.val | lanes) : (p.val & ~lanes);
     p.known |= lanes;
-    if (x_mask_[g]) apply_mask(g, p);
-    if (p != Planes{val_[g], known_[g]}) {
-      store(g, p);
-      schedule_fanouts(g);
-    }
+    assign_source(g, p);
   }
 }
 
 void ThreeValuedSimulator::inject_x(GateId g, std::uint64_t mask) {
-  if (!on_x_trail_[g]) {
-    on_x_trail_[g] = 1;
-    x_trail_.push_back(g);
+  // The undo trail starts at a clean checkpoint: settle pending work first.
+  if (!trail_.live() && (all_dirty_ || !worklist_.empty())) run();
+  trail_.add_site(g);
+  if (nl_->is_source(g) && !x_mask_[g]) {
+    trail_.record_source(g, planes(g));  // the planes the injection masks
   }
   x_mask_[g] |= mask;
   schedule(g);
 }
 
 void ThreeValuedSimulator::clear_overrides() {
-  for (GateId g : x_trail_) {
-    on_x_trail_[g] = 0;
-    x_mask_[g] = 0;
-    schedule(g);  // its cone reverts on the next run()
-  }
-  x_trail_.clear();
+  if (!trail_.live()) return;
+  for (GateId g : trail_.sites()) x_mask_[g] = 0;
+  worklist_.reset();  // the checkpoint had no pending work
+  trail_.restore([this](GateId g, Planes p) { store(g, p); },
+                 [this](GateId g, Planes p) { assign_source(g, p); });
 }
 
 // ---------------------------------------------------------------------------
@@ -213,20 +224,8 @@ void ThreeValuedSimulator::clear_overrides() {
 void ThreeValuedSimulator::run() {
   if (all_dirty_) {
     // First evaluation: one pass over the compiled stream in topological
-    // order. X-injected sources are masked up front; combinational
-    // injections are applied in-stream.
-    for (GateId g : x_trail_) {
-      if (nl_->is_source(g)) {
-        Planes p{val_[g], known_[g]};
-        apply_mask(g, p);
-        store(g, p);
-      }
-    }
-    for (GateId g : compiled_.comb_topo()) {
-      Planes p = exec(g);
-      if (x_mask_[g]) apply_mask(g, p);
-      store(g, p);
-    }
+    // order. No injection is live yet (the first one settles this sweep).
+    for (GateId g : compiled_.comb_topo()) store(g, exec(g));
     worklist_.reset();
     all_dirty_ = false;
     return;
@@ -234,14 +233,18 @@ void ThreeValuedSimulator::run() {
   worklist_.drain([this](GateId g) {
     Planes p = exec(g);  // SimOp::kSource returns the stored planes
     if (x_mask_[g]) apply_mask(g, p);
-    if (p != Planes{val_[g], known_[g]}) {
-      store(g, p);
+    if (p != planes(g)) {
+      write(g, p);
       worklist_.schedule_fanouts(g);  // appends strictly higher levels only
     }
   });
 }
 
 void ThreeValuedSimulator::run_full() {
+  if (trail_.live()) {
+    // The sweep rewrites every plane pair: log them all for the restore.
+    for (GateId g = 0; g < nl_->size(); ++g) trail_.record(g, planes(g));
+  }
   for (GateId g : nl_->topo_order()) {
     if (nl_->is_combinational(g)) {
       const auto fanins = nl_->fanins(g);
@@ -254,7 +257,7 @@ void ThreeValuedSimulator::run_full() {
       store(g, Planes{v.one, v.one | v.zero});
     }
     if (x_mask_[g]) {
-      Planes p{val_[g], known_[g]};
+      Planes p = planes(g);
       apply_mask(g, p);
       store(g, p);
     }
@@ -287,7 +290,6 @@ void Sim3XBatch::run_singles(std::span<const GateId> batch,
   assert(batch.size() <= capacity());
   sim_.clear_overrides();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    assert(sim_.netlist().is_combinational(batch[i]));
     sim_.inject_x(batch[i], plan_.group_mask(i));
   }
   sim_.run();
@@ -300,10 +302,7 @@ void Sim3XBatch::run_tuples(std::span<const std::vector<GateId>> batch,
   assert(batch.size() <= capacity());
   sim_.clear_overrides();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    for (const GateId g : batch[i]) {
-      assert(sim_.netlist().is_combinational(g));
-      sim_.inject_x(g, plan_.group_mask(i));
-    }
+    for (const GateId g : batch[i]) sim_.inject_x(g, plan_.group_mask(i));
   }
   sim_.run();
   extract(batch.size(), masks);

@@ -12,19 +12,18 @@
 // (sim/compiled.hpp): internally each gate stores dual (value, known)
 // bitplanes — `value` holds the 1-bits, `known` the non-X bits, with the
 // invariant value ⊆ known — evaluated over the same opcode stream as the
-// 2-valued simulator. run() is dirty-cone incremental: X-injection sites,
-// source changes, and cleared overrides seed a level-ordered worklist and
-// only their fanout cones are re-evaluated, so an X-list loop that moves
-// the injection site pays O(|fanout cone|) per candidate instead of
-// O(|circuit|). The pre-kernel full-resweep path is retained as run_full(),
-// the semantic anchor for the differential tests in
+// 2-valued simulator. run() is dirty-cone incremental: X-injection sites
+// and source changes seed a level-ordered worklist and only their fanout
+// cones are re-evaluated. While injections are live, every plane pair run()
+// overwrites is logged on an undo trail (UndoTrail, sim/compiled.hpp), and
+// clear_overrides() writes the logged pairs back instead of re-evaluating
+// the cones. An X-list loop that moves the injection site therefore pays
+// one evaluation of the changed part of the injection's fanout cone plus
+// an O(#pairs written) restore per candidate, instead of O(|circuit|). An
+// injection at a source masks the source's assigned planes only until the
+// clear. The pre-kernel full-resweep path is retained as run_full(), the
+// semantic anchor for the differential tests in
 // tests/sim/sim3_diff_test.cpp.
-//
-// Caveat (same convention as ParallelSimulator value overrides on sources):
-// injecting X directly at a *source* gate masks its stored word in place;
-// after clear_overrides() the source stays X until re-assigned with
-// set_source/set_input_vector. No in-tree caller injects X at sources —
-// candidate pools contain combinational gates only.
 #pragma once
 
 #include <cstdint>
@@ -75,11 +74,15 @@ class ThreeValuedSimulator {
   void set_input_lanes(std::uint64_t lanes, const std::vector<bool>& bits);
 
   /// Force a gate to X (in all pattern slots of `mask`); the override
-  /// survives until clear_overrides().
+  /// survives until clear_overrides(). The first injection after pending
+  /// changes settles them with a run() first, so the undo trail starts from
+  /// a fully evaluated plane.
   void inject_x(GateId g, std::uint64_t mask = ~0ULL);
 
-  /// Drop all X injections; O(#injected gates), and only their cones are
-  /// re-evaluated by the next run().
+  /// Drop all X injections and restore the planes from the undo trail:
+  /// O(#injected gates + #pairs written since the first injection). Source
+  /// values assigned meanwhile are re-assigned after the restore and
+  /// evaluated by the next run().
   void clear_overrides();
 
   /// Evaluate the combinational frame. Incremental: only the fanout cones of
@@ -107,6 +110,7 @@ class ThreeValuedSimulator {
   };
 
   Planes exec(GateId g) const;
+  Planes planes(GateId g) const { return Planes{val_[g], known_[g]}; }
   void store(GateId g, Planes p) {
     val_[g] = p.val;
     known_[g] = p.known;
@@ -117,6 +121,11 @@ class ThreeValuedSimulator {
   }
   void schedule(GateId g);
   void schedule_fanouts(GateId g);
+  /// store() that logs the replaced pair on the undo trail.
+  void write(GateId g, Planes p);
+  /// The planes assigned to source g, even while an injection masks them.
+  Planes source_planes(GateId g) const;
+  void assign_source(GateId g, Planes p);
 
   const Netlist* nl_;
   CompiledNetlist compiled_;
@@ -124,8 +133,7 @@ class ThreeValuedSimulator {
   std::vector<std::uint64_t> val_;
   std::vector<std::uint64_t> known_;
   std::vector<std::uint64_t> x_mask_;  // per-gate forced-X pattern mask
-  std::vector<std::uint8_t> on_x_trail_;
-  std::vector<GateId> x_trail_;  // gates with any X injection set
+  UndoTrail<Planes> trail_;            // injection sites and undo log
 
   bool all_dirty_ = true;  // first run() is a full stream sweep
 
@@ -148,15 +156,14 @@ class ThreeValuedSimulator {
 /// property pinned by tests/common/diff_harness.
 ///
 /// Switching batches only moves X masks: the replicated inputs stay in
-/// place, so every batch after the constructor's priming sweep costs the
-/// merged fanout cones of the previous and current injection sites — not
+/// place, so every batch after the constructor's priming sweep costs an
+/// undo-trail restore of the previous batch (O(#pairs it wrote)) plus one
+/// evaluation of the current injection sites' merged fanout cones — not
 /// |tests| input re-broadcasts, and not one sweep per candidate.
 ///
 /// Copyable; copy-as-clone is the worker-state pattern of the exec/
 /// runtime (a primed prototype is cloned into each worker lane, so clones
-/// start from warm X-free value planes). Candidates must be combinational
-/// gates (X at a source sticks across clear_overrides, which would poison
-/// the next batch).
+/// start from warm X-free value planes).
 class Sim3XBatch {
  public:
   /// Packs tests[begin, begin + count); count must be in [1, 64]. The

@@ -5,13 +5,13 @@
 namespace satdiag {
 
 ParallelSimulator::ParallelSimulator(const Netlist& nl)
-    : nl_(&nl), compiled_(nl), worklist_(nl) {
+    : nl_(&nl), compiled_(nl), worklist_(nl), trail_(nl.size()) {
   init_planes();
 }
 
 ParallelSimulator::ParallelSimulator(const Netlist& nl,
                                      const CompiledNetlist& prototype)
-    : nl_(&nl), compiled_(nl, prototype), worklist_(nl) {
+    : nl_(&nl), compiled_(nl, prototype), worklist_(nl), trail_(nl.size()) {
   init_planes();
 }
 
@@ -20,7 +20,6 @@ void ParallelSimulator::init_planes() {
   values_.assign(n, 0);
   has_value_override_.assign(n, 0);
   value_override_.assign(n, 0);
-  on_override_trail_.assign(n, 0);
   eval_type_.resize(n);
   for (GateId g = 0; g < n; ++g) {
     eval_type_[g] = nl_->type(g);
@@ -78,7 +77,7 @@ std::uint64_t ParallelSimulator::exec(GateId g) const {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty-cone bookkeeping
+// Dirty-cone and undo bookkeeping
 
 void ParallelSimulator::schedule(GateId g) {
   if (!all_dirty_) worklist_.schedule(g);
@@ -88,11 +87,19 @@ void ParallelSimulator::schedule_fanouts(GateId g) {
   if (!all_dirty_) worklist_.schedule_fanouts(g);
 }
 
+void ParallelSimulator::write(GateId g, std::uint64_t word) {
+  trail_.record(g, values_[g]);
+  values_[g] = word;
+}
+
 void ParallelSimulator::mark_override(GateId g) {
-  if (!on_override_trail_[g]) {
-    on_override_trail_[g] = 1;
-    override_trail_.push_back(g);
-  }
+  // The undo trail starts at a clean checkpoint: settle pending work first.
+  if (!trail_.live() && (all_dirty_ || !worklist_.empty())) run();
+  trail_.add_site(g);
+}
+
+std::uint64_t ParallelSimulator::source_word(GateId g) const {
+  return has_value_override_[g] ? trail_.source_word(g) : values_[g];
 }
 
 // ---------------------------------------------------------------------------
@@ -104,11 +111,11 @@ void ParallelSimulator::set_source(GateId g, std::uint64_t word) {
     values_[g] = word;
     return;
   }
+  if (word == source_word(g)) return;
+  if (trail_.live()) trail_.record_source(g, word);
   if (has_value_override_[g]) return;  // the override wins until cleared
-  if (values_[g] != word) {
-    values_[g] = word;
-    schedule_fanouts(g);
-  }
+  write(g, word);
+  schedule_fanouts(g);
 }
 
 void ParallelSimulator::set_input_vector(std::size_t bit,
@@ -118,18 +125,16 @@ void ParallelSimulator::set_input_vector(std::size_t bit,
   const std::uint64_t mask = 1ULL << bit;
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const GateId g = nl_->inputs()[i];
-    if (!all_dirty_ && has_value_override_[g]) continue;
-    const std::uint64_t next =
-        bits[i] ? (values_[g] | mask) : (values_[g] & ~mask);
-    if (next != values_[g]) {
-      values_[g] = next;
-      schedule_fanouts(g);
-    }
+    const std::uint64_t word = source_word(g);
+    set_source(g, bits[i] ? (word | mask) : (word & ~mask));
   }
 }
 
 void ParallelSimulator::set_value_override(GateId g, std::uint64_t word) {
   mark_override(g);
+  if (nl_->is_source(g) && !has_value_override_[g]) {
+    trail_.record_source(g, values_[g]);  // the word the override masks
+  }
   has_value_override_[g] = 1;
   value_override_[g] = word;
   schedule(g);
@@ -146,17 +151,18 @@ void ParallelSimulator::set_type_override(GateId g, GateType type) {
 }
 
 void ParallelSimulator::clear_overrides() {
-  for (GateId g : override_trail_) {
-    on_override_trail_[g] = 0;
+  if (!trail_.live()) return;
+  for (GateId g : trail_.sites()) {
     has_value_override_[g] = 0;
     if (eval_type_[g] != nl_->type(g)) {
       eval_type_[g] = nl_->type(g);
       compiled_.set_op(
           g, CompiledNetlist::opcode_for(nl_->type(g), nl_->fanins(g).size()));
     }
-    schedule(g);  // its cone reverts on the next run()
   }
-  override_trail_.clear();
+  worklist_.reset();  // the checkpoint had no pending work
+  trail_.restore([this](GateId g, std::uint64_t word) { values_[g] = word; },
+                 [this](GateId g, std::uint64_t word) { set_source(g, word); });
 }
 
 // ---------------------------------------------------------------------------
@@ -165,18 +171,8 @@ void ParallelSimulator::clear_overrides() {
 void ParallelSimulator::run() {
   if (all_dirty_) {
     // First evaluation: one pass over the compiled stream in topological
-    // order. Overridden sources are fixed up front; combinational overrides
-    // are applied in-stream.
-    for (GateId g : override_trail_) {
-      if (has_value_override_[g] && nl_->is_source(g)) {
-        values_[g] = value_override_[g];
-      }
-    }
-    for (GateId g : compiled_.comb_topo()) {
-      std::uint64_t v = exec(g);
-      if (has_value_override_[g]) v = value_override_[g];
-      values_[g] = v;
-    }
+    // order. No override is live yet (the first one settles this sweep).
+    for (GateId g : compiled_.comb_topo()) values_[g] = exec(g);
     worklist_.reset();
     all_dirty_ = false;
     return;
@@ -185,13 +181,17 @@ void ParallelSimulator::run() {
     std::uint64_t v = exec(g);  // SimOp::kSource returns values_[g]
     if (has_value_override_[g]) v = value_override_[g];
     if (v != values_[g]) {
-      values_[g] = v;
+      write(g, v);
       worklist_.schedule_fanouts(g);  // appends strictly higher levels only
     }
   });
 }
 
 void ParallelSimulator::run_full() {
+  if (trail_.live()) {
+    // The sweep rewrites every word: log them all for the restore.
+    for (GateId g = 0; g < nl_->size(); ++g) trail_.record(g, values_[g]);
+  }
   sweep_words(
       *nl_, values_, fanin_buf_, [this](GateId g) { return eval_type_[g]; },
       [this](GateId g, std::uint64_t& word) {
@@ -203,16 +203,7 @@ void ParallelSimulator::run_full() {
 }
 
 void ParallelSimulator::step_state() {
-  for (GateId d : nl_->dffs()) {
-    std::uint64_t v = values_[nl_->fanins(d)[0]];
-    if (has_value_override_[d]) v = value_override_[d];
-    if (all_dirty_) {
-      values_[d] = v;  // the pending full sweep reads the latched value
-    } else if (v != values_[d]) {
-      values_[d] = v;
-      schedule_fanouts(d);
-    }
-  }
+  for (GateId d : nl_->dffs()) set_source(d, values_[nl_->fanins(d)[0]]);
 }
 
 }  // namespace satdiag

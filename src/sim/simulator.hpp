@@ -9,11 +9,15 @@
 // resimulation: sources and overrides changed since the last run() seed a
 // level-ordered worklist; only the affected fanout cone is re-evaluated, and
 // gates whose 64-pattern word comes out unchanged terminate their cone
-// early. A diagnosis loop that flips one override per candidate therefore
-// pays O(|fanout cone|) per run() instead of O(|circuit|). This same role —
-// fast what-if resimulation after a baseline sweep — used to be a separate
-// EventSimulator class; it is now simply this incremental mode
-// (set_value_override / set_type_override, run(), clear_overrides()).
+// early. While overrides are live, every word run() overwrites is logged on
+// an undo trail (UndoTrail, sim/compiled.hpp), and clear_overrides() writes
+// the logged words back instead of scheduling the cone for re-evaluation.
+// A what-if loop — set_value_override / set_type_override, run(), read the
+// outputs, clear_overrides() — therefore pays one evaluation of the changed
+// part of the override's fanout cone plus an O(#words written) restore per
+// candidate, instead of O(|circuit|). This same role — fast what-if
+// resimulation after a baseline sweep — used to be a separate EventSimulator
+// class; it is now simply this incremental mode.
 //
 // The netlist must not be mutated (substitute_type) after the simulator is
 // constructed: gate functions are compiled into the opcode stream. Use
@@ -75,25 +79,28 @@ class ParallelSimulator {
   const Netlist& netlist() const { return *nl_; }
 
   /// Assign the 64-pattern word of a source gate (input or DFF output).
-  /// While a value override is active on `g` the word is ignored and
-  /// dropped — re-assign sources after clear_overrides() if they changed
-  /// while overridden. (No in-tree caller sources an overridden gate; the
-  /// diagnosis loops always clear overrides before setting new inputs.)
+  /// While a value override is active on `g` the override stays visible;
+  /// the assigned word takes effect when clear_overrides() drops it.
   void set_source(GateId g, std::uint64_t word);
 
   /// Assign pattern slot `bit` of every primary input from `bits`
   /// (ordered like netlist.inputs()).
   void set_input_vector(std::size_t bit, const std::vector<bool>& bits);
 
-  /// Force a gate to a value, masking its computed function (used for fault
-  /// injection and what-if analysis). Cleared by clear_overrides().
+  /// Force a gate to a value, masking its computed function or, on a
+  /// source, its assigned word (used for fault injection and what-if
+  /// analysis). Cleared by clear_overrides(). The first override after
+  /// pending changes settles them with a run() first, so the undo trail
+  /// starts from a fully evaluated plane.
   void set_value_override(GateId g, std::uint64_t word);
 
   /// Evaluate gate g with a different function (gate-substitution faults).
   void set_type_override(GateId g, GateType type);
 
-  /// Drop all overrides; O(#overridden gates), and only their cones are
-  /// re-evaluated by the next run().
+  /// Drop all overrides and restore the plane from the undo trail:
+  /// O(#overridden gates + #words written since the first override). Source
+  /// words assigned meanwhile are re-assigned after the restore and
+  /// evaluated by the next run().
   void clear_overrides();
 
   /// Evaluate the combinational frame. Incremental: only the fanout cones of
@@ -120,7 +127,10 @@ class ParallelSimulator {
   std::uint64_t exec(GateId g) const;
   void schedule(GateId g);
   void schedule_fanouts(GateId g);
+  void write(GateId g, std::uint64_t word);
   void mark_override(GateId g);
+  /// The word assigned to source g, even while an override masks it.
+  std::uint64_t source_word(GateId g) const;
 
   const Netlist* nl_;
   CompiledNetlist compiled_;
@@ -129,8 +139,7 @@ class ParallelSimulator {
   std::vector<std::uint8_t> has_value_override_;
   std::vector<std::uint64_t> value_override_;
   std::vector<GateType> eval_type_;  // per-gate effective type
-  std::vector<std::uint8_t> on_override_trail_;
-  std::vector<GateId> override_trail_;  // gates with any override set
+  UndoTrail<std::uint64_t> trail_;   // override sites and undo log
 
   bool all_dirty_ = true;  // first run() is a full stream sweep
 

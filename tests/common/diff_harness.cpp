@@ -216,6 +216,46 @@ std::string check_batch_vs_run_full(const DiffConfig& config) {
   return "";
 }
 
+std::string check_batch_input_candidates_vs_run_full(
+    const DiffConfig& config) {
+  const DiffInstance inst = make_instance(config);
+  // Primary inputs interleaved with the combinational singles, so every
+  // batch (and the batch after it) injects X at a source in some group.
+  const auto& inputs = inst.nl.inputs();
+  std::vector<GateId> singles;
+  for (std::size_t i = 0; i < std::max(inputs.size(), inst.singles.size());
+       ++i) {
+    if (i < inputs.size()) singles.push_back(inputs[i]);
+    if (i < inst.singles.size()) singles.push_back(inst.singles[i]);
+  }
+  const auto batched = batched_masks_singles(inst.nl, inst.tests, singles);
+  const auto reference = scalar_reach_masks(inst.nl, inst.tests,
+                                            as_tuples(singles),
+                                            /*use_run_full=*/true);
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    if (batched[i] != reference[i]) {
+      return format_mask_mismatch("input singles", i, batched[i],
+                                  reference[i]);
+    }
+  }
+  // Tuples joining a primary input to a random combinational tuple.
+  std::vector<std::vector<GateId>> tuples = inst.tuples;
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    tuples[i].push_back(inputs[i % inputs.size()]);
+  }
+  const auto batched_tuples = batched_masks_tuples(inst.nl, inst.tests,
+                                                   tuples);
+  const auto tuple_reference = scalar_reach_masks(inst.nl, inst.tests, tuples,
+                                                  /*use_run_full=*/true);
+  for (std::size_t i = 0; i < batched_tuples.size(); ++i) {
+    if (batched_tuples[i] != tuple_reference[i]) {
+      return format_mask_mismatch("input tuples", i, batched_tuples[i],
+                                  tuple_reference[i]);
+    }
+  }
+  return "";
+}
+
 std::string check_lane_permutation_invariance(const DiffConfig& config) {
   const DiffInstance inst = make_instance(config);
   const auto original = batched_masks_singles(inst.nl, inst.tests,

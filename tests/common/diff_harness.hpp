@@ -72,6 +72,10 @@ std::string check_batch_singles_vs_scalar(const DiffConfig& config);
 std::string check_batch_tuples_vs_scalar(const DiffConfig& config);
 /// Batched singles vs fresh run_full() re-derivations.
 std::string check_batch_vs_run_full(const DiffConfig& config);
+/// Batched singles and tuples that include primary inputs (X injected at
+/// a source) vs fresh run_full() re-derivations.
+std::string check_batch_input_candidates_vs_run_full(
+    const DiffConfig& config);
 /// Permuting the candidates across lane groups must permute the masks and
 /// nothing else (lane groups are independent).
 std::string check_lane_permutation_invariance(const DiffConfig& config);

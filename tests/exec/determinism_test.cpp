@@ -3,6 +3,7 @@
 // tables must be bit-identical for threads in {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "diag/bsat.hpp"
@@ -210,8 +211,9 @@ TEST(ParallelDeterminismTest, FaultSimCountsAreThreadCountInvariant) {
 }
 
 TEST(ParallelDeterminismTest, FaultSimMatchesTheSerialReferenceLoop) {
-  // Independent serial re-implementation (the historical bench loop): one
-  // simulator, golden sweep, then override/run/diff per fault.
+  // Independent reference: one full sweep_words pass per (site, polarity)
+  // with the stuck value forced by the `finish` hook — no incremental
+  // simulator, so it shares no override or restore code with the grade.
   const PreparedExperiment prepared = prepare("s298_like", 1, 4);
   const Netlist& nl = prepared.golden;
   const std::vector<GateId> sites = stuck_at_sites(nl);
@@ -224,32 +226,42 @@ TEST(ParallelDeterminismTest, FaultSimMatchesTheSerialReferenceLoop) {
       simulate_stuck_at_faults(nl, sites, rng, options);
 
   Rng ref_rng(7);
-  ParallelSimulator sim(nl);
-  std::vector<std::uint64_t> golden(nl.outputs().size());
+  std::vector<std::uint64_t> input_words(nl.inputs().size());
+  std::vector<std::uint64_t> values(nl.size());
+  std::vector<std::uint64_t> fanin_buf;
+  const auto outputs_with = [&](GateId site, std::uint64_t stuck) {
+    std::fill(values.begin(), values.end(), 0);
+    for (std::size_t i = 0; i < input_words.size(); ++i) {
+      values[nl.inputs()[i]] = input_words[i];
+    }
+    sweep_words(
+        nl, values, fanin_buf, [&nl](GateId g) { return nl.type(g); },
+        [&](GateId g, std::uint64_t& word) {
+          if (g == site) word = stuck;
+        });
+    std::vector<std::uint64_t> out;
+    for (GateId o : nl.outputs()) out.push_back(values[o]);
+    return out;
+  };
   std::size_t ref_faults = 0;
   std::size_t ref_detected = 0;
+  std::vector<std::uint8_t> ref_site_detected(sites.size(), 0);
   for (std::size_t round = 0; round < 2; ++round) {
-    for (GateId in : nl.inputs()) sim.set_source(in, ref_rng.next_u64());
-    sim.run();
-    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-      golden[i] = sim.value(nl.outputs()[i]);
-    }
-    for (GateId g : sites) {
-      for (int polarity = 0; polarity < 2; ++polarity) {
-        sim.set_value_override(g, polarity ? ~0ULL : 0ULL);
-        sim.run();
+    for (std::uint64_t& word : input_words) word = ref_rng.next_u64();
+    const std::vector<std::uint64_t> golden = outputs_with(kNoGate, 0);
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      for (const std::uint64_t stuck : {0ULL, ~0ULL}) {
         ++ref_faults;
-        std::uint64_t diff = 0;
-        for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-          diff |= golden[i] ^ sim.value(nl.outputs()[i]);
+        if (outputs_with(sites[i], stuck) != golden) {
+          ++ref_detected;
+          ref_site_detected[i] = 1;
         }
-        if (diff != 0) ++ref_detected;
-        sim.clear_overrides();
       }
     }
   }
   EXPECT_EQ(result.faults, ref_faults);
   EXPECT_EQ(result.detected, ref_detected);
+  EXPECT_EQ(result.site_detected, ref_site_detected);
 }
 
 TEST(ParallelDeterminismTest, XListCandidatesAreThreadCountInvariant) {

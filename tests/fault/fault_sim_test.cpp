@@ -75,6 +75,29 @@ TEST(FaultSimTest, AnOutputStuckAtIsAlwaysDetectedInSomePolarity) {
   }
 }
 
+TEST(FaultSimTest, OnlyTheDetectablePolarityOfASiteCounts) {
+  // t = OR(a, NOT a) is constant 1, so t stuck-at-1 is undetectable while
+  // t stuck-at-0 shows at z = AND(t, b) in every lane where b = 1. One
+  // all-lane flip per site must still grade the two polarities apart.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId na = nl.add_gate(GateType::kNot, "na", {a});
+  const GateId t = nl.add_gate(GateType::kOr, "t", {a, na});
+  const GateId z = nl.add_gate(GateType::kAnd, "z", {t, b});
+  nl.add_output(z);
+  nl.finalize();
+  Rng rng(5);
+  StuckAtFaultSimOptions options;
+  options.rounds = 3;
+  const std::vector<GateId> sites{t};
+  const StuckAtFaultSimResult result =
+      simulate_stuck_at_faults(nl, sites, rng, options);
+  EXPECT_EQ(result.faults, 2u * 3u);
+  EXPECT_EQ(result.detected, 3u);  // stuck-at-0 once per round
+  EXPECT_EQ(result.site_detected, std::vector<std::uint8_t>{1});
+}
+
 TEST(FaultSimTest, NoSitesOrNoRoundsYieldEmptyResults) {
   const Netlist nl = small_circuit();
   Rng rng(4);

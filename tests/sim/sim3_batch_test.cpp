@@ -122,6 +122,13 @@ TEST(Sim3BatchDiffTest, BatchedSinglesMatchRunFullReference) {
                                  DiffConfig{.seed = 3000}, 8));
 }
 
+TEST(Sim3BatchDiffTest, PrimaryInputCandidatesMatchRunFullReference) {
+  EXPECT_TRUE(difftest::run_diff(
+      "batched input candidates vs run_full",
+      difftest::check_batch_input_candidates_vs_run_full,
+      DiffConfig{.seed = 3500}, 8));
+}
+
 TEST(Sim3BatchDiffTest, LanePermutationInvariance) {
   EXPECT_TRUE(difftest::run_diff(
       "lane permutation invariance",

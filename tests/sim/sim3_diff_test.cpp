@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "common/diff_harness.hpp"
 #include "diag/effect.hpp"
 #include "diag/xlist.hpp"
 #include "fault/injector.hpp"
@@ -160,6 +162,85 @@ TEST(Sim3DiffTest, PerCandidateXInjectionLoopMatchesFreshSimulation) {
       ASSERT_EQ(a.zero, b.zero)
           << "X at " << nl.gate_name(g) << ", output " << nl.gate_name(o);
     }
+  }
+}
+
+// Undo-trail restores: random interleavings of 3-valued source values,
+// per-lane input vectors, X injections (sources included), runs, clears and
+// mid-trail clones. After every clear + run each gate must equal a fresh
+// simulator's run_full() on the inputs assigned so far.
+TEST(Sim3DiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
+  const std::size_t iters = difftest::iterations(12);
+  for (std::size_t iter = 0; iter < iters; ++iter) {
+    Rng rng(0x3a11 + iter * 7919);
+    const Netlist nl =
+        random_netlist(rng.next_u64(), 60 + rng.next_below(200));
+    std::vector<Val3> inputs(nl.size());  // assigned primary-input values
+
+    auto sim = std::make_unique<ThreeValuedSimulator>(nl);
+    const auto assign_lanes = [&](std::uint64_t lanes) {
+      std::vector<bool> bits;
+      for (GateId g : nl.inputs()) {
+        bits.push_back(rng.next_bool());
+        Val3& v = inputs[g];
+        v.one = bits.back() ? (v.one | lanes) : (v.one & ~lanes);
+        v.zero = bits.back() ? (v.zero & ~lanes) : (v.zero | lanes);
+      }
+      sim->set_input_lanes(lanes, bits);
+    };
+    assign_lanes(rng.next_u64());
+    if (rng.next_bool()) sim->run();
+
+    const auto check = [&](std::size_t step) {
+      ThreeValuedSimulator fresh(nl);
+      for (GateId g : nl.inputs()) fresh.set_source(g, inputs[g]);
+      fresh.run_full();
+      for (GateId g = 0; g < nl.size(); ++g) {
+        ASSERT_EQ(sim->value(g), fresh.value(g))
+            << "iter " << iter << " step " << step << ": gate "
+            << nl.gate_name(g);
+      }
+    };
+
+    for (std::size_t step = 0; step < 80; ++step) {
+      switch (rng.next_below(9)) {
+        case 0: {  // random 0/1/X word on one input
+          const GateId g = rng.pick(nl.inputs());
+          inputs[g] = random_val3(rng);
+          sim->set_source(g, inputs[g]);
+          break;
+        }
+        case 1:  // one pattern slot of every input
+          assign_lanes(1ULL << rng.next_below(64));
+          break;
+        case 2:  // a broadcast over random lanes
+          assign_lanes(rng.next_u64());
+          break;
+        case 3:
+        case 4: {  // X injection anywhere, inputs included
+          const GateId g = static_cast<GateId>(rng.next_below(nl.size()));
+          sim->inject_x(g, rng.next_bool() ? ~0ULL : rng.next_u64());
+          break;
+        }
+        case 5:
+        case 6:
+          sim->run();  // several runs may land before one clear
+          break;
+        case 7:  // copy-as-clone: continue on the copy, drop the original
+          sim = std::make_unique<ThreeValuedSimulator>(*sim);
+          break;
+        case 8:  // a clear, with or without a run since the last injection
+          sim->clear_overrides();
+          sim->run();
+          check(step);
+          if (::testing::Test::HasFatalFailure()) return;
+          break;
+      }
+    }
+    sim->clear_overrides();
+    sim->run();
+    check(80);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -139,5 +139,39 @@ TEST(Sim3Test, ClearOverridesRestoresBinary) {
   EXPECT_TRUE(sim.value(g).is_one(0));
 }
 
+TEST(Sim3Test, ClearingASourceInjectionRestoresTheSourceValue) {
+  // An X injected at a primary input masks the input's assigned value only
+  // until clear_overrides(): afterwards every gate must match a fresh
+  // simulator on the original inputs.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId z = nl.add_gate(GateType::kAnd, "z", {a, b});
+  nl.add_output(z);
+  nl.finalize();
+  const auto assign = [&](ThreeValuedSimulator& sim) {
+    sim.set_input_vector(0, {true, true});
+    sim.set_input_vector(1, {false, true});
+  };
+  ThreeValuedSimulator sim(nl);
+  assign(sim);
+  sim.run();
+  sim.inject_x(a);
+  sim.run();
+  EXPECT_TRUE(sim.value(a).is_x(0));
+  EXPECT_TRUE(sim.value(z).is_x(0));
+  sim.clear_overrides();
+  sim.run();
+
+  ThreeValuedSimulator fresh(nl);
+  assign(fresh);
+  fresh.run_full();
+  for (GateId g = 0; g < nl.size(); ++g) {
+    EXPECT_EQ(sim.value(g), fresh.value(g)) << nl.gate_name(g);
+  }
+  EXPECT_TRUE(sim.value(z).is_one(0));
+  EXPECT_TRUE(sim.value(z).is_zero(1));
+}
+
 }  // namespace
 }  // namespace satdiag

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/diff_harness.hpp"
 #include "gen/generator.hpp"
 #include "util/rng.hpp"
 
@@ -142,6 +145,93 @@ TEST(SimulatorDiffTest, PerCandidateFaultLoopMatchesFreshSimulation) {
       }
       inc.clear_overrides();
     }
+  }
+}
+
+// Undo-trail restores: random interleavings of source assignments,
+// overrides (sources included), runs, clears and mid-trail clones. After
+// every clear + run each gate must equal a fresh simulator's run_full() on
+// the sources assigned so far, so a restore that misses a write or drops a
+// source assigned while overrides were live shows up.
+TEST(SimulatorDiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
+  const std::size_t iters = difftest::iterations(12);
+  for (std::size_t iter = 0; iter < iters; ++iter) {
+    Rng rng(0x7a11 + iter * 7919);
+    const Netlist nl = random_netlist(rng.next_u64(),
+                                      60 + rng.next_below(200),
+                                      rng.next_below(5));
+    std::vector<GateId> sources = nl.inputs();
+    sources.insert(sources.end(), nl.dffs().begin(), nl.dffs().end());
+    std::vector<std::uint64_t> words(nl.size(), 0);  // assigned source words
+
+    auto sim = std::make_unique<ParallelSimulator>(nl);
+    const auto assign = [&](GateId g, std::uint64_t word) {
+      words[g] = word;
+      sim->set_source(g, word);
+    };
+    for (GateId g : sources) assign(g, rng.next_u64());
+    if (rng.next_bool()) sim->run();
+
+    const auto check = [&](std::size_t step) {
+      ParallelSimulator fresh(nl);
+      for (GateId g : sources) fresh.set_source(g, words[g]);
+      fresh.run_full();
+      for (GateId g = 0; g < nl.size(); ++g) {
+        ASSERT_EQ(sim->value(g), fresh.value(g))
+            << "iter " << iter << " step " << step << ": gate "
+            << nl.gate_name(g);
+      }
+    };
+
+    for (std::size_t step = 0; step < 80; ++step) {
+      switch (rng.next_below(8)) {
+        case 0:
+          assign(rng.pick(sources), rng.next_u64());
+          break;
+        case 1: {  // one pattern slot of every primary input
+          const std::size_t bit = rng.next_below(64);
+          const std::uint64_t mask = 1ULL << bit;
+          std::vector<bool> bits;
+          for (GateId g : nl.inputs()) {
+            bits.push_back(rng.next_bool());
+            words[g] = bits.back() ? (words[g] | mask) : (words[g] & ~mask);
+          }
+          sim->set_input_vector(bit, bits);
+          break;
+        }
+        case 2: {  // value override anywhere, sources included
+          const GateId g = static_cast<GateId>(rng.next_below(nl.size()));
+          sim->set_value_override(
+              g, rng.next_bool() ? (rng.next_bool() ? ~0ULL : 0ULL)
+                                 : rng.next_u64());
+          break;
+        }
+        case 3: {
+          const GateId g = static_cast<GateId>(rng.next_below(nl.size()));
+          if (!nl.is_combinational(g)) break;
+          sim->set_type_override(
+              g, rng.pick(substitutable_types(nl.fanins(g).size())));
+          break;
+        }
+        case 4:
+        case 5:
+          sim->run();  // several runs may land before one clear
+          break;
+        case 6:  // copy-as-clone: continue on the copy, drop the original
+          sim = std::make_unique<ParallelSimulator>(*sim);
+          break;
+        case 7:  // a clear, with or without a run since the last override
+          sim->clear_overrides();
+          sim->run();
+          check(step);
+          if (::testing::Test::HasFatalFailure()) return;
+          break;
+      }
+    }
+    sim->clear_overrides();
+    sim->run();
+    check(80);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

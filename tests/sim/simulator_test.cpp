@@ -83,6 +83,39 @@ TEST(SimulatorTest, ValueOverrideForcesGate) {
   EXPECT_EQ(sim.value(h), 0ULL);
 }
 
+TEST(SimulatorTest, ClearingASourceOverrideRestoresTheSourceWord) {
+  // A value override on a primary input masks the input's assigned word
+  // only until clear_overrides(): afterwards every gate must match a fresh
+  // simulator on the original inputs.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId z = nl.add_gate(GateType::kAnd, "z", {a, b});
+  nl.add_output(z);
+  nl.finalize();
+  const auto assign = [&](ParallelSimulator& sim) {
+    sim.set_source(a, 0xf0f0);
+    sim.set_source(b, 0xff00);
+  };
+  ParallelSimulator sim(nl);
+  assign(sim);
+  sim.run();
+  sim.set_value_override(a, 0);
+  sim.run();
+  EXPECT_EQ(sim.value(a), 0u);
+  EXPECT_EQ(sim.value(z), 0u);
+  sim.clear_overrides();
+  sim.run();
+
+  ParallelSimulator fresh(nl);
+  assign(fresh);
+  fresh.run_full();
+  for (GateId g = 0; g < nl.size(); ++g) {
+    EXPECT_EQ(sim.value(g), fresh.value(g)) << nl.gate_name(g);
+  }
+  EXPECT_EQ(sim.value(z), 0xf000u);
+}
+
 TEST(SimulatorTest, TypeOverrideChangesFunction) {
   Netlist nl;
   const GateId a = nl.add_input("a");
