@@ -179,9 +179,13 @@ std::string to_json(const GenResult& result, const std::string& written_to) {
 
 // --- diagnose -------------------------------------------------------------
 
+namespace {
+
 bool sat_backed(const std::string& approach) {
   return approach == "bsat" || approach == "hybrid";
 }
+
+}  // namespace
 
 DiagnoseRequest parse_diagnose(const CliArgs& args,
                                std::size_t default_threads) {

@@ -92,7 +92,6 @@ struct DiagnoseResult {
   /// bsim only: the marking behind Gmax.
   BsimResult bsim;
 };
-bool sat_backed(const std::string& approach);
 /// `default_threads` applies to SAT-backed approaches that omit --threads
 /// (serve passes its lane count); an explicit --threads > 1 on bsim/cov is
 /// an error.

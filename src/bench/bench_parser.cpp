@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -23,7 +24,7 @@ struct Definition {
 struct ParseState {
   std::map<std::string, Definition> defs;
   std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
+  std::vector<std::pair<std::string, int>> outputs;  // name, line
   std::map<std::string, int> input_lines;
 };
 
@@ -129,7 +130,7 @@ Netlist parse_bench(std::istream& in, std::string circuit_name) {
         }
         state.input_names.push_back(args[0]);
       } else if (iequals(head, "OUTPUT")) {
-        state.output_names.push_back(args[0]);
+        state.outputs.emplace_back(args[0], line_no);
       } else {
         fail(line_no, strprintf("unknown directive '%s'", head.c_str()));
       }
@@ -174,10 +175,10 @@ Netlist parse_bench(std::istream& in, std::string circuit_name) {
     emitter.emit(name, def.line);
   }
   emitter.resolve_dffs();
-  for (const std::string& name : state.output_names) {
+  for (const auto& [name, line] : state.outputs) {
     const GateId g = nl.find(name);
     if (g == kNoGate) {
-      fail(0, strprintf("OUTPUT of undefined signal '%s'", name.c_str()));
+      fail(line, strprintf("OUTPUT of undefined signal '%s'", name.c_str()));
     }
     nl.add_output(g);
   }

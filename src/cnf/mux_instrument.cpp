@@ -32,10 +32,8 @@ namespace {
 
 // Cone cache tags. fanin_cone is a pure function of (netlist, roots), so
 // (fingerprint, root tag) addresses a cone exactly; per-test cones use the
-// erroneous output gate as tag, the constrain_passing_outputs cone covers
-// all outputs at once.
+// erroneous output gate as tag.
 constexpr std::uint64_t kNoConeTag = ~0ull;
-constexpr std::uint64_t kAllOutputsTag = ~0ull - 1;
 
 std::shared_ptr<const std::vector<bool>> cached_cone(
     const Netlist& nl, const cache::ArtifactKey& nl_fp, std::uint64_t tag,
@@ -54,15 +52,11 @@ std::shared_ptr<const std::vector<bool>> cached_cone(
 }
 
 /// Cone-of-influence reduction: the fanin cone of each copy's constrained
-/// output(s). Empty when the reduction is off (every gate is encoded in
-/// every copy); with constrain_passing_outputs every copy constrains all
-/// outputs, so one shared cone serves every copy.
+/// output, indexed by test. Empty when the reduction is off (every gate is
+/// encoded in every copy).
 struct CopyCones {
   std::vector<std::shared_ptr<const std::vector<bool>>> cones;
   std::vector<std::uint64_t> tags;  // cache tag of each cone
-
-  /// Index into cones/tags of test copy t.
-  std::size_t index(std::size_t t) const { return cones.size() == 1 ? 0 : t; }
 };
 
 /// Which gates are rooted where is decided here; `cone_of(tag, roots)`
@@ -76,11 +70,6 @@ CopyCones copy_cones(const Netlist& nl, const TestSet& tests,
                      ConeOf cone_of) {
   CopyCones out;
   if (!options.cone_of_influence) return out;
-  if (options.constrain_passing_outputs) {
-    out.cones.push_back(cone_of(kAllOutputsTag, nl.outputs()));
-    out.tags.push_back(kAllOutputsTag);
-    return out;
-  }
   out.cones.reserve(tests.size());
   out.tags.reserve(tests.size());
   for (const Test& test : tests) {
@@ -193,11 +182,10 @@ DiagnosisInstance build_stamped_instance(
   std::unordered_map<std::uint64_t, CopyPlan> plans;
   const auto plan_for = [&](std::size_t t) -> const CopyPlan& {
     const bool coi = !cones.cones.empty();
-    const std::uint64_t tag = coi ? cones.tags[cones.index(t)] : kNoConeTag;
+    const std::uint64_t tag = coi ? cones.tags[t] : kNoConeTag;
     auto [it, inserted] = plans.try_emplace(tag);
     if (inserted) {
-      const std::vector<bool>* cone =
-          coi ? cones.cones[cones.index(t)].get() : nullptr;
+      const std::vector<bool>* cone = coi ? cones.cones[t].get() : nullptr;
       it->second.ts = cached_copy_template(nl, nl_fp, cone, tag,
                                            instrumented_flags,
                                            inst.instrumented, options);
@@ -250,24 +238,14 @@ DiagnosisInstance build_stamped_instance(
           base + static_cast<Var>(ts.correction_local[j]);
     }
 
-    // Per-test unit constraints, in the walk's order: inputs, erroneous
-    // output, passing outputs.
+    // Per-test unit constraints, in the walk's order: inputs, then the
+    // erroneous output.
     for (const auto& [input_pos, local] : ts.input_locals) {
       solver.add_clause(Lit(base + static_cast<Var>(local),
                             /*negated=*/!test.input_values[input_pos]));
     }
     const GateId out_gate = test_output_gate(nl, test);
     solver.add_clause(enc.lit(out_gate, /*negated=*/!test.correct_value));
-
-    if (options.constrain_passing_outputs) {
-      assert(options.expected_outputs.size() == tests.size());
-      const auto& golden = options.expected_outputs[t];
-      assert(golden.size() == nl.outputs().size());
-      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-        if (o == test.output_index) continue;
-        solver.add_clause(enc.lit(nl.outputs()[o], /*negated=*/!golden[o]));
-      }
-    }
 
     inst.copies.push_back(std::move(enc));
   }
@@ -317,7 +295,7 @@ DiagnosisInstance build_diagnosis_instance(
       });
   inst.instrumented = resolve_universe(nl, options, cones);
   const auto in_copy = [&](std::size_t t, GateId g) -> bool {
-    return cones.cones.empty() || (*cones.cones[cones.index(t)])[g];
+    return cones.cones.empty() || (*cones.cones[t])[g];
   };
 
   // Shared select lines (free/decision variables). Frozen: the diagnosis
@@ -398,16 +376,6 @@ DiagnosisInstance build_diagnosis_instance(
     // Constrain the erroneous output to its correct value.
     const GateId out_gate = test_output_gate(nl, test);
     solver.add_clause(enc.lit(out_gate, /*negated=*/!test.correct_value));
-
-    if (options.constrain_passing_outputs) {
-      assert(options.expected_outputs.size() == tests.size());
-      const auto& golden = options.expected_outputs[t];
-      assert(golden.size() == nl.outputs().size());
-      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-        if (o == test.output_index) continue;
-        solver.add_clause(enc.lit(nl.outputs()[o], /*negated=*/!golden[o]));
-      }
-    }
 
     inst.copies.push_back(std::move(enc));
   }

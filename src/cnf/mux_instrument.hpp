@@ -38,7 +38,7 @@ struct DiagnosisInstanceOptions {
   /// When false, internal gate variables are not decision variables.
   bool internal_decisions = false;
   /// Cone-of-influence reduction: each test copy encodes only the fanin
-  /// cone of that copy's constrained output(s), and the instrumented set is
+  /// cone of that copy's constrained output, and the instrumented set is
   /// intersected with the union of those cones. A gate outside every cone
   /// can never influence a constrained output, so it is never part of a
   /// valid *essential* correction and never changes the satisfiability of a
@@ -48,12 +48,6 @@ struct DiagnosisInstanceOptions {
   /// that read model values of arbitrary gates from the copies
   /// (repair/realize.cpp) need the full encodings.
   bool cone_of_influence = false;
-  /// Extension beyond the paper: also pin every non-erroneous output of each
-  /// test copy to its golden value (requires expected_outputs).
-  bool constrain_passing_outputs = false;
-  /// Golden output values per test (over netlist.outputs()), used only with
-  /// constrain_passing_outputs.
-  std::vector<std::vector<bool>> expected_outputs;
   /// Build copies by stamping cached ClauseStream templates (one encoder
   /// walk per distinct (circuit, cone, universe, options) key, relocated per
   /// copy) instead of re-walking the netlist per test. Produces a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "diag/cover.hpp"
 #include "exec/parallel.hpp"
 #include "netlist/analysis.hpp"
 #include "sim/sim3.hpp"
@@ -72,48 +71,6 @@ std::vector<GateId> candidate_pool(const Netlist& nl, const TestSet& tests,
   return pool;
 }
 
-/// Select the first `max_tuples` tuples (in `tuples` order) whose joint X
-/// injection floods every test's erroneous output — the scalar per-tuple
-/// criterion, evaluated lane-batched: one Sim3XBatch per 64-test chunk
-/// (built once, the replicated inputs persist across batches), tuples
-/// verified in capacity-sized batches, stopping as soon as enough have
-/// passed or the deadline expires (unverified tuples are never returned,
-/// exactly like the scalar loop's early exit).
-std::vector<std::vector<GateId>> verify_joint_covers(
-    const Netlist& nl, const TestSet& tests,
-    std::span<const std::vector<GateId>> tuples, std::size_t max_tuples,
-    const Deadline& deadline) {
-  std::vector<std::vector<GateId>> kept;
-  if (tuples.empty() || max_tuples == 0) return kept;
-  std::vector<Sim3XBatch> chunks;
-  std::size_t cap = 64;
-  for (std::size_t base = 0; base < tests.size(); base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-    if (deadline.expired()) return kept;  // priming sweeps are not free
-    chunks.emplace_back(nl, tests, base, count);
-    cap = std::min(cap, chunks.back().capacity());
-  }
-  std::uint64_t masks[64];
-  for (std::size_t begin = 0;
-       begin < tuples.size() && kept.size() < max_tuples; begin += cap) {
-    if (deadline.expired()) break;
-    const std::size_t n = std::min(cap, tuples.size() - begin);
-    std::uint8_t ok[64];
-    std::fill(ok, ok + n, 1);
-    for (Sim3XBatch& chunk : chunks) {
-      const std::uint64_t full = chunk.full_mask();
-      chunk.run_tuples(tuples.subspan(begin, n), masks);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (masks[i] != full) ok[i] = 0;
-      }
-    }
-    for (std::size_t i = 0; i < n && kept.size() < max_tuples; ++i) {
-      if (ok[i]) kept.push_back(tuples[begin + i]);
-    }
-  }
-  return kept;
-}
-
 }  // namespace
 
 std::vector<GateId> xlist_single_candidates(const Netlist& nl,
@@ -167,42 +124,6 @@ std::vector<GateId> xlist_single_candidates(const Netlist& nl,
   for (GateId g : pool) {
     if (alive[g]) result.push_back(g);
   }
-  return result;
-}
-
-std::vector<std::vector<GateId>> xlist_tuple_candidates(
-    const Netlist& nl, const TestSet& tests, unsigned k,
-    std::size_t max_tuples, const XListOptions& options) {
-  assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
-  std::vector<std::vector<GateId>> result;
-  if (tests.empty()) return result;
-
-  // Per-test X-lists (first 64 tests bound the covering stage; additional
-  // tests are still enforced by the joint verification below).
-  const std::size_t bound = std::min<std::size_t>(64, tests.size());
-  const TestSet head(tests.begin(),
-                     tests.begin() + static_cast<std::ptrdiff_t>(bound));
-  const std::vector<GateId> pool = candidate_pool(nl, tests, options);
-  exec::ThreadPool workers(options.num_threads);
-  const auto masks = reach_masks(workers, nl, head, pool, options.deadline);
-
-  std::vector<std::vector<GateId>> per_test(bound);
-  for (GateId g : pool) {
-    for (std::size_t b = 0; b < bound; ++b) {
-      if ((masks[g] >> b) & 1ULL) per_test[b].push_back(g);
-    }
-  }
-  for (const auto& list : per_test) {
-    if (list.empty()) return result;  // some test unexplainable: no tuples
-  }
-
-  CovOptions cov;
-  cov.k = k;
-  cov.deadline = options.deadline;
-  cov.max_solutions = static_cast<std::int64_t>(max_tuples) * 4;
-  const CovResult covers = solve_covering_sat(per_test, cov);
-  result = verify_joint_covers(nl, tests, covers.solutions, max_tuples,
-                               options.deadline);
   return result;
 }
 

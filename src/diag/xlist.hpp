@@ -4,10 +4,8 @@
 // is kept when the X reaches the erroneous output of every test ("the effect
 // of changing a value at a certain position is considered").
 //
-// Implemented for single locations (one 3-valued sweep per candidate gate,
-// all tests in parallel pattern slots) and, for multiple errors, greedily:
-// the size-k candidate tuples are assembled from single-location lists using
-// the same forward-X criterion on the joint injection.
+// Implemented for single locations: one 3-valued sweep per candidate gate,
+// all tests in parallel pattern slots.
 #pragma once
 
 #include <span>
@@ -47,12 +45,5 @@ std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
 std::vector<GateId> xlist_single_candidates(const Netlist& nl,
                                             const TestSet& tests,
                                             const XListOptions& options = {});
-
-/// Greedy multi-error extension: find up to `max_tuples` size-k tuples whose
-/// joint X injection covers every test's erroneous output, seeded from the
-/// per-test single-location lists.
-std::vector<std::vector<GateId>> xlist_tuple_candidates(
-    const Netlist& nl, const TestSet& tests, unsigned k,
-    std::size_t max_tuples, const XListOptions& options = {});
 
 }  // namespace satdiag

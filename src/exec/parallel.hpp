@@ -1,14 +1,14 @@
-// Deterministic sharded map-reduce over a ThreadPool.
+// Deterministic sharded parallel-for over a ThreadPool.
 //
 // The determinism contract of the execution runtime: results are bit-identical
 // for every thread count (including 1) because
 //  * work is split into contiguous index shards whose boundaries are a pure
 //    function of the item count and grain — never of the thread count,
-//  * items are processed in index order within a shard, and per-item results
-//    land in per-item (parallel_map) or per-shard (parallel_map_reduce)
-//    slots, so the dynamic shard->lane assignment cannot reorder anything,
-//  * the reduction folds shard accumulators left-to-right in shard order
-//    after the join,
+//  * items are processed in index order within a shard, and each item's
+//    result lands in a per-item slot the body owns, so the dynamic
+//    shard->lane assignment cannot reorder anything,
+//  * whatever combines the per-item results runs serially after the join,
+//    in index order,
 //  * shard bodies never draw from a shared random generator: randomness is
 //    drawn serially before the fan-out (fault simulation's input words) or
 //    per item from its own seed (experiment cells).
@@ -105,36 +105,6 @@ void parallel_for(ThreadPool& pool, std::size_t n, Body&& body,
     const auto [begin, end] = plan.bounds(shard);
     for (std::size_t i = begin; i < end; ++i) body(i, lane);
   });
-}
-
-/// parallel_map: collect fn(i, lane) into an index-ordered vector.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(ThreadPool& pool, std::size_t n, Fn&& fn,
-                            std::size_t grain = 0) {
-  std::vector<T> results(n);
-  parallel_for(
-      pool, n, [&](std::size_t i, std::size_t lane) { results[i] = fn(i, lane); },
-      grain);
-  return results;
-}
-
-/// parallel_map_reduce: each shard folds its items (in index order) into its
-/// own accumulator seeded from `identity` via map(i, acc, lane); after the
-/// join the shard accumulators are reduced left-to-right in shard order via
-/// reduce(total, std::move(acc)). Stable: the result equals the serial fold.
-template <typename R, typename Map, typename Reduce>
-R parallel_map_reduce(ThreadPool& pool, std::size_t n, R identity, Map&& map,
-                      Reduce&& reduce, std::size_t grain = 0) {
-  const ShardPlan plan = ShardPlan::make(n, grain);
-  std::vector<R> partials(plan.num_shards(), identity);
-  detail::run_shards(pool, plan, [&](std::size_t shard, std::size_t lane) {
-    const auto [begin, end] = plan.bounds(shard);
-    R& acc = partials[shard];
-    for (std::size_t i = begin; i < end; ++i) map(i, acc, lane);
-  });
-  R total = std::move(identity);
-  for (R& partial : partials) reduce(total, std::move(partial));
-  return total;
 }
 
 /// Worker-owned scratch state, created on first use per lane (e.g. simulator

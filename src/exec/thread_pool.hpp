@@ -4,7 +4,7 @@
 // participates as lane 0, so `ThreadPool(1)` spawns nothing and runs every
 // task inline. There is deliberately no task queue or future machinery: the
 // single primitive is run_on_all(), a fork-join batch where every lane runs
-// the same callable with its lane index. The sharded map-reduce layer
+// the same callable with its lane index. The sharded parallel-for layer
 // (exec/parallel.hpp) builds deterministic work distribution on top of this;
 // consumers use lane indices only to address worker-owned scratch state
 // (simulator clones, per-worker SAT solvers), never to influence results.

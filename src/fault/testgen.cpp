@@ -73,38 +73,6 @@ CircuitEncoding encode_faulty_circuit(sat::Solver& solver, const Netlist& nl,
 
 }  // namespace
 
-std::vector<bool> golden_output_values(const Netlist& nl,
-                                       const std::vector<bool>& input_values) {
-  ParallelSimulator sim(nl);
-  sim.set_input_vector(0, input_values);
-  sim.run();
-  std::vector<bool> out;
-  out.reserve(nl.outputs().size());
-  for (GateId o : nl.outputs()) out.push_back(sim.value_bit(o, 0));
-  return out;
-}
-
-std::vector<std::vector<bool>> golden_outputs_for_tests(const Netlist& nl,
-                                                        const TestSet& tests) {
-  // 64 tests per sweep: test base+b rides pattern lane b, so one simulator
-  // evaluation serves a whole batch instead of one full sweep per test.
-  std::vector<std::vector<bool>> rows(tests.size());
-  ParallelSimulator sim(nl);
-  for (std::size_t base = 0; base < tests.size(); base += 64) {
-    const std::size_t batch = std::min<std::size_t>(64, tests.size() - base);
-    for (std::size_t b = 0; b < batch; ++b) {
-      sim.set_input_vector(b, tests[base + b].input_values);
-    }
-    sim.run();
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::vector<bool>& row = rows[base + b];
-      row.reserve(nl.outputs().size());
-      for (GateId o : nl.outputs()) row.push_back(sim.value_bit(o, b));
-    }
-  }
-  return rows;
-}
-
 TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
                                std::size_t count, Rng& rng,
                                const TestGenOptions& options) {

@@ -38,12 +38,4 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
                                std::size_t count, Rng& rng,
                                const TestGenOptions& options = {});
 
-/// Golden (error-free) output values of `nl` under `input_values`.
-std::vector<bool> golden_output_values(const Netlist& nl,
-                                       const std::vector<bool>& input_values);
-
-/// Golden outputs for every test in a test-set (rows align with `tests`).
-std::vector<std::vector<bool>> golden_outputs_for_tests(const Netlist& nl,
-                                                        const TestSet& tests);
-
 }  // namespace satdiag

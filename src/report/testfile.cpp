@@ -37,7 +37,9 @@ TestSet read_test_set(std::istream& in, const Netlist& nl) {
     std::string vector_text;
     std::uint64_t output_index = 0;
     int correct = 0;
-    if (!(fields >> vector_text >> output_index >> correct)) {
+    std::string extra;  // "1.5", "0x" and a fourth field leave a token here
+    if (!(fields >> vector_text >> output_index >> correct) ||
+        fields >> extra) {
       throw TestFileError(strprintf("line %d: malformed test line", line_no));
     }
     if (vector_text.size() != nl.inputs().size()) {

@@ -1,7 +1,8 @@
 // Plain-text interchange format for test-sets (Definition 1 triples).
 //
 // One test per line:  <01-input-vector> <output_index> <correct_value>
-// '#' starts a comment. The vector is ordered like netlist.inputs().
+// '#' starts a comment. The vector is ordered like netlist.inputs(). A line
+// with any other token after the third field is malformed.
 #pragma once
 
 #include <istream>

@@ -123,11 +123,13 @@ o = NOT(a, b)
 }
 
 TEST(BenchParserTest, OutputOfUndefinedSignalThrows) {
-  EXPECT_THROW(parse_bench_string(R"(
-INPUT(a)
-OUTPUT(phantom)
-)"),
-               BenchParseError);
+  try {
+    parse_bench_string("INPUT(a)\nOUTPUT(x)\n");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    // The error names the OUTPUT directive's own line.
+    EXPECT_STREQ(e.what(), "line 2: OUTPUT of undefined signal 'x'");
+  }
 }
 
 TEST(BenchParserTest, MalformedLineThrows) {

@@ -1,51 +1,57 @@
 #!/usr/bin/env bash
-# End-to-end CLI check: `diagnose --stats` must print the solver counters
-# (including the binary-BCP layer's binary_propagations) for SAT-backed
-# approaches and reject non-SAT approaches.
+# End-to-end CLI check: `diagnose --stats-json -` must print the solver,
+# cache and CNF counters (including the binary-BCP layer's
+# sat.binary_propagations) for the SAT-backed approaches.
 set -euo pipefail
 
 CLI="$1"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "SKIP: python3 not found (needed for JSON parsing)" >&2
+  exit 0
+fi
+
+# check_metrics FILE NAME...: every NAME is a key of the metrics JSON object
+# printed after the diagnose output (from the line that is exactly "{" on;
+# solution lines are "{g1, g2}"), and cnf.copies_stamped is non-zero.
+check_metrics() {
+  python3 - "$@" <<'EOF'
+import json, sys
+
+path, names = sys.argv[1], sys.argv[2:]
+with open(path) as f:
+    lines = f.read().splitlines()
+metrics = json.loads("\n".join(lines[lines.index("{"):]))
+missing = [n for n in names if n not in metrics]
+if missing:
+    sys.exit(f"missing metrics {missing} in --stats-json output of {path}")
+# The default template-stamped builder must actually have stamped: one
+# template for the single full-universe instance, one stamped copy per test.
+if metrics.get("cnf.copies_stamped", 0) == 0:
+    sys.exit(f"expected a non-zero cnf.copies_stamped in {path}")
+EOF
+}
+
 "$CLI" gen --profile s298_like --seed 7 --out "$TMP/c.bench" > /dev/null
 "$CLI" inject "$TMP/c.bench" --errors 1 --seed 3 \
     --out "$TMP/faulty.bench" --tests-out "$TMP/tests.txt" > /dev/null
 
-out="$("$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
-    --approach bsat --stats)"
-for counter in conflicts decisions propagations binary_propagations restarts \
-    inprocess_runs subsumed strengthened vivified vars_eliminated \
-    failed_literals learnts_exported learnts_imported \
-    cache_hits cache_misses cache_evictions cache_bytes \
-    templates_built copies_stamped clauses_stamped; do
-  if ! grep -q "${counter}:" <<< "$out"; then
-    echo "missing counter '${counter}' in --stats output:" >&2
-    echo "$out" >&2
-    exit 1
-  fi
-done
+"$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
+    --approach bsat --stats-json - > "$TMP/bsat.out"
+check_metrics "$TMP/bsat.out" \
+    sat.conflicts sat.decisions sat.propagations sat.binary_propagations \
+    sat.restarts sat.inprocess_runs sat.subsumed sat.strengthened \
+    sat.vivified sat.vars_eliminated sat.failed_literals \
+    sat.learnts_exported sat.learnts_imported \
+    cache.hits cache.misses cache.evictions cache.bytes \
+    cnf.templates_built cnf.copies_stamped cnf.clauses_stamped
 
-# The default template-stamped builder must actually have stamped: one
-# template for the single full-universe instance, one stamped copy per test.
-if grep -qE "copies_stamped: *0\$" <<< "$out"; then
-  echo "expected a non-zero copies_stamped counter:" >&2
-  echo "$out" >&2
-  exit 1
-fi
-
-hybrid_out="$("$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
-    --approach hybrid --stats)"
-grep -q "binary_propagations:" <<< "$hybrid_out"
-grep -q "tier_core/mid/local:" <<< "$hybrid_out"
-grep -q "cache_misses:" <<< "$hybrid_out"
-grep -q "copies_stamped:" <<< "$hybrid_out"
-
-# Simulation-only approaches have no solver stats to print.
-if "$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
-    --approach bsim --stats > /dev/null 2>&1; then
-  echo "expected 'diagnose --approach bsim --stats' to fail" >&2
-  exit 1
-fi
+"$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
+    --approach hybrid --stats-json - > "$TMP/hybrid.out"
+check_metrics "$TMP/hybrid.out" \
+    sat.binary_propagations sat.tier_core sat.tier_mid sat.tier_local \
+    cache.misses cnf.copies_stamped
 
 echo PASS

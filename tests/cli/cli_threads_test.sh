@@ -65,10 +65,24 @@ done
 cmp "$TMP/pass_1.txt" "$TMP/pass_4.txt"
 grep -q '^0 valid corrections' "$TMP/pass_1.txt"
 
-# The merged --stats report must include the counters at --threads > 1.
-mt_stats="$("$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
-    --approach bsat --k 2 --threads 4 --stats)"
-grep -q "binary_propagations:" <<< "$mt_stats"
+# The merged --stats-json metrics must include the solver counters and a
+# non-zero cnf.copies_stamped at every thread count (python3 parses them).
+command -v python3 > /dev/null 2>&1 && for n in 1 4; do
+  "$CLI" diagnose "$TMP/faulty.bench" --tests "$TMP/tests.txt" \
+      --approach bsat --k 2 --threads "$n" --stats-json - > "$TMP/stats_$n.out"
+  python3 - "$TMP/stats_$n.out" <<'EOF'
+import json, sys
+
+# The metrics object starts at the line that is exactly "{" (solution lines
+# are "{g1, g2}").
+lines = open(sys.argv[1]).read().splitlines()
+metrics = json.loads("\n".join(lines[lines.index("{"):]))
+if "sat.binary_propagations" not in metrics:
+    sys.exit("missing sat.binary_propagations in " + sys.argv[1])
+if metrics.get("cnf.copies_stamped", 0) == 0:
+    sys.exit("expected a non-zero cnf.copies_stamped in " + sys.argv[1])
+EOF
+done
 
 # Experiment tables: non-timing CSV columns are thread-count invariant.
 for n in 1 2; do

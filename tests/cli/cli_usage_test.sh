@@ -81,6 +81,8 @@ expect_usage "unknown flag --aproach for 'diagnose'" \
 expect_usage "unknown flag --gates for 'gen'" \
     gen --profile s298_like --gates 50 --out "$TMP/c.bench"
 test ! -e "$TMP/c.bench"
+expect_usage "unknown flag --stats for 'diagnose'" \
+    diagnose "$CIRCUIT" --tests "$TESTS" --approach bsat --stats
 expect_usage "unknown flag --stats for 'experiment'" \
     experiment --circuits s298_like --tests 4 --stats
 expect_usage "unknown flag --k for 'stats'" stats "$CIRCUIT" --k 2

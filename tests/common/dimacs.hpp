@@ -1,5 +1,5 @@
-// DIMACS CNF import/export — interoperability with external SAT tooling and
-// a convenient fixture format for solver tests.
+// DIMACS CNF import/export for the solver tests: a fixture format and a
+// round-trip check on the clause lists they build.
 #pragma once
 
 #include <istream>

@@ -2,13 +2,11 @@
 // pinned to the scalar path it replaces, over the randomized shrinking
 // harness of tests/common/diff_harness.{hpp,cpp} and with thread counts
 // {1, 2, 8}: x_reach_masks, EffectAnalyzer::x_check_batch, the xlist
-// single-candidate refinement, xlist tuple verification, and the BSIM
-// X-refinement. Plus the explicit 0-candidate / 1-candidate / partial-batch
-// edge cases of x_check_batch.
+// single-candidate refinement, and the BSIM X-refinement. Plus the explicit
+// 0-candidate / 1-candidate / partial-batch edge cases of x_check_batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "common/diff_harness.hpp"
 #include "diag/bsim.hpp"
@@ -102,31 +100,6 @@ TEST(BatchEquivalenceTest, XCheckBatchChunksTestSetsBeyond64) {
   for (const std::size_t threads : {1, 2, 8}) {
     EXPECT_EQ(effect.x_check_batch(inst.tuples, threads), serial)
         << "threads=" << threads;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// xlist tuple path: lane-batched joint verification
-
-TEST(BatchEquivalenceTest, TupleCandidatesThreadCountInvariantAndVerified) {
-  const auto inst = difftest::make_instance(
-      DiffConfig{.seed = 25, .gates = 200, .candidates = 16, .tests = 6});
-  const EffectAnalyzer effect(inst.nl, inst.tests);
-  std::optional<std::vector<std::vector<GateId>>> reference;
-  for (const std::size_t threads : {1, 2, 8}) {
-    XListOptions options;
-    options.num_threads = threads;
-    const auto tuples =
-        xlist_tuple_candidates(inst.nl, inst.tests, 2, 32, options);
-    // Every returned tuple passes the scalar joint X-check.
-    for (const auto& tuple : tuples) {
-      EXPECT_TRUE(effect.x_check(tuple));
-    }
-    if (reference) {
-      EXPECT_EQ(tuples, *reference) << "threads=" << threads;
-    } else {
-      reference = tuples;
-    }
   }
 }
 

@@ -62,19 +62,6 @@ TEST(XListTest, RestrictionToConesMatchesUnrestricted) {
             xlist_single_candidates(s.circuit, tests, full));
 }
 
-TEST(XListTest, TupleCandidatesCoverFig5b) {
-  const FigureScenario s = builtin_fig5b();
-  const TestSet tests{satdiag::Test{s.test_vector, s.output_index, s.correct_value}};
-  const auto tuples = xlist_tuple_candidates(s.circuit, tests, 2, 16);
-  EXPECT_FALSE(tuples.empty());
-  // Every tuple's joint X injection floods the output (by construction).
-  // The singletons {D} and {E} qualify; check sizes bounded by k.
-  for (const auto& tuple : tuples) {
-    EXPECT_LE(tuple.size(), 2u);
-    EXPECT_FALSE(tuple.empty());
-  }
-}
-
 TEST(XListTest, NoCandidatesWhenOutputUnreachable) {
   // Error observed at an output with an empty candidate pool: a circuit
   // whose output gate is driven only by inputs.
@@ -93,7 +80,6 @@ TEST(XListTest, NoCandidatesWhenOutputUnreachable) {
 TEST(XListTest, EmptyTestSetGivesNothing) {
   const Netlist c17 = builtin_c17();
   EXPECT_TRUE(xlist_single_candidates(c17, {}).empty());
-  EXPECT_TRUE(xlist_tuple_candidates(c17, {}, 2, 8).empty());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Deterministic sharded map-reduce: shard plans, ordered reduction, lane
+// Deterministic sharded parallel-for: shard plans, index coverage, lane
 // state, and deterministic exception propagation.
 #include "exec/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,40 +47,6 @@ TEST(ParallelForTest, VisitsEveryIndexExactlyOnceAtAnyThreadCount) {
     });
     for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
   }
-}
-
-TEST(ParallelMapTest, ResultsLandInIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<std::size_t> out = parallel_map<std::size_t>(
-      pool, 100, [](std::size_t i, std::size_t) { return i * i; });
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelMapReduceTest, NonCommutativeReductionMatchesTheSerialFold) {
-  // String concatenation is order-sensitive: any reordering of items or
-  // shard accumulators would change the result.
-  std::string expected;
-  for (int i = 0; i < 200; ++i) expected += std::to_string(i) + ",";
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const std::string folded = parallel_map_reduce<std::string>(
-        pool, 200, std::string(),
-        [](std::size_t i, std::string& acc, std::size_t) {
-          acc += std::to_string(i) + ",";
-        },
-        [](std::string& total, std::string&& part) { total += part; });
-    EXPECT_EQ(folded, expected);
-  }
-}
-
-TEST(ParallelMapReduceTest, SumOverShardsMatchesSerialSum) {
-  ThreadPool pool(3);
-  const std::uint64_t total = parallel_map_reduce<std::uint64_t>(
-      pool, 10000, 0ULL,
-      [](std::size_t i, std::uint64_t& acc, std::size_t) { acc += i; },
-      [](std::uint64_t& t, std::uint64_t&& part) { t += part; },
-      /*grain=*/7);
-  EXPECT_EQ(total, 10000ULL * 9999ULL / 2ULL);
 }
 
 TEST(ParallelForTest, LowestShardExceptionIsRethrownDeterministically) {

@@ -142,29 +142,5 @@ TEST(TestGenTest, StuckAtFaultTests) {
   expect_tests_fail(nl, errors, tests);
 }
 
-TEST(TestGenTest, GoldenOutputValues) {
-  const Netlist c17 = make_full_scan(builtin_c17()).comb;
-  const auto outs = golden_output_values(
-      c17, {true, true, true, true, true});
-  ASSERT_EQ(outs.size(), 2u);
-  EXPECT_TRUE(outs[0]);   // output 22 (see builtin_test)
-  EXPECT_FALSE(outs[1]);  // output 23
-}
-
-TEST(TestGenTest, GoldenOutputsForTestsAlignment) {
-  const Netlist nl = medium_circuit(33);
-  Rng rng(7);
-  InjectorOptions inject;
-  inject.num_errors = 1;
-  const auto errors = inject_errors(nl, rng, inject);
-  ASSERT_TRUE(errors.has_value());
-  const TestSet tests = generate_failing_tests(nl, *errors, 5, rng);
-  const auto rows = golden_outputs_for_tests(nl, tests);
-  ASSERT_EQ(rows.size(), tests.size());
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    EXPECT_EQ(rows[i][tests[i].output_index], tests[i].correct_value);
-  }
-}
-
 }  // namespace
 }  // namespace satdiag

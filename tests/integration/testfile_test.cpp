@@ -58,5 +58,17 @@ TEST(TestFileTest, BadValueThrows) {
   EXPECT_THROW(read_test_set_string("10101\n", nl), TestFileError);
 }
 
+TEST(TestFileTest, TrailingTokensThrow) {
+  const Netlist nl = make_full_scan(builtin_c17()).comb;
+  for (const char* line : {"10101 1 1.5", "10101 1 0x", "10101 1 0 extra"}) {
+    try {
+      read_test_set_string(std::string("# header\n") + line + "\n", nl);
+      FAIL() << "expected TestFileError for '" << line << "'";
+    } catch (const TestFileError& e) {
+      EXPECT_STREQ(e.what(), "line 2: malformed test line") << line;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace satdiag

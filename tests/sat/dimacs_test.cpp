@@ -1,4 +1,4 @@
-#include "sat/dimacs.hpp"
+#include "common/dimacs.hpp"
 
 #include <gtest/gtest.h>
 

@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "common/diff_harness.hpp"
-#include "sat/dimacs.hpp"
+#include "common/dimacs.hpp"
 #include "util/rng.hpp"
 
 namespace satdiag::sat {

@@ -7,11 +7,10 @@
 //             --tests-out tests.txt [--num-tests M]
 //             (circuits with DFFs are converted to the full-scan view first)
 //   diagnose  faulty.bench --tests tests.txt --approach bsim|cov|bsat|hybrid
-//             [--k K] [--limit SECONDS] [--max-solutions N] [--stats]
-//             [--threads N]
-//             (--stats prints the SAT solver counters, merged over all
-//             workers; bsat/hybrid only. --threads enables the
-//             candidate-parallel exec/ runtime for bsat/hybrid.)
+//             [--k K] [--limit SECONDS] [--max-solutions N] [--threads N]
+//             (--threads enables the candidate-parallel exec/ runtime for
+//             bsat/hybrid; the global --stats-json writes the solver
+//             counters.)
 //   experiment [--circuits c1,c2,...] [--errors P] [--tests m1,m2,...]
 //             [--scale S] [--seed N] [--limit SECONDS] [--max-solutions N]
 //             [--threads N] [--csv]
@@ -40,7 +39,6 @@
 // A flag the subcommand does not read is an error (exit 2), as is an
 // out-of-range value. The bench format is ISCAS89 .bench; the test format is documented in
 // src/report/testfile.hpp.
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -90,41 +88,6 @@ void print_usage(std::FILE* out) {
 int usage() {
   print_usage(stderr);
   return 2;
-}
-
-/// --stats output, driven by the metrics registry snapshot so every
-/// subsystem that publishes a metric shows up without CLI changes. Dotted
-/// names print with '.' replaced by '_' — the historical key names
-/// ("cache_hits:", "copies_stamped:" via "cnf_copies_stamped:") stay
-/// greppable — plus the legacy composite tier line.
-void print_registry_stats() {
-  obs::refresh_process_metrics();
-  std::printf("run stats:\n");
-  for (const obs::MetricSample& s : obs::MetricsRegistry::global().snapshot()) {
-    std::string display = s.name;
-    std::replace(display.begin(), display.end(), '.', '_');
-    display += ':';
-    switch (s.kind) {
-      case obs::MetricKind::kCounter:
-        std::printf("  %-24s %llu\n", display.c_str(),
-                    static_cast<unsigned long long>(s.counter));
-        break;
-      case obs::MetricKind::kGauge:
-        std::printf("  %-24s %lld\n", display.c_str(),
-                    static_cast<long long>(s.gauge));
-        break;
-      case obs::MetricKind::kHistogram:
-        std::printf("  %-24s count %llu, sum %llu\n", display.c_str(),
-                    static_cast<unsigned long long>(s.hist_count),
-                    static_cast<unsigned long long>(s.hist_sum));
-        break;
-    }
-  }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  std::printf("  tier_core/mid/local:     %lld/%lld/%lld\n",
-              static_cast<long long>(reg.gauge("sat.tier_core").value()),
-              static_cast<long long>(reg.gauge("sat.tier_mid").value()),
-              static_cast<long long>(reg.gauge("sat.tier_local").value()));
 }
 
 void print_solutions(const Netlist& nl,
@@ -221,12 +184,8 @@ int run_inject(const CliArgs& args) {
 }
 
 int run_diagnose(const CliArgs& args, std::string& result_json) {
-  const bool want_stats = args.get_bool("stats", false);
   const app::DiagnoseRequest req = app::parse_diagnose(args);
   app::reject_unused_flags(args, "diagnose");
-  if (want_stats && !app::sat_backed(req.approach)) {
-    return fail("--stats requires a SAT-backed approach (bsat or hybrid)");
-  }
   const app::DiagnoseResult result = app::execute(req);
   const Netlist& nl = *result.netlist;
   const char* truncated = result.complete ? "" : " (truncated)";
@@ -250,7 +209,6 @@ int run_diagnose(const CliArgs& args, std::string& result_json) {
                 result.all_seconds);
   }
   if (req.approach != "bsim") print_solutions(nl, result.solutions);
-  if (want_stats) print_registry_stats();
   result_json = app::to_json(result);
   return 0;
 }
@@ -404,11 +362,10 @@ int main(int argc, char** argv) {
     }
   }
   // CliArgs treats "--flag token" as a valued flag, so a bare boolean like
-  // "--stats faulty.bench" would swallow the positional. Normalize known
+  // "--verbose faulty.bench" would swallow the positional. Normalize known
   // value-less flags to "--flag=true" before parsing.
   std::vector<std::string> tokens(argv, argv + argc);
   for (std::string& token : tokens) {
-    if (token == "--stats") token = "--stats=true";
     if (token == "--csv") token = "--csv=true";
     if (token == "--log-times") token = "--log-times=true";
     if (token == "--verbose") token = "--verbose=true";
