@@ -1,7 +1,6 @@
 #include "netlist/analysis.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 namespace satdiag {
@@ -24,25 +23,6 @@ std::vector<bool> fanin_cone(const Netlist& nl,
   return in_cone;
 }
 
-std::vector<bool> fanout_cone(const Netlist& nl,
-                              const std::vector<GateId>& roots) {
-  std::vector<bool> in_cone(nl.size(), false);
-  std::vector<GateId> stack(roots);
-  for (GateId r : roots) in_cone[r] = true;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (GateId out : nl.fanouts(g)) {
-      if (nl.is_source(out)) continue;  // stop at DFF frame boundary
-      if (!in_cone[out]) {
-        in_cone[out] = true;
-        stack.push_back(out);
-      }
-    }
-  }
-  return in_cone;
-}
-
 std::vector<GateId> observation_points(const Netlist& nl) {
   std::vector<GateId> points(nl.outputs());
   for (GateId d : nl.dffs()) {
@@ -51,80 +31,6 @@ std::vector<GateId> observation_points(const Netlist& nl) {
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());
   return points;
-}
-
-std::vector<GateId> immediate_dominators(const Netlist& nl) {
-  assert(nl.finalized());
-  const std::size_t n = nl.size();
-  const GateId sink = static_cast<GateId>(n);  // virtual observation sink
-
-  std::vector<bool> observed(n, false);
-  for (GateId p : observation_points(nl)) observed[p] = true;
-
-  // pidom[g] is g's immediate dominator toward the sink; the sink itself is a
-  // real node here so the intersection walk never leaves the tree. depth[] is
-  // the distance from the sink in the dominator tree (depth[sink] == 0).
-  std::vector<GateId> pidom(n + 1, kNoGate);
-  std::vector<std::uint32_t> depth(n + 1, 0);
-  std::vector<bool> reaches(n, false);
-  pidom[sink] = sink;
-
-  // Cooper-Harvey-Kennedy intersection; both arguments are tree nodes.
-  auto intersect = [&](GateId a, GateId b) {
-    while (a != b) {
-      while (depth[a] > depth[b]) a = pidom[a];
-      while (depth[b] > depth[a]) b = pidom[b];
-      if (a == b) break;
-      // Equal depth, different nodes: step both.
-      a = pidom[a];
-      b = pidom[b];
-    }
-    return a;
-  };
-
-  // Reverse topological order: every combinational successor of g is final
-  // before g is processed, so one pass suffices on a DAG.
-  const auto& topo = nl.topo_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const GateId g = *it;
-    GateId dom = kNoGate;
-    bool any = false;
-    auto merge = [&](GateId candidate) {
-      any = true;
-      dom = (dom == kNoGate) ? candidate : intersect(dom, candidate);
-    };
-    if (observed[g]) merge(sink);
-    for (GateId out : nl.fanouts(g)) {
-      if (nl.is_source(out)) continue;  // DFF data edge covered by observed[]
-      if (!reaches[out]) continue;
-      // Every path from g through this edge passes through `out` itself, so
-      // the dominator candidate along the edge is the successor node.
-      merge(out);
-    }
-    if (!any) continue;  // unobservable gate: no dominator defined
-    reaches[g] = true;
-    pidom[g] = dom;
-    depth[g] = depth[dom] + 1;
-  }
-
-  std::vector<GateId> idom(pidom.begin(), pidom.begin() + n);
-  for (GateId g = 0; g < n; ++g) {
-    if (idom[g] == sink) idom[g] = kNoGate;
-  }
-  return idom;
-}
-
-std::vector<GateId> dominator_chain(const Netlist& nl,
-                                    const std::vector<GateId>& idom,
-                                    GateId g) {
-  (void)nl;
-  std::vector<GateId> chain;
-  GateId cur = idom[g];
-  while (cur != kNoGate) {
-    chain.push_back(cur);
-    cur = idom[cur];
-  }
-  return chain;
 }
 
 std::vector<std::uint32_t> undirected_distances(

@@ -1,11 +1,11 @@
-// Structural analyses on finalized netlists: cones, dominators, distances.
+// Structural analyses on finalized netlists: cones and distances.
 //
-// These back three parts of the reproduction:
-//  * fanin/fanout cones — path tracing sanity checks and test pruning,
-//  * single-gate dominators — the advanced SAT-based diagnosis heuristic
-//    (Smith et al.) instruments only dominator gates in the first pass,
+// These back two parts of the reproduction:
+//  * fanin cones — the diagnosis universe of the SAT instances
+//    (cnf/mux_instrument.cpp) and X-list's candidate restriction,
 //  * undirected shortest-path distance — the quality metric of Table 3
-//    ("number of gates on a shortest path to any error").
+//    ("number of gates on a shortest path to any error") and the radius of
+//    the hybrid engine's instrumented neighbourhood.
 #pragma once
 
 #include <vector>
@@ -16,22 +16,6 @@ namespace satdiag {
 
 /// Transitive fanin of `roots` (including the roots), as a dense flag vector.
 std::vector<bool> fanin_cone(const Netlist& nl, const std::vector<GateId>& roots);
-
-/// Transitive combinational fanout of `roots` (including the roots).
-std::vector<bool> fanout_cone(const Netlist& nl, const std::vector<GateId>& roots);
-
-/// Immediate dominators toward the observation points.
-///
-/// Gate d dominates gate g when every combinational path from g to any
-/// observed point (primary output or DFF data input) passes through d. The
-/// result maps each gate to its immediate dominator, or kNoGate for gates
-/// whose only dominator is the virtual sink (e.g. gates feeding two outputs
-/// on disjoint paths) and for unobservable gates.
-std::vector<GateId> immediate_dominators(const Netlist& nl);
-
-/// The chain of dominators of g (excluding g itself), nearest first.
-std::vector<GateId> dominator_chain(const Netlist& nl,
-                                    const std::vector<GateId>& idom, GateId g);
 
 /// BFS distance from the nearest gate in `sources`, ignoring edge direction
 /// (fanin and fanout edges both count, as in the paper's distance metric).

@@ -62,7 +62,7 @@ SimOp CompiledNetlist::opcode_for(GateType type, std::size_t arity) {
   return SimOp::kSource;
 }
 
-CompiledNetlist::CompiledNetlist(const Netlist& nl) : nl_(&nl) {
+CompiledNetlist::CompiledNetlist(const Netlist& nl) {
   obs::Span span("sim.compile", "gates",
                  static_cast<std::int64_t>(nl.size()));
   assert(nl.finalized());

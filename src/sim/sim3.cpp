@@ -48,223 +48,29 @@ Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity) {
   return Val3::all_x();
 }
 
-ThreeValuedSimulator::ThreeValuedSimulator(const Netlist& nl)
-    : nl_(&nl), compiled_(nl), worklist_(nl), trail_(nl.size()) {
-  const std::size_t n = nl.size();
-  val_.assign(n, 0);
-  known_.assign(n, 0);
-  x_mask_.assign(n, 0);
-  for (GateId g = 0; g < n; ++g) {
-    if (nl.type(g) == GateType::kConst0) known_[g] = ~0ULL;
-    if (nl.type(g) == GateType::kConst1) {
-      val_[g] = ~0ULL;
-      known_[g] = ~0ULL;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Compiled (value, known) evaluation
-//
-// Bitplane algebra (operands normalized: val ⊆ known, X lanes read 0):
-//   known-1 mask of a gate is `val`, known-0 mask is `known & ~val`.
-//   AND:  1 iff all 1; known iff all known or some known-0.
-//   OR:   1 iff some 1; known iff all known or some known-1.
-//   XOR:  known iff all known.
-//   Negation complements the value lanes inside `known` and preserves it.
-// These match the dual-rail fold of eval_gate_val3 bit for bit, which the
-// differential tests (run() vs run_full()) enforce.
-
-ThreeValuedSimulator::Planes ThreeValuedSimulator::exec(GateId g) const {
-  const SimInstr in = compiled_.instr(g);
-  const auto fetch = [this](GateId f) {
-    return Planes{val_[f], known_[f]};
-  };
-  const auto and2 = [](Planes a, Planes b) {
-    return Planes{a.val & b.val, (a.known & b.known) | (a.known & ~a.val) |
-                                     (b.known & ~b.val)};
-  };
-  const auto or2 = [](Planes a, Planes b) {
-    return Planes{a.val | b.val, (a.known & b.known) | a.val | b.val};
-  };
-  const auto xor2 = [](Planes a, Planes b) {
-    const std::uint64_t k = a.known & b.known;
-    return Planes{(a.val ^ b.val) & k, k};
-  };
-  const auto invert = [](Planes p) {
-    return Planes{p.known & ~p.val, p.known};
-  };
-  switch (in.op) {
-    case SimOp::kSource:
-      return fetch(g);
-    case SimOp::kBuf:
-      return fetch(in.a);
-    case SimOp::kNot:
-      return invert(fetch(in.a));
-    case SimOp::kAnd2:
-      return and2(fetch(in.a), fetch(in.b));
-    case SimOp::kNand2:
-      return invert(and2(fetch(in.a), fetch(in.b)));
-    case SimOp::kOr2:
-      return or2(fetch(in.a), fetch(in.b));
-    case SimOp::kNor2:
-      return invert(or2(fetch(in.a), fetch(in.b)));
-    case SimOp::kXor2:
-      return xor2(fetch(in.a), fetch(in.b));
-    case SimOp::kXnor2:
-      return invert(xor2(fetch(in.a), fetch(in.b)));
-    case SimOp::kAndK:
-    case SimOp::kNandK: {
-      Planes acc{~0ULL, ~0ULL};
-      for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = and2(acc, fetch(compiled_.csr_fanin(in.a + i)));
-      }
-      return in.op == SimOp::kAndK ? acc : invert(acc);
-    }
-    case SimOp::kOrK:
-    case SimOp::kNorK: {
-      Planes acc{0ULL, ~0ULL};
-      for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = or2(acc, fetch(compiled_.csr_fanin(in.a + i)));
-      }
-      return in.op == SimOp::kOrK ? acc : invert(acc);
-    }
-    case SimOp::kXorK:
-    case SimOp::kXnorK: {
-      Planes acc{0ULL, ~0ULL};
-      for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = xor2(acc, fetch(compiled_.csr_fanin(in.a + i)));
-      }
-      return in.op == SimOp::kXorK ? acc : invert(acc);
-    }
-  }
-  return Planes{};
-}
-
-// ---------------------------------------------------------------------------
-// Dirty-cone and undo bookkeeping
-
-void ThreeValuedSimulator::schedule(GateId g) {
-  if (!all_dirty_) worklist_.schedule(g);
-}
-
-void ThreeValuedSimulator::schedule_fanouts(GateId g) {
-  if (!all_dirty_) worklist_.schedule_fanouts(g);
-}
-
-void ThreeValuedSimulator::write(GateId g, Planes p) {
-  trail_.record(g, planes(g));
-  store(g, p);
-}
-
-ThreeValuedSimulator::Planes ThreeValuedSimulator::source_planes(
-    GateId g) const {
-  return x_mask_[g] ? trail_.source_word(g) : planes(g);
-}
-
-void ThreeValuedSimulator::assign_source(GateId g, Planes p) {
-  if (p == source_planes(g)) return;
-  if (trail_.live()) trail_.record_source(g, p);
-  if (x_mask_[g]) apply_mask(g, p);  // a live injection keeps masking lanes
-  if (p != planes(g)) {
-    write(g, p);
-    schedule_fanouts(g);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Mutators
-
-void ThreeValuedSimulator::set_source(GateId g, Val3 v) {
-  assert(nl_->is_source(g));
-  assign_source(g, Planes{v.one, v.one | v.zero});
-}
-
-void ThreeValuedSimulator::set_input_vector(std::size_t bit,
-                                            const std::vector<bool>& bits) {
-  assert(bit < 64);
-  set_input_lanes(1ULL << bit, bits);
-}
-
-void ThreeValuedSimulator::set_input_lanes(std::uint64_t lanes,
-                                           const std::vector<bool>& bits) {
-  assert(bits.size() == nl_->inputs().size());
-  if (lanes == 0) return;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const GateId g = nl_->inputs()[i];
-    Planes p = source_planes(g);
-    p.val = bits[i] ? (p.val | lanes) : (p.val & ~lanes);
-    p.known |= lanes;
-    assign_source(g, p);
-  }
-}
-
-void ThreeValuedSimulator::inject_x(GateId g, std::uint64_t mask) {
-  // The undo trail starts at a clean checkpoint: settle pending work first.
-  if (!trail_.live() && (all_dirty_ || !worklist_.empty())) run();
-  trail_.add_site(g);
-  if (nl_->is_source(g) && !x_mask_[g]) {
-    trail_.record_source(g, planes(g));  // the planes the injection masks
-  }
-  x_mask_[g] |= mask;
-  schedule(g);
-}
-
-void ThreeValuedSimulator::clear_overrides() {
-  if (!trail_.live()) return;
-  for (GateId g : trail_.sites()) x_mask_[g] = 0;
-  worklist_.reset();  // the checkpoint had no pending work
-  trail_.restore([this](GateId g, Planes p) { store(g, p); },
-                 [this](GateId g, Planes p) { assign_source(g, p); });
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation
-
-void ThreeValuedSimulator::run() {
-  if (all_dirty_) {
-    // First evaluation: one pass over the compiled stream in topological
-    // order. No injection is live yet (the first one settles this sweep).
-    for (GateId g : compiled_.comb_topo()) store(g, exec(g));
-    worklist_.reset();
-    all_dirty_ = false;
-    return;
-  }
-  worklist_.drain([this](GateId g) {
-    Planes p = exec(g);  // SimOp::kSource returns the stored planes
-    if (x_mask_[g]) apply_mask(g, p);
-    if (p != planes(g)) {
-      write(g, p);
-      worklist_.schedule_fanouts(g);  // appends strictly higher levels only
-    }
-  });
-}
+template class IncrementalSimulator<PlaneAlgebra>;
 
 void ThreeValuedSimulator::run_full() {
-  if (trail_.live()) {
-    // The sweep rewrites every plane pair: log them all for the restore.
-    for (GateId g = 0; g < nl_->size(); ++g) trail_.record(g, planes(g));
-  }
-  for (GateId g : nl_->topo_order()) {
-    if (nl_->is_combinational(g)) {
-      const auto fanins = nl_->fanins(g);
-      fanin_buf_.resize(fanins.size());
-      for (std::size_t i = 0; i < fanins.size(); ++i) {
-        fanin_buf_[i] = value(fanins[i]);
+  run_reference([this] {
+    for (GateId g : nl_->topo_order()) {
+      if (nl_->is_combinational(g)) {
+        const auto fanins = nl_->fanins(g);
+        fanin_buf_.resize(fanins.size());
+        for (std::size_t i = 0; i < fanins.size(); ++i) {
+          fanin_buf_[i] = value(fanins[i]);
+        }
+        const Val3 v =
+            eval_gate_val3(nl_->type(g), fanin_buf_.data(), fanin_buf_.size());
+        values_.set(g, Word{v.one, v.one | v.zero});
       }
-      const Val3 v =
-          eval_gate_val3(nl_->type(g), fanin_buf_.data(), fanin_buf_.size());
-      store(g, Planes{v.one, v.one | v.zero});
+      // Forced lanes, applied here without PlaneAlgebra::blend.
+      const std::uint64_t m = force_mask_[g];
+      Word p = values_[g];
+      p.val = (p.val & ~m) | (forced_[g].val & m);
+      p.known = (p.known & ~m) | (forced_[g].known & m);
+      values_.set(g, p);
     }
-    if (x_mask_[g]) {
-      Planes p = planes(g);
-      apply_mask(g, p);
-      store(g, p);
-    }
-  }
-  // A full sweep satisfies every pending dirty mark.
-  worklist_.reset();
-  all_dirty_ = false;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -286,29 +92,27 @@ Sim3XBatch::Sim3XBatch(const Netlist& nl, const TestSet& tests,
 
 void Sim3XBatch::run_singles(std::span<const GateId> batch,
                              std::uint64_t* masks) {
-  if (batch.empty()) return;
-  assert(batch.size() <= capacity());
-  sim_.clear_overrides();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    sim_.inject_x(batch[i], plan_.group_mask(i));
-  }
-  sim_.run();
-  extract(batch.size(), masks);
+  run_batch(
+      batch.size(), [&](std::size_t i) { return batch.subspan(i, 1); }, masks);
 }
 
 void Sim3XBatch::run_tuples(std::span<const std::vector<GateId>> batch,
                             std::uint64_t* masks) {
-  if (batch.empty()) return;
-  assert(batch.size() <= capacity());
-  sim_.clear_overrides();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    for (const GateId g : batch[i]) sim_.inject_x(g, plan_.group_mask(i));
-  }
-  sim_.run();
-  extract(batch.size(), masks);
+  run_batch(
+      batch.size(),
+      [&](std::size_t i) { return std::span<const GateId>(batch[i]); }, masks);
 }
 
-void Sim3XBatch::extract(std::size_t count, std::uint64_t* masks) {
+template <class GatesOf>
+void Sim3XBatch::run_batch(std::size_t count, GatesOf gates_of,
+                           std::uint64_t* masks) {
+  if (count == 0) return;
+  assert(count <= capacity());
+  sim_.clear_overrides();
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const GateId g : gates_of(i)) sim_.inject_x(g, plan_.group_mask(i));
+  }
+  sim_.run();
   for (std::size_t i = 0; i < count; ++i) masks[i] = 0;
   for (std::size_t b = 0; b < out_gates_.size(); ++b) {
     const std::uint64_t x = sim_.value(out_gates_[b]).x_mask();

@@ -8,24 +8,16 @@
 // watching whether the X reaches the erroneous output is the pessimistic
 // version of "can changing this gate affect the output".
 //
-// The engine is a backend of the shared CompiledNetlist kernel
-// (sim/compiled.hpp): internally each gate stores dual (value, known)
-// bitplanes — `value` holds the 1-bits, `known` the non-X bits, with the
-// invariant value ⊆ known — evaluated over the same opcode stream as the
-// 2-valued simulator. run() is dirty-cone incremental: X-injection sites
-// and source changes seed a level-ordered worklist and only their fanout
-// cones are re-evaluated. While injections are live, every plane pair run()
-// overwrites is logged on an undo trail (UndoTrail, sim/compiled.hpp), and
-// clear_overrides() writes the logged pairs back instead of re-evaluating
-// the cones. An X-list loop that moves the injection site therefore pays
-// one evaluation of the changed part of the injection's fanout cone plus
-// an O(#pairs written) restore per candidate, instead of O(|circuit|). An
-// injection at a source masks the source's assigned planes only until the
-// clear. The pre-kernel full-resweep path is retained as run_full(), the
-// semantic anchor for the differential tests in
-// tests/sim/sim3_diff_test.cpp.
+// ThreeValuedSimulator is the incremental core (sim/incremental.hpp) over
+// PlaneAlgebra: each gate stores a (value, known) plane pair — `val` holds
+// the 1-lanes, `known` the non-X lanes, val ⊆ known — and inject_x is its
+// override, X forced under a lane mask until clear_overrides(). Its
+// reference path, run_full(), evaluates through the dual-rail
+// eval_gate_val3 and never through the opcode interpreter, so the
+// differential tests compare two independent evaluators.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,6 +25,7 @@
 #include "netlist/netlist.hpp"
 #include "netlist/testset.hpp"
 #include "sim/compiled.hpp"
+#include "sim/incremental.hpp"
 
 namespace satdiag {
 
@@ -57,87 +50,83 @@ struct Val3 {
 /// unit tests use it directly).
 Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity);
 
-class ThreeValuedSimulator {
- public:
-  explicit ThreeValuedSimulator(const Netlist& nl);
-
-  const Netlist& netlist() const { return *nl_; }
-
-  void set_source(GateId g, Val3 v);
-  /// Pattern slot `bit` of every primary input.
-  void set_input_vector(std::size_t bit, const std::vector<bool>& bits);
-  /// Broadcast one input vector into every pattern lane of `lanes`: bits[i]
-  /// becomes the value of input i in all those lanes (known everywhere in
-  /// the mask). set_input_vector is the lanes == 1<<bit special case; the
-  /// lane-batched evaluator uses this to replicate a test chunk into every
-  /// candidate group in one pass.
-  void set_input_lanes(std::uint64_t lanes, const std::vector<bool>& bits);
-
-  /// Force a gate to X (in all pattern slots of `mask`); the override
-  /// survives until clear_overrides(). The first injection after pending
-  /// changes settles them with a run() first, so the undo trail starts from
-  /// a fully evaluated plane.
-  void inject_x(GateId g, std::uint64_t mask = ~0ULL);
-
-  /// Drop all X injections and restore the planes from the undo trail:
-  /// O(#injected gates + #pairs written since the first injection). Source
-  /// values assigned meanwhile are re-assigned after the restore and
-  /// evaluated by the next run().
-  void clear_overrides();
-
-  /// Evaluate the combinational frame. Incremental: only the fanout cones of
-  /// sources/injections changed since the previous run() are recomputed.
-  void run();
-
-  /// Reference evaluation path: a full topological resweep through the
-  /// generic dual-rail dispatch (the pre-kernel implementation). Kept as the
-  /// semantic anchor for differential tests; equivalent to run() but always
-  /// O(|circuit|).
-  void run_full();
-
-  Val3 value(GateId g) const {
-    return Val3{val_[g], known_[g] & ~val_[g]};
-  }
-
- private:
-  // Dual bitplanes of one gate: `val` are the 1-lanes, `known` the non-X
-  // lanes; val ⊆ known always holds (X lanes read 0 in val).
-  struct Planes {
+/// The 3-valued lane algebra over (value, known) plane pairs. Operands are
+/// normalized (val ⊆ known, X lanes read 0 in val), so the known-1 lanes of
+/// a gate are `val` and its known-0 lanes `known & ~val`:
+///   AND:  1 iff all 1; known iff all known or some known-0.
+///   OR:   1 iff some 1; known iff all known or some known-1.
+///   XOR:  known iff all known.
+///   Negation complements the value lanes inside `known` and keeps `known`.
+/// These match the dual-rail fold of eval_gate_val3 bit for bit, which the
+/// differential tests (run() vs run_full()) enforce.
+struct PlaneAlgebra {
+  struct Word {
     std::uint64_t val = 0;
     std::uint64_t known = 0;
 
-    friend bool operator==(const Planes&, const Planes&) = default;
+    friend bool operator==(const Word&, const Word&) = default;
+  };
+  /// Two separate planes rather than one vector of pairs: the pair layout
+  /// made the lane-batched X-injection loops measurably slower.
+  struct Plane {
+    explicit Plane(std::size_t n) : val(n, 0), known(n, 0) {}
+    Word operator[](std::size_t g) const { return Word{val[g], known[g]}; }
+    void set(std::size_t g, Word w) {
+      val[g] = w.val;
+      known[g] = w.known;
+    }
+    std::vector<std::uint64_t> val;
+    std::vector<std::uint64_t> known;
   };
 
-  Planes exec(GateId g) const;
-  Planes planes(GateId g) const { return Planes{val_[g], known_[g]}; }
-  void store(GateId g, Planes p) {
-    val_[g] = p.val;
-    known_[g] = p.known;
+  static Word constant(bool v) { return Word{v ? ~0ULL : 0ULL, ~0ULL}; }
+  static Word and2(Word a, Word b) {
+    return Word{a.val & b.val, (a.known & b.known) | (a.known & ~a.val) |
+                                   (b.known & ~b.val)};
   }
-  void apply_mask(GateId g, Planes& p) const {
-    p.val &= ~x_mask_[g];
-    p.known &= ~x_mask_[g];
+  static Word or2(Word a, Word b) {
+    return Word{a.val | b.val, (a.known & b.known) | a.val | b.val};
   }
-  void schedule(GateId g);
-  void schedule_fanouts(GateId g);
-  /// store() that logs the replaced pair on the undo trail.
-  void write(GateId g, Planes p);
-  /// The planes assigned to source g, even while an injection masks them.
-  Planes source_planes(GateId g) const;
-  void assign_source(GateId g, Planes p);
+  static Word xor2(Word a, Word b) {
+    const std::uint64_t k = a.known & b.known;
+    return Word{(a.val ^ b.val) & k, k};
+  }
+  static Word invert(Word p) { return Word{p.known & ~p.val, p.known}; }
+  static Word blend(Word w, Word forced, std::uint64_t mask) {
+    return Word{(w.val & ~mask) | (forced.val & mask),
+                (w.known & ~mask) | (forced.known & mask)};
+  }
+};
 
-  const Netlist* nl_;
-  CompiledNetlist compiled_;
-  LevelWorklist worklist_;
-  std::vector<std::uint64_t> val_;
-  std::vector<std::uint64_t> known_;
-  std::vector<std::uint64_t> x_mask_;  // per-gate forced-X pattern mask
-  UndoTrail<Planes> trail_;            // injection sites and undo log
+extern template class IncrementalSimulator<PlaneAlgebra>;
 
-  bool all_dirty_ = true;  // first run() is a full stream sweep
+class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
+ public:
+  explicit ThreeValuedSimulator(const Netlist& nl)
+      : IncrementalSimulator(nl, CompiledNetlist(nl)) {}
 
-  mutable std::vector<Val3> fanin_buf_;  // run_full() scratch
+  void set_source(GateId g, Val3 v) {
+    assert(nl_->is_source(g));
+    assign_source(g, Word{v.one, v.one | v.zero});
+  }
+
+  /// Force a gate to X in all pattern slots of `mask`; the override survives
+  /// until clear_overrides().
+  void inject_x(GateId g, std::uint64_t mask = ~0ULL) {
+    force(g, mask, Word{});
+  }
+
+  /// Reference evaluation path: a full topological resweep through the
+  /// generic dual-rail dispatch. Kept as the semantic anchor for
+  /// differential tests; equivalent to run() but always O(|circuit|).
+  void run_full();
+
+  Val3 value(GateId g) const {
+    return Val3{values_.val[g], values_.known[g] & ~values_.val[g]};
+  }
+
+ private:
+  std::vector<Val3> fanin_buf_;  // run_full() scratch
 };
 
 /// Lane-batched candidate X-injection over the compiled 3-valued kernel —
@@ -149,8 +138,7 @@ class ThreeValuedSimulator {
 /// run_singles/run_tuples call then gives every candidate of the batch its
 /// own group — the candidate's gates are forced to X only in that group's
 /// lanes, and all candidates of the batch share ONE dirty-cone sweep (the
-/// per-lane X masks are applied inside the opcode interpreter, and the
-/// per-candidate dirty cones merge in the shared LevelWorklist). Because
+/// per-candidate dirty cones merge in one LevelWorklist drain). Because
 /// bitwise evaluation and the masks never mix lanes, group i is
 /// bit-identical to a scalar simulator evaluating candidate i alone — the
 /// property pinned by tests/common/diff_harness.
@@ -197,7 +185,9 @@ class Sim3XBatch {
                   std::uint64_t* masks);
 
  private:
-  void extract(std::size_t count, std::uint64_t* masks);
+  /// Clear, inject gates_of(i) in group i for i < count, sweep, extract.
+  template <class GatesOf>
+  void run_batch(std::size_t count, GatesOf gates_of, std::uint64_t* masks);
 
   LanePlan plan_;
   std::vector<GateId> out_gates_;  // erroneous output gate per chunk test

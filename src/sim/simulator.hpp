@@ -4,32 +4,24 @@
 // 64 test vectors — the "efficient parallel simulation techniques with linear
 // runtimes" the paper attributes to simulation-based diagnosis.
 //
-// The evaluation core is the shared CompiledNetlist kernel (sim/compiled.hpp)
-// interpreted over one 64-pattern word per gate, with dirty-cone incremental
-// resimulation: sources and overrides changed since the last run() seed a
-// level-ordered worklist; only the affected fanout cone is re-evaluated, and
-// gates whose 64-pattern word comes out unchanged terminate their cone
-// early. While overrides are live, every word run() overwrites is logged on
-// an undo trail (UndoTrail, sim/compiled.hpp), and clear_overrides() writes
-// the logged words back instead of scheduling the cone for re-evaluation.
-// A what-if loop — set_value_override / set_type_override, run(), read the
-// outputs, clear_overrides() — therefore pays one evaluation of the changed
-// part of the override's fanout cone plus an O(#words written) restore per
-// candidate, instead of O(|circuit|). This same role — fast what-if
-// resimulation after a baseline sweep — used to be a separate EventSimulator
-// class; it is now simply this incremental mode.
-//
-// The netlist must not be mutated (substitute_type) after the simulator is
-// constructed: gate functions are compiled into the opcode stream. Use
-// set_type_override for post-construction what-if changes.
+// ParallelSimulator is the incremental core (sim/incremental.hpp) over
+// WordAlgebra, one 64-pattern word per gate; a value override forces every
+// lane of its gate, a type override swaps its function. Its reference path,
+// run_full(), evaluates through sweep_words and the generic per-gate
+// dispatch (eval_gate_words) and never through the opcode interpreter, so
+// the differential tests compare two independent evaluators. Use
+// set_type_override, not substitute_type, for post-construction what-if
+// changes of a gate's function.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "sim/compiled.hpp"
+#include "sim/incremental.hpp"
 
 namespace satdiag {
 
@@ -67,54 +59,60 @@ inline void sweep_words(const Netlist& nl, std::span<std::uint64_t> values) {
       [](GateId, std::uint64_t&) {});
 }
 
-class ParallelSimulator {
+/// The 2-valued lane algebra: one 64-pattern word, bit i is pattern i.
+struct WordAlgebra {
+  using Word = std::uint64_t;
+  struct Plane : std::vector<std::uint64_t> {
+    using vector::vector;
+    void set(std::size_t g, Word w) { (*this)[g] = w; }
+  };
+
+  static Word constant(bool v) { return v ? ~0ULL : 0ULL; }
+  static Word and2(Word a, Word b) { return a & b; }
+  static Word or2(Word a, Word b) { return a | b; }
+  static Word xor2(Word a, Word b) { return a ^ b; }
+  static Word invert(Word a) { return ~a; }
+  static Word blend(Word w, Word forced, std::uint64_t mask) {
+    return (w & ~mask) | (forced & mask);
+  }
+};
+
+extern template class IncrementalSimulator<WordAlgebra>;
+
+class ParallelSimulator : public IncrementalSimulator<WordAlgebra> {
  public:
-  explicit ParallelSimulator(const Netlist& nl);
+  explicit ParallelSimulator(const Netlist& nl)
+      : IncrementalSimulator(nl, CompiledNetlist(nl)) {}
 
   /// Construct by rebinding a cached compilation of a structurally
   /// identical netlist (see CompiledNetlist's rebind-copy constructor) —
   /// skips the flattening walk.
-  ParallelSimulator(const Netlist& nl, const CompiledNetlist& prototype);
-
-  const Netlist& netlist() const { return *nl_; }
+  ParallelSimulator(const Netlist& nl, const CompiledNetlist& prototype)
+      : IncrementalSimulator(nl, CompiledNetlist(nl, prototype)) {}
 
   /// Assign the 64-pattern word of a source gate (input or DFF output).
   /// While a value override is active on `g` the override stays visible;
   /// the assigned word takes effect when clear_overrides() drops it.
-  void set_source(GateId g, std::uint64_t word);
-
-  /// Assign pattern slot `bit` of every primary input from `bits`
-  /// (ordered like netlist.inputs()).
-  void set_input_vector(std::size_t bit, const std::vector<bool>& bits);
+  void set_source(GateId g, std::uint64_t word) {
+    assert(nl_->is_source(g));
+    assign_source(g, word);
+  }
 
   /// Force a gate to a value, masking its computed function or, on a
   /// source, its assigned word (used for fault injection and what-if
-  /// analysis). Cleared by clear_overrides(). The first override after
-  /// pending changes settles them with a run() first, so the undo trail
-  /// starts from a fully evaluated plane.
-  void set_value_override(GateId g, std::uint64_t word);
+  /// analysis). Cleared by clear_overrides().
+  void set_value_override(GateId g, std::uint64_t word) {
+    force(g, ~0ULL, word);
+  }
 
   /// Evaluate gate g with a different function (gate-substitution faults).
-  void set_type_override(GateId g, GateType type);
+  /// Cleared by clear_overrides().
+  void set_type_override(GateId g, GateType type) { substitute(g, type); }
 
-  /// Drop all overrides and restore the plane from the undo trail:
-  /// O(#overridden gates + #words written since the first override). Source
-  /// words assigned meanwhile are re-assigned after the restore and
-  /// evaluated by the next run().
-  void clear_overrides();
-
-  /// Evaluate the combinational frame. Incremental: only the fanout cones of
-  /// sources/overrides changed since the previous run() are recomputed.
-  void run();
-
-  /// Reference evaluation path: a full topological resweep through the
-  /// generic per-gate dispatch (the pre-kernel implementation). Kept as the
-  /// semantic anchor for differential tests; equivalent to run() but always
-  /// O(|circuit|).
+  /// Reference evaluation path: a full topological resweep through
+  /// sweep_words. Kept as the semantic anchor for differential tests;
+  /// equivalent to run() but always O(|circuit|).
   void run_full();
-
-  /// Latch DFF data inputs into DFF outputs (one sequential clock edge).
-  void step_state();
 
   std::uint64_t value(GateId g) const { return values_[g]; }
   bool value_bit(GateId g, std::size_t bit) const {
@@ -123,27 +121,7 @@ class ParallelSimulator {
   std::span<const std::uint64_t> values() const { return values_; }
 
  private:
-  void init_planes();
-  std::uint64_t exec(GateId g) const;
-  void schedule(GateId g);
-  void schedule_fanouts(GateId g);
-  void write(GateId g, std::uint64_t word);
-  void mark_override(GateId g);
-  /// The word assigned to source g, even while an override masks it.
-  std::uint64_t source_word(GateId g) const;
-
-  const Netlist* nl_;
-  CompiledNetlist compiled_;
-  LevelWorklist worklist_;
-  std::vector<std::uint64_t> values_;
-  std::vector<std::uint8_t> has_value_override_;
-  std::vector<std::uint64_t> value_override_;
-  std::vector<GateType> eval_type_;  // per-gate effective type
-  UndoTrail<std::uint64_t> trail_;   // override sites and undo log
-
-  bool all_dirty_ = true;  // first run() is a full stream sweep
-
-  mutable std::vector<std::uint64_t> fanin_buf_;  // run_full() scratch
+  std::vector<std::uint64_t> fanin_buf_;  // run_full() scratch
 };
 
 }  // namespace satdiag

@@ -31,16 +31,6 @@ TEST(AnalysisTest, FaninCone) {
   EXPECT_FALSE(cone[nl.find("g4")]);
 }
 
-TEST(AnalysisTest, FanoutCone) {
-  const Netlist nl = diamond();
-  const auto cone = fanout_cone(nl, {nl.find("g1")});
-  EXPECT_TRUE(cone[nl.find("g1")]);
-  EXPECT_TRUE(cone[nl.find("g2")]);
-  EXPECT_TRUE(cone[nl.find("g3")]);
-  EXPECT_TRUE(cone[nl.find("g4")]);
-  EXPECT_FALSE(cone[nl.find("a")]);
-}
-
 TEST(AnalysisTest, ObservationPointsAreOutputsAndDffData) {
   Netlist nl;
   const GateId a = nl.add_input("a");
@@ -55,46 +45,6 @@ TEST(AnalysisTest, ObservationPointsAreOutputsAndDffData) {
   ASSERT_EQ(points.size(), 2u);
   EXPECT_TRUE(std::find(points.begin(), points.end(), g) != points.end());
   EXPECT_TRUE(std::find(points.begin(), points.end(), h) != points.end());
-}
-
-TEST(AnalysisTest, DominatorsInDiamond) {
-  const Netlist nl = diamond();
-  const auto idom = immediate_dominators(nl);
-  // All of g1's paths to the output reconverge at g4.
-  EXPECT_EQ(idom[nl.find("g1")], nl.find("g4"));
-  // g2's and g3's only path goes through g4.
-  EXPECT_EQ(idom[nl.find("g2")], nl.find("g4"));
-  EXPECT_EQ(idom[nl.find("g3")], nl.find("g4"));
-  // g4 is observed: only the virtual sink dominates it.
-  EXPECT_EQ(idom[nl.find("g4")], kNoGate);
-  // a's paths all pass g1 first.
-  EXPECT_EQ(idom[nl.find("a")], nl.find("g1"));
-}
-
-TEST(AnalysisTest, DominatorChainWalksToTheTop) {
-  const Netlist nl = diamond();
-  const auto idom = immediate_dominators(nl);
-  const auto chain = dominator_chain(nl, idom, nl.find("a"));
-  ASSERT_EQ(chain.size(), 2u);
-  EXPECT_EQ(chain[0], nl.find("g1"));
-  EXPECT_EQ(chain[1], nl.find("g4"));
-}
-
-TEST(AnalysisTest, TwoOutputsBreakDominance) {
-  Netlist nl;
-  const GateId a = nl.add_input("a");
-  const GateId g1 = nl.add_gate(GateType::kBuf, "g1", {a});
-  const GateId g2 = nl.add_gate(GateType::kNot, "g2", {g1});
-  const GateId g3 = nl.add_gate(GateType::kBuf, "g3", {g1});
-  nl.add_output(g2);
-  nl.add_output(g3);
-  nl.finalize();
-  const auto idom = immediate_dominators(nl);
-  // g1 reaches two disjoint outputs: no single gate dominates it.
-  EXPECT_EQ(idom[g1], kNoGate);
-  EXPECT_EQ(idom[g2], kNoGate);
-  EXPECT_EQ(idom[g3], kNoGate);
-  EXPECT_EQ(idom[a], g1);
 }
 
 TEST(AnalysisTest, UndirectedDistances) {

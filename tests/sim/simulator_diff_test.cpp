@@ -50,7 +50,7 @@ TEST(SimulatorDiffTest, RandomOverrideSequencesMatchReference) {
     ParallelSimulator inc(nl);
     ParallelSimulator ref(nl);
     for (int step = 0; step < 120; ++step) {
-      switch (rng.next_below(6)) {
+      switch (rng.next_below(5)) {
         case 0: {  // random word on a random source
           const GateId g = rng.next_bool() && !nl.dffs().empty()
                                ? rng.pick(nl.dffs())
@@ -82,12 +82,7 @@ TEST(SimulatorDiffTest, RandomOverrideSequencesMatchReference) {
           ref.clear_overrides();
           break;
         }
-        case 4: {
-          inc.step_state();
-          ref.step_state();
-          break;
-        }
-        case 5: {  // one pattern slot of every primary input
+        case 4: {  // one pattern slot of every primary input
           const std::size_t bit = rng.next_below(64);
           std::vector<bool> bits;
           bits.reserve(nl.inputs().size());

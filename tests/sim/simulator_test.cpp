@@ -131,28 +131,6 @@ TEST(SimulatorTest, TypeOverrideChangesFunction) {
   EXPECT_EQ(sim.value(g) & 0xF, 0b1110u);
 }
 
-TEST(SimulatorTest, SequentialStepLatchesState) {
-  // ff holds NOT of itself -> toggles every cycle.
-  Netlist nl;
-  const GateId ff = nl.add_dff("ff");
-  const GateId g = nl.add_gate(GateType::kNot, "g", {ff});
-  nl.set_dff_input(ff, g);
-  nl.add_input("dummy");
-  nl.add_output(g);
-  nl.finalize();
-  ParallelSimulator sim(nl);
-  sim.set_source(ff, 0ULL);
-  sim.run();
-  EXPECT_EQ(sim.value(g), ~0ULL);
-  sim.step_state();
-  sim.run();
-  EXPECT_EQ(sim.value(ff), ~0ULL);
-  EXPECT_EQ(sim.value(g), 0ULL);
-  sim.step_state();
-  sim.run();
-  EXPECT_EQ(sim.value(ff), 0ULL);
-}
-
 // Property: parallel word evaluation equals 64 independent single-bit
 // evaluations on a random medium circuit.
 TEST(SimulatorTest, ParallelMatchesScalarOnRandomCircuit) {
