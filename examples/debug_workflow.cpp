@@ -8,7 +8,6 @@
 //                        [--scale 0.5]
 #include <cstdio>
 
-#include "diag/effect.hpp"
 #include "report/experiment.hpp"
 #include "report/format.hpp"
 #include "util/cli.hpp"

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <set>
 
-#include "diag/effect.hpp"
 #include "netlist/analysis.hpp"
 #include "util/timer.hpp"
 
@@ -72,8 +71,6 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   pass1.deadline = options.deadline;
   pass1.instance.instrumented = region_heads(nl);
   pass1.instance.card_encoding = options.card_encoding;
-  pass1.instance.gating_clauses = true;
-  pass1.instance.internal_decisions = false;
   const BsatResult coarse = basic_sat_diagnose(nl, pass1_tests, pass1);
   result.pass1_seconds = timer.seconds();
   result.pass1_instrumented = pass1.instance.instrumented.size();
@@ -123,8 +120,6 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   pass2.deadline = options.deadline;
   pass2.instance.instrumented = fine_set;
   pass2.instance.card_encoding = options.card_encoding;
-  pass2.instance.gating_clauses = true;
-  pass2.instance.internal_decisions = false;
   const BsatResult fine = basic_sat_diagnose(nl, tests, pass2);
   result.pass2_seconds = pass2_timer.seconds();
   result.pass2_instrumented = fine_set.size();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "exec/parallel.hpp"
@@ -47,10 +46,11 @@ sat::Clause blocking_clause(const DiagnosisInstance& inst,
 
 /// True when some test fails on the unmodified circuit, i.e. the empty
 /// correction violates the instance. Otherwise the enumeration would report
-/// the empty set serially and every singleton in parallel (the partition
-/// clauses forbid the empty model). One 64-lane sweep per 64 tests through
-/// the simulator's reference loop rather than a ParallelSimulator, so the
-/// check adds no traced sim.compile step to the BSAT run report.
+/// the empty set with one shard and every singleton with several (the
+/// partition clauses forbid the empty model). One 64-lane sweep per 64
+/// tests through the simulator's reference loop rather than a
+/// ParallelSimulator, so the check adds no traced sim.compile step to the
+/// BSAT run report.
 bool some_test_fails(const Netlist& nl, const TestSet& tests) {
   std::vector<std::uint64_t> value(nl.size(), 0);
   for (std::size_t base = 0; base < tests.size(); base += 64) {
@@ -72,166 +72,156 @@ bool some_test_fails(const Netlist& nl, const TestSet& tests) {
   return false;
 }
 
-BsatResult serial_sat_diagnose(const Netlist& nl, const TestSet& tests,
-                               const BsatOptions& options) {
-  BsatResult result;
-
-  Timer build_timer;
-  DiagnosisInstanceOptions inst_options = options.instance;
-  inst_options.max_k = options.k;
-  // Declared before the instance so instance teardown at function exit is
-  // still inside the enumerate phase (the report's phase split is expected
-  // to account for (nearly) the whole run).
-  obs::Span enumerate_span(obs::Span::kDeferred);
-  std::optional<DiagnosisInstance> inst_holder;
-  {
-    obs::Span build_span("phase.build");
-    inst_holder.emplace(build_diagnosis_instance(nl, tests, inst_options));
-  }
-  DiagnosisInstance& inst = *inst_holder;
-  sat::Solver& solver = inst.solver;
-  result.build_seconds = build_timer.seconds();
-  result.num_vars = static_cast<std::size_t>(solver.num_vars());
-  result.num_clauses = solver.num_clauses();
-
-  if (!options.select_activity_seed.empty()) {
-    seed_select_activity(solver, inst, options.select_activity_seed,
-                         nl.size());
-  }
-
-  enumerate_span.open("phase.enumerate");
-  Timer solve_timer;
-  bool first_recorded = false;
-  const auto cap_reached = [&] {
-    return options.max_solutions >= 0 &&
-           static_cast<std::int64_t>(result.solutions.size()) >=
-               options.max_solutions;
-  };
-  const auto on_model = [&](const sat::Solver&) {
-    std::vector<GateId> correction = inst.selected_gates_from_model();
-    if (!first_recorded) {
-      result.first_seconds = solve_timer.seconds();
-      first_recorded = true;
-    }
-    sat::Clause blocking = blocking_clause(inst, correction);
-    result.solutions.push_back(std::move(correction));
-    return blocking;
-  };
-  for (unsigned bound = 1; bound <= options.k; ++bound) {
-    obs::Span bound_span("bsat.bound", "bound", bound);
-    const std::size_t bound_start = result.solutions.size();
-    const sat::EnumStop stop =
-        sat::enumerate(solver, inst.assume_at_most(bound), options.deadline,
-                       cap_reached, on_model);
-    // Each bound's slice in canonical order, matching the parallel path's
-    // merge order.
-    std::sort(result.solutions.begin() +
-                  static_cast<std::ptrdiff_t>(bound_start),
-              result.solutions.end());
-    if (stop != sat::EnumStop::kExhausted) {
-      result.complete = !sat::truncated(stop);
-      break;
-    }
-  }
-  result.all_seconds = solve_timer.seconds();
-  if (!first_recorded) result.first_seconds = result.all_seconds;
-  result.solver_stats = solver.stats();
-  return result;
-}
-
-/// One worker of the candidate-parallel enumeration. Every shard builds an
-/// IDENTICAL full-universe instance and restricts itself to corrections
-/// whose minimum gate falls in its partition by assuming a per-partition
-/// activation variable (the partition clauses of *all* partitions are
-/// present in *every* shard, guarded by their act vars). Identical clause
-/// databases are what makes cross-shard learnt sharing sound: after the
-/// symmetric cross-blocking at a bound barrier, every shard's irredundant
-/// set implies every other's, so any learnt is implied everywhere. The
-/// partitions stay disjoint and exhaustive over the solution space, so the
-/// merged per-bound sets equal the serial enumeration's.
+/// One enumeration shard. With several shards the instrumented universe is
+/// partitioned by the minimum selected gate: every shard builds an IDENTICAL
+/// full-universe instance and restricts itself to corrections whose minimum
+/// gate falls in its partition by assuming a per-partition activation
+/// variable (the partition clauses of *all* partitions are present in
+/// *every* shard, guarded by their act vars). Identical clause databases are
+/// what makes cross-shard learnt sharing sound: after the symmetric
+/// cross-blocking at a bound barrier, every shard's irredundant set implies
+/// every other's, so any learnt is implied everywhere. The partitions stay
+/// disjoint and exhaustive over the solution space, so the merged per-bound
+/// sets do not depend on the shard count. A lone shard owns the whole
+/// universe: no activation variable, partition clause or exchange.
 struct BsatShard {
   std::unique_ptr<DiagnosisInstance> inst;
-  sat::Lit activate = sat::Lit::undef();  // this shard's partition act var
+  sat::Lit activate = sat::Lit::undef();  // partition act var, if partitioned
   std::vector<std::vector<GateId>> bound_solutions;
-  bool exhausted = false;  // instance became UNSAT at the root
+  bool retired = false;  // instance became UNSAT at the root
 };
 
 // Per-barrier learnt exchange limits: glue cap and batch size per shard.
 constexpr unsigned kShardShareMaxLbd = 4;
 constexpr std::size_t kShardShareMaxClauses = 4096;
 
-BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
-                                 const BsatOptions& options,
-                                 const std::vector<GateId>& universe) {
-  BsatResult result;
-  // Covers shard teardown and the pool join at function exit (see the
-  // serial path for the ordering rationale).
-  obs::Span enumerate_span(obs::Span::kDeferred);
-  // Ceil division twice: first the partition width for the requested lane
-  // count, then the number of shards that width actually fills — e.g. 9
-  // gates on 8 lanes give width 2 and only 5 shards, never a shard whose
-  // begin lies past the universe end.
-  const std::size_t width =
-      std::min(options.num_threads, universe.size());
-  const std::size_t partition = (universe.size() + width - 1) / width;
-  const std::size_t num_shards =
-      (universe.size() + partition - 1) / partition;
+/// Partition restriction of shard `shard`, act-var guarded so every shard
+/// carries all partitions' clauses: act_p -> (no select before partition p)
+/// and act_p -> (some select inside partition p). Returns act_shard. Frozen
+/// non-decision vars: they appear in future assumptions.
+sat::Lit add_partition_clauses(DiagnosisInstance& inst, std::size_t shard,
+                               std::size_t num_shards, std::size_t partition) {
+  sat::Lit activate = sat::Lit::undef();
+  const std::size_t universe = inst.instrumented.size();
+  for (std::size_t p = 0; p < num_shards; ++p) {
+    const sat::Var act = inst.solver.new_var(/*decidable=*/false);
+    inst.solver.freeze(act);
+    if (p == shard) activate = sat::pos(act);
+    const std::size_t begin = p * partition;
+    const std::size_t end = std::min(begin + partition, universe);
+    for (std::size_t i = 0; i < begin; ++i) {
+      inst.solver.add_clause(sat::neg(act), sat::neg(inst.select_var[i]));
+    }
+    sat::Clause any_in_partition;
+    any_in_partition.push_back(sat::neg(act));
+    for (std::size_t i = begin; i < end; ++i) {
+      any_in_partition.push_back(sat::pos(inst.select_var[i]));
+    }
+    inst.solver.add_clause(std::move(any_in_partition));
+  }
+  return activate;
+}
 
-  exec::ThreadPool pool(options.num_threads);
-  std::vector<BsatShard> shards(num_shards);
-
-  Timer build_timer;
-  obs::Span build_span("phase.build");
+/// Learnt exchange at a bound barrier. Sound here and only here: after the
+/// symmetric cross-blocking every shard's irredundant clause set implies
+/// every other's (identical instances + the same blocking clauses), so a
+/// learnt derived in any shard is implied in all of them. Deterministic:
+/// each shard's batch is a pure function of its own (single-threaded)
+/// search, and imports happen in fixed shard order.
+void exchange_learnts(exec::ThreadPool& pool, std::vector<BsatShard>& shards) {
+  const std::size_t num_shards = shards.size();
+  std::vector<std::vector<sat::SharedClause>> batches(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (shards[s].retired) continue;
+    shards[s].inst->solver.export_learnts(kShardShareMaxLbd,
+                                          kShardShareMaxClauses, batches[s]);
+  }
   exec::parallel_for(
       pool, num_shards,
-      [&](std::size_t s, std::size_t) {
-        DiagnosisInstanceOptions inst_options = options.instance;
-        inst_options.max_k = options.k;
-        // Identical instance in every shard: same universe, same variable
-        // numbering (required for sharing blocking clauses and learnts).
-        inst_options.instrumented = universe;
-        shards[s].inst = std::make_unique<DiagnosisInstance>(
-            build_diagnosis_instance(nl, tests, inst_options));
-        DiagnosisInstance& inst = *shards[s].inst;
-        // Partition restriction, act-var guarded so every shard carries all
-        // partitions' clauses: act_p -> (no select before partition p) and
-        // act_p -> (some select inside partition p). Shard s assumes act_s.
-        // Frozen non-decision vars: they appear in future assumptions.
-        for (std::size_t p = 0; p < num_shards; ++p) {
-          const sat::Var act =
-              inst.solver.new_var(/*decidable=*/false);
-          inst.solver.freeze(act);
-          if (p == s) shards[s].activate = sat::pos(act);
-          const std::size_t begin = p * partition;
-          const std::size_t end =
-              std::min(begin + partition, universe.size());
-          for (std::size_t i = 0; i < begin; ++i) {
-            inst.solver.add_clause(sat::neg(act),
-                                   sat::neg(inst.select_var[i]));
+      [&](std::size_t t, std::size_t) {
+        if (shards[t].retired) return;
+        sat::Solver& solver = shards[t].inst->solver;
+        std::set<sat::Clause> seen;  // dedup across producer batches
+        for (std::size_t s = 0; s < num_shards; ++s) {
+          if (s == t) continue;
+          for (const sat::SharedClause& shared : batches[s]) {
+            if (!seen.insert(shared.lits).second) continue;
+            solver.import_clause(shared);
+            if (!solver.ok()) {
+              shards[t].retired = true;
+              return;
+            }
           }
-          sat::Clause any_in_partition;
-          any_in_partition.push_back(sat::neg(act));
-          for (std::size_t i = begin; i < end; ++i) {
-            any_in_partition.push_back(sat::pos(inst.select_var[i]));
-          }
-          inst.solver.add_clause(std::move(any_in_partition));
-        }
-        if (!inst.solver.ok()) shards[s].exhausted = true;
-        if (!options.select_activity_seed.empty()) {
-          seed_select_activity(inst.solver, inst,
-                               options.select_activity_seed, nl.size());
         }
       },
       /*grain=*/1);
-  build_span.close();
-  result.build_seconds = build_timer.seconds();
+}
+
+}  // namespace
+
+BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
+                              const BsatOptions& options) {
+  assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
+  assert(!tests.empty());
+  if (!some_test_fails(nl, tests)) return {};
+  BsatResult result;
+  // Declared before the shards so their teardown and the pool join at
+  // function exit are still inside the enumerate phase (the report's phase
+  // split is expected to account for (nearly) the whole run).
+  obs::Span enumerate_span(obs::Span::kDeferred);
+
+  // One shard unless several lanes meet a universe of several gates. The
+  // partition boundaries index the universe the shards build (the partition
+  // clauses index select_var directly). Ceil division twice: first the
+  // partition width for the requested lane count, then the number of shards
+  // that width actually fills — e.g. 9 gates on 8 lanes give width 2 and
+  // only 5 shards, never a shard whose begin lies past the universe end.
+  std::size_t num_shards = 1;
+  std::size_t partition = 0;
+  if (options.num_threads > 1) {
+    const std::size_t universe =
+        diagnosis_universe(nl, tests, options.instance).size();
+    if (universe > 1) {
+      const std::size_t width = std::min(options.num_threads, universe);
+      partition = (universe + width - 1) / width;
+      num_shards = (universe + partition - 1) / partition;
+    }
+  }
+  exec::ThreadPool pool(num_shards);
+  std::vector<BsatShard> shards(num_shards);
+  // A lone shard runs on the caller: no exec.shard span or counter.
+  const auto for_each_shard = [&](const auto& body) {
+    if (num_shards == 1) return body(0);
+    exec::parallel_for(
+        pool, num_shards, [&](std::size_t s, std::size_t) { body(s); },
+        /*grain=*/1);
+  };
+
+  Timer build_timer;
+  obs::Span build_span("phase.build");
   // Every shard stamps its copies from the SAME cached ClauseStream
   // template: the first shard to miss the artifact cache runs the encoder
   // walk once, the others block on its in-flight future and relocate the
-  // finished template (no redundant re-encoding per shard). The resulting
-  // clause databases must be identical — the cross-blocking and learnt
-  // exchange below are only sound because of it — so verify the cheap
-  // invariant here.
+  // finished template (no redundant re-encoding per shard).
+  for_each_shard([&](std::size_t s) {
+    DiagnosisInstanceOptions inst_options = options.instance;
+    inst_options.max_k = options.k;
+    shards[s].inst = std::make_unique<DiagnosisInstance>(
+        build_diagnosis_instance(nl, tests, inst_options));
+    DiagnosisInstance& inst = *shards[s].inst;
+    if (num_shards > 1) {
+      shards[s].activate =
+          add_partition_clauses(inst, s, num_shards, partition);
+    }
+    if (!options.select_activity_seed.empty()) {
+      seed_select_activity(inst.solver, inst, options.select_activity_seed,
+                           nl.size());
+    }
+  });
+  build_span.close();
+  result.build_seconds = build_timer.seconds();
+  // The cross-blocking and learnt exchange below are only sound on
+  // identical clause databases; verify the cheap invariant.
 #ifndef NDEBUG
   for (std::size_t s = 1; s < num_shards; ++s) {
     assert(shards[s].inst->solver.num_vars() ==
@@ -240,67 +230,66 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
            shards[0].inst->solver.num_clauses());
   }
 #endif
-  // All worker instances are identical; report the first (it differs from
-  // the serial instance only by the activation vars/clauses).
   result.num_vars =
       static_cast<std::size_t>(shards[0].inst->solver.num_vars());
   result.num_clauses = shards[0].inst->solver.num_clauses();
 
   enumerate_span.open("phase.enumerate");
   Timer solve_timer;
-  bool first_recorded = false;
+  // Time of the first model any shard finds: written once by the shard
+  // that wins the flag, read after the join.
+  std::atomic<bool> first_found{false};
   std::atomic<std::int64_t> total_found{0};
   std::atomic<bool> truncated{false};
   for (unsigned bound = 1; bound <= options.k; ++bound) {
     obs::Span bound_span("bsat.bound", "bound", bound);
-    exec::parallel_for(
-        pool, num_shards,
-        [&](std::size_t s, std::size_t) {
-          BsatShard& shard = shards[s];
-          shard.bound_solutions.clear();
-          if (shard.exhausted) return;
-          DiagnosisInstance& inst = *shard.inst;
-          auto assumptions = inst.assume_at_most(bound);
-          assumptions.push_back(shard.activate);
-          const sat::EnumStop stop = sat::enumerate(
-              inst.solver, assumptions, options.deadline,
-              [&] {
-                return options.max_solutions >= 0 &&
-                       total_found.load(std::memory_order_relaxed) >=
-                           options.max_solutions;
-              },
-              [&](const sat::Solver&) {
-                std::vector<GateId> correction =
-                    inst.selected_gates_from_model();
-                sat::Clause blocking = blocking_clause(inst, correction);
-                shard.bound_solutions.push_back(std::move(correction));
-                total_found.fetch_add(1, std::memory_order_relaxed);
-                return blocking;
-              });
-          // The partition clause rules out the empty model, so a stop
-          // other than exhaustion or a budget means root-UNSAT.
-          if (sat::truncated(stop)) {
-            truncated.store(true, std::memory_order_relaxed);
-          } else if (stop != sat::EnumStop::kExhausted) {
-            shard.exhausted = true;
-          }
-        },
-        /*grain=*/1);
+    for_each_shard([&](std::size_t s) {
+      BsatShard& shard = shards[s];
+      if (shard.retired) return;
+      DiagnosisInstance& inst = *shard.inst;
+      auto assumptions = inst.assume_at_most(bound);
+      if (num_shards > 1) assumptions.push_back(shard.activate);
+      const sat::EnumStop stop = sat::enumerate(
+          inst.solver, assumptions, options.deadline,
+          [&] {
+            return options.max_solutions >= 0 &&
+                   total_found.load(std::memory_order_relaxed) >=
+                       options.max_solutions;
+          },
+          [&](const sat::Solver&) {
+            if (!first_found.exchange(true, std::memory_order_relaxed)) {
+              result.first_seconds = solve_timer.seconds();
+            }
+            std::vector<GateId> correction = inst.selected_gates_from_model();
+            sat::Clause blocking = blocking_clause(inst, correction);
+            shard.bound_solutions.push_back(std::move(correction));
+            total_found.fetch_add(1, std::memory_order_relaxed);
+            return blocking;
+          });
+      // some_test_fails rules out the empty model (and with several shards
+      // the partition clause does too), so a stop other than exhaustion or
+      // a budget means root-UNSAT.
+      if (sat::truncated(stop)) {
+        truncated.store(true, std::memory_order_relaxed);
+      } else if (stop != sat::EnumStop::kExhausted) {
+        shard.retired = true;
+      }
+    });
 
     // Barrier: merge this bound in partition order, canonicalize, and
     // cross-block SYMMETRICALLY — every shard receives every other shard's
     // solutions. Earlier shards need the clauses to not rediscover supersets
     // (a superset's minimum gate can move to an earlier partition); the
     // symmetric direction keeps all clause databases mutual supersets, the
-    // precondition for the learnt exchange below.
+    // precondition for the learnt exchange.
     const std::size_t bound_start = result.solutions.size();
     for (std::size_t s = 0; s < num_shards; ++s) {
       for (std::size_t t = 0; t < num_shards; ++t) {
-        if (t == s || shards[t].exhausted) continue;
+        if (t == s || shards[t].retired) continue;
         DiagnosisInstance& inst = *shards[t].inst;
         for (const auto& solution : shards[s].bound_solutions) {
           if (!inst.solver.add_clause(blocking_clause(inst, solution))) {
-            shards[t].exhausted = true;
+            shards[t].retired = true;
             break;
           }
         }
@@ -310,38 +299,7 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
       }
       shards[s].bound_solutions.clear();
     }
-
-    // Learnt exchange at the barrier. Sound here and only here: after the
-    // symmetric cross-blocking every shard's irredundant clause set implies
-    // every other's (identical instances + the same blocking clauses), so a
-    // learnt derived in any shard is implied in all of them. Deterministic:
-    // each shard's batch is a pure function of its own (single-threaded)
-    // search, and imports happen in fixed shard order.
-    std::vector<std::vector<sat::SharedClause>> batches(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (shards[s].exhausted) continue;
-      shards[s].inst->solver.export_learnts(
-          kShardShareMaxLbd, kShardShareMaxClauses, batches[s]);
-    }
-    exec::parallel_for(
-        pool, num_shards,
-        [&](std::size_t t, std::size_t) {
-          if (shards[t].exhausted) return;
-          sat::Solver& solver = shards[t].inst->solver;
-          std::set<sat::Clause> seen;  // dedup across producer batches
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            if (s == t) continue;
-            for (const sat::SharedClause& shared : batches[s]) {
-              if (!seen.insert(shared.lits).second) continue;
-              solver.import_clause(shared);
-              if (!solver.ok()) {
-                shards[t].exhausted = true;
-                return;
-              }
-            }
-          }
-        },
-        /*grain=*/1);
+    if (num_shards > 1) exchange_learnts(pool, shards);
     std::sort(result.solutions.begin() +
                   static_cast<std::ptrdiff_t>(bound_start),
               result.solutions.end());
@@ -352,40 +310,23 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
           static_cast<std::size_t>(options.max_solutions));
       truncated.store(true, std::memory_order_relaxed);
     }
-    if (!first_recorded && result.solutions.size() > bound_start) {
-      result.first_seconds = solve_timer.seconds();
-      first_recorded = true;
-    }
     if (truncated.load(std::memory_order_relaxed)) {
       result.complete = false;
       break;
     }
+    if (std::all_of(shards.begin(), shards.end(),
+                    [](const BsatShard& shard) { return shard.retired; })) {
+      break;
+    }
   }
   result.all_seconds = solve_timer.seconds();
-  if (!first_recorded) result.first_seconds = result.all_seconds;
+  if (!first_found.load(std::memory_order_relaxed)) {
+    result.first_seconds = result.all_seconds;
+  }
   for (const BsatShard& shard : shards) {
     result.solver_stats.merge(shard.inst->solver.stats());
   }
   return result;
-}
-
-}  // namespace
-
-BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
-                              const BsatOptions& options) {
-  assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
-  assert(!tests.empty());
-  if (!some_test_fails(nl, tests)) return {};
-  if (options.num_threads > 1) {
-    // The partition boundaries index the instrumented universe the shards
-    // actually build (the activation clauses index select_var directly).
-    const std::vector<GateId> universe =
-        diagnosis_universe(nl, tests, options.instance);
-    if (universe.size() > 1) {
-      return parallel_sat_diagnose(nl, tests, options, universe);
-    }
-  }
-  return serial_sat_diagnose(nl, tests, options);
 }
 
 }  // namespace satdiag

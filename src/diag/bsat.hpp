@@ -35,15 +35,18 @@ struct BsatOptions {
   /// select variables of heavily marked gates are boosted in the decision
   /// heuristic and hinted to positive polarity. Empty = off.
   std::vector<std::uint32_t> select_activity_seed;
-  /// Candidate-parallel enumeration lanes (exec/ runtime). With N > 1 the
-  /// instrumented set is partitioned by the minimum selected gate: every
-  /// worker builds an identical full-universe instance and restricts itself
+  /// Candidate-parallel enumeration lanes (exec/ runtime). One code path
+  /// serves every count: it runs one enumeration shard per partition of the
+  /// instrumented set, and one thread (or a universe of at most one gate)
+  /// means one shard over the whole set, enumerated on the calling thread.
+  /// With N > 1 the set is partitioned by the minimum selected gate: every
+  /// shard builds an identical full-universe instance and restricts itself
   /// to corrections whose lowest-indexed gate falls in its partition by
   /// assuming a per-partition activation variable. Bounds are synchronized
-  /// at a barrier where every worker's solutions are merged (canonical
-  /// order), cross-blocked into every other worker, and low-LBD learnts are
+  /// at a barrier where every shard's solutions are merged (canonical
+  /// order), cross-blocked into every other shard, and low-LBD learnts are
   /// exchanged (sound there: after the symmetric cross-blocking every
-  /// worker's clause database implies every other's; deterministic, it only
+  /// shard's clause database implies every other's; deterministic, it only
   /// changes search effort). Complete enumerations are bit-identical for
   /// every thread count; truncated runs (deadline / max_solutions) may
   /// differ in which solutions they kept.
@@ -53,12 +56,14 @@ struct BsatOptions {
 struct BsatResult {
   /// Essential valid corrections of size 1..k: bounds in ascending order,
   /// each bound's solutions in canonical (lexicographically sorted) order —
-  /// the thread-count-invariant order of the parallel enumeration.
+  /// the same at every thread count.
   std::vector<std::vector<GateId>> solutions;
   bool complete = true;
 
   double build_seconds = 0.0;  // "CNF" column of Table 2
-  double first_seconds = 0.0;  // "One"
+  /// "One": time from the start of the enumeration to the first model any
+  /// shard found (all_seconds when none was found).
+  double first_seconds = 0.0;
   double all_seconds = 0.0;    // "All"
 
   std::size_t num_vars = 0;

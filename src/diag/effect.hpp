@@ -9,6 +9,10 @@
 //    must at least drive every erroneous output to X; a cheap necessary
 //    condition used as a pre-filter (this is the forward-implication idea of
 //    the X-list approach).
+//
+// No diagnosis engine calls either check; the tests use them as reference
+// oracles (Definition 3 for the enumerated corrections, the scalar X check
+// for the lane-batched x_reach_masks of diag/xlist).
 #pragma once
 
 #include "cnf/mux_instrument.hpp"
@@ -31,18 +35,8 @@ class EffectAnalyzer {
   /// Necessary condition via 01X simulation: X injected at the candidate
   /// gates reaches the erroneous output of every test. Linear time; never
   /// returns false for a valid correction. Const but not thread-safe: it
-  /// resimulates through a mutable member simulator (use x_check_batch for
-  /// candidate-parallel work).
+  /// resimulates through a mutable member simulator.
   bool x_check(const std::vector<GateId>& candidate) const;
-
-  /// Lane-batched, candidate-parallel x_check over the exec/ runtime:
-  /// 64 / |tests| candidates are evaluated per sim3 sweep (one candidate
-  /// per lane group, Sim3XBatch), whole batches are sharded across
-  /// `num_threads` workers. Entry i answers x_check(candidates[i]);
-  /// bit-identical to the serial calls for every thread count.
-  std::vector<std::uint8_t> x_check_batch(
-      const std::vector<std::vector<GateId>>& candidates,
-      std::size_t num_threads) const;
 
   const Netlist& netlist() const { return *nl_; }
   std::size_t checks_performed() const { return checks_; }

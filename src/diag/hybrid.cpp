@@ -18,8 +18,6 @@ HybridResult hybrid_diagnose(const Netlist& nl, const TestSet& tests,
   bsat.k = options.k;
   bsat.max_solutions = options.max_solutions;
   bsat.deadline = options.deadline;
-  bsat.instance.gating_clauses = true;
-  bsat.instance.internal_decisions = false;
   bsat.num_threads = options.num_threads;
 
   if (options.mode == HybridMode::kSeedActivity) {

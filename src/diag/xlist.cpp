@@ -53,20 +53,26 @@ std::vector<std::uint64_t> reach_masks(exec::ThreadPool& pool,
   return mask;
 }
 
-std::vector<GateId> candidate_pool(const Netlist& nl, const TestSet& tests,
-                                   const XListOptions& options) {
+/// Combinational gates in the *intersection* of the erroneous outputs'
+/// fanin cones: a surviving candidate's X must reach every test's erroneous
+/// output, so anything outside provably fails the criterion and the result
+/// set is unchanged (pinned against a pool of every combinational gate in
+/// tests/sim/sim3_diff_test.cpp and the diff harness).
+std::vector<GateId> candidate_pool(const Netlist& nl, const TestSet& tests) {
+  std::vector<GateId> outs;
+  for (const Test& t : tests) outs.push_back(test_output_gate(nl, t));
+  std::sort(outs.begin(), outs.end());
+  outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
+  std::vector<bool> in_every_cone(nl.size(), true);
+  for (const GateId out : outs) {
+    const std::vector<bool> cone = fanin_cone(nl, {out});
+    for (GateId g = 0; g < nl.size(); ++g) {
+      if (!cone[g]) in_every_cone[g] = false;
+    }
+  }
   std::vector<GateId> pool;
-  if (options.restrict_to_fanin_cones) {
-    std::vector<GateId> outs;
-    for (const Test& t : tests) outs.push_back(test_output_gate(nl, t));
-    const std::vector<bool> cone = fanin_cone(nl, outs);
-    for (GateId g = 0; g < nl.size(); ++g) {
-      if (cone[g] && nl.is_combinational(g)) pool.push_back(g);
-    }
-  } else {
-    for (GateId g = 0; g < nl.size(); ++g) {
-      if (nl.is_combinational(g)) pool.push_back(g);
-    }
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (in_every_cone[g] && nl.is_combinational(g)) pool.push_back(g);
   }
   return pool;
 }
@@ -79,30 +85,13 @@ std::vector<GateId> xlist_single_candidates(const Netlist& nl,
   assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
   std::vector<GateId> result;
   if (tests.empty()) return result;
-  const std::vector<GateId> pool = candidate_pool(nl, tests, options);
+  const std::vector<GateId> pool = candidate_pool(nl, tests);
   exec::ThreadPool workers(options.num_threads);
 
   // Process tests in batches of 64 pattern slots; a candidate survives only
   // if it covers every batch completely.
   std::vector<bool> alive(nl.size(), false);
   for (GateId g : pool) alive[g] = true;
-  // Exact structural pre-filter: a surviving candidate's X must reach every
-  // test's erroneous output, so it must lie in the *intersection* of their
-  // fanin cones — anything outside provably fails the criterion, so the
-  // result set is unchanged (pinned against the unrestricted reference in
-  // tests/sim/sim3_diff_test.cpp and the diff harness).
-  {
-    std::vector<GateId> outs;
-    for (const Test& t : tests) outs.push_back(test_output_gate(nl, t));
-    std::sort(outs.begin(), outs.end());
-    outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
-    for (const GateId out : outs) {
-      const std::vector<bool> cone = fanin_cone(nl, {out});
-      for (GateId g : pool) {
-        if (!cone[g]) alive[g] = false;
-      }
-    }
-  }
   for (std::size_t base = 0; base < tests.size(); base += 64) {
     const std::size_t batch_size = std::min<std::size_t>(64, tests.size() - base);
     const TestSet batch(tests.begin() + static_cast<std::ptrdiff_t>(base),

@@ -17,9 +17,6 @@
 namespace satdiag {
 
 struct XListOptions {
-  /// Restrict candidates to the union of the erroneous outputs' fanin cones
-  /// (an X injected elsewhere can never reach them).
-  bool restrict_to_fanin_cones = true;
   Deadline deadline;
   /// Candidate-parallel lanes (exec/ runtime): whole 64-candidate injection
   /// batches are sharded over per-thread Sim3XBatch evaluators cloned from
@@ -42,6 +39,8 @@ std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
                                          const Deadline& deadline = {});
 
 /// Gates g such that injecting X at g makes every test's erroneous output X.
+/// Only combinational gates in the fanin cone of every erroneous output are
+/// simulated: an X injected anywhere else misses some test's output.
 std::vector<GateId> xlist_single_candidates(const Netlist& nl,
                                             const TestSet& tests,
                                             const XListOptions& options = {});

@@ -150,8 +150,6 @@ ExperimentRow run_experiment(const PreparedExperiment& prepared,
     bsat.k = k;
     bsat.deadline = Deadline::after_seconds(config.time_limit_seconds);
     bsat.max_solutions = config.max_solutions;
-    bsat.instance.gating_clauses = true;
-    bsat.instance.internal_decisions = false;
     const BsatResult result =
         basic_sat_diagnose(prepared.faulty, prepared.tests, bsat);
     row.bsat.cnf_seconds = result.build_seconds;

@@ -4,12 +4,12 @@
 // loop: solve under the cardinality bound, project the model onto the select
 // lines, "add a blocking clause for each solution", repeat until UNSAT.
 // enumerate() is that loop, and every all-solutions job in the tree drives
-// it: BSAT and its partition shards, COV, and the SAT ATPG fallback of test
-// generation. The caller's on_model callback records
-// its solution and returns the blocking clause (the negated asserted selects
+// it: every BSAT shard (one shard at one thread), COV, and the SAT ATPG
+// fallback of test generation. The caller's on_model callback records its
+// solution and returns the blocking clause (the negated asserted selects
 // for subset blocking, the full cube for exact model enumeration); the loop
 // owns the budget checks, the solve and the in-search blocking. Bounds stay
-// with the callers: parallel BSAT synchronizes its shards between them.
+// with the callers: BSAT merges and cross-blocks its shards between them.
 #pragma once
 
 #include <functional>

@@ -556,13 +556,6 @@ void Solver::boost_activity(Var v, double factor) {
   if (heap_in(v)) heap_update(v);
 }
 
-void Solver::set_decision_var(Var v, bool decidable) {
-  decision_[static_cast<std::size_t>(v)] = decidable;
-  if (decidable && !heap_in(v)) {
-    heap_insert(v);
-  }
-}
-
 void Solver::heap_insert(Var v) {
   heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(heap_.size());
   heap_.push_back(v);
@@ -1263,14 +1256,6 @@ bool Solver::import_clause(const SharedClause& shared) {
 // ---------------------------------------------------------------------------
 // Search
 
-bool Solver::within_budget() const {
-  if (conflict_budget_ >= 0 &&
-      stats_.conflicts >= static_cast<std::uint64_t>(conflict_budget_)) {
-    return false;
-  }
-  return !deadline_.expired();
-}
-
 double Solver::luby(double y, int i) {
   int size = 1;
   int seq = 0;
@@ -1338,7 +1323,7 @@ LBool Solver::search() {
     }
 
     // No conflict.
-    if ((stats_.conflicts & 1023) == 0 && !within_budget()) {
+    if ((stats_.conflicts & 1023) == 0 && deadline_.expired()) {
       cancel_until(0);
       return LBool::kUndef;
     }
@@ -1406,7 +1391,7 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
 
   LBool status = LBool::kUndef;
   while (status == LBool::kUndef) {
-    if (!within_budget()) break;
+    if (deadline_.expired()) break;
     if (decision_level() == 0) {
       // Restart boundary: run the budgeted simplification pipeline when it
       // is due.

@@ -263,13 +263,11 @@ class Solver {
   /// clauses are not re-exported.
   bool import_clause(const SharedClause& shared);
 
-  // ---- budgets ----------------------------------------------------------------
-  void set_conflict_budget(std::int64_t conflicts) { conflict_budget_ = conflicts; }
-  void clear_budgets() { conflict_budget_ = -1; deadline_ = Deadline(); }
+  // ---- budget ---------------------------------------------------------------
+  /// solve() returns kUndef once the deadline expires.
   void set_deadline(Deadline d) { deadline_ = d; }
 
   // ---- heuristic hooks ------------------------------------------------------
-  void set_decision_var(Var v, bool decidable);
   void set_polarity_hint(Var v, bool phase) {
     saved_phase_[static_cast<std::size_t>(v)] = phase;
   }
@@ -467,7 +465,6 @@ class Solver {
   void reduce_db();
   void garbage_collect();
   LBool search();
-  bool within_budget() const;
   static double luby(double y, int i);
 
   // ---- inprocessing internals (solver.cpp + the sat/ module files) -------
@@ -583,7 +580,6 @@ class Solver {
   std::vector<std::pair<Lit, Lit>> bin_export_queue_;
 
   double max_learnts_ = 0;
-  std::int64_t conflict_budget_ = -1;
   Deadline deadline_;
   std::uint64_t wasted_ = 0;  // arena words lost to deleted clauses
 

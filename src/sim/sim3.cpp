@@ -92,31 +92,17 @@ Sim3XBatch::Sim3XBatch(const Netlist& nl, const TestSet& tests,
 
 void Sim3XBatch::run_singles(std::span<const GateId> batch,
                              std::uint64_t* masks) {
-  run_batch(
-      batch.size(), [&](std::size_t i) { return batch.subspan(i, 1); }, masks);
-}
-
-void Sim3XBatch::run_tuples(std::span<const std::vector<GateId>> batch,
-                            std::uint64_t* masks) {
-  run_batch(
-      batch.size(),
-      [&](std::size_t i) { return std::span<const GateId>(batch[i]); }, masks);
-}
-
-template <class GatesOf>
-void Sim3XBatch::run_batch(std::size_t count, GatesOf gates_of,
-                           std::uint64_t* masks) {
-  if (count == 0) return;
-  assert(count <= capacity());
+  if (batch.empty()) return;
+  assert(batch.size() <= capacity());
   sim_.clear_overrides();
-  for (std::size_t i = 0; i < count; ++i) {
-    for (const GateId g : gates_of(i)) sim_.inject_x(g, plan_.group_mask(i));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    sim_.inject_x(batch[i], plan_.group_mask(i));
   }
   sim_.run();
-  for (std::size_t i = 0; i < count; ++i) masks[i] = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) masks[i] = 0;
   for (std::size_t b = 0; b < out_gates_.size(); ++b) {
     const std::uint64_t x = sim_.value(out_gates_[b]).x_mask();
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       masks[i] |= ((x >> plan_.lane(i, b)) & 1ULL) << b;
     }
   }

@@ -129,16 +129,17 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
   std::vector<Val3> fanin_buf_;  // run_full() scratch
 };
 
-/// Lane-batched candidate X-injection over the compiled 3-valued kernel —
-/// the batched injection mode of the diagnosis engines.
+/// Lane-batched single-gate X-injection over the compiled 3-valued kernel —
+/// the batched injection mode behind x_reach_masks (X-list and the BSIM
+/// X-refinement).
 ///
 /// One Sim3XBatch owns a ThreeValuedSimulator whose 64 pattern lanes are
 /// packed by a LanePlan (sim/compiled.hpp): a chunk of up to 64 tests is
 /// replicated into every lane group once at construction, and each
-/// run_singles/run_tuples call then gives every candidate of the batch its
-/// own group — the candidate's gates are forced to X only in that group's
-/// lanes, and all candidates of the batch share ONE dirty-cone sweep (the
-/// per-candidate dirty cones merge in one LevelWorklist drain). Because
+/// run_singles call then gives every candidate gate of the batch its own
+/// group — the gate is forced to X only in that group's lanes, and all
+/// candidates of the batch share ONE dirty-cone sweep (the per-candidate
+/// dirty cones merge in one LevelWorklist drain). Because
 /// bitwise evaluation and the masks never mix lanes, group i is
 /// bit-identical to a scalar simulator evaluating candidate i alone — the
 /// property pinned by tests/common/diff_harness.
@@ -179,16 +180,8 @@ class Sim3XBatch {
   /// leaves the remaining groups X-free (previous injections are cleared
   /// first), so no stale lanes leak into the extracted masks.
   void run_singles(std::span<const GateId> batch, std::uint64_t* masks);
-  /// Same over gate-set candidates: group i carries the joint injection of
-  /// every gate in batch[i].
-  void run_tuples(std::span<const std::vector<GateId>> batch,
-                  std::uint64_t* masks);
 
  private:
-  /// Clear, inject gates_of(i) in group i for i < count, sweep, extract.
-  template <class GatesOf>
-  void run_batch(std::size_t count, GatesOf gates_of, std::uint64_t* masks);
-
   LanePlan plan_;
   std::vector<GateId> out_gates_;  // erroneous output gate per chunk test
   ThreeValuedSimulator sim_;

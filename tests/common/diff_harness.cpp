@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "diag/bsim.hpp"
-#include "diag/effect.hpp"
 #include "diag/xlist.hpp"
 #include "exec/thread_pool.hpp"
 #include "gen/generator.hpp"
@@ -83,14 +82,6 @@ DiffInstance make_instance(const DiffConfig& config) {
   rng.shuffle(shuffled);
   inst.singles.assign(shuffled.begin(),
                       shuffled.begin() + static_cast<std::ptrdiff_t>(count));
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<GateId> tuple;
-    const std::size_t size = 1 + rng.next_below(3);
-    for (std::size_t j = 0; j < size; ++j) {
-      tuple.push_back(rng.pick(inst.pool));
-    }
-    inst.tuples.push_back(std::move(tuple));
-  }
   return inst;
 }
 
@@ -159,20 +150,6 @@ std::vector<std::uint64_t> batched_masks_singles(const Netlist& nl,
   return masks;
 }
 
-std::vector<std::uint64_t> batched_masks_tuples(
-    const Netlist& nl, const TestSet& tests,
-    const std::vector<std::vector<GateId>>& tuples) {
-  Sim3XBatch batch(nl, tests);
-  std::vector<std::uint64_t> masks(tuples.size(), ~0ULL);
-  const std::span<const std::vector<GateId>> all(tuples);
-  for (std::size_t begin = 0; begin < tuples.size();
-       begin += batch.capacity()) {
-    const std::size_t n = std::min(batch.capacity(), tuples.size() - begin);
-    batch.run_tuples(all.subspan(begin, n), &masks[begin]);
-  }
-  return masks;
-}
-
 }  // namespace
 
 std::string check_batch_singles_vs_scalar(const DiffConfig& config) {
@@ -184,19 +161,6 @@ std::string check_batch_singles_vs_scalar(const DiffConfig& config) {
   for (std::size_t i = 0; i < batched.size(); ++i) {
     if (batched[i] != scalar[i]) {
       return format_mask_mismatch("singles", i, batched[i], scalar[i]);
-    }
-  }
-  return "";
-}
-
-std::string check_batch_tuples_vs_scalar(const DiffConfig& config) {
-  const DiffInstance inst = make_instance(config);
-  const auto batched = batched_masks_tuples(inst.nl, inst.tests, inst.tuples);
-  const auto scalar = scalar_reach_masks(inst.nl, inst.tests, inst.tuples,
-                                         /*use_run_full=*/false);
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    if (batched[i] != scalar[i]) {
-      return format_mask_mismatch("tuples", i, batched[i], scalar[i]);
     }
   }
   return "";
@@ -236,21 +200,6 @@ std::string check_batch_input_candidates_vs_run_full(
     if (batched[i] != reference[i]) {
       return format_mask_mismatch("input singles", i, batched[i],
                                   reference[i]);
-    }
-  }
-  // Tuples joining a primary input to a random combinational tuple.
-  std::vector<std::vector<GateId>> tuples = inst.tuples;
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    tuples[i].push_back(inputs[i % inputs.size()]);
-  }
-  const auto batched_tuples = batched_masks_tuples(inst.nl, inst.tests,
-                                                   tuples);
-  const auto tuple_reference = scalar_reach_masks(inst.nl, inst.tests, tuples,
-                                                  /*use_run_full=*/true);
-  for (std::size_t i = 0; i < batched_tuples.size(); ++i) {
-    if (batched_tuples[i] != tuple_reference[i]) {
-      return format_mask_mismatch("input tuples", i, batched_tuples[i],
-                                  tuple_reference[i]);
     }
   }
   return "";
@@ -294,31 +243,6 @@ std::string check_threaded_reach_masks(const DiffConfig& config) {
         return format_mask_mismatch(
             ("x_reach_masks threads=" + std::to_string(threads)).c_str(), i,
             masks[i], scalar[i]);
-      }
-    }
-  }
-  return "";
-}
-
-std::string check_x_check_batch_vs_serial(const DiffConfig& config) {
-  const DiffInstance inst = make_instance(config);
-  const EffectAnalyzer effect(inst.nl, inst.tests);
-  std::vector<std::uint8_t> serial;
-  serial.reserve(inst.tuples.size());
-  for (const auto& tuple : inst.tuples) {
-    serial.push_back(effect.x_check(tuple) ? 1 : 0);
-  }
-  for (const std::size_t threads : kThreadCounts) {
-    const auto batched = effect.x_check_batch(inst.tuples, threads);
-    if (batched != serial) {
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (batched[i] != serial[i]) {
-          std::ostringstream out;
-          out << "x_check_batch threads=" << threads << " candidate " << i
-              << ": batched=" << int(batched[i])
-              << " serial=" << int(serial[i]);
-          return out.str();
-        }
       }
     }
   }
@@ -382,20 +306,15 @@ std::string check_xlist_singles_vs_reference(const DiffConfig& config) {
   for (std::size_t i = 0; i < inst.pool.size(); ++i) {
     if (masks[i] == full) expected.push_back(inst.pool[i]);
   }
-  for (const bool restrict_cones : {false, true}) {
-    for (const std::size_t threads : kThreadCounts) {
-      XListOptions options;
-      options.restrict_to_fanin_cones = restrict_cones;
-      options.num_threads = threads;
-      const auto got =
-          xlist_single_candidates(inst.nl, inst.tests, options);
-      if (got != expected) {
-        std::ostringstream out;
-        out << "xlist_single_candidates restrict=" << restrict_cones
-            << " threads=" << threads << ": got " << got.size()
-            << " candidates, reference has " << expected.size();
-        return out.str();
-      }
+  for (const std::size_t threads : kThreadCounts) {
+    XListOptions options;
+    options.num_threads = threads;
+    const auto got = xlist_single_candidates(inst.nl, inst.tests, options);
+    if (got != expected) {
+      std::ostringstream out;
+      out << "xlist_single_candidates threads=" << threads << ": got "
+          << got.size() << " candidates, reference has " << expected.size();
+      return out.str();
     }
   }
   return "";

@@ -1,11 +1,11 @@
 // Shared differential test harness for the lane-batched X-injection mode.
 //
-// Every batched consumer (Sim3XBatch, x_reach_masks, x_check_batch, the
+// Every batched consumer (Sim3XBatch, x_reach_masks, the xlist singles, the
 // BSIM X-refinement) is pinned to the scalar path it replaces by randomized
 // differential checks over synthetic netlists, test chunks, and candidate
 // sets. The harness owns
-//  * the instance generators (netlist / test-set / single- and tuple-
-//    candidate pools), fully determined by a (seed, gates, candidates,
+//  * the instance generators (netlist / test-set / single-candidate
+//    pools), fully determined by a (seed, gates, candidates,
 //    tests) configuration,
 //  * the equivalence checkers themselves (batched-vs-scalar, batched-vs-
 //    run_full, lane-permutation invariance, thread-count invariance), each
@@ -34,7 +34,7 @@ namespace satdiag::difftest {
 struct DiffConfig {
   std::uint64_t seed = 1;
   std::size_t gates = 220;      // combinational gates of the synthetic netlist
-  std::size_t candidates = 48;  // singles/tuples drawn (clamped to the pool)
+  std::size_t candidates = 48;  // singles drawn (clamped to the pool)
   std::size_t tests = 12;       // test chunk size, 1..64
 
   std::string describe() const;
@@ -47,7 +47,6 @@ struct DiffInstance {
   TestSet tests;
   std::vector<GateId> pool;     // every combinational gate
   std::vector<GateId> singles;  // single-gate candidates
-  std::vector<std::vector<GateId>> tuples;  // same count, sizes 1..3
 };
 
 /// Deterministic in `config`: synthetic netlist (gen/generator), random
@@ -68,12 +67,10 @@ using DiffCheck = std::function<std::string(const DiffConfig&)>;
 
 /// Batched singles (Sim3XBatch::run_singles) vs the scalar incremental loop.
 std::string check_batch_singles_vs_scalar(const DiffConfig& config);
-/// Batched tuples (Sim3XBatch::run_tuples) vs the scalar incremental loop.
-std::string check_batch_tuples_vs_scalar(const DiffConfig& config);
 /// Batched singles vs fresh run_full() re-derivations.
 std::string check_batch_vs_run_full(const DiffConfig& config);
-/// Batched singles and tuples that include primary inputs (X injected at
-/// a source) vs fresh run_full() re-derivations.
+/// Batched singles that include primary inputs (X injected at a source) vs
+/// fresh run_full() re-derivations.
 std::string check_batch_input_candidates_vs_run_full(
     const DiffConfig& config);
 /// Permuting the candidates across lane groups must permute the masks and
@@ -81,12 +78,10 @@ std::string check_batch_input_candidates_vs_run_full(
 std::string check_lane_permutation_invariance(const DiffConfig& config);
 /// x_reach_masks over thread pools of 1/2/8 lanes vs the scalar loop.
 std::string check_threaded_reach_masks(const DiffConfig& config);
-/// EffectAnalyzer::x_check_batch (threads 1/2/8) vs serial x_check calls.
-std::string check_x_check_batch_vs_serial(const DiffConfig& config);
 /// BSIM x_refine sets vs a scalar-mask recomputation (and subset sanity).
 std::string check_bsim_x_refine(const DiffConfig& config);
-/// xlist_single_candidates (threads 1/2/8) vs the unrestricted per-candidate
-/// run_full() reference.
+/// xlist_single_candidates (threads 1/2/8) vs the per-candidate run_full()
+/// reference over every combinational gate.
 std::string check_xlist_singles_vs_reference(const DiffConfig& config);
 
 /// Iteration count for randomized suites: the SATDIAG_DIFF_ITERS env var

@@ -205,22 +205,49 @@ TEST(BsatTest, ActivitySeedKeepsSolutionSpace) {
 
 TEST(BsatTest, DeadlineTruncatesGracefully) {
   const Scenario s = make_scenario(10, 2, 8, /*gates=*/200);
-  BsatOptions options;
-  options.k = 2;
-  options.deadline = Deadline::after_seconds(-1.0);  // already expired
-  const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
-  EXPECT_FALSE(result.complete);
-  EXPECT_TRUE(result.solutions.empty());
+  for (std::size_t threads : {1u, 4u}) {
+    BsatOptions options;
+    options.k = 2;
+    options.num_threads = threads;
+    options.deadline = Deadline::after_seconds(-1.0);  // already expired
+    const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
+    EXPECT_FALSE(result.complete) << threads << " threads";
+    EXPECT_TRUE(result.solutions.empty()) << threads << " threads";
+    EXPECT_LE(result.first_seconds, result.all_seconds)
+        << threads << " threads";
+  }
 }
 
 TEST(BsatTest, MaxSolutionsTruncates) {
   const Scenario s = make_scenario(11, 1, 4);
+  for (std::size_t threads : {1u, 4u}) {
+    BsatOptions options;
+    options.k = 2;
+    options.num_threads = threads;
+    options.max_solutions = 1;
+    const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
+    EXPECT_FALSE(result.complete) << threads << " threads";
+    EXPECT_EQ(result.solutions.size(), 1u) << threads << " threads";
+    EXPECT_LE(result.first_seconds, result.all_seconds)
+        << threads << " threads";
+  }
+}
+
+TEST(BsatTest, OneThreadEnumeratesThePlainInstance) {
+  // One thread means one shard over the whole universe: no partition
+  // activation variable or clause, and no learnt exchange.
+  const Scenario s = make_scenario(14, 2, 6);
   BsatOptions options;
   options.k = 2;
-  options.max_solutions = 1;
   const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.solutions.size(), 1u);
+  DiagnosisInstanceOptions inst_options = options.instance;
+  inst_options.max_k = options.k;
+  const DiagnosisInstance plain =
+      build_diagnosis_instance(s.faulty, s.tests, inst_options);
+  EXPECT_EQ(result.num_vars, static_cast<std::size_t>(plain.solver.num_vars()));
+  EXPECT_EQ(result.num_clauses, plain.solver.num_clauses());
+  EXPECT_EQ(result.solver_stats.learnts_exported, 0u);
+  EXPECT_EQ(result.solver_stats.learnts_imported, 0u);
 }
 
 TEST(BsatTest, PassingTestsYieldNoCorrection) {

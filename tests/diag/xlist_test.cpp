@@ -51,17 +51,6 @@ TEST(XListTest, InjectedErrorSiteIsAlwaysCandidate) {
       << "X at the real site must reach every failing output";
 }
 
-TEST(XListTest, RestrictionToConesMatchesUnrestricted) {
-  const FigureScenario s = builtin_fig5b();
-  const TestSet tests{satdiag::Test{s.test_vector, s.output_index, s.correct_value}};
-  XListOptions restricted;
-  restricted.restrict_to_fanin_cones = true;
-  XListOptions full;
-  full.restrict_to_fanin_cones = false;
-  EXPECT_EQ(xlist_single_candidates(s.circuit, tests, restricted),
-            xlist_single_candidates(s.circuit, tests, full));
-}
-
 TEST(XListTest, NoCandidatesWhenOutputUnreachable) {
   // Error observed at an output with an empty candidate pool: a circuit
   // whose output gate is driven only by inputs.

@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "diag/bsat.hpp"
-#include "diag/effect.hpp"
 #include "diag/hybrid.hpp"
 #include "diag/xlist.hpp"
 #include "fault/fault_sim.hpp"
@@ -277,24 +276,6 @@ TEST(ParallelDeterminismTest, XListCandidatesAreThreadCountInvariant) {
       continue;
     }
     EXPECT_EQ(candidates, *reference) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, EffectXCheckBatchMatchesSerialCalls) {
-  const PreparedExperiment prepared = prepare("s526_like", 1, 4);
-  EffectAnalyzer analyzer(prepared.faulty, prepared.tests);
-  std::vector<std::vector<GateId>> candidates;
-  for (GateId g = 0; g < prepared.faulty.size(); ++g) {
-    if (prepared.faulty.is_combinational(g)) candidates.push_back({g});
-  }
-  std::vector<std::uint8_t> serial;
-  serial.reserve(candidates.size());
-  for (const auto& candidate : candidates) {
-    serial.push_back(analyzer.x_check(candidate) ? 1 : 0);
-  }
-  for (std::size_t threads : kThreadCounts) {
-    EXPECT_EQ(analyzer.x_check_batch(candidates, threads), serial)
-        << "threads=" << threads;
   }
 }
 

@@ -116,10 +116,7 @@ TEST(EngineAgreementTest, EnginesAgreeOnSingleErrorInstances) {
 
     // X-list singles are the x_check criterion — and a superset of the
     // valid singles (a necessary condition never rejects a valid one).
-    XListOptions xopt;
-    xopt.restrict_to_fanin_cones = false;
-    const auto xlist =
-        xlist_single_candidates(inst->faulty, inst->tests, xopt);
+    const auto xlist = xlist_single_candidates(inst->faulty, inst->tests);
     EXPECT_EQ(xlist, x_check_singles);
     EXPECT_TRUE(std::includes(xlist.begin(), xlist.end(),
                               valid_singles.begin(), valid_singles.end()));

@@ -229,12 +229,11 @@ TEST(SolverTest, IncrementalClauseAddition) {
   EXPECT_EQ(s.solve(), LBool::kFalse);
 }
 
-TEST(SolverTest, ConflictBudgetReturnsUndef) {
+TEST(SolverTest, ExpiredDeadlineReturnsUndef) {
   Solver s;
-  build_php(s, 9, 8);  // hard enough to exceed a tiny budget
-  s.set_conflict_budget(10);
+  build_php(s, 9, 8);  // unsatisfiable, but not at the root
+  s.set_deadline(Deadline::after_seconds(-1.0));  // already expired
   EXPECT_EQ(s.solve(), LBool::kUndef);
-  s.clear_budgets();
 }
 
 TEST(SolverTest, DecisionMarkersRestrictBranching) {

@@ -110,12 +110,6 @@ TEST(Sim3BatchDiffTest, BatchedSinglesMatchScalarLoop) {
                                  DiffConfig{.seed = 1000}, 8));
 }
 
-TEST(Sim3BatchDiffTest, BatchedTuplesMatchScalarLoop) {
-  EXPECT_TRUE(difftest::run_diff("batched tuples vs scalar",
-                                 difftest::check_batch_tuples_vs_scalar,
-                                 DiffConfig{.seed = 2000}, 8));
-}
-
 TEST(Sim3BatchDiffTest, BatchedSinglesMatchRunFullReference) {
   EXPECT_TRUE(difftest::run_diff("batched singles vs run_full",
                                  difftest::check_batch_vs_run_full,

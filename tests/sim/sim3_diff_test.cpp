@@ -297,10 +297,7 @@ XListScenario make_scenario(std::uint64_t seed) {
 
 TEST(Sim3DiffTest, XListCandidatesMatchFullResweepReference) {
   const XListScenario s = make_scenario(55);
-  XListOptions options;
-  options.restrict_to_fanin_cones = false;  // pool = every combinational gate
-  const auto candidates =
-      xlist_single_candidates(s.faulty, s.tests, options);
+  const auto candidates = xlist_single_candidates(s.faulty, s.tests);
 
   // Reference: the same criterion evaluated with one fresh run_full()-driven
   // simulator per candidate gate.
