@@ -9,17 +9,12 @@
 //   +nodecide — additionally restrict decisions to selects/corrections
 //   two-pass  — region-head first pass + refined second pass
 //
-// --card ENC selects the cardinality encoding: sequential | totalizer |
-// pairwise (pairwise substitutes the sequential tracker, see
-// cnf/cardinality.hpp).
-//
 // Exits 1 when base, +gating and +gating+nodecide all complete but do not
 // return the same canonical solution list. Two-pass is a heuristic and is
 // left out of that check.
 //
-// Run:  ./bench_ablation_advanced_sat [--circuit s1423_like] [--scale 0.5]
-//       [--tests 8] [--errors 1] [--seed 3] [--limit 120]
-//       [--card sequential]
+// Run:  ./bench_ablation_advanced_sat [--circuit s1423_like] [--scale 1.0]
+//       [--tests 16] [--errors 2] [--seed 5] [--limit 120]
 #include <cstdio>
 #include <string>
 
@@ -43,16 +38,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
   const double limit = args.get_double("limit", 120.0);
   config.time_limit_seconds = limit;
-  const std::string card_name = args.get_string("card", "sequential");
-  CardEncoding card = CardEncoding::kSequential;
-  if (card_name == "totalizer") {
-    card = CardEncoding::kTotalizer;
-  } else if (card_name == "pairwise") {
-    card = CardEncoding::kPairwise;
-  } else if (card_name != "sequential") {
-    std::fprintf(stderr, "unknown --card '%s'\n", card_name.c_str());
-    return 1;
-  }
 
   const auto prepared = prepare_experiment(config);
   if (!prepared) {
@@ -61,9 +46,9 @@ int main(int argc, char** argv) {
   }
   const unsigned k = static_cast<unsigned>(config.num_errors);
   std::printf(
-      "# advanced-SAT ablation on %s (%zu gates), p=%zu, m=%zu, card=%s\n",
+      "# advanced-SAT ablation on %s (%zu gates), p=%zu, m=%zu\n",
       config.circuit.c_str(), prepared->faulty.size(), config.num_errors,
-      prepared->tests.size(), card_encoding_name(card));
+      prepared->tests.size());
 
   TablePrinter table({"variant", "CNF s", "first s", "all s", "#sol",
                       "decisions", "complete"});
@@ -73,7 +58,6 @@ int main(int argc, char** argv) {
     options.deadline = Deadline::after_seconds(limit);
     options.instance.gating_clauses = gating;
     options.instance.internal_decisions = decisions;
-    options.instance.card_encoding = card;
     const BsatResult r =
         basic_sat_diagnose(prepared->faulty, prepared->tests, options);
     table.add_row({name, strprintf("%.3f", r.build_seconds),
@@ -92,7 +76,6 @@ int main(int argc, char** argv) {
   {
     AdvancedSatOptions options;
     options.k = k;
-    options.card_encoding = card;
     options.deadline = Deadline::after_seconds(limit);
     Timer t;
     const AdvancedSatResult adv =

@@ -1,27 +1,12 @@
 #include "cnf/cardinality.hpp"
 
-#include <atomic>
-#include <cassert>
+#include <algorithm>
 #include <functional>
-
-#include "util/logging.hpp"
 
 namespace satdiag {
 
 using sat::Lit;
 using sat::Solver;
-
-const char* card_encoding_name(CardEncoding e) {
-  switch (e) {
-    case CardEncoding::kPairwise:
-      return "pairwise";
-    case CardEncoding::kSequential:
-      return "sequential";
-    case CardEncoding::kTotalizer:
-      return "totalizer";
-  }
-  return "?";
-}
 
 std::vector<Lit> CardinalityTracker::assume_at_most(unsigned bound) const {
   // "at most bound" == NOT "at least bound+1"; monotonicity of the counter
@@ -30,42 +15,9 @@ std::vector<Lit> CardinalityTracker::assume_at_most(unsigned bound) const {
   return {~geq[bound]};
 }
 
-namespace {
-
-CardinalityTracker encode_sequential(Solver& solver, std::vector<Lit> lits,
-                                     unsigned max_bound) {
-  CardinalityTracker tracker;
-  tracker.inputs = std::move(lits);
-  const std::size_t n = tracker.inputs.size();
-  if (n == 0) return tracker;
-  const std::size_t m = std::min<std::size_t>(n, max_bound + 1);
-
-  // s[j-1] after step i: "at least j of the first i+1 inputs are true".
-  std::vector<Lit> prev;  // counts for the prefix ending at i-1
-  std::vector<Lit> cur;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rows = std::min<std::size_t>(i + 1, m);
-    cur.clear();
-    for (std::size_t j = 1; j <= rows; ++j) {
-      cur.push_back(sat::pos(solver.new_var(/*decidable=*/false)));
-    }
-    const Lit li = tracker.inputs[i];
-    // j = 1: li -> s1 ; prev s1 -> s1.
-    solver.add_clause(~li, cur[0]);
-    if (!prev.empty()) solver.add_clause(~prev[0], cur[0]);
-    for (std::size_t j = 2; j <= rows; ++j) {
-      // li and (j-1 among prefix) -> j ; (j among prefix) -> j.
-      solver.add_clause(~li, ~prev[j - 2], cur[j - 1]);
-      if (prev.size() >= j) solver.add_clause(~prev[j - 1], cur[j - 1]);
-    }
-    std::swap(prev, cur);
-  }
-  tracker.geq = prev;
-  return tracker;
-}
-
-CardinalityTracker encode_totalizer(Solver& solver, std::vector<Lit> lits,
-                                    unsigned max_bound) {
+CardinalityTracker encode_cardinality_tracker(Solver& solver,
+                                              std::vector<Lit> lits,
+                                              unsigned max_bound) {
   CardinalityTracker tracker;
   tracker.inputs = std::move(lits);
   const std::size_t n = tracker.inputs.size();
@@ -102,95 +54,10 @@ CardinalityTracker encode_totalizer(Solver& solver, std::vector<Lit> lits,
     return out;
   };
   tracker.geq = build(0, n);
-  return tracker;
-}
-
-// Enumerate all (bound+1)-subsets and forbid each. Exponential; falls back to
-// the sequential encoding when the clause count would be excessive.
-bool encode_pairwise(Solver& solver, const std::vector<Lit>& lits,
-                     unsigned bound) {
-  const std::size_t n = lits.size();
-  const std::size_t k = bound + 1;
-  // C(n, k) guard.
-  double count = 1.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    count *= static_cast<double>(n - i) / static_cast<double>(i + 1);
-  }
-  if (count > 2e6) {
-    SATDIAG_WARN() << "pairwise at-most-" << bound << " over " << n
-                   << " literals needs ~" << count
-                   << " clauses; falling back to sequential";
-    return false;
-  }
-  std::vector<std::size_t> idx(k);
-  sat::Clause clause(k);
-  std::function<bool(std::size_t, std::size_t)> rec =
-      [&](std::size_t depth, std::size_t start) -> bool {
-    if (depth == k) {
-      for (std::size_t i = 0; i < k; ++i) clause[i] = ~lits[idx[i]];
-      return solver.add_clause(clause);
-    }
-    for (std::size_t i = start; i + (k - depth) <= n; ++i) {
-      idx[depth] = i;
-      if (!rec(depth + 1, i + 1) && !solver.ok()) return false;
-    }
-    return true;
-  };
-  rec(0, 0);
-  return solver.ok();
-}
-
-}  // namespace
-
-CardinalityTracker encode_cardinality_tracker(Solver& solver,
-                                              std::vector<Lit> lits,
-                                              unsigned max_bound,
-                                              CardEncoding encoding) {
-  CardinalityTracker tracker;
-  switch (encoding) {
-    case CardEncoding::kSequential:
-      tracker = encode_sequential(solver, std::move(lits), max_bound);
-      break;
-    case CardEncoding::kTotalizer:
-      tracker = encode_totalizer(solver, std::move(lits), max_bound);
-      break;
-    case CardEncoding::kPairwise: {
-      // The pairwise encoding has no incremental form (no counter outputs to
-      // assume against), so the tracker substitutes the sequential counter;
-      // see cardinality.hpp. Static-bound callers that really want pairwise
-      // clauses go through encode_at_most_static.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        SATDIAG_WARN() << "pairwise cardinality encoding has no incremental "
-                          "tracker form; substituting the sequential counter "
-                          "(bound semantics are unchanged)";
-      }
-      tracker = encode_sequential(solver, std::move(lits), max_bound);
-      break;
-    }
-  }
   // Freeze the counter outputs: assume_at_most mentions them in future
   // assumptions, which variable elimination must never invalidate.
   for (Lit g : tracker.geq) solver.freeze(g.var());
   return tracker;
-}
-
-bool encode_at_most_static(sat::Solver& solver,
-                           const std::vector<sat::Lit>& lits, unsigned bound,
-                           CardEncoding encoding) {
-  if (bound >= lits.size()) return solver.ok();  // vacuous
-  if (encoding == CardEncoding::kPairwise && encode_pairwise(solver, lits, bound)) {
-    return solver.ok();
-  }
-  CardinalityTracker tracker = encode_cardinality_tracker(
-      solver, lits,
-      bound,
-      encoding == CardEncoding::kPairwise ? CardEncoding::kSequential
-                                          : encoding);
-  for (sat::Lit a : tracker.assume_at_most(bound)) {
-    if (!solver.add_clause(a)) return false;
-  }
-  return solver.ok();
 }
 
 }  // namespace satdiag

@@ -1,15 +1,12 @@
-// Cardinality ("at most k") constraint encodings.
+// Cardinality ("at most k") constraint encoding.
 //
 // BSAT bounds the number of asserted multiplexer select lines (Fig. 2(b),
-// "< k s"). Three encodings are provided:
+// "< k s") and COV the number of chosen gates; both use the
+// Bailleux-Boufkhad unary totalizer (CP'03): a balanced merge tree whose
+// node outputs are capped at max_bound + 1, O(n log n + n*k) clauses.
 //
-//  * pairwise     — naive, clause count C(n, k+1); only sensible for tiny
-//                   n or k (kept as the ablation baseline),
-//  * sequential   — Sinz's LTseq counter, O(n*k) clauses,
-//  * totalizer    — Bailleux-Boufkhad unary totalizer, O(n log n + n*k).
-//
-// The counter encodings expose "at least j" indicator literals, so a single
-// instance supports the incremental k = 1..K loop of BasicSATDiagnose via
+// The counter exposes "at least j" indicator literals, so a single instance
+// supports the incremental k = 1..K loop of BasicSATDiagnose via
 // assumptions (no re-encoding per k).
 #pragma once
 
@@ -19,45 +16,24 @@
 
 namespace satdiag {
 
-enum class CardEncoding {
-  kPairwise,
-  kSequential,
-  kTotalizer,
-};
-
-const char* card_encoding_name(CardEncoding e);
-
 /// Unary counter over a literal set.
 struct CardinalityTracker {
   std::vector<sat::Lit> inputs;
   /// geq[j-1] is implied true whenever at least j inputs are true
   /// (one-directional; sufficient for enforcing upper bounds by assuming
-  /// the negation). Available for j = 1 .. max_bound+1.
+  /// the negation). Available for j = 1 .. min(n, max_bound+1).
   std::vector<sat::Lit> geq;
 
-  /// Assumptions enforcing "at most `bound` inputs true".
-  /// bound must be <= max_bound used at construction.
+  /// Assumptions enforcing "at most `bound` inputs true"; empty when the
+  /// bound is vacuous. bound must be <= max_bound used at construction.
   std::vector<sat::Lit> assume_at_most(unsigned bound) const;
 };
 
-/// Build a counter usable for bounds 0..max_bound. The counter output
+/// Build a totalizer usable for bounds 0..max_bound. The counter output
 /// variables (geq) are frozen against variable elimination — they appear in
 /// future assumptions via assume_at_most.
-///
-/// kPairwise has no incremental form (no counter outputs to assume against):
-/// requesting it substitutes the sequential counter, with a one-time warning.
-/// The enforced bound semantics are identical; only the clause shape
-/// differs. Callers that need actual pairwise clauses (the ablation
-/// baseline) must use encode_at_most_static.
 CardinalityTracker encode_cardinality_tracker(sat::Solver& solver,
                                               std::vector<sat::Lit> lits,
-                                              unsigned max_bound,
-                                              CardEncoding encoding);
-
-/// Statically assert "at most `bound` of lits are true" with any encoding.
-/// Returns false if the solver became UNSAT.
-bool encode_at_most_static(sat::Solver& solver,
-                           const std::vector<sat::Lit>& lits, unsigned bound,
-                           CardEncoding encoding);
+                                              unsigned max_bound);
 
 }  // namespace satdiag

@@ -207,9 +207,10 @@ DiagnosisInstance build_stamped_instance(
     for (std::size_t t = 0; t < tests.size(); ++t) {
       upcoming += plan_for(t).ts->num_locals;
     }
-    // Cardinality counter aux variables (<= (max_k + 1) rows per select for
-    // both counter encodings): left out, the counter's first new_var would
-    // re-move every just-reserved table.
+    // Totalizer aux variables: at most n - 1 merge nodes over the n selects,
+    // each with at most min(n, max_k + 1) outputs, so rows * n bounds them.
+    // Left out, the counter's first new_var would re-move every
+    // just-reserved table.
     const std::size_t rows = std::min<std::size_t>(inst.select_var.size(),
                                                    options.max_k + 1);
     upcoming += rows * inst.select_var.size();
@@ -254,7 +255,7 @@ DiagnosisInstance build_stamped_instance(
   select_lits.reserve(inst.select_var.size());
   for (Var s : inst.select_var) select_lits.push_back(sat::pos(s));
   inst.cardinality = encode_cardinality_tracker(
-      solver, std::move(select_lits), options.max_k, options.card_encoding);
+      solver, std::move(select_lits), options.max_k);
 
   return inst;
 }
@@ -385,7 +386,7 @@ DiagnosisInstance build_diagnosis_instance(
   select_lits.reserve(inst.select_var.size());
   for (Var s : inst.select_var) select_lits.push_back(sat::pos(s));
   inst.cardinality = encode_cardinality_tracker(
-      solver, std::move(select_lits), options.max_k, options.card_encoding);
+      solver, std::move(select_lits), options.max_k);
 
   return inst;
 }

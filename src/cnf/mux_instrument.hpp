@@ -3,10 +3,10 @@
 // One circuit copy per test; a correction multiplexer at every instrumented
 // gate g: select s_g shared by all copies, free correction value c_g^i per
 // copy. Copy i is constrained to test vector t_i at the primary inputs and to
-// the correct value v_i at the erroneous output o_i. A cardinality counter
-// over the select lines bounds the correction size; "at most k" is enforced
-// with assumptions so the k = 1..K loop of BasicSATDiagnose reuses one
-// instance incrementally.
+// the correct value v_i at the erroneous output o_i. A totalizer over the
+// select lines bounds the correction size; "at most k" is enforced with
+// assumptions so the k = 1..K loop of BasicSATDiagnose reuses one instance
+// incrementally.
 //
 // Options mirror the advanced technique of Smith et al. (ASP-DAC'04):
 //  * gating clauses force c_g^i = 0 while s_g = 0 ("prevents up to |I|
@@ -32,7 +32,6 @@ struct DiagnosisInstanceOptions {
   std::vector<GateId> instrumented;
   /// Largest correction size the instance must support.
   unsigned max_k = 1;
-  CardEncoding card_encoding = CardEncoding::kSequential;
   /// Advanced heuristic: clause (s_g | ~c_g^i) per copy.
   bool gating_clauses = true;
   /// When false, internal gate variables are not decision variables.

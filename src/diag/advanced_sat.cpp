@@ -8,6 +8,11 @@
 #include "util/timer.hpp"
 
 namespace satdiag {
+namespace {
+/// Structural slack added around implicated regions in pass 2 (levels of
+/// transitive fanin to include).
+constexpr std::size_t kRegionFaninDepth = 2;
+}  // namespace
 
 std::vector<GateId> region_heads(const Netlist& nl) {
   std::vector<bool> observed(nl.size(), false);
@@ -70,7 +75,6 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   pass1.max_solutions = options.max_solutions;
   pass1.deadline = options.deadline;
   pass1.instance.instrumented = region_heads(nl);
-  pass1.instance.card_encoding = options.card_encoding;
   const BsatResult coarse = basic_sat_diagnose(nl, pass1_tests, pass1);
   result.pass1_seconds = timer.seconds();
   result.pass1_instrumented = pass1.instance.instrumented.size();
@@ -95,7 +99,7 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   // Fanin slack: errors just below a region boundary can masquerade as the
   // head; include a few levels of structural fanin.
   std::vector<GateId> frontier = fine_set;
-  for (std::size_t depth = 0; depth < options.region_fanin_depth; ++depth) {
+  for (std::size_t depth = 0; depth < kRegionFaninDepth; ++depth) {
     std::vector<GateId> next;
     for (GateId g : frontier) {
       for (GateId f : nl.fanins(g)) {
@@ -119,7 +123,6 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   pass2.max_solutions = options.max_solutions;
   pass2.deadline = options.deadline;
   pass2.instance.instrumented = fine_set;
-  pass2.instance.card_encoding = options.card_encoding;
   const BsatResult fine = basic_sat_diagnose(nl, tests, pass2);
   result.pass2_seconds = pass2_timer.seconds();
   result.pass2_instrumented = fine_set.size();

@@ -26,14 +26,10 @@ namespace satdiag {
 
 struct AdvancedSatOptions {
   unsigned k = 1;
-  CardEncoding card_encoding = CardEncoding::kSequential;
   std::int64_t max_solutions = -1;
   Deadline deadline;
   /// Tests per partition in pass 1 (0 = use the whole test-set).
   std::size_t partition_size = 0;
-  /// Structural slack added around implicated regions in pass 2 (levels of
-  /// transitive fanin to include).
-  std::size_t region_fanin_depth = 2;
 };
 
 struct AdvancedSatResult {

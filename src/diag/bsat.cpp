@@ -239,7 +239,6 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
   // Time of the first model any shard finds: written once by the shard
   // that wins the flag, read after the join.
   std::atomic<bool> first_found{false};
-  std::atomic<std::int64_t> total_found{0};
   std::atomic<bool> truncated{false};
   for (unsigned bound = 1; bound <= options.k; ++bound) {
     obs::Span bound_span("bsat.bound", "bound", bound);
@@ -249,11 +248,15 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
       DiagnosisInstance& inst = *shard.inst;
       auto assumptions = inst.assume_at_most(bound);
       if (num_shards > 1) assumptions.push_back(shard.activate);
+      // Per-shard cap: result.solutions only changes at the barrier, so
+      // what a shard keeps depends on its own search alone, and the trim
+      // below picks the same solutions on every rerun.
       const sat::EnumStop stop = sat::enumerate(
           inst.solver, assumptions, options.deadline,
           [&] {
             return options.max_solutions >= 0 &&
-                   total_found.load(std::memory_order_relaxed) >=
+                   static_cast<std::int64_t>(result.solutions.size() +
+                                             shard.bound_solutions.size()) >=
                        options.max_solutions;
           },
           [&](const sat::Solver&) {
@@ -263,7 +266,6 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
             std::vector<GateId> correction = inst.selected_gates_from_model();
             sat::Clause blocking = blocking_clause(inst, correction);
             shard.bound_solutions.push_back(std::move(correction));
-            total_found.fetch_add(1, std::memory_order_relaxed);
             return blocking;
           });
       // some_test_fails rules out the empty model (and with several shards

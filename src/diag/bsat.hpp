@@ -18,8 +18,8 @@ namespace satdiag {
 
 struct BsatOptions {
   unsigned k = 1;
-  /// Instance construction knobs (instrumented set, gating clauses,
-  /// cardinality encoding, ...). max_k inside is overridden with `k`.
+  /// Instance construction knobs (instrumented set, gating clauses, ...).
+  /// max_k inside is overridden with `k`.
   /// Cone-of-influence reduction is on by default here: the enumerated
   /// solution sets are provably unchanged (a gate outside every cone is
   /// never essential); switch it off to reproduce the paper's unreduced
@@ -48,8 +48,12 @@ struct BsatOptions {
   /// exchanged (sound there: after the symmetric cross-blocking every
   /// shard's clause database implies every other's; deterministic, it only
   /// changes search effort). Complete enumerations are bit-identical for
-  /// every thread count; truncated runs (deadline / max_solutions) may
-  /// differ in which solutions they kept.
+  /// every thread count. A max_solutions cap applies per shard (each stops
+  /// at the cap counting the solutions merged at earlier bounds) and the
+  /// merged bound is trimmed to the cap in canonical order, so a capped run
+  /// keeps the same solutions on every rerun at a given thread count;
+  /// different thread counts may keep different ones, as may runs cut by
+  /// the deadline.
   std::size_t num_threads = 1;
 };
 

@@ -1,7 +1,6 @@
 #include "diag/cover.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <set>
 
@@ -63,7 +62,6 @@ CovResult solve_covering_sat(const std::vector<std::vector<GateId>>& sets,
   }
   bool ok = true;
   for (const auto& s : sets) {
-    assert(!s.empty() && "empty candidate set cannot be covered");
     sat::Clause clause;
     clause.reserve(s.size());
     for (GateId g : s) clause.push_back(sat::pos(var_of[g]));
@@ -72,7 +70,7 @@ CovResult solve_covering_sat(const std::vector<std::vector<GateId>>& sets,
   std::vector<sat::Lit> selector_lits;
   for (sat::Var v : selectors) selector_lits.push_back(sat::pos(v));
   CardinalityTracker tracker = encode_cardinality_tracker(
-      solver, selector_lits, options.k, options.card_encoding);
+      solver, selector_lits, options.k);
   result.build_seconds = build_timer.seconds();
   if (!ok) {
     result.complete = true;
@@ -192,15 +190,6 @@ CovResult sc_diagnose(const Netlist& nl, const TestSet& tests,
                       const CovOptions& options,
                       const PathTraceOptions& trace_options, Rng* rng) {
   const BsimResult bsim = basic_sim_diagnose(nl, tests, trace_options, rng);
-  for (const auto& set : bsim.candidate_sets) {
-    if (set.empty()) {
-      // A test whose sensitized path contains no correctable gate (can only
-      // happen when everything marked was a source); covering is infeasible.
-      CovResult empty;
-      empty.complete = true;
-      return empty;
-    }
-  }
   return solve_covering_sat(bsim.candidate_sets, options);
 }
 

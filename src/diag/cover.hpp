@@ -3,10 +3,12 @@
 // The candidate sets C_i from BSIM form a set covering instance S; every
 // irredundant cover C* with |C*| <= k is a diagnosis. Like the paper (which
 // fed the covering problem to Zchaff) the default solver is SAT: one selector
-// variable per gate in the universe, one clause per C_i, a cardinality
-// counter, and all-solutions enumeration with model minimization + subset
-// blocking so exactly the irredundant covers are produced. An independent
-// branch-and-bound solver cross-checks the SAT path in tests.
+// variable per gate in the universe, one clause per C_i, a totalizer over
+// the selectors, and all-solutions enumeration with model minimization +
+// subset blocking so exactly the irredundant covers are produced. An empty
+// C_i becomes the empty clause: such an instance has no cover, and the
+// enumeration is complete and empty. An independent branch-and-bound solver
+// cross-checks the SAT path in tests.
 #pragma once
 
 #include "cnf/cardinality.hpp"
@@ -17,7 +19,6 @@ namespace satdiag {
 
 struct CovOptions {
   unsigned k = 1;
-  CardEncoding card_encoding = CardEncoding::kSequential;
   std::int64_t max_solutions = -1;  // unlimited when negative
   Deadline deadline;
 };
@@ -33,8 +34,8 @@ struct CovResult {
   double all_seconds = 0.0;    // "All"
 };
 
-/// Solve the covering instance given the candidate sets (each set must be
-/// non-empty; gates appearing in no set are ignored).
+/// Solve the covering instance given the candidate sets (gates appearing in
+/// no set are ignored).
 CovResult solve_covering_sat(const std::vector<std::vector<GateId>>& sets,
                              const CovOptions& options);
 

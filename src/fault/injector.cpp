@@ -21,16 +21,21 @@ void configure_faulty_simulator(ParallelSimulator& sim,
 
 namespace {
 
+/// Random patterns that must expose an injected error set.
+constexpr std::size_t kDetectabilityPatterns = 256;
+/// Retry budget for finding a detectable error set.
+constexpr std::size_t kMaxAttempts = 64;
+
 /// True when golden and faulty behaviour differ on at least one of
-/// `patterns` random input vectors at an observed point.
+/// kDetectabilityPatterns random input vectors at an observed point.
 ///
 /// One simulator runs both personalities per word: the golden sweep is a
 /// full evaluation (every input changed), while the faulty sweep after
 /// applying the overrides re-evaluates only the error cones.
 bool detectable_by_random_sim(const Netlist& nl, const ErrorList& errors,
-                              Rng& rng, std::size_t patterns) {
+                              Rng& rng) {
   ParallelSimulator sim(nl);
-  const std::size_t words = (patterns + 63) / 64;
+  const std::size_t words = (kDetectabilityPatterns + 63) / 64;
   std::vector<std::uint64_t> golden_obs;
   for (std::size_t w = 0; w < words; ++w) {
     for (GateId in : nl.inputs()) sim.set_source(in, rng.next_u64());
@@ -85,7 +90,7 @@ std::optional<ErrorList> inject_errors(const Netlist& golden, Rng& rng,
   }
   if (candidates.size() < options.num_errors) return std::nullopt;
 
-  for (std::size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     // Distinct random sites.
     std::vector<GateId> sites;
     while (sites.size() < options.num_errors) {
@@ -99,11 +104,7 @@ std::optional<ErrorList> inject_errors(const Netlist& golden, Rng& rng,
       errors.push_back(random_error_at(golden, g, rng,
                                        rng.next_bool(options.stuck_at_fraction)));
     }
-    if (options.detectability_patterns == 0 ||
-        detectable_by_random_sim(golden, errors, rng,
-                                 options.detectability_patterns)) {
-      return errors;
-    }
+    if (detectable_by_random_sim(golden, errors, rng)) return errors;
     SATDIAG_DEBUG() << "injection attempt " << attempt
                     << " undetectable; retrying";
   }

@@ -3,10 +3,9 @@
 // Reproduces the experimental setup of Section 5: "A number of 1-4 gate
 // change errors were injected into circuits". The injector picks distinct
 // combinational gates, replaces each with a different random type of the same
-// arity, and (optionally) verifies with random simulation that the injected
-// error set is detectable at all — undetectable replacements (e.g. AND->NAND
-// on a gate whose output is re-inverted) would make a diagnosis experiment
-// vacuous.
+// arity, and verifies with random simulation that the injected error set is
+// detectable at all — undetectable replacements (e.g. AND->NAND on a gate
+// whose output is re-inverted) would make a diagnosis experiment vacuous.
 #pragma once
 
 #include <optional>
@@ -20,10 +19,6 @@ class ParallelSimulator;
 
 struct InjectorOptions {
   std::size_t num_errors = 1;
-  /// Verify detectability with this many random patterns (0 disables).
-  std::size_t detectability_patterns = 256;
-  /// Retry budget for finding a detectable error set.
-  std::size_t max_attempts = 64;
   /// Fraction of stuck-at errors in the mix (0 = pure gate changes, as in
   /// the paper's experiments).
   double stuck_at_fraction = 0.0;

@@ -14,6 +14,10 @@
 namespace satdiag {
 namespace {
 
+/// How many triples one input vector may contribute: distinct vectors give
+/// better diagnosis resolution.
+constexpr std::size_t kMaxTriplesPerVector = 1;
+
 std::vector<bool> extract_vector(const std::vector<std::uint64_t>& input_words,
                                  std::size_t bit) {
   std::vector<bool> v;
@@ -115,7 +119,7 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
       std::size_t added = 0;
       for (std::size_t oi = 0;
            oi < nl.outputs().size() && tests.size() < count &&
-           added < options.max_triples_per_vector;
+           added < kMaxTriplesPerVector;
            ++oi) {
         const std::uint64_t diff =
             golden_out[oi] ^ sim.value(nl.outputs()[oi]);
@@ -181,7 +185,7 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
         std::size_t added = 0;
         for (std::size_t oi = 0; oi < nl.outputs().size() &&
                                  tests.size() < count &&
-                                 added < options.max_triples_per_vector;
+                                 added < kMaxTriplesPerVector;
              ++oi) {
           if (model.model_value(diff_vars[oi]) == sat::LBool::kTrue) {
             const bool golden_value =

@@ -18,10 +18,6 @@ namespace satdiag {
 struct TestGenOptions {
   /// Random-simulation budget: words of 64 patterns each.
   std::size_t max_random_words = 256;
-  /// How many triples one input vector may contribute (distinct vectors give
-  /// better diagnosis resolution, so the default keeps one per vector until
-  /// the vector pool runs dry).
-  std::size_t max_triples_per_vector = 1;
   /// Use the SAT miter when random simulation cannot fill the request.
   bool use_atpg_fallback = true;
   Deadline deadline;

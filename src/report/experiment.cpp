@@ -16,6 +16,12 @@
 
 namespace satdiag {
 namespace {
+/// Extra deterministic injection/testgen seed attempts when the first one
+/// yields no detectable error or no failing tests. Attempt 0 reproduces the
+/// historical single-try behaviour bit for bit; the circuit itself is
+/// derived from the config seed alone and never changes across attempts.
+constexpr std::size_t kSeedRetries = 4;
+
 Netlist build_circuit(const ExperimentConfig& config) {
   if (const auto profile = find_profile(config.circuit)) {
     return make_profile_circuit(*profile, config.scale, config.seed);
@@ -66,7 +72,7 @@ std::optional<PreparedExperiment> prepare_experiment(
       cached_circuit(config);
   const Netlist& golden = artifacts->golden;
 
-  for (std::size_t attempt = 0; attempt <= config.seed_retries; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kSeedRetries; ++attempt) {
     PreparedExperiment prepared;
     prepared.golden = golden;
     // Attempt 0 matches the historical single-seed stream exactly; each
@@ -106,8 +112,7 @@ std::optional<PreparedExperiment> prepare_experiment(
 }
 
 ExperimentRow run_experiment(const PreparedExperiment& prepared,
-                             const ExperimentConfig& config,
-                             const RunSelection& selection) {
+                             const ExperimentConfig& config) {
   ExperimentRow row;
   row.config = config;
   row.circuit_size = prepared.faulty.size();
@@ -122,30 +127,24 @@ ExperimentRow run_experiment(const PreparedExperiment& prepared,
       evaluate_bsim_quality(prepared.faulty, bsim, prepared.error_sites);
 
   // ---- COV ----------------------------------------------------------------
-  if (selection.run_cov) {
+  {
     CovOptions cov;
     cov.k = k;
     cov.deadline = Deadline::after_seconds(config.time_limit_seconds);
     cov.max_solutions = config.max_solutions;
-    bool coverable = true;
-    for (const auto& set : bsim.candidate_sets) coverable &= !set.empty();
-    if (coverable) {
-      const CovResult result = solve_covering_sat(bsim.candidate_sets, cov);
-      // The paper's COV "CNF" time includes running BSIM first.
-      row.cov.cnf_seconds = row.bsim_seconds + result.build_seconds;
-      row.cov.one_seconds = result.first_seconds;
-      row.cov.all_seconds = result.all_seconds;
-      row.cov.complete = result.complete;
-      row.cov.solutions = result.solutions;
-      row.cov.quality = evaluate_solution_quality(
-          prepared.faulty, result.solutions, prepared.error_sites);
-    } else {
-      row.cov.complete = false;
-    }
+    const CovResult result = solve_covering_sat(bsim.candidate_sets, cov);
+    // The paper's COV "CNF" time includes running BSIM first.
+    row.cov.cnf_seconds = row.bsim_seconds + result.build_seconds;
+    row.cov.one_seconds = result.first_seconds;
+    row.cov.all_seconds = result.all_seconds;
+    row.cov.complete = result.complete;
+    row.cov.solutions = result.solutions;
+    row.cov.quality = evaluate_solution_quality(
+        prepared.faulty, result.solutions, prepared.error_sites);
   }
 
   // ---- BSAT ---------------------------------------------------------------
-  if (selection.run_bsat) {
+  {
     BsatOptions bsat;
     bsat.k = k;
     bsat.deadline = Deadline::after_seconds(config.time_limit_seconds);
@@ -206,7 +205,7 @@ std::vector<ExperimentCell> run_experiment_grid(
         const auto prepared = prepare_experiment(cell.config);
         if (!prepared) return;
         cell.prepared = true;
-        cell.row = run_experiment(*prepared, cell.config, options.selection);
+        cell.row = run_experiment(*prepared, cell.config);
       },
       /*grain=*/1);
   return cells;

@@ -27,11 +27,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   double time_limit_seconds = 1800.0;  // paper: 30 CPU-minutes
   std::int64_t max_solutions = -1;
-  /// Extra deterministic injection/testgen seed attempts when the first one
-  /// yields no detectable error or no failing tests. Attempt 0 reproduces
-  /// the historical single-try behaviour bit for bit; the circuit itself is
-  /// derived from `seed` alone and never changes across attempts.
-  std::size_t seed_retries = 4;
 };
 
 struct PreparedExperiment {
@@ -70,15 +65,9 @@ struct ExperimentRow {
   ApproachOutcome bsat;
 };
 
-struct RunSelection {
-  bool run_cov = true;
-  bool run_bsat = true;
-};
-
 /// Run the three basic approaches on a prepared experiment.
 ExperimentRow run_experiment(const PreparedExperiment& prepared,
-                             const ExperimentConfig& config,
-                             const RunSelection& selection = {});
+                             const ExperimentConfig& config);
 
 struct ExperimentGridOptions {
   /// Instance-parallel lanes (exec/ runtime): whole (circuit, p, m) cells
@@ -86,7 +75,6 @@ struct ExperimentGridOptions {
   /// its own config seed, so the grid is bit-identical for every thread
   /// count (timing columns excepted — they measure wall clock).
   std::size_t num_threads = 1;
-  RunSelection selection;
 };
 
 struct ExperimentCell {

@@ -15,30 +15,42 @@ using sat::Solver;
 using sat::Var;
 
 struct CardCase {
-  CardEncoding encoding;
   unsigned n;
   unsigned bound;
+  /// Bound the counter is built for (>= bound); BSAT builds for k and then
+  /// assumes every bound 1..k.
+  unsigned max_bound;
 };
+
+/// n free variables plus their positive literals.
+void make_inputs(Solver& solver, unsigned n, std::vector<Var>& vars,
+                 std::vector<Lit>& lits) {
+  for (unsigned i = 0; i < n; ++i) {
+    vars.push_back(solver.new_var());
+    lits.push_back(sat::pos(vars.back()));
+  }
+}
 
 class StaticAtMostTest : public ::testing::TestWithParam<CardCase> {};
 
-// Property: the number of full-cube models of "at most k of n free vars"
-// must be sum_{i<=k} C(n, i).
+// Property: the number of full-cube models of "at most k of n free vars",
+// with k assumed on a counter built for max_bound >= k, must be
+// sum_{i<=k} C(n, i).
 TEST_P(StaticAtMostTest, ModelCountMatchesBinomialSum) {
   const CardCase& c = GetParam();
   Solver solver;
   std::vector<Var> vars;
   std::vector<Lit> lits;
-  for (unsigned i = 0; i < c.n; ++i) {
-    vars.push_back(solver.new_var());
-    lits.push_back(sat::pos(vars.back()));
-  }
-  ASSERT_TRUE(encode_at_most_static(solver, lits, c.bound, c.encoding));
+  make_inputs(solver, c.n, vars, lits);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, lits, c.max_bound);
+  ASSERT_TRUE(solver.ok());
 
   // Count exact models: block the full cube over `vars`.
   std::vector<std::vector<Var>> models;
   const sat::EnumStop stop = sat::enumerate(
-      solver, {}, Deadline(), [] { return false; },
+      solver, tracker.assume_at_most(c.bound), Deadline(),
+      [] { return false; },
       [&](const Solver& model) {
         std::vector<Var> asserted;
         sat::Clause blocking;
@@ -67,101 +79,90 @@ TEST_P(StaticAtMostTest, ModelCountMatchesBinomialSum) {
   }
 }
 
+// n >> bound + 1 makes the merge nodes cap their outputs (the
+// `i + j > cap` break); bound 0 and bound >= n are the edge cases.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StaticAtMostTest,
-    ::testing::Values(
-        CardCase{CardEncoding::kSequential, 4, 1},
-        CardCase{CardEncoding::kSequential, 5, 2},
-        CardCase{CardEncoding::kSequential, 6, 3},
-        CardCase{CardEncoding::kSequential, 6, 0},
-        CardCase{CardEncoding::kTotalizer, 4, 1},
-        CardCase{CardEncoding::kTotalizer, 5, 2},
-        CardCase{CardEncoding::kTotalizer, 6, 3},
-        CardCase{CardEncoding::kTotalizer, 7, 4},
-        CardCase{CardEncoding::kPairwise, 4, 1},
-        CardCase{CardEncoding::kPairwise, 5, 2},
-        CardCase{CardEncoding::kPairwise, 6, 5}),
+    ::testing::Values(CardCase{4, 1, 1}, CardCase{5, 2, 2},
+                      CardCase{6, 3, 3}, CardCase{7, 4, 4},
+                      CardCase{6, 0, 0}, CardCase{4, 4, 4},
+                      CardCase{5, 9, 9}, CardCase{9, 1, 1},
+                      CardCase{12, 2, 2}, CardCase{16, 3, 3},
+                      CardCase{16, 1, 3}, CardCase{12, 0, 2}),
     [](const ::testing::TestParamInfo<CardCase>& info) {
-      return std::string(card_encoding_name(info.param.encoding)) + "_n" +
-             std::to_string(info.param.n) + "_k" +
-             std::to_string(info.param.bound);
+      const CardCase& c = info.param;
+      std::string name = "totalizer_n" + std::to_string(c.n) + "_k" +
+                         std::to_string(c.bound);
+      if (c.max_bound != c.bound) name += "_of" + std::to_string(c.max_bound);
+      return name;
     });
 
-class TrackerTest
-    : public ::testing::TestWithParam<CardEncoding> {};
+// One counter, assumed at every bound up to the one it was built for.
+TEST(TrackerTest, AssumptionsEnforceEveryBound) {
+  for (const CardCase c : {CardCase{6, 4, 4}, CardCase{9, 1, 1},
+                           CardCase{12, 2, 2}, CardCase{16, 3, 3}}) {
+    Solver solver;
+    std::vector<Var> vars;
+    std::vector<Lit> lits;
+    make_inputs(solver, c.n, vars, lits);
+    const CardinalityTracker tracker =
+        encode_cardinality_tracker(solver, lits, c.max_bound);
 
-TEST_P(TrackerTest, AssumptionsEnforceEveryBound) {
-  const CardEncoding encoding = GetParam();
-  const unsigned n = 6;
-  const unsigned max_bound = 4;
-  Solver solver;
-  std::vector<Var> vars;
-  std::vector<Lit> lits;
-  for (unsigned i = 0; i < n; ++i) {
-    vars.push_back(solver.new_var());
-    lits.push_back(sat::pos(vars.back()));
-  }
-  const CardinalityTracker tracker =
-      encode_cardinality_tracker(solver, lits, max_bound, encoding);
-
-  for (unsigned bound = 0; bound <= max_bound; ++bound) {
-    const auto assume = tracker.assume_at_most(bound);
-    // Try to exceed the bound: force bound+1 variables true.
-    std::vector<Lit> forced(assume);
-    for (unsigned i = 0; i <= bound && i < n; ++i) {
-      forced.push_back(sat::pos(vars[i]));
+    for (unsigned bound = 0; bound <= c.max_bound; ++bound) {
+      const auto assume = tracker.assume_at_most(bound);
+      // Try to exceed the bound: force bound+1 variables true, taken from
+      // the end so they span several merge subtrees.
+      std::vector<Lit> forced(assume);
+      for (unsigned i = 0; i <= bound && i < c.n; ++i) {
+        forced.push_back(sat::pos(vars[c.n - 1 - i]));
+      }
+      if (bound + 1 <= c.n) {
+        EXPECT_EQ(solver.solve(forced), LBool::kFalse)
+            << "n " << c.n << " bound " << bound << " should forbid "
+            << bound + 1 << " trues";
+      }
+      // Exactly `bound` trues must be allowed.
+      std::vector<Lit> ok(assume);
+      for (unsigned i = 0; i < bound; ++i) ok.push_back(sat::pos(vars[i]));
+      EXPECT_EQ(solver.solve(ok), LBool::kTrue)
+          << "n " << c.n << " bound " << bound;
     }
-    if (bound + 1 <= n) {
-      EXPECT_EQ(solver.solve(forced), LBool::kFalse)
-          << "bound " << bound << " should forbid " << bound + 1 << " trues";
-    }
-    // Exactly `bound` trues must be allowed.
-    std::vector<Lit> ok(assume);
-    for (unsigned i = 0; i < bound; ++i) ok.push_back(sat::pos(vars[i]));
-    EXPECT_EQ(solver.solve(ok), LBool::kTrue) << "bound " << bound;
   }
 }
 
-// kPairwise has no incremental tracker form; encode_cardinality_tracker
-// substitutes the sequential counter (see cardinality.hpp). The sweep pins
-// that the substitution still enforces every bound exactly.
-INSTANTIATE_TEST_SUITE_P(AllEncodings, TrackerTest,
-                         ::testing::Values(CardEncoding::kSequential,
-                                           CardEncoding::kTotalizer,
-                                           CardEncoding::kPairwise),
-                         [](const ::testing::TestParamInfo<CardEncoding>& i) {
-                           return card_encoding_name(i.param);
-                         });
-
 TEST(CardinalityTest, VacuousBoundAddsNothing) {
   Solver solver;
+  std::vector<Var> vars;
   std::vector<Lit> lits;
-  for (int i = 0; i < 3; ++i) lits.push_back(sat::pos(solver.new_var()));
-  EXPECT_TRUE(encode_at_most_static(solver, lits, 3, CardEncoding::kSequential));
-  EXPECT_EQ(solver.num_clauses(), 0u);
+  make_inputs(solver, 3, vars, lits);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, lits, 3);
+  EXPECT_TRUE(tracker.assume_at_most(3).empty());
+  EXPECT_EQ(tracker.geq.size(), 3u);
 }
 
 TEST(CardinalityTest, BoundZeroForcesAllFalse) {
   Solver solver;
   std::vector<Var> vars;
   std::vector<Lit> lits;
-  for (int i = 0; i < 4; ++i) {
-    vars.push_back(solver.new_var());
-    lits.push_back(sat::pos(vars.back()));
-  }
-  ASSERT_TRUE(encode_at_most_static(solver, lits, 0, CardEncoding::kSequential));
-  ASSERT_EQ(solver.solve(), LBool::kTrue);
+  make_inputs(solver, 4, vars, lits);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, lits, 0);
+  const std::vector<Lit> at_most_zero = tracker.assume_at_most(0);
+  ASSERT_EQ(at_most_zero.size(), 1u);
+  ASSERT_EQ(solver.solve(at_most_zero), LBool::kTrue);
   for (Var v : vars) {
     EXPECT_NE(solver.model_value(v), LBool::kTrue);
   }
-  std::vector<Lit> force_one{sat::pos(vars[2])};
+  std::vector<Lit> force_one(at_most_zero);
+  force_one.push_back(sat::pos(vars[2]));
   EXPECT_EQ(solver.solve(force_one), LBool::kFalse);
 }
 
 TEST(CardinalityTest, TrackerEmptyInputs) {
   Solver solver;
-  const CardinalityTracker tracker = encode_cardinality_tracker(
-      solver, {}, 2, CardEncoding::kSequential);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, {}, 2);
   EXPECT_TRUE(tracker.assume_at_most(0).empty());
   EXPECT_EQ(solver.solve(), LBool::kTrue);
 }
@@ -170,8 +171,8 @@ TEST(CardinalityTest, AssumeAtMostBeyondRangeIsEmpty) {
   Solver solver;
   std::vector<Lit> lits;
   for (int i = 0; i < 3; ++i) lits.push_back(sat::pos(solver.new_var()));
-  const CardinalityTracker tracker = encode_cardinality_tracker(
-      solver, lits, 2, CardEncoding::kSequential);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, lits, 2);
   EXPECT_TRUE(tracker.assume_at_most(10).empty());
 }
 

@@ -283,7 +283,7 @@ TEST(BsatInprocessDiffTest, ForcedPipelineShardExchangeMatchesParallel) {
 }
 
 /// COV's covering CNF (frozen selectors, one clause per BSIM candidate set,
-/// sequential counter) enumerated bound by bound with subset blocking on a
+/// totalizer) enumerated bound by bound with subset blocking on a
 /// solver that runs the pipeline from its first solve. Exhaustive bounds in
 /// increasing order make every model an irredundant cover, so the list must
 /// equal solve_covering_sat under the default schedule.
@@ -318,8 +318,8 @@ std::string check_forced_pipeline_cov(const difftest::DiffConfig& config,
     for (GateId g : set) clause.push_back(selector_of(g));
     solver.add_clause(std::move(clause));
   }
-  const CardinalityTracker tracker = encode_cardinality_tracker(
-      solver, selectors, kMaxK, options.card_encoding);
+  const CardinalityTracker tracker =
+      encode_cardinality_tracker(solver, selectors, kMaxK);
   solver.set_inprocess(forced_pipeline());
 
   Solutions covers;

@@ -167,26 +167,6 @@ TEST(BsatTest, GatingClausesDoNotChangeSolutions) {
             std::set<std::vector<GateId>>(b.solutions.begin(), b.solutions.end()));
 }
 
-TEST(BsatTest, CardEncodingsAgree) {
-  const Scenario s = make_scenario(8, 2, 6);
-  std::set<std::vector<GateId>> reference;
-  for (CardEncoding enc :
-       {CardEncoding::kSequential, CardEncoding::kTotalizer}) {
-    BsatOptions options;
-    options.k = 2;
-    options.instance.card_encoding = enc;
-    const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
-    ASSERT_TRUE(result.complete);
-    std::set<std::vector<GateId>> got(result.solutions.begin(),
-                                      result.solutions.end());
-    if (reference.empty()) {
-      reference = got;
-    } else {
-      EXPECT_EQ(reference, got) << card_encoding_name(enc);
-    }
-  }
-}
-
 TEST(BsatTest, ActivitySeedKeepsSolutionSpace) {
   const Scenario s = make_scenario(9, 1, 6);
   BsatOptions plain;
@@ -230,6 +210,48 @@ TEST(BsatTest, MaxSolutionsTruncates) {
     EXPECT_EQ(result.solutions.size(), 1u) << threads << " threads";
     EXPECT_LE(result.first_seconds, result.all_seconds)
         << threads << " threads";
+  }
+}
+
+TEST(BsatTest, CappedParallelRunKeepsTheSameSolutions) {
+  // Single-gate solutions in several partitions of a 4-shard run, capped at
+  // one: every shard with a solution stops at its own first one, and the
+  // per-bound trim keeps exactly one, the same on every rerun.
+  const Scenario s = make_scenario(11, 1, 4);
+  BsatOptions options;
+  options.k = 1;
+  options.num_threads = 4;
+  const BsatResult all = basic_sat_diagnose(s.faulty, s.tests, options);
+  ASSERT_TRUE(all.complete);
+  // Partitions as basic_sat_diagnose cuts them: by the index of a
+  // solution's lowest gate in the universe.
+  const std::vector<GateId> universe =
+      diagnosis_universe(s.faulty, s.tests, options.instance);
+  const std::size_t width = std::min<std::size_t>(4, universe.size());
+  const std::size_t partition = (universe.size() + width - 1) / width;
+  std::set<std::size_t> partitions;
+  for (const auto& solution : all.solutions) {
+    const auto at =
+        std::lower_bound(universe.begin(), universe.end(), solution.front());
+    partitions.insert(static_cast<std::size_t>(at - universe.begin()) /
+                      partition);
+  }
+  ASSERT_GE(partitions.size(), 2u);
+
+  options.max_solutions = 1;
+  std::vector<std::vector<GateId>> first;
+  for (int run = 0; run < 5; ++run) {
+    const BsatResult capped = basic_sat_diagnose(s.faulty, s.tests, options);
+    EXPECT_FALSE(capped.complete) << "run " << run;
+    ASSERT_EQ(capped.solutions.size(), 1u) << "run " << run;
+    if (run == 0) {
+      first = capped.solutions;
+      EXPECT_NE(std::find(all.solutions.begin(), all.solutions.end(),
+                          first.front()),
+                all.solutions.end());
+    } else {
+      EXPECT_EQ(capped.solutions, first) << "run " << run;
+    }
   }
 }
 

@@ -109,6 +109,18 @@ TEST(CoverTest, InfeasibleBoundGivesNoSolutions) {
   EXPECT_TRUE(result.solutions.empty());
 }
 
+TEST(CoverTest, EmptySetMeansNoCover) {
+  // A test whose candidate set is empty cannot be covered: the empty clause
+  // makes the instance root-UNSAT, which is a complete, empty enumeration.
+  const Sets sets{{1, 2}, {}, {2, 3}};
+  CovOptions options;
+  options.k = 2;
+  const CovResult result = solve_covering_sat(sets, options);
+  EXPECT_TRUE(result.complete);
+  EXPECT_TRUE(result.solutions.empty());
+  EXPECT_EQ(result.solutions, solve_covering_bnb(sets, options.k));
+}
+
 TEST(CoverTest, SingleSetSingletons) {
   const Sets sets{{3, 5, 9}};
   CovOptions options;

@@ -113,17 +113,6 @@ TEST(EndToEndTest, TwoErrorsKTwo) {
   }
 }
 
-TEST(EndToEndTest, SelectionSkipsApproaches) {
-  const ExperimentConfig config = small_config(40, 1, 4);
-  const auto prepared = prepare_experiment(config);
-  ASSERT_TRUE(prepared.has_value());
-  RunSelection selection;
-  selection.run_bsat = false;
-  const ExperimentRow row = run_experiment(*prepared, config, selection);
-  EXPECT_TRUE(row.bsat.solutions.empty());
-  EXPECT_EQ(row.bsat.all_seconds, 0.0);
-}
-
 TEST(EndToEndTest, BuiltinCircuitExperiment) {
   ExperimentConfig config;
   config.circuit = "s27";
