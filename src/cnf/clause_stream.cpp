@@ -1,10 +1,10 @@
 #include "cnf/clause_stream.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "cnf/tseitin.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace satdiag {
@@ -13,10 +13,6 @@ namespace {
 
 using sat::Lit;
 using sat::Var;
-
-std::atomic<std::uint64_t> g_templates_built{0};
-std::atomic<std::uint64_t> g_copies_stamped{0};
-std::atomic<std::uint64_t> g_clauses_stamped{0};
 
 /// Clause sink with the sat::Solver surface encode_gate_function_into needs,
 /// writing normalized clauses over relative indices into a ClauseStream.
@@ -187,7 +183,9 @@ ClauseStream build_copy_template(const Netlist& nl,
                      by_list);
   }
 
-  g_templates_built.fetch_add(1, std::memory_order_relaxed);
+  static obs::Counter& templates_built =
+      obs::MetricsRegistry::global().counter("cnf.templates_built");
+  templates_built.add(1);
   return ts;
 }
 
@@ -232,23 +230,13 @@ sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
       if (!solver.add_clause(clause)) break;
     }
   }
-  g_copies_stamped.fetch_add(1, std::memory_order_relaxed);
-  g_clauses_stamped.fetch_add(ts.sizes.size(), std::memory_order_relaxed);
+  static obs::Counter& copies_stamped =
+      obs::MetricsRegistry::global().counter("cnf.copies_stamped");
+  static obs::Counter& clauses_stamped =
+      obs::MetricsRegistry::global().counter("cnf.clauses_stamped");
+  copies_stamped.add(1);
+  clauses_stamped.add(ts.sizes.size());
   return base;
-}
-
-ClauseStreamStats clause_stream_stats() {
-  ClauseStreamStats s;
-  s.templates_built = g_templates_built.load(std::memory_order_relaxed);
-  s.copies_stamped = g_copies_stamped.load(std::memory_order_relaxed);
-  s.clauses_stamped = g_clauses_stamped.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_clause_stream_stats() {
-  g_templates_built.store(0, std::memory_order_relaxed);
-  g_copies_stamped.store(0, std::memory_order_relaxed);
-  g_clauses_stamped.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace satdiag

@@ -99,13 +99,4 @@ ClauseStream build_copy_template(const Netlist& nl,
 sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
                              std::span<const sat::Var> extern_vars);
 
-/// Process-wide stamping counters (CLI --stats / bench reporting).
-struct ClauseStreamStats {
-  std::uint64_t templates_built = 0;
-  std::uint64_t copies_stamped = 0;
-  std::uint64_t clauses_stamped = 0;
-};
-ClauseStreamStats clause_stream_stats();
-void reset_clause_stream_stats();
-
 }  // namespace satdiag

@@ -60,22 +60,13 @@ AdvancedSatResult advanced_sat_diagnose(const Netlist& nl,
   AdvancedSatResult result;
   Timer timer;
 
-  // ---- pass 1: coarse diagnosis on region heads (maybe on a partition) ----
-  TestSet pass1_tests;
-  if (options.partition_size > 0 && options.partition_size < tests.size()) {
-    pass1_tests.assign(tests.begin(),
-                       tests.begin() + static_cast<std::ptrdiff_t>(
-                                           options.partition_size));
-  } else {
-    pass1_tests = tests;
-  }
-
+  // ---- pass 1: coarse diagnosis on region heads ---------------------------
   BsatOptions pass1;
   pass1.k = options.k;
   pass1.max_solutions = options.max_solutions;
   pass1.deadline = options.deadline;
   pass1.instance.instrumented = region_heads(nl);
-  const BsatResult coarse = basic_sat_diagnose(nl, pass1_tests, pass1);
+  const BsatResult coarse = basic_sat_diagnose(nl, tests, pass1);
   result.pass1_seconds = timer.seconds();
   result.pass1_instrumented = pass1.instance.instrumented.size();
   result.complete = coarse.complete;

@@ -2,22 +2,14 @@
 // Sec. 2.3 of the paper).
 //
 // Beyond the gating clauses and non-decision internal variables (handled by
-// DiagnosisInstanceOptions), this implements the two search-space reductions
-// the paper describes:
-//
-//  * Two-pass region diagnosis — "instead of inserting a multiplexer at each
-//    gate only dominators are selected in a first run. In a second run a
-//    finer level of granularity ... in the dominated regions that may
-//    contain an error." Pass 1 instruments only region heads (roots of
-//    fanout-free regions — the gates every other gate's effect must flow
-//    through); pass 2 instruments all gates of the implicated regions and
-//    enumerates the final corrections on the full test-set.
-//
-//  * Test-set partitioning — for large m the instance is built over a test
-//    subset; the resulting candidates are then validated against the whole
-//    test-set with the exact effect analyzer and refined on the implicated
-//    gate set. A heuristic: completeness on the full test-set is restored
-//    by the refinement pass over implicated regions.
+// DiagnosisInstanceOptions), this implements the paper's two-pass region
+// diagnosis: "instead of inserting a multiplexer at each gate only
+// dominators are selected in a first run. In a second run a finer level of
+// granularity ... in the dominated regions that may contain an error."
+// Pass 1 instruments only region heads (roots of fanout-free regions — the
+// gates every other gate's effect must flow through); pass 2 instruments all
+// gates of the implicated regions and enumerates the final corrections. Both
+// passes run on the full test-set.
 #pragma once
 
 #include "diag/bsat.hpp"
@@ -28,8 +20,6 @@ struct AdvancedSatOptions {
   unsigned k = 1;
   std::int64_t max_solutions = -1;
   Deadline deadline;
-  /// Tests per partition in pass 1 (0 = use the whole test-set).
-  std::size_t partition_size = 0;
 };
 
 struct AdvancedSatResult {

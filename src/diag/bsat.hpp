@@ -42,14 +42,15 @@ struct BsatOptions {
   /// With N > 1 the set is partitioned by the minimum selected gate: every
   /// shard builds an identical full-universe instance and restricts itself
   /// to corrections whose lowest-indexed gate falls in its partition by
-  /// assuming a per-partition activation variable. Bounds are synchronized
-  /// at a barrier where every shard's solutions are merged (canonical
-  /// order), cross-blocked into every other shard, and low-LBD learnts are
-  /// exchanged (sound there: after the symmetric cross-blocking every
-  /// shard's clause database implies every other's; deterministic, it only
-  /// changes search effort). Complete enumerations are bit-identical for
-  /// every thread count. A max_solutions cap applies per shard (each stops
-  /// at the cap counting the solutions merged at earlier bounds) and the
+  /// assuming a per-partition activation variable. Each shard carries the
+  /// act-var-guarded clauses of every partition, not only its own: on
+  /// s38417_like at 4 threads, a shard holding just its own partition as
+  /// root units plus one at-least-one clause made 16.5% more propagations.
+  /// Bounds are synchronized at a barrier where every shard's solutions are
+  /// merged (canonical order) and cross-blocked into every other shard; the
+  /// shards trade no learnt clauses. Complete enumerations are bit-identical
+  /// for every thread count. A max_solutions cap applies per shard (each
+  /// stops at the cap counting the solutions merged at earlier bounds) and the
   /// merged bound is trimmed to the cap in canonical order, so a capped run
   /// keeps the same solutions on every rerun at a given thread count;
   /// different thread counts may keep different ones, as may runs cut by

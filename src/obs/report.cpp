@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "cache/artifact_cache.hpp"
-#include "cnf/clause_stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
@@ -27,14 +26,13 @@ void ensure_standard_metrics() {
         "sat.binary_propagations", "sat.restarts", "sat.learned",
         "sat.removed", "sat.gc_runs", "sat.inprocess_runs", "sat.subsumed",
         "sat.strengthened", "sat.vivified", "sat.vars_eliminated",
-        "sat.failed_literals", "sat.learnts_exported", "sat.learnts_imported",
-        "exec.shards_run", "cache.builds"}) {
+        "sat.failed_literals", "exec.shards_run", "cache.builds",
+        "cnf.templates_built", "cnf.copies_stamped", "cnf.clauses_stamped"}) {
     reg.counter(name);
   }
   for (const char* name :
        {"sat.tier_core", "sat.tier_mid", "sat.tier_local", "cache.hits",
-        "cache.misses", "cache.evictions", "cache.bytes", "cache.entries",
-        "cnf.templates_built", "cnf.copies_stamped", "cnf.clauses_stamped"}) {
+        "cache.misses", "cache.evictions", "cache.bytes", "cache.entries"}) {
     reg.gauge(name);
   }
 }
@@ -57,8 +55,6 @@ void add_solver_stats(const sat::Solver::Stats& stats) {
   reg.counter("sat.vivified").add(stats.vivified);
   reg.counter("sat.vars_eliminated").add(stats.vars_eliminated);
   reg.counter("sat.failed_literals").add(stats.failed_literals);
-  reg.counter("sat.learnts_exported").add(stats.learnts_exported);
-  reg.counter("sat.learnts_imported").add(stats.learnts_imported);
   // Tier sizes are end-of-run snapshots, not accumulating counts.
   reg.gauge("sat.tier_core").set(static_cast<std::int64_t>(stats.tier_core));
   reg.gauge("sat.tier_mid").set(static_cast<std::int64_t>(stats.tier_mid));
@@ -74,13 +70,6 @@ void refresh_process_metrics() {
   reg.gauge("cache.evictions").set(static_cast<std::int64_t>(cs.evictions));
   reg.gauge("cache.bytes").set(static_cast<std::int64_t>(cs.bytes));
   reg.gauge("cache.entries").set(static_cast<std::int64_t>(cs.entries));
-  const ClauseStreamStats ss = clause_stream_stats();
-  reg.gauge("cnf.templates_built")
-      .set(static_cast<std::int64_t>(ss.templates_built));
-  reg.gauge("cnf.copies_stamped")
-      .set(static_cast<std::int64_t>(ss.copies_stamped));
-  reg.gauge("cnf.clauses_stamped")
-      .set(static_cast<std::int64_t>(ss.clauses_stamped));
 }
 
 void RunReport::write_json(std::ostream& out, int indent) const {

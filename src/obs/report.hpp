@@ -28,7 +28,7 @@
 
 namespace satdiag::obs {
 
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
 inline constexpr const char* kSchemaName = "satdiag.report";
 
 /// Add a solver's per-run counters into the registry's "sat.*" counters
@@ -36,11 +36,10 @@ inline constexpr const char* kSchemaName = "satdiag.report";
 /// run; the registry accumulates across runs in one process).
 void add_solver_stats(const sat::Solver::Stats& stats);
 
-/// Pull the cumulative process-wide sources — cache::ArtifactCache::global()
-/// and the ClauseStream stamping counters — into "cache.*" / "cnf.*" gauges,
-/// and make sure the whole standard metric catalogue (sat.*, cache.*,
-/// cnf.*, exec.*) is registered even when a path never ran, so snapshots
-/// have a stable key set.
+/// Pull the cumulative cache::ArtifactCache::global() statistics into the
+/// "cache.*" gauges, and make sure the whole standard metric catalogue
+/// (sat.*, cache.*, cnf.*, exec.*) is registered even when a path never ran,
+/// so snapshots have a stable key set.
 void refresh_process_metrics();
 
 struct RunReport {

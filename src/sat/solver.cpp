@@ -29,7 +29,7 @@ Solver::CRef Solver::Arena::alloc(std::span<const Lit> lits, bool learnt) {
   data.push_back((static_cast<std::uint32_t>(lits.size()) << 2) |
                  (learnt ? 2u : 0u));
   data.push_back(std::bit_cast<std::uint32_t>(0.0f));
-  data.push_back(0);  // meta word (lbd / tier / exported / unused rounds)
+  data.push_back(0);  // meta word (lbd / tier / unused rounds)
   for (Lit l : lits) data.push_back(static_cast<std::uint32_t>(l.index()));
   return cref;
 }
@@ -1032,9 +1032,6 @@ void Solver::shrink_clause_detached(CRef c, std::span<const Lit> lits) {
     attach_binary(lits[0], lits[1], learnt);
     if (learnt) {
       ++num_bin_learnts_;
-      if (bin_export_queue_.size() < 65536) {
-        bin_export_queue_.emplace_back(lits[0], lits[1]);
-      }
     } else {
       ++num_bin_clauses_;
     }
@@ -1165,95 +1162,6 @@ bool Solver::inprocess() {
 }
 
 // ---------------------------------------------------------------------------
-// Clause sharing
-
-std::size_t Solver::export_learnts(unsigned max_lbd, std::size_t max_clauses,
-                                   std::vector<SharedClause>& out) {
-  std::size_t exported = 0;
-  // Root units first — the strongest facts the search produced.
-  const std::size_t root_end = root_trail_size();
-  while (export_unit_watermark_ < root_end && exported < max_clauses) {
-    SharedClause sc;
-    sc.lits.push_back(trail_[export_unit_watermark_++]);
-    sc.lbd = 1;
-    out.push_back(std::move(sc));
-    ++exported;
-  }
-  // Learnt binaries queued since the last export.
-  while (!bin_export_queue_.empty() && exported < max_clauses) {
-    const auto [a, b] = bin_export_queue_.back();
-    bin_export_queue_.pop_back();
-    SharedClause sc;
-    sc.lits = {std::min(a, b), std::max(a, b)};
-    sc.lbd = 2;
-    out.push_back(std::move(sc));
-    ++exported;
-  }
-  // Core/mid arena learnts under the glue cap, each exported at most once.
-  for (const std::vector<CRef>* list : {&learnts_core_, &learnts_mid_}) {
-    for (CRef c : *list) {
-      if (exported >= max_clauses) break;
-      if (arena_.deleted(c) || arena_.exported(c) ||
-          arena_.lbd(c) > max_lbd) {
-        continue;
-      }
-      arena_.set_exported(c);
-      SharedClause sc;
-      sc.lbd = arena_.lbd(c);
-      const std::uint32_t size = arena_.size(c);
-      sc.lits.reserve(size);
-      for (std::uint32_t i = 0; i < size; ++i) {
-        sc.lits.push_back(arena_.lit(c, i));
-      }
-      std::sort(sc.lits.begin(), sc.lits.end());
-      out.push_back(std::move(sc));
-      ++exported;
-    }
-  }
-  stats_.learnts_exported += exported;
-  return exported;
-}
-
-bool Solver::import_clause(const SharedClause& shared) {
-  if (!ok_) return false;
-  if (decision_level() != 0) cancel_until(0);
-  for (Lit l : shared.lits) {
-    // This solver eliminated a variable the exporter still resolves on; the
-    // clause is implied but may mention reconstructed-only variables.
-    if (eliminated_[static_cast<std::size_t>(l.var())]) return false;
-  }
-  Clause lits = shared.lits;
-  std::sort(lits.begin(), lits.end());
-  Lit prev = Lit::undef();
-  std::size_t out = 0;
-  for (Lit l : lits) {
-    if (value(l) == LBool::kTrue || l == ~prev) return false;  // nothing new
-    if (value(l) != LBool::kFalse && l != prev) {
-      lits[out++] = prev = l;
-    }
-  }
-  lits.resize(out);
-  if (lits.empty()) {
-    ok_ = false;
-    return false;
-  }
-  ++stats_.learnts_imported;
-  if (lits.size() == 1) {
-    return enqueue_root(lits[0]);
-  }
-  if (lits.size() == 2) {
-    attach_binary(lits[0], lits[1], /*learnt=*/true);
-    ++num_bin_learnts_;
-    return true;
-  }
-  const CRef cref = arena_.alloc(lits, /*learnt=*/true);
-  push_learnt(cref, std::max<unsigned>(shared.lbd, 2));
-  arena_.set_exported(cref);  // never bounce an import back out
-  attach_clause(cref);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Search
 
 double Solver::luby(double y, int i) {
@@ -1304,9 +1212,6 @@ LBool Solver::search() {
         // forever: they are the strongest clauses the search produces.
         attach_binary(learnt[0], learnt[1], /*learnt=*/true);
         ++num_bin_learnts_;
-        if (bin_export_queue_.size() < 65536) {
-          bin_export_queue_.emplace_back(learnt[0], learnt[1]);
-        }
         unchecked_enqueue(learnt[0], bin_reason(learnt[1]));
         ++stats_.learned;
       } else {

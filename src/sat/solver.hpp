@@ -33,12 +33,10 @@
 // reading a variable out of model_value needs no freezing — reconstruction
 // is exact.
 //
-// Clause sharing: export_learnts()/import_clause() move low-LBD learnts
-// between solvers working on the *same* base formula (the BSAT partition
-// shards exchange at the per-bound barrier). Learnt clauses are implied by
-// the clause database alone — assumptions never taint them — so exchange is
-// sound whenever the receivers' clause databases are supersets of the
-// exporter's.
+// Each solver keeps its learnts to itself: the BSAT partition shards run
+// independent solvers and trade no clauses. A learnt clause is implied by
+// the clause database alone (assumptions never taint it), which is what
+// lets one solver keep its learnts across the whole k = 1..K bound loop.
 //
 // Extra hooks used by the diagnosis layer:
 //  * decision markers — BSAT restricts decisions to select/correction vars,
@@ -57,13 +55,6 @@
 #include "util/timer.hpp"
 
 namespace satdiag::sat {
-
-/// A learnt clause in transit between solvers (sorted literals + the
-/// exporter's glue). See Solver::export_learnts / import_clause.
-struct SharedClause {
-  Clause lits;
-  unsigned lbd = 0;
-};
 
 /// One deferred watch attachment of a stamped clause stream: push a watcher
 /// onto watch list `watch_index`, with `other_index` the Lit::index() of the
@@ -249,20 +240,6 @@ class Solver {
   /// contradictory (in negated form, as in MiniSat's conflict vector).
   const std::vector<Lit>& conflict() const { return conflict_; }
 
-  // ---- clause sharing -------------------------------------------------------
-  /// Append learnts not yet exported — root units, learnt binaries, and
-  /// core/mid arena learnts with glue <= max_lbd (each clause leaves once;
-  /// literals sorted so receivers can deduplicate). Returns the number
-  /// appended; stops at max_clauses.
-  std::size_t export_learnts(unsigned max_lbd, std::size_t max_clauses,
-                             std::vector<SharedClause>& out);
-  /// Import a clause learnt by a solver over the same base formula (sound
-  /// whenever this solver's clause set implies the exporter's). Added as a
-  /// learnt at the root level; dropped (returns false) when it mentions an
-  /// eliminated variable or is already satisfied at the root. Imported
-  /// clauses are not re-exported.
-  bool import_clause(const SharedClause& shared);
-
   // ---- budget ---------------------------------------------------------------
   /// solve() returns kUndef once the deadline expires.
   void set_deadline(Deadline d) { deadline_ = d; }
@@ -290,9 +267,6 @@ class Solver {
     std::uint64_t vivified = 0;       // learnts shortened by vivification
     std::uint64_t vars_eliminated = 0;
     std::uint64_t failed_literals = 0;
-    // Clause sharing.
-    std::uint64_t learnts_exported = 0;
-    std::uint64_t learnts_imported = 0;
     // Learnt-DB tier sizes (snapshot; summed across workers by merge()).
     std::uint64_t tier_core = 0;
     std::uint64_t tier_mid = 0;
@@ -315,8 +289,6 @@ class Solver {
       vivified += other.vivified;
       vars_eliminated += other.vars_eliminated;
       failed_literals += other.failed_literals;
-      learnts_exported += other.learnts_exported;
-      learnts_imported += other.learnts_imported;
       tier_core += other.tier_core;
       tier_mid += other.tier_mid;
       tier_local += other.tier_local;
@@ -356,12 +328,11 @@ class Solver {
 
   // Arena clause layout: [header][activity bits][meta][lits...]
   // header = (size << 2) | (learnt << 1) | deleted.
-  // meta   = lbd (bits 0..11) | tier (12..13) | exported (14) |
-  //          unused reduce rounds (16..23); meaningful for learnts only.
+  // meta   = lbd (bits 0..11) | tier (12..13) | unused reduce rounds
+  //          (16..23); meaningful for learnts only. Bit 14 is free.
   struct Arena {
     static constexpr std::uint32_t kLbdMask = 0xfffu;
     static constexpr std::uint32_t kTierShift = 12;
-    static constexpr std::uint32_t kExportedBit = 1u << 14;
     static constexpr std::uint32_t kUnusedShift = 16;
     static constexpr std::uint32_t kUnusedMask = 0xffu;
 
@@ -395,8 +366,6 @@ class Solver {
       data[c + 2] = (data[c + 2] & ~(3u << kTierShift)) |
                     (static_cast<std::uint32_t>(t) << kTierShift);
     }
-    bool exported(CRef c) const { return data[c + 2] & kExportedBit; }
-    void set_exported(CRef c) { data[c + 2] |= kExportedBit; }
     std::uint32_t unused_rounds(CRef c) const {
       return (data[c + 2] >> kUnusedShift) & kUnusedMask;
     }
@@ -573,11 +542,6 @@ class Solver {
   std::uint64_t first_inprocess_props_ = InprocessConfig{}.run_budget();
   std::uint64_t inprocess_interval_ = InprocessConfig{}.interval_conflicts;
   int totalize_head_ = 0;  // pick_totalize_lit() scan cursor
-
-  // Clause-sharing state: units exported so far (prefix of the root trail),
-  // learnt binaries awaiting export.
-  std::size_t export_unit_watermark_ = 0;
-  std::vector<std::pair<Lit, Lit>> bin_export_queue_;
 
   double max_learnts_ = 0;
   Deadline deadline_;

@@ -18,6 +18,7 @@
 #include "cnf/mux_instrument.hpp"
 #include "common/diff_harness.hpp"
 #include "diag/bsat.hpp"
+#include "obs/metrics.hpp"
 
 namespace satdiag {
 namespace {
@@ -151,13 +152,15 @@ TEST(ClauseStreamTest, TemplatesComeFromCacheOnRepeat) {
   DiagnosisInstanceOptions options;
   options.max_k = 2;
   options.template_stamped = true;
+  const obs::Counter& templates_built =
+      obs::MetricsRegistry::global().counter("cnf.templates_built");
   cache::ArtifactCache::global().clear();
-  reset_clause_stream_stats();
+  const std::uint64_t before = templates_built.value();
   { const auto first = build_diagnosis_instance(di.nl, di.tests, options); }
-  const std::uint64_t after_first = clause_stream_stats().templates_built;
-  EXPECT_GE(after_first, 1u);
+  const std::uint64_t after_first = templates_built.value();
+  EXPECT_GE(after_first - before, 1u);
   { const auto second = build_diagnosis_instance(di.nl, di.tests, options); }
-  EXPECT_EQ(clause_stream_stats().templates_built, after_first);
+  EXPECT_EQ(templates_built.value(), after_first);
   expect_identical(di.nl, di.tests, options);
 }
 

@@ -122,20 +122,6 @@ TEST(AdvancedSatTest, RegionRefinementRecoversErrorSite) {
   EXPECT_GE(recovered, rounds - 1);
 }
 
-TEST(AdvancedSatTest, PartitioningStillSound) {
-  const Scenario s = make_scenario(9, 1, 12);
-  AdvancedSatOptions options;
-  options.k = 1;
-  options.partition_size = 4;  // pass 1 sees only 4 of 12 tests
-  const AdvancedSatResult result =
-      advanced_sat_diagnose(s.faulty, s.tests, options);
-  EffectAnalyzer effect(s.faulty, s.tests);
-  for (const auto& solution : result.solutions) {
-    // Pass 2 runs on the FULL test set, so all results are valid for it.
-    EXPECT_TRUE(effect.is_valid_correction(solution));
-  }
-}
-
 TEST(AdvancedSatTest, SolutionsSubsetOfBasicBsat) {
   // Restricting instrumentation can only remove solutions, never invent
   // invalid ones.

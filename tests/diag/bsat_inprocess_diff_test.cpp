@@ -9,16 +9,15 @@
 //  * serial BSAT on the mux-instrumented CNF: the select lines, correction
 //    inputs and cardinality outputs must stay frozen, and model
 //    reconstruction must restore every eliminated gate variable;
-//  * two partition shards that cross-block and exchange learnts at every
-//    bound barrier, as parallel BSAT does: an import must never bring back
-//    a variable the importing shard eliminated;
+//  * two partition shards that cross-block each other's solutions at every
+//    bound barrier, as parallel BSAT does: the activation variables must
+//    stay frozen so later bounds can still assume them;
 //  * COV's covering CNF over the BSIM candidate sets.
 // Iterations honour SATDIAG_DIFF_ITERS (the nightly `-R Diff` job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "cnf/cardinality.hpp"
@@ -135,21 +134,14 @@ TEST(BsatInprocessDiffTest, ForcedPipelineMatchesDefaultSchedule) {
   EXPECT_GT(eliminated, 0u);
 }
 
-/// What the shard exchange did over all checked cases.
-struct ExchangeTally {
-  std::uint64_t eliminated = 0;
-  std::uint64_t imported = 0;
-  std::uint64_t refused_eliminated = 0;  // named a var the importer eliminated
-};
-
 /// Two shards over identical instances, split by the minimum gate of a
 /// correction as in parallel BSAT (act-guarded partition clauses, frozen act
 /// vars), each running the pipeline from its first solve. At every bound
-/// barrier they cross-block each other's solutions and exchange learnts
-/// through export_learnts/import_clause. The merged list must equal
-/// basic_sat_diagnose at four threads under the default schedule.
+/// barrier they cross-block each other's solutions. The merged list must
+/// equal basic_sat_diagnose at four threads under the default schedule.
+/// Adds the variables the shards eliminated to `eliminated`.
 std::string check_forced_pipeline_shards(const difftest::DiffConfig& config,
-                                         ExchangeTally& tally) {
+                                         std::uint64_t& eliminated) {
   const Scenario s = make_scenario(config);
   if (s.tests.empty()) return "";
   BsatOptions options;
@@ -233,33 +225,9 @@ std::string check_forced_pipeline_shards(const difftest::DiffConfig& config,
     }
     std::sort(solutions.begin() + static_cast<std::ptrdiff_t>(bound_start),
               solutions.end());
-
-    std::vector<std::vector<sat::SharedClause>> batches(kShards);
-    for (std::size_t shard = 0; shard < kShards; ++shard) {
-      if (exhausted[shard]) continue;
-      shards[shard]->solver.export_learnts(4, 4096, batches[shard]);
-    }
-    for (std::size_t to = 0; to < kShards; ++to) {
-      if (exhausted[to]) continue;
-      sat::Solver& solver = shards[to]->solver;
-      for (std::size_t from = 0; from < kShards; ++from) {
-        if (from == to) continue;
-        for (const sat::SharedClause& shared : batches[from]) {
-          const bool names_eliminated = std::any_of(
-              shared.lits.begin(), shared.lits.end(),
-              [&](sat::Lit l) { return solver.is_eliminated(l.var()); });
-          const bool taken = solver.import_clause(shared);
-          if (names_eliminated) {
-            ++tally.refused_eliminated;
-            if (taken) return "imported a clause on an eliminated variable";
-          }
-        }
-      }
-    }
   }
   for (const auto& shard : shards) {
-    tally.eliminated += shard->solver.stats().vars_eliminated;
-    tally.imported += shard->solver.stats().learnts_imported;
+    eliminated += shard->solver.stats().vars_eliminated;
   }
 
   if (solutions == reference.solutions) return "";
@@ -267,19 +235,17 @@ std::string check_forced_pipeline_shards(const difftest::DiffConfig& config,
                            reference.solutions);
 }
 
-TEST(BsatInprocessDiffTest, ForcedPipelineShardExchangeMatchesParallel) {
-  ExchangeTally tally;
+TEST(BsatInprocessDiffTest, ForcedPipelineShardsMatchParallel) {
+  std::uint64_t eliminated = 0;
   EXPECT_TRUE(difftest::run_diff(
       "BSAT forced-pipeline shards vs 4-thread default schedule",
       [&](const difftest::DiffConfig& config) {
-        return check_forced_pipeline_shards(config, tally);
+        return check_forced_pipeline_shards(config, eliminated);
       },
       difftest::DiffConfig{.seed = 16000, .gates = 140, .tests = 6}, 6));
-  // Elimination ran, learnts crossed between the shards, and some offered
-  // clause named a variable its importer had eliminated.
-  EXPECT_GT(tally.eliminated, 0u);
-  EXPECT_GT(tally.imported, 0u);
-  EXPECT_GT(tally.refused_eliminated, 0u);
+  // The cross-blocking only meets the frozen-variable contract when some
+  // shard eliminated variables.
+  EXPECT_GT(eliminated, 0u);
 }
 
 /// COV's covering CNF (frozen selectors, one clause per BSIM candidate set,

@@ -257,7 +257,7 @@ TEST(BsatTest, CappedParallelRunKeepsTheSameSolutions) {
 
 TEST(BsatTest, OneThreadEnumeratesThePlainInstance) {
   // One thread means one shard over the whole universe: no partition
-  // activation variable or clause, and no learnt exchange.
+  // activation variable or clause.
   const Scenario s = make_scenario(14, 2, 6);
   BsatOptions options;
   options.k = 2;
@@ -268,8 +268,6 @@ TEST(BsatTest, OneThreadEnumeratesThePlainInstance) {
       build_diagnosis_instance(s.faulty, s.tests, inst_options);
   EXPECT_EQ(result.num_vars, static_cast<std::size_t>(plain.solver.num_vars()));
   EXPECT_EQ(result.num_clauses, plain.solver.num_clauses());
-  EXPECT_EQ(result.solver_stats.learnts_exported, 0u);
-  EXPECT_EQ(result.solver_stats.learnts_imported, 0u);
 }
 
 TEST(BsatTest, PassingTestsYieldNoCorrection) {

@@ -112,25 +112,6 @@ TEST(ParallelDeterminismTest, TinyUniverseWithMoreThreadsThanGates) {
   }
 }
 
-TEST(ParallelDeterminismTest, BsatClauseSharingKeepsSolutionSetsIdentical) {
-  // The per-bound-barrier learnt exchange may only change search effort,
-  // never the enumerated sets — and it must actually fire.
-  const PreparedExperiment prepared = prepare("s526_like", 2, 6);
-  BsatOptions options;
-  options.k = 2;
-  options.num_threads = 4;
-  const BsatResult shared =
-      basic_sat_diagnose(prepared.faulty, prepared.tests, options);
-  options.num_threads = 1;  // one solver: nothing to share
-  const BsatResult isolated =
-      basic_sat_diagnose(prepared.faulty, prepared.tests, options);
-  EXPECT_EQ(shared.solutions, isolated.solutions);
-  EXPECT_TRUE(shared.complete);
-  EXPECT_GT(shared.solver_stats.learnts_exported, 0u);
-  EXPECT_EQ(isolated.solver_stats.learnts_exported, 0u);
-  EXPECT_EQ(isolated.solver_stats.learnts_imported, 0u);
-}
-
 TEST(ParallelDeterminismTest, BsatOnPassingTestsFindsNothingAtAnyThreadCount) {
   // The injected errors' tests all pass on the golden circuit: the empty
   // correction satisfies the instance, so there is nothing to diagnose.

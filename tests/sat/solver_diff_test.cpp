@@ -420,38 +420,6 @@ TEST(SolverDiffTest, EliminatedVariableModelsAreReconstructed) {
   EXPECT_GT(eliminated_total, 0u);
 }
 
-TEST(SolverDiffTest, ImportRefusesClausesOnEliminatedVariables) {
-  // A parallel BSAT shard imports learnts from shards whose elimination
-  // history differs. A clause naming a variable this solver eliminated must
-  // be dropped: its occurrences are gone and only the reconstruction stack
-  // knows the variable. A clause over live variables is still taken.
-  Solver s;
-  s.set_inprocess(aggressive_inprocess());
-  const Var a = s.new_var();
-  const Var b = s.new_var();
-  const Var c = s.new_var();
-  const Var x = s.new_var(/*decidable=*/false);
-  const std::vector<Clause> clauses = {
-      {neg(x), pos(a)}, {neg(x), pos(b)}, {pos(x), neg(a), neg(b)},  // x = ab
-      {pos(x), pos(c)}};
-  for (const Clause& clause : clauses) s.add_clause(clause);
-  ASSERT_EQ(s.solve(), LBool::kTrue);
-  ASSERT_TRUE(s.is_eliminated(x));
-
-  const std::uint64_t imported = s.stats().learnts_imported;
-  EXPECT_FALSE(s.import_clause(SharedClause{{pos(x), pos(a)}, 2}));
-  EXPECT_FALSE(s.import_clause(SharedClause{{neg(x)}, 1}));
-  EXPECT_EQ(s.stats().learnts_imported, imported);
-
-  // (a | c) is implied by the original clauses.
-  EXPECT_TRUE(s.import_clause(SharedClause{{pos(a), pos(c)}, 2}));
-  EXPECT_EQ(s.stats().learnts_imported, imported + 1);
-  const std::vector<Lit> assumptions = {neg(c)};
-  ASSERT_EQ(s.solve(assumptions), LBool::kTrue);
-  check_model(s, clauses);
-  EXPECT_EQ(s.model_value(x), LBool::kTrue);
-}
-
 TEST(SolverDiffTest, DimacsRoundTripPreservesVerdicts) {
   Rng rng(0xb3);
   for (int iter = 0; iter < 50; ++iter) {

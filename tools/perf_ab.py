@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired A/B comparison of two satdiag revisions on the perfbench workloads.
 
-    python3 tools/perf_ab.py BASE [HEAD] [--pairs N] [--workloads a,b]
-                             [--trace 0|1] [--work DIR]
+    python3 tools/perf_ab.py BASE [HEAD] [--pairs N] [--repeat SEED]
+                             [--workloads a,b] [--trace 0|1] [--work DIR]
     python3 tools/perf_ab.py --self-test
 
 BASE and HEAD are git revisions of the repository this script lives in
@@ -16,8 +16,11 @@ object per line, so a long comparison leaves its raw samples behind.
 
 For every workload the script runs perfbench/run.py for N pairs, pair i
 at seed i, alternating which side runs first, each run as long as
-BENCHMARK.json's run_seconds. It reports whether the two
-sides did the same work (equal fingerprints on every seed, error_rate 0),
+BENCHMARK.json's run_seconds. With --repeat SEED every pair runs at that
+one seed instead: the inputs no longer vary between pairs, so the base
+IQR measures run-to-run noise alone rather than noise plus seed-to-seed
+variation of the work. It reports whether the two
+sides did the same work (equal fingerprints in every pair, error_rate 0),
 and for every metric of BENCHMARK.json (end-to-end ones, or per-layer ones
 with --trace 1) both medians, the relative change, the base side's
 IQR/median and how many pairs each side won, with a verdict:
@@ -39,6 +42,7 @@ code is 1 when a fingerprint or error rate differs or any verdict is
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -117,21 +121,31 @@ def compare(spec, base, head):
             "losses": losses, "verdict": verdict}
 
 
-def report(workload, specs, runs, out=sys.stdout):
-    """Print one workload's comparison; return True when it passes."""
+def pair_seeds(pairs, repeat=None):
+    """The seed of each pair: pair i at seed i, or every pair at `repeat`."""
+    return [i if repeat is None else repeat for i in range(1, pairs + 1)]
+
+
+def report(workload, specs, runs, seeds, out=sys.stdout):
+    """Print one workload's comparison; return True when it passes.
+
+    runs[side][i] is the result of pair i (1-based), run at seeds[i - 1].
+    """
     pairs = sorted(runs["base"])
     same_work = all(runs["base"][s]["fingerprint"] == runs["head"][s]["fingerprint"]
                     for s in pairs)
     errors = [runs[side][s]["error_rate"] for side in ("base", "head")
               for s in pairs]
-    print("workload %s: %d pairs, fingerprints %s, error_rate max %g" %
-          (workload, len(pairs), "equal" if same_work else "DIFFER",
+    at = ("seed %d" % seeds[0] if len(set(seeds)) == 1
+          else "seeds %d..%d" % (min(seeds), max(seeds)))
+    print("workload %s: %d pairs at %s, fingerprints %s, error_rate max %g" %
+          (workload, len(pairs), at, "equal" if same_work else "DIFFER",
            max(errors)), file=out)
     if not same_work:
         for s in pairs:
-            print("  seed %d base %s\n  seed %d head %s" %
-                  (s, runs["base"][s]["fingerprint"], s,
-                   runs["head"][s]["fingerprint"]), file=out)
+            print("  pair %d (seed %d) base %s\n  pair %d (seed %d) head %s" %
+                  (s, seeds[s - 1], runs["base"][s]["fingerprint"], s,
+                   seeds[s - 1], runs["head"][s]["fingerprint"]), file=out)
     print("  %-26s %14s %14s %9s %8s %7s  %s" %
           ("metric", "base median", "head median", "change", "base IQR",
            "wins", "verdict"), file=out)
@@ -190,23 +204,25 @@ def main_ab(args):
     for side, rev in (("base", args.base), ("head", args.head)):
         sides[side] = (export(rev, os.path.join(work, "src-" + side)),
                        os.path.join(work, "target-" + side))
+    seeds = pair_seeds(args.pairs, args.repeat)
     ok = True
     with open(os.path.join(work, "runs.jsonl"), "a") as log:
         for workload in args.workloads.split(","):
             runs = {"base": {}, "head": {}}
-            for seed in range(1, args.pairs + 1):
-                order = ("base", "head") if seed % 2 else ("head", "base")
+            for pair, seed in enumerate(seeds, 1):
+                order = ("base", "head") if pair % 2 else ("head", "base")
                 for side in order:
                     tree, target = sides[side]
                     result = run_once(tree, target, workload, seed,
                                       spec["run_seconds"], args.trace)
-                    runs[side][seed] = result
-                    print("perf_ab: %s seed %d %s done" %
-                          (workload, seed, side), file=sys.stderr)
-                    log.write(json.dumps(dict(result, side=side, seed=seed,
+                    runs[side][pair] = result
+                    print("perf_ab: %s pair %d seed %d %s done" %
+                          (workload, pair, seed, side), file=sys.stderr)
+                    log.write(json.dumps(dict(result, side=side, pair=pair,
+                                              seed=seed,
                                               workload=workload)) + "\n")
                     log.flush()
-            ok = report(workload, specs, runs) and ok
+            ok = report(workload, specs, runs, seeds) and ok
     return 0 if ok else 1
 
 
@@ -266,17 +282,26 @@ def self_test():
     free = {"name": "sim.faultsim_ms", "better": "lower"}
     assert verdicts(wide, [v * 2 for v in wide], free) == "loss"
 
+    # Pair seeds: one per pair by default, one seed for all with --repeat.
+    assert pair_seeds(4) == [1, 2, 3, 4]
+    assert pair_seeds(4, repeat=3) == [3, 3, 3, 3]
+
     # Whole-workload report: equal work passes, different work fails.
     runs = {"base": {s: parse_run(canned(7, 10.0, v))
                      for s, v in enumerate(tight, 1)},
             "head": {s: parse_run(canned(7, 6.0, v * 0.6))
                      for s, v in enumerate(tight, 1)}}
     sink = open(os.devnull, "w")
-    assert report("sim_sweep", specs, runs, sink)
+    for seeds in (pair_seeds(len(tight)), pair_seeds(len(tight), repeat=1)):
+        assert report("sim_sweep", specs, runs, seeds, sink)
+    repeated = io.StringIO()
+    report("sim_sweep", specs, runs, pair_seeds(len(tight), repeat=1),
+           repeated)
+    assert "10 pairs at seed 1," in repeated.getvalue()
     runs["head"][3] = parse_run(canned(8, 6.0, 22.0))
-    assert not report("sim_sweep", specs, runs, sink)
+    assert not report("sim_sweep", specs, runs, pair_seeds(len(tight)), sink)
     runs["head"][3] = parse_run(canned(7, 6.0, 22.0, error_rate=0.1))
-    assert not report("sim_sweep", specs, runs, sink)
+    assert not report("sim_sweep", specs, runs, pair_seeds(len(tight)), sink)
     print("perf_ab self-test passed")
     return 0
 
@@ -286,6 +311,8 @@ def main():
     parser.add_argument("base", nargs="?")
     parser.add_argument("head", nargs="?", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--repeat", type=int, metavar="SEED",
+                        help="run every pair at this seed")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--work", help="export and build directory "
@@ -296,6 +323,8 @@ def main():
         return self_test()
     if args.base is None:
         parser.error("BASE is required")
+    if args.repeat is not None and args.repeat < 1:
+        parser.error("--repeat wants a seed of at least 1")
     for workload in args.workloads.split(","):
         if workload not in WORKLOADS:
             parser.error("unknown workload %s" % workload)
