@@ -228,16 +228,15 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
       }
     });
 
-    // Barrier: merge this bound in partition order, canonicalize, and
-    // cross-block SYMMETRICALLY — every shard receives every other shard's
-    // solutions. Earlier shards need the clauses to not rediscover supersets
-    // (a superset's minimum gate can move to an earlier partition). Later
-    // shards' activation assumptions already exclude those supersets, so
-    // the clauses they receive are redundant there.
+    // Barrier: merge this bound in partition order, canonicalize, and block
+    // each shard's solutions in the EARLIER shards only. A superset of a
+    // solution of shard s has its minimum gate in partition s or before, so
+    // only a shard t < s can rediscover it; a later shard's activation
+    // assumption already excludes it.
     const std::size_t bound_start = result.solutions.size();
     for (std::size_t s = 0; s < num_shards; ++s) {
-      for (std::size_t t = 0; t < num_shards; ++t) {
-        if (t == s || shards[t].retired) continue;
+      for (std::size_t t = 0; t < s; ++t) {
+        if (shards[t].retired) continue;
         DiagnosisInstance& inst = *shards[t].inst;
         for (const auto& solution : shards[s].bound_solutions) {
           if (!inst.solver.add_clause(blocking_clause(inst, solution))) {

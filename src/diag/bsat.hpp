@@ -47,8 +47,9 @@ struct BsatOptions {
   /// s38417_like at 4 threads, a shard holding just its own partition as
   /// root units plus one at-least-one clause made 16.5% more propagations.
   /// Bounds are synchronized at a barrier where every shard's solutions are
-  /// merged (canonical order) and cross-blocked into every other shard; the
-  /// shards trade no learnt clauses. Complete enumerations are bit-identical
+  /// merged (canonical order) and blocked in every earlier shard (a later
+  /// shard's activation already excludes their supersets); the shards trade
+  /// no learnt clauses. Complete enumerations are bit-identical
   /// for every thread count. A max_solutions cap applies per shard (each
   /// stops at the cap counting the solutions merged at earlier bounds) and the
   /// merged bound is trimmed to the cap in canonical order, so a capped run

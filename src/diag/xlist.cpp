@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "exec/parallel.hpp"
 #include "netlist/analysis.hpp"
@@ -37,22 +38,6 @@ std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
 
 namespace {
 
-/// For every combinational gate, a bitmask (over tests, up to 64) telling
-/// which tests' erroneous outputs turn X when X is injected at that gate —
-/// x_reach_masks scattered into a gate-indexed table.
-std::vector<std::uint64_t> reach_masks(exec::ThreadPool& pool,
-                                       const Netlist& nl, const TestSet& tests,
-                                       const std::vector<GateId>& candidates,
-                                       const Deadline& deadline) {
-  std::vector<std::uint64_t> mask(nl.size(), 0);
-  const auto per_candidate =
-      x_reach_masks(pool, nl, tests, candidates, deadline);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    mask[candidates[i]] = per_candidate[i];
-  }
-  return mask;
-}
-
 /// Combinational gates in the *intersection* of the erroneous outputs'
 /// fanin cones: a surviving candidate's X must reach every test's erroneous
 /// output, so anything outside provably fails the criterion and the result
@@ -77,43 +62,56 @@ std::vector<GateId> candidate_pool(const Netlist& nl, const TestSet& tests) {
   return pool;
 }
 
+/// The tests grouped by erroneous output, largest group first (ties by
+/// output gate), each group cut into chunks of at most 64 tests. A chunk
+/// observes one output, so its X sweep stays inside that output's cone and
+/// packs 64 / |chunk| candidates per word.
+std::vector<TestSet> output_chunks(const Netlist& nl, const TestSet& tests) {
+  std::map<GateId, TestSet> by_output;
+  for (const Test& t : tests) by_output[test_output_gate(nl, t)].push_back(t);
+  std::vector<const TestSet*> groups;
+  for (const auto& [out, group] : by_output) groups.push_back(&group);
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const TestSet* a, const TestSet* b) {
+                     return a->size() > b->size();
+                   });
+  std::vector<TestSet> chunks;
+  for (const TestSet* group : groups) {
+    for (std::size_t base = 0; base < group->size(); base += 64) {
+      const std::size_t end = std::min<std::size_t>(base + 64, group->size());
+      chunks.emplace_back(group->begin() + static_cast<std::ptrdiff_t>(base),
+                          group->begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  return chunks;
+}
+
 }  // namespace
 
 std::vector<GateId> xlist_single_candidates(const Netlist& nl,
                                             const TestSet& tests,
                                             const XListOptions& options) {
   assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
-  std::vector<GateId> result;
-  if (tests.empty()) return result;
-  const std::vector<GateId> pool = candidate_pool(nl, tests);
+  if (tests.empty()) return {};
   exec::ThreadPool workers(options.num_threads);
 
-  // Process tests in batches of 64 pattern slots; a candidate survives only
-  // if it covers every batch completely.
-  std::vector<bool> alive(nl.size(), false);
-  for (GateId g : pool) alive[g] = true;
-  for (std::size_t base = 0; base < tests.size(); base += 64) {
-    const std::size_t batch_size = std::min<std::size_t>(64, tests.size() - base);
-    const TestSet batch(tests.begin() + static_cast<std::ptrdiff_t>(base),
-                        tests.begin() +
-                            static_cast<std::ptrdiff_t>(base + batch_size));
-    std::vector<GateId> still;
-    for (GateId g : pool) {
-      if (alive[g]) still.push_back(g);
+  // A candidate survives only if it covers every chunk completely, so each
+  // chunk simulates only the survivors of the chunks before it; the largest
+  // output group goes first, where most of the pool dies.
+  std::vector<GateId> alive = candidate_pool(nl, tests);
+  for (const TestSet& chunk : output_chunks(nl, tests)) {
+    if (alive.empty()) break;
+    const std::uint64_t full =
+        chunk.size() == 64 ? ~0ULL : (1ULL << chunk.size()) - 1;
+    const auto masks = x_reach_masks(workers, nl, chunk, alive, options.deadline);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      if (masks[i] == full) alive[kept++] = alive[i];
     }
-    const std::uint64_t full = batch_size == 64
-                                   ? ~0ULL
-                                   : ((1ULL << batch_size) - 1);
-    const auto masks = reach_masks(workers, nl, batch, still, options.deadline);
-    for (GateId g : still) {
-      if (masks[g] != full) alive[g] = false;
-    }
+    alive.resize(kept);
     if (options.deadline.expired()) break;
   }
-  for (GateId g : pool) {
-    if (alive[g]) result.push_back(g);
-  }
-  return result;
+  return alive;
 }
 
 }  // namespace satdiag

@@ -4,8 +4,12 @@
 // is kept when the X reaches the erroneous output of every test ("the effect
 // of changing a value at a certain position is considered").
 //
-// Implemented for single locations: one 3-valued sweep per candidate gate,
-// all tests in parallel pattern slots.
+// Implemented for single locations. The tests are grouped by erroneous
+// output, largest group first, in chunks of at most 64; each chunk is one
+// lane-batched 3-valued sweep (x_reach_masks) over the candidates that
+// survived the chunks before it. A chunk observes one output, so its X
+// stays inside that output's fanin cone and packs 64 / |chunk| candidates
+// per word, and most of the pool dies in the first chunk.
 #pragma once
 
 #include <span>
@@ -28,7 +32,8 @@ struct XListOptions {
 /// Batched X-reach masks: bit b of result[i] is set iff injecting X at
 /// candidates[i] drives test b's erroneous output to X (tests.size() must be
 /// in [1, 64]). The inner loop is the lane-batched injection mode of the
-/// unified sim3 kernel — 64 / |tests| candidates per sweep — sharded over
+/// unified sim3 kernel — 64 / |tests| candidates per sweep, each sweep
+/// confined to the fanin cone of the tests' erroneous outputs — sharded over
 /// the exec/ runtime in whole batches; results are bit-identical for every
 /// thread count. Shared by the X-list engines, the BSIM X-refinement, and
 /// the differential test harness.

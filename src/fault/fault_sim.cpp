@@ -25,7 +25,8 @@ StuckAtFaultSimResult simulate_stuck_at_faults(
 
   exec::ThreadPool pool(options.num_threads);
   ParallelSimulator prototype(nl);
-  std::vector<std::uint64_t> golden(nl.outputs().size());
+  std::vector<std::uint8_t> is_output(nl.size(), 0);
+  for (GateId o : nl.outputs()) is_output[o] = 1;
   // Per-round per-site detection counts (0..2, one per polarity); summed
   // serially after the join so `detected` is thread-count invariant.
   std::vector<std::uint8_t> round_detections(sites.size(), 0);
@@ -38,9 +39,6 @@ StuckAtFaultSimResult simulate_stuck_at_faults(
     // region: the pattern stream is identical to the serial driver's.
     for (GateId in : nl.inputs()) prototype.set_source(in, rng.next_u64());
     prototype.run();
-    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-      golden[i] = prototype.value(nl.outputs()[i]);
-    }
     // The golden plane changed: workers re-clone the prototype lazily.
     lane_sim.reset();
 
@@ -54,10 +52,12 @@ StuckAtFaultSimResult simulate_stuck_at_faults(
       const std::uint64_t good = sim.value(sites[i]);
       sim.set_value_override(sites[i], ~good);
       sim.run();
-      std::uint64_t observed = 0;  // lanes where the flip reaches an output
-      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-        observed |= golden[o] ^ sim.value(nl.outputs()[o]);
-      }
+      // Lanes where the flip reaches an output. The trail lists exactly the
+      // gates the flip changed, each once with its golden word.
+      std::uint64_t observed = 0;
+      sim.for_each_logged_write([&](GateId g, std::uint64_t golden) {
+        if (is_output[g]) observed |= golden ^ sim.value(g);
+      });
       sim.clear_overrides();
       round_detections[i] = static_cast<std::uint8_t>(
           ((observed & good) != 0) + ((observed & ~good) != 0));

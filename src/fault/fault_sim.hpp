@@ -17,6 +17,12 @@
 // detected iff `observed & good` is non-zero and stuck-at-1 iff
 // `observed & ~good` is.
 //
+// `observed` is read from the simulator's undo trail, not from a scan of
+// every output: the flip's run() logs each gate it changed once, with its
+// golden word, so the output gates among those writes are exactly the
+// outputs the flip reached. A site costs its event cone, however many
+// outputs the circuit has.
+//
 // Detection results land in per-site slots, making the outcome
 // bit-identical for every thread count; random input words are drawn from
 // the caller's Rng once per round, outside the parallel region, so the

@@ -9,7 +9,11 @@
 // run() is dirty-cone incremental. The first call sweeps the whole stream in
 // topological order; later calls drain a LevelWorklist seeded by the sources
 // and overrides changed since the previous run(), and a gate whose word
-// comes out unchanged ends its cone.
+// comes out unchanged ends its cone. The drain visits only the levels
+// between the lowest and the highest scheduled one, so a run costs its
+// event cone, not the circuit's depth. confine_events() narrows the gates an
+// event may reach to a domain closed under fanins; the 3-valued X loops
+// confine it to the fanin cones of the outputs they observe.
 //
 // Every gate carries one override pair, a lane mask and a forced word: the
 // lanes of the mask read the forced word, whether the gate is computed or a
@@ -17,7 +21,9 @@
 // first override settles all pending work, so an UndoTrail starts from a
 // fully evaluated checkpoint; while overrides are live every word written is
 // logged, and clear_overrides() writes the logged words back (O(#words
-// written)) instead of evaluating the cones a second time.
+// written)) instead of evaluating the cones a second time. The log also
+// tells a caller which gates the overrides changed and from what
+// (for_each_logged_write): the fault grade reads its outputs from it.
 //
 // An Algebra provides:
 //   Word                 trivially copyable and ==; Word{} is the value of a
@@ -34,6 +40,7 @@
 // gate functions are compiled into the opcode stream.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -46,39 +53,63 @@ namespace satdiag {
 
 /// Level-bucketed dirty-cone worklist. Gates drain strictly level by level; a
 /// recomputation can only schedule strictly higher levels, so one sweep
-/// terminates.
+/// terminates. The worklist tracks the lowest and highest scheduled level,
+/// so drain() and reset() walk only the buckets between them, not all
+/// depth() + 1.
+///
+/// A per-gate "schedulable" byte decides which fanouts an event reaches. By
+/// default it is set on every combinational gate (a DFF is a source: it
+/// changes only when assigned, so its data edge ends the cone). confine()
+/// narrows it to a domain closed under fanins.
 class LevelWorklist {
  public:
   explicit LevelWorklist(const Netlist& nl)
       : nl_(&nl),
         buckets_(nl.depth() + 1),
-        scheduled_(nl.size(), 0) {}
+        scheduled_(nl.size(), 0),
+        schedulable_(nl.size(), 0) {
+    for (GateId g = 0; g < nl.size(); ++g) {
+      schedulable_[g] = nl.is_combinational(g);
+    }
+  }
 
   void schedule(GateId g) {
     if (!scheduled_[g]) {
       scheduled_[g] = 1;
-      buckets_[nl_->levels()[g]].push_back(g);
-      ++pending_;
+      const std::uint32_t level = nl_->levels()[g];
+      buckets_[level].push_back(g);
+      lo_ = std::min(lo_, level);
+      hi_ = std::max(hi_, level);
     }
   }
 
   /// True when no gate is scheduled.
-  bool empty() const { return pending_ == 0; }
+  bool empty() const { return lo_ > hi_; }
 
-  /// Schedule the combinational fanouts of g. A DFF is a source: it changes
-  /// only when assigned, so its data edge ends the cone.
+  /// Schedule the schedulable fanouts of g.
   void schedule_fanouts(GateId g) {
     for (GateId out : nl_->fanouts(g)) {
-      if (nl_->is_source(out)) continue;
-      schedule(out);
+      if (schedulable_[out]) schedule(out);
+    }
+  }
+
+  /// Let events reach only the combinational gates of `domain` (one flag
+  /// per gate). With a domain closed under fanins every gate inside it
+  /// still sees exact values; a gate outside it goes stale unless it is
+  /// scheduled itself.
+  void confine(const std::vector<bool>& domain) {
+    for (GateId g = 0; g < nl_->size(); ++g) {
+      schedulable_[g] = domain[g] && nl_->is_combinational(g);
     }
   }
 
   /// Re-evaluate all scheduled gates in level order. `eval(g)` recomputes
-  /// one gate and calls schedule_fanouts itself when the value changed.
+  /// one gate and calls schedule_fanouts itself when the value changed,
+  /// which can only raise hi_.
   template <typename Eval>
   void drain(Eval&& eval) {
-    for (auto& bucket : buckets_) {
+    for (std::uint32_t level = lo_; level <= hi_; ++level) {
+      auto& bucket = buckets_[level];
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         const GateId g = bucket[i];
         scheduled_[g] = 0;
@@ -86,24 +117,30 @@ class LevelWorklist {
       }
       bucket.clear();
     }
-    pending_ = 0;
+    lo_ = kNoLevel;
+    hi_ = 0;
   }
 
   /// Drop all pending marks (a full sweep satisfies every dirty cone).
   void reset() {
-    if (empty()) return;
-    for (auto& bucket : buckets_) {
-      for (GateId g : bucket) scheduled_[g] = 0;
-      bucket.clear();
+    for (std::uint32_t level = lo_; level <= hi_; ++level) {
+      for (GateId g : buckets_[level]) scheduled_[g] = 0;
+      buckets_[level].clear();
     }
-    pending_ = 0;
+    lo_ = kNoLevel;
+    hi_ = 0;
   }
 
  private:
+  static constexpr std::uint32_t kNoLevel = UINT32_MAX;
+
   const Netlist* nl_;
   std::vector<std::vector<GateId>> buckets_;
   std::vector<std::uint8_t> scheduled_;
-  std::size_t pending_ = 0;  // scheduled gates not yet drained
+  std::vector<std::uint8_t> schedulable_;
+  // Lowest and highest scheduled level; lo_ > hi_ when nothing is pending.
+  std::uint32_t lo_ = kNoLevel;
+  std::uint32_t hi_ = 0;
 };
 
 /// Undo log of the value plane while what-if overrides are live.
@@ -152,6 +189,12 @@ class UndoTrail {
     }
     assert(false && "no source word logged for this gate");
     return sources_.back().word;
+  }
+
+  /// Visit every logged write as `visit(g, old word)`, oldest first.
+  template <class Visit>
+  void for_each_write(Visit&& visit) const {
+    for (const Entry& e : writes_) visit(e.gate, e.word);
   }
 
   /// Undo every logged write through `write(g, word)`, drop the override
@@ -208,6 +251,16 @@ class IncrementalSimulator {
   /// sources and overrides changed since the previous run() are recomputed.
   void run();
 
+  /// Visit every value-plane write logged since the first override as
+  /// `visit(g, replaced word)`, oldest first. run() writes a gate at most
+  /// once, so after one run() per checkpoint each gate appears at most once
+  /// and its word is the checkpoint value: the gates listed are exactly
+  /// those whose value the overrides changed.
+  template <class Visit>
+  void for_each_logged_write(Visit&& visit) const {
+    trail_.for_each_write(visit);
+  }
+
  protected:
   IncrementalSimulator(const Netlist& nl, CompiledNetlist compiled);
 
@@ -224,6 +277,12 @@ class IncrementalSimulator {
   /// Evaluate combinational gate g with the function `type` until
   /// clear_overrides().
   void substitute(GateId g, GateType type);
+
+  /// Let run() propagate only into the combinational gates of `domain` (see
+  /// LevelWorklist::confine); call it before the first override.
+  void confine_events(const std::vector<bool>& domain) {
+    worklist_.confine(domain);
+  }
 
   /// Reference evaluation: `sweep()` recomputes every gate (overrides
   /// included) without the opcode interpreter. While overrides are live

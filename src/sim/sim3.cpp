@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "netlist/analysis.hpp"
+
 namespace satdiag {
 
 Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity) {
@@ -87,6 +89,7 @@ Sim3XBatch::Sim3XBatch(const Netlist& nl, const TestSet& tests,
     out_gates_.push_back(test_output_gate(nl, test));
     sim_.set_input_lanes(plan_.spread(1ULL << b), test.input_values);
   }
+  sim_.confine_events(fanin_cone(nl, out_gates_));
   sim_.run();  // prime the X-free planes; clones inherit them warm
 }
 

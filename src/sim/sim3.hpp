@@ -14,7 +14,10 @@
 // override, X forced under a lane mask until clear_overrides(). Its
 // reference path, run_full(), evaluates through the dual-rail
 // eval_gate_val3 and never through the opcode interpreter, so the
-// differential tests compare two independent evaluators.
+// differential tests compare two independent evaluators. Sim3XBatch, the
+// lane-batched X-injection mode, confines its events to the fanin cone of
+// the outputs its tests observe, so an X that no test can see is never
+// propagated.
 #pragma once
 
 #include <cassert>
@@ -110,6 +113,11 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
     assign_source(g, Word{v.one, v.one | v.zero});
   }
 
+  /// Let run() propagate only into the combinational gates of `domain`, a
+  /// flag per gate closed under fanins (e.g. fanin_cone of the observed
+  /// outputs): values inside it stay exact, values outside it go stale.
+  using IncrementalSimulator::confine_events;
+
   /// Force a gate to X in all pattern slots of `mask`; the override survives
   /// until clear_overrides().
   void inject_x(GateId g, std::uint64_t mask = ~0ULL) {
@@ -149,6 +157,11 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
 /// undo-trail restore of the previous batch (O(#pairs it wrote)) plus one
 /// evaluation of the current injection sites' merged fanout cones — not
 /// |tests| input re-broadcasts, and not one sweep per candidate.
+///
+/// Those cones stop at the fanin cone of the chunk's erroneous outputs
+/// (ThreeValuedSimulator::confine_events): an X outside it cannot reach an
+/// observed output. The cone is closed under fanins, so every gate inside
+/// it sees exact values, and a candidate outside it gets mask 0.
 ///
 /// Copyable; copy-as-clone is the worker-state pattern of the exec/
 /// runtime (a primed prototype is cloned into each worker lane, so clones

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "bench/builtin_circuits.hpp"
+#include "gen/generator.hpp"
 #include "gen/profiles.hpp"
 #include "netlist/scan.hpp"
+#include "sim/simulator.hpp"
 
 namespace satdiag {
 namespace {
@@ -115,6 +117,82 @@ TEST(FaultSimTest, NoSitesOrNoRoundsYieldEmptyResults) {
   EXPECT_EQ(no_sites.faults, 0u);
   EXPECT_EQ(no_sites.detected, 0u);
   EXPECT_TRUE(no_sites.site_detected.empty());
+}
+
+TEST(FaultSimTest, DetectionMatchesAllOutputScanReference) {
+  // The grade reads the outputs a flip reached from the simulator's undo
+  // trail. The reference re-derives every site with a fresh simulator, the
+  // run_full() sweep and a scan of ALL outputs, on a deep full-scan circuit
+  // with many outputs (the pseudo outputs of the scan cells included).
+  GeneratorParams params;
+  params.num_inputs = 10;
+  params.num_outputs = 12;
+  params.num_dffs = 60;
+  params.num_gates = 700;
+  params.locality = 0.95;
+  params.window = 8;
+  params.seed = 26;
+  const Netlist nl = make_full_scan(generate_circuit(params)).comb;
+  ASSERT_GE(nl.outputs().size(), 64u);
+  ASSERT_GE(nl.depth(), 40u);
+  const std::vector<GateId> sites = stuck_at_sites(nl);
+  constexpr std::size_t kRounds = 2;
+  constexpr std::uint64_t kSeed = 17;
+
+  std::vector<std::uint8_t> expected_count(sites.size(), 0);
+  std::size_t expected_detected = 0;
+  Rng rng(kSeed);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    // The grade draws one word per input per round, in input order.
+    std::vector<std::uint64_t> words;
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      words.push_back(rng.next_u64());
+    }
+    const auto fresh = [&] {
+      ParallelSimulator sim(nl);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        sim.set_source(nl.inputs()[i], words[i]);
+      }
+      return sim;
+    };
+    ParallelSimulator golden = fresh();
+    golden.run_full();
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      const std::uint64_t good = golden.value(sites[i]);
+      ParallelSimulator sim = fresh();
+      sim.set_value_override(sites[i], ~good);
+      sim.run_full();
+      std::uint64_t observed = 0;
+      for (GateId o : nl.outputs()) observed |= golden.value(o) ^ sim.value(o);
+      const std::uint8_t count = static_cast<std::uint8_t>(
+          ((observed & good) != 0) + ((observed & ~good) != 0));
+      expected_count[i] += count;
+      expected_detected += count;
+    }
+  }
+
+  for (const std::size_t threads : {1, 4}) {
+    StuckAtFaultSimOptions options;
+    options.rounds = kRounds;
+    options.num_threads = threads;
+    Rng all_rng(kSeed);
+    const StuckAtFaultSimResult all =
+        simulate_stuck_at_faults(nl, sites, all_rng, options);
+    EXPECT_EQ(all.detected, expected_detected) << "threads " << threads;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      ASSERT_EQ(all.site_detected[i], expected_count[i] != 0 ? 1 : 0)
+          << "site " << sites[i] << ", threads " << threads;
+    }
+  }
+  // Per-site detection counts: one grade per site over the same patterns.
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    Rng site_rng(kSeed);
+    StuckAtFaultSimOptions options;
+    options.rounds = kRounds;
+    const StuckAtFaultSimResult one =
+        simulate_stuck_at_faults(nl, {&sites[i], 1}, site_rng, options);
+    ASSERT_EQ(one.detected, expected_count[i]) << "site " << sites[i];
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <span>
 
 #include "common/diff_harness.hpp"
+#include "netlist/analysis.hpp"
 #include "sim/compiled.hpp"
 #include "sim/sim3.hpp"
 
@@ -210,6 +211,57 @@ TEST(Sim3BatchTest, PartialFinalBatchHasNoStaleLanes) {
       /*use_run_full=*/true);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(scratch[i], full_scalar[i]) << "candidate " << i;
+  }
+}
+
+TEST(Sim3BatchTest, CandidateOutsideEveryObservedConeGetsMaskZero) {
+  // Every test observes output 0, so the batch confines its events to that
+  // output's fanin cone. A candidate outside it gets mask 0 without its X
+  // being propagated, and the next batch still matches the reference.
+  const DiffConfig config{.seed = 13, .gates = 200, .candidates = 40,
+                          .tests = 6};
+  auto inst = difftest::make_instance(config);
+  for (satdiag::Test& t : inst.tests) t.output_index = 0;
+  const auto cone = fanin_cone(inst.nl, {inst.nl.outputs()[0]});
+  GateId outside = kNoGate;
+  for (GateId g : inst.pool) {
+    if (!cone[g] && !inst.nl.fanouts(g).empty()) {
+      outside = g;
+      break;
+    }
+  }
+  ASSERT_NE(outside, kNoGate);
+  std::vector<GateId> inside;
+  for (GateId g : inst.singles) {
+    if (cone[g]) inside.push_back(g);
+  }
+  Sim3XBatch batch(inst.nl, inst.tests);
+  const std::size_t n = std::min(batch.capacity() - 1, inside.size());
+  ASSERT_GT(n, 0u);
+
+  std::vector<GateId> first{outside};
+  first.insert(first.end(), inside.begin(),
+               inside.begin() + static_cast<std::ptrdiff_t>(n));
+  std::vector<std::vector<GateId>> first_tuples;
+  for (GateId g : first) first_tuples.push_back({g});
+  std::uint64_t masks[64];
+  batch.run_singles(first, masks);
+  const auto first_ref = difftest::scalar_reach_masks(
+      inst.nl, inst.tests, first_tuples, /*use_run_full=*/true);
+  EXPECT_EQ(masks[0], 0u);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(masks[i], first_ref[i]) << "first batch, candidate " << i;
+  }
+
+  const std::size_t m = std::min(batch.capacity(), inside.size());
+  const std::span<const GateId> second(inside.data() + inside.size() - m, m);
+  std::vector<std::vector<GateId>> second_tuples;
+  for (GateId g : second) second_tuples.push_back({g});
+  batch.run_singles(second, masks);
+  const auto second_ref = difftest::scalar_reach_masks(
+      inst.nl, inst.tests, second_tuples, /*use_run_full=*/true);
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_EQ(masks[i], second_ref[i]) << "second batch, candidate " << i;
   }
 }
 

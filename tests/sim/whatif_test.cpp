@@ -5,6 +5,8 @@
 // (set_value_override / set_type_override, run(), clear_overrides()).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/generator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -163,6 +165,62 @@ TEST(WhatIfTest, SequentialOverridesAccumulate) {
   check.run();
   for (GateId h = 0; h < nl.size(); ++h) {
     ASSERT_EQ(sim.value(h), check.value(h));
+  }
+}
+
+TEST(WhatIfTest, LaterRunSeedsLevelsOutsideThePreviousDrainRange) {
+  // Two inverter chains: `a` feeds levels 1..8, `b` levels 1..12. The first
+  // what-if drains levels 4..8 only; after the clear, one run() seeds level
+  // 1 (an input change) and level 10 (an override), below and above that
+  // range, and must still match the full-sweep reference.
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const auto chain = [&nl](GateId from, char prefix, int length) {
+    std::vector<GateId> gates{from};
+    for (int i = 1; i <= length; ++i) {
+      std::string name(1, prefix);
+      name += std::to_string(i);
+      gates.push_back(nl.add_gate(GateType::kNot, name, {gates.back()}));
+    }
+    return gates;
+  };
+  const std::vector<GateId> chain_a = chain(a, 'a', 8);
+  const std::vector<GateId> chain_b = chain(b, 'b', 12);
+  nl.add_output(chain_a.back());
+  nl.add_output(chain_b.back());
+  nl.finalize();
+  ASSERT_EQ(nl.levels()[chain_a[4]], 4u);
+  ASSERT_EQ(nl.levels()[chain_b[10]], 10u);
+
+  ParallelSimulator sim(nl);
+  sim.set_source(a, 0x00ff00ff00ff00ffULL);
+  sim.set_source(b, 0x0f0f0f0f0f0f0f0fULL);
+  sim.run();
+  sim.set_value_override(chain_a[4], 0x123456789abcdef0ULL);
+  sim.run();
+  sim.clear_overrides();
+
+  sim.set_value_override(chain_b[10], 0xfedcba9876543210ULL);
+  sim.set_source(a, 0x3333333333333333ULL);
+  sim.run();
+
+  ParallelSimulator check(nl);
+  check.set_source(a, 0x3333333333333333ULL);
+  check.set_source(b, 0x0f0f0f0f0f0f0f0fULL);
+  check.set_value_override(chain_b[10], 0xfedcba9876543210ULL);
+  check.run_full();
+  for (GateId h = 0; h < nl.size(); ++h) {
+    ASSERT_EQ(sim.value(h), check.value(h)) << "gate " << nl.gate_name(h);
+  }
+
+  // The clear restores the checkpoint and the new input word drains again.
+  sim.clear_overrides();
+  sim.run();
+  check.clear_overrides();
+  check.run_full();
+  for (GateId h = 0; h < nl.size(); ++h) {
+    ASSERT_EQ(sim.value(h), check.value(h)) << "gate " << nl.gate_name(h);
   }
 }
 
