@@ -5,10 +5,10 @@
 #include <cassert>
 #include <memory>
 
+#include "diag/validity.hpp"
 #include "exec/parallel.hpp"
 #include "obs/trace.hpp"
 #include "sat/allsat.hpp"
-#include "sim/simulator.hpp"
 
 namespace satdiag {
 namespace {
@@ -41,34 +41,6 @@ sat::Clause blocking_clause(const DiagnosisInstance& inst,
     blocking.push_back(sat::neg(inst.select_var[inst.select_index[g]]));
   }
   return blocking;
-}
-
-/// True when some test fails on the unmodified circuit, i.e. the empty
-/// correction violates the instance. Otherwise the enumeration would report
-/// the empty set with one shard and every singleton with several (the
-/// partition clauses forbid the empty model). One 64-lane sweep per 64
-/// tests through the simulator's reference loop rather than a
-/// ParallelSimulator, so the check adds no traced sim.compile step to the
-/// BSAT run report.
-bool some_test_fails(const Netlist& nl, const TestSet& tests) {
-  std::vector<std::uint64_t> value(nl.size(), 0);
-  for (std::size_t base = 0; base < tests.size(); base += 64) {
-    const std::size_t batch = std::min<std::size_t>(64, tests.size() - base);
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      std::uint64_t word = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        if (tests[base + b].input_values[i]) word |= 1ULL << b;
-      }
-      value[nl.inputs()[i]] = word;
-    }
-    sweep_words(nl, value);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Test& test = tests[base + b];
-      const bool out = ((value[test_output_gate(nl, test)] >> b) & 1ULL) != 0;
-      if (out != test.correct_value) return true;
-    }
-  }
-  return false;
 }
 
 /// One enumeration shard. With several shards the instrumented universe is
@@ -123,7 +95,12 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
                               const BsatOptions& options) {
   assert(nl.dffs().empty() && "use the full-scan view for diagnosis");
   assert(!tests.empty());
-  if (!some_test_fails(nl, tests)) return {};
+  // When the empty correction is valid no test fails, and the enumeration
+  // would report the empty set with one shard and every singleton with
+  // several (the partition clauses forbid the empty model). The check runs
+  // the reference sweep, not a ParallelSimulator, so it adds no traced
+  // sim.compile step to the BSAT run report.
+  if (!first_failing_test(nl, tests, {})) return {};
   BsatResult result;
   // Declared before the shards so their teardown and the pool join at
   // function exit are still inside the enumerate phase (the report's phase
@@ -218,9 +195,9 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
             shard.bound_solutions.push_back(std::move(correction));
             return blocking;
           });
-      // some_test_fails rules out the empty model (and with several shards
-      // the partition clause does too), so a stop other than exhaustion or
-      // a budget means root-UNSAT.
+      // The first_failing_test early-out rules out the empty model (and
+      // with several shards the partition clause does too), so a stop
+      // other than exhaustion or a budget means root-UNSAT.
       if (sat::truncated(stop)) {
         truncated.store(true, std::memory_order_relaxed);
       } else if (stop != sat::EnumStop::kExhausted) {

@@ -51,14 +51,6 @@ void sweep_words(const Netlist& nl, std::span<std::uint64_t> values,
   }
 }
 
-/// sweep_words with the netlist's own gate functions and no overrides.
-inline void sweep_words(const Netlist& nl, std::span<std::uint64_t> values) {
-  std::vector<std::uint64_t> fanin_buf;
-  sweep_words(
-      nl, values, fanin_buf, [&nl](GateId g) { return nl.type(g); },
-      [](GateId, std::uint64_t&) {});
-}
-
 /// The 2-valued lane algebra: one 64-pattern word, bit i is pattern i.
 struct WordAlgebra {
   using Word = std::uint64_t;

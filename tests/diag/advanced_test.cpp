@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <set>
 
-#include "diag/effect.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -81,9 +81,9 @@ TEST(AdvancedSatTest, FindsValidCorrections) {
   const AdvancedSatResult result =
       advanced_sat_diagnose(s.faulty, s.tests, options);
   ASSERT_FALSE(result.solutions.empty());
-  EffectAnalyzer effect(s.faulty, s.tests);
   for (const auto& solution : result.solutions) {
-    EXPECT_TRUE(effect.is_valid_correction(solution));
+    EXPECT_EQ(first_failing_test(s.faulty, s.tests, solution),
+              std::nullopt);
   }
 }
 

@@ -1,14 +1,15 @@
 // Ground-truth cross-check of Lemmas 1 and 3 on random small circuits:
 // BSAT's output must equal the brute-force enumeration of all essential
-// valid corrections (every subset of size <= k checked with the exact
-// effect analyzer).
+// valid corrections (every subset of size <= k checked against Definition 3
+// by first_failing_test, which simulates the circuit and never sees the
+// multiplexer CNF that BSAT enumerates).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "diag/bsat.hpp"
-#include "diag/effect.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -22,7 +23,6 @@ using SolutionSet = std::set<std::vector<GateId>>;
 SolutionSet brute_force_essential_corrections(const Netlist& nl,
                                               const TestSet& tests,
                                               unsigned k) {
-  EffectAnalyzer effect(nl, tests);
   std::vector<GateId> gates;
   for (GateId g = 0; g < nl.size(); ++g) {
     if (nl.is_combinational(g)) gates.push_back(g);
@@ -30,13 +30,13 @@ SolutionSet brute_force_essential_corrections(const Netlist& nl,
   SolutionSet valid;  // all valid corrections up to size k
   // Size 1.
   for (GateId g : gates) {
-    if (effect.is_valid_correction({g})) valid.insert({g});
+    if (!first_failing_test(nl, tests, {&g, 1})) valid.insert({g});
   }
   if (k >= 2) {
     for (std::size_t i = 0; i < gates.size(); ++i) {
       for (std::size_t j = i + 1; j < gates.size(); ++j) {
         const std::vector<GateId> pair{gates[i], gates[j]};
-        if (effect.is_valid_correction(pair)) valid.insert(pair);
+        if (!first_failing_test(nl, tests, pair)) valid.insert(pair);
       }
     }
   }

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <set>
 
-#include "diag/effect.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -67,9 +67,9 @@ TEST(BsatTest, AllSolutionsValidAndEssential) {
   options.k = 1;
   const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
   ASSERT_TRUE(result.complete);
-  EffectAnalyzer effect(s.faulty, s.tests);
   for (const auto& solution : result.solutions) {
-    EXPECT_TRUE(effect.is_valid_correction(solution));
+    EXPECT_EQ(first_failing_test(s.faulty, s.tests, solution),
+              std::nullopt);
     EXPECT_EQ(solution.size(), 1u);
   }
 }
@@ -91,9 +91,9 @@ TEST(BsatTest, DoubleErrorCoveredAtKTwo) {
     found |= subset_of_sites;
   }
   EXPECT_TRUE(found);
-  EffectAnalyzer effect(s.faulty, s.tests);
   for (const auto& solution : result.solutions) {
-    EXPECT_TRUE(effect.is_valid_correction(solution));
+    EXPECT_EQ(first_failing_test(s.faulty, s.tests, solution),
+              std::nullopt);
     EXPECT_LE(solution.size(), 2u);
   }
 }

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "diag/effect.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -67,9 +67,9 @@ TEST(HybridTest, RepairCoverReturnsOnlyValidCorrections) {
   options.mode = HybridMode::kRepairCover;
   options.k = 1;
   const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
-  EffectAnalyzer effect(s.faulty, s.tests);
   for (const auto& solution : hybrid.solutions) {
-    EXPECT_TRUE(effect.is_valid_correction(solution));
+    EXPECT_EQ(first_failing_test(s.faulty, s.tests, solution),
+              std::nullopt);
   }
 }
 

@@ -8,7 +8,7 @@
 #include "diag/bsat.hpp"
 #include "diag/bsim.hpp"
 #include "diag/cover.hpp"
-#include "diag/effect.hpp"
+#include "diag/validity.hpp"
 
 namespace satdiag {
 namespace {
@@ -22,6 +22,13 @@ bool contains(const std::vector<std::vector<GateId>>& solutions,
   std::sort(wanted.begin(), wanted.end());
   return std::find(solutions.begin(), solutions.end(), wanted) !=
          solutions.end();
+}
+
+/// Definition 3, checked by simulation rather than by the SAT instance the
+/// engines under test solve.
+bool is_valid(const FigureScenario& s, const TestSet& tests,
+              const std::vector<GateId>& correction) {
+  return !first_failing_test(s.circuit, tests, correction);
 }
 
 // ---- Figure 5(a): Lemma 2 / Theorem 1 --------------------------------------
@@ -54,16 +61,15 @@ TEST(RelationTest, Lemma2CoverNeedNotBeValidCorrection) {
   EXPECT_TRUE(has_b || has_c);
 
   // ...but is not a valid correction.
-  EffectAnalyzer effect(s.circuit, tests);
   if (has_b) {
-    EXPECT_FALSE(effect.is_valid_correction({s.circuit.find("B")}));
+    EXPECT_FALSE(is_valid(s, tests, {s.circuit.find("B")}));
   }
   if (has_c) {
-    EXPECT_FALSE(effect.is_valid_correction({s.circuit.find("C")}));
+    EXPECT_FALSE(is_valid(s, tests, {s.circuit.find("C")}));
   }
   // Changing A (the stem) or D (the output gate) does fix the test.
-  EXPECT_TRUE(effect.is_valid_correction({s.circuit.find("A")}));
-  EXPECT_TRUE(effect.is_valid_correction({s.circuit.find("D")}));
+  EXPECT_TRUE(is_valid(s, tests, {s.circuit.find("A")}));
+  EXPECT_TRUE(is_valid(s, tests, {s.circuit.find("D")}));
 }
 
 TEST(RelationTest, Theorem1CovSolutionsNotInBsat) {
@@ -97,9 +103,8 @@ TEST(RelationTest, Lemma1BsatSolutionsAreValid) {
     const BsatResult bsat = basic_sat_diagnose(s.circuit, tests, options);
     ASSERT_TRUE(bsat.complete);
     EXPECT_FALSE(bsat.solutions.empty());
-    EffectAnalyzer effect(s.circuit, tests);
     for (const auto& solution : bsat.solutions) {
-      EXPECT_TRUE(effect.is_valid_correction(solution));
+      EXPECT_TRUE(is_valid(s, tests, solution));
     }
   }
 }
@@ -113,14 +118,13 @@ TEST(RelationTest, Lemma3BsatSolutionsAreEssential) {
     options.k = 2;
     const BsatResult bsat = basic_sat_diagnose(s.circuit, tests, options);
     ASSERT_TRUE(bsat.complete);
-    EffectAnalyzer effect(s.circuit, tests);
     for (const auto& solution : bsat.solutions) {
       for (std::size_t drop = 0; drop < solution.size(); ++drop) {
         std::vector<GateId> reduced;
         for (std::size_t i = 0; i < solution.size(); ++i) {
           if (i != drop) reduced.push_back(solution[i]);
         }
-        EXPECT_FALSE(effect.is_valid_correction(reduced))
+        EXPECT_FALSE(is_valid(s, tests, reduced))
             << "solution not essential";
       }
     }
@@ -146,10 +150,9 @@ TEST(RelationTest, Lemma4ValidCorrectionMissedByCov) {
   const std::vector<GateId> ab{s.circuit.find("A"), s.circuit.find("B")};
 
   // {A,B} is a valid correction; neither {A} nor {B} alone is.
-  EffectAnalyzer effect(s.circuit, tests);
-  EXPECT_TRUE(effect.is_valid_correction(ab));
-  EXPECT_FALSE(effect.is_valid_correction({s.circuit.find("A")}));
-  EXPECT_FALSE(effect.is_valid_correction({s.circuit.find("B")}));
+  EXPECT_TRUE(is_valid(s, tests, ab));
+  EXPECT_FALSE(is_valid(s, tests, {s.circuit.find("A")}));
+  EXPECT_FALSE(is_valid(s, tests, {s.circuit.find("B")}));
 
   // COV with k=2 cannot return it.
   CovOptions options;

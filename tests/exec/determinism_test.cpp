@@ -1,6 +1,6 @@
 // Thread-count invariance of the parallel consumers: diagnosis solution
-// lists, fault-sim detection counts, X-lists, effect checks, and experiment
-// tables must be bit-identical for threads in {1, 2, 8}.
+// lists, fault-sim detection counts, X-lists, and experiment tables must be
+// bit-identical for threads in {1, 2, 8}.
 #include <gtest/gtest.h>
 
 #include <algorithm>

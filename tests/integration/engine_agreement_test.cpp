@@ -2,14 +2,16 @@
 // engines must agree on the final candidate set, in exactly the relation the
 // paper's Tables 2/3 and Section 3 establish:
 //
-//   * BSAT(k=1) solutions  ==  {g : EffectAnalyzer::is_valid_correction({g})}
-//     (Lemma 1 soundness + enumeration completeness),
+//   * BSAT(k=1) solutions  ==  {g : first_failing_test(..., {g}) is nullopt}
+//     (Lemma 1 soundness + enumeration completeness; the check simulates,
+//     so BSAT is not judged by its own CNF),
 //   * hybrid (seed-activity) solutions  ==  BSAT solutions (same space, the
 //     BSIM seeding only steers decisions),
 //   * valid singles  ⊆  X-list singles (the 01X check is a necessary
 //     condition: it never rejects a valid correction),
-//   * X-list singles  ==  {g in the pool : x_check({g})} (the two
-//     simulation-side criteria are the same check),
+//   * X-list singles  ==  the pool gates whose X reaches every test's output
+//     under the scalar run_full() anchor of tests/common/diff_harness (the
+//     two simulation-side criteria are the same check),
 //   * the injected error site appears in every one of these sets, and the
 //     BSIM path-trace marks it in the union of its candidate sets.
 //
@@ -21,10 +23,11 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/diff_harness.hpp"
 #include "diag/bsim.hpp"
 #include "diag/bsat.hpp"
-#include "diag/effect.hpp"
 #include "diag/hybrid.hpp"
+#include "diag/validity.hpp"
 #include "diag/xlist.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
@@ -88,15 +91,23 @@ TEST(EngineAgreementTest, EnginesAgreeOnSingleErrorInstances) {
     ++instances;
     SCOPED_TRACE("seed=" + std::to_string(seed));
 
-    // Ground truth: exhaustive effect analysis over every combinational
-    // gate (the definition of a valid single correction).
-    EffectAnalyzer effect(inst->faulty, inst->tests);
+    // Ground truth: Definition 3 checked by simulation over every
+    // combinational gate, and each gate's X reach by a fresh full resweep.
     std::vector<GateId> valid_singles;
-    std::vector<GateId> x_check_singles;
+    std::vector<std::vector<GateId>> pool;
     for (GateId g = 0; g < inst->faulty.size(); ++g) {
       if (!inst->faulty.is_combinational(g)) continue;
-      if (effect.is_valid_correction({g})) valid_singles.push_back(g);
-      if (effect.x_check({g})) x_check_singles.push_back(g);
+      if (!first_failing_test(inst->faulty, inst->tests, {&g, 1})) {
+        valid_singles.push_back(g);
+      }
+      pool.push_back({g});
+    }
+    const std::vector<std::uint64_t> reach = difftest::scalar_reach_masks(
+        inst->faulty, inst->tests, pool, /*use_run_full=*/true);
+    const std::uint64_t every_test = (1ULL << inst->tests.size()) - 1;
+    std::vector<GateId> x_reach_singles;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (reach[i] == every_test) x_reach_singles.push_back(pool[i][0]);
     }
 
     // BSAT k=1 enumerates exactly the valid singles.
@@ -114,10 +125,10 @@ TEST(EngineAgreementTest, EnginesAgreeOnSingleErrorInstances) {
         hybrid_diagnose(inst->faulty, inst->tests, hybrid);
     EXPECT_EQ(flatten_singletons(hyb.solutions), valid_singles);
 
-    // X-list singles are the x_check criterion — and a superset of the
+    // X-list singles are the full-resweep criterion — and a superset of the
     // valid singles (a necessary condition never rejects a valid one).
     const auto xlist = xlist_single_candidates(inst->faulty, inst->tests);
-    EXPECT_EQ(xlist, x_check_singles);
+    EXPECT_EQ(xlist, x_reach_singles);
     EXPECT_TRUE(std::includes(xlist.begin(), xlist.end(),
                               valid_singles.begin(), valid_singles.end()));
 

@@ -7,7 +7,8 @@
 // tests/sim/simulator_diff_test.cpp for the 2-valued kernel).
 //
 // Also pins the consumers rewired onto cone-only resim: xlist candidate
-// lists and EffectAnalyzer::x_check must equal a run_full()-driven
+// lists and the diff harness's incremental X-reach anchor (one persistent
+// simulator, clear/inject/run per candidate) must equal a run_full()-driven
 // recomputation.
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <memory>
 
 #include "common/diff_harness.hpp"
-#include "diag/effect.hpp"
 #include "diag/xlist.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
@@ -265,7 +265,7 @@ TEST(Sim3DiffTest, RunIsIdempotentWithoutChanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Consumer equality: the rewired xlist / effect loops must produce the same
+// Consumer equality: the rewired xlist / X-check loops must produce the same
 // results as a run_full()-driven recomputation.
 
 struct XListScenario {
@@ -324,38 +324,27 @@ TEST(Sim3DiffTest, XListCandidatesMatchFullResweepReference) {
 
 TEST(Sim3DiffTest, EffectXCheckMatchesFullResweepReference) {
   const XListScenario s = make_scenario(91);
-  EffectAnalyzer effect(s.faulty, s.tests);
 
-  const auto reference_x_check = [&](const std::vector<GateId>& candidate) {
-    ThreeValuedSimulator sim(s.faulty);
-    for (std::size_t b = 0; b < s.tests.size(); ++b) {
-      sim.set_input_vector(b, s.tests[b].input_values);
-    }
-    for (GateId g : candidate) sim.inject_x(g);
-    sim.run_full();
-    for (std::size_t b = 0; b < s.tests.size(); ++b) {
-      if (!sim.value(test_output_gate(s.faulty, s.tests[b])).is_x(b)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Repeated calls on the persistent analyzer (the dirty-cone path) must
-  // agree with a fresh full resweep for every candidate — singletons over
-  // every combinational gate, then a few pairs.
+  // The X check of effect analysis on one persistent simulator (the
+  // dirty-cone path) must agree with a fresh full resweep for every
+  // candidate: singletons over every combinational gate, then a few pairs.
   Rng rng(17);
   std::vector<GateId> comb;
   for (GateId g = 0; g < s.faulty.size(); ++g) {
     if (s.faulty.is_combinational(g)) comb.push_back(g);
   }
-  for (GateId g : comb) {
-    ASSERT_EQ(effect.x_check({g}), reference_x_check({g})) << "gate " << g;
-  }
+  std::vector<std::vector<GateId>> candidates;
+  for (GateId g : comb) candidates.push_back({g});
   for (int i = 0; i < 16; ++i) {
-    const std::vector<GateId> pair{rng.pick(comb), rng.pick(comb)};
-    ASSERT_EQ(effect.x_check(pair), reference_x_check(pair))
-        << pair[0] << "," << pair[1];
+    candidates.push_back({rng.pick(comb), rng.pick(comb)});
+  }
+  const auto incremental = difftest::scalar_reach_masks(
+      s.faulty, s.tests, candidates, /*use_run_full=*/false);
+  const auto full = difftest::scalar_reach_masks(s.faulty, s.tests, candidates,
+                                                 /*use_run_full=*/true);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    ASSERT_EQ(incremental[i], full[i])
+        << "candidate " << i << " at gate " << candidates[i][0];
   }
 }
 
