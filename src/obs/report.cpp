@@ -24,9 +24,8 @@ void ensure_standard_metrics() {
   for (const char* name :
        {"sat.conflicts", "sat.decisions", "sat.propagations",
         "sat.binary_propagations", "sat.restarts", "sat.learned",
-        "sat.removed", "sat.gc_runs", "sat.inprocess_runs", "sat.subsumed",
-        "sat.strengthened", "sat.vivified", "sat.vars_eliminated",
-        "sat.failed_literals", "exec.shards_run", "cache.builds",
+        "sat.removed", "sat.gc_runs", "sat.inprocess_runs",
+        "sat.vars_eliminated", "exec.shards_run", "cache.builds",
         "cnf.templates_built", "cnf.copies_stamped", "cnf.clauses_stamped"}) {
     reg.counter(name);
   }
@@ -50,11 +49,7 @@ void add_solver_stats(const sat::Solver::Stats& stats) {
   reg.counter("sat.removed").add(stats.removed);
   reg.counter("sat.gc_runs").add(stats.gc_runs);
   reg.counter("sat.inprocess_runs").add(stats.inprocess_runs);
-  reg.counter("sat.subsumed").add(stats.subsumed);
-  reg.counter("sat.strengthened").add(stats.strengthened);
-  reg.counter("sat.vivified").add(stats.vivified);
   reg.counter("sat.vars_eliminated").add(stats.vars_eliminated);
-  reg.counter("sat.failed_literals").add(stats.failed_literals);
   // Tier sizes are end-of-run snapshots, not accumulating counts.
   reg.gauge("sat.tier_core").set(static_cast<std::int64_t>(stats.tier_core));
   reg.gauge("sat.tier_mid").set(static_cast<std::int64_t>(stats.tier_mid));

@@ -28,7 +28,7 @@
 
 namespace satdiag::obs {
 
-inline constexpr int kSchemaVersion = 2;
+inline constexpr int kSchemaVersion = 3;
 inline constexpr const char* kSchemaName = "satdiag.report";
 
 /// Add a solver's per-run counters into the registry's "sat.*" counters

@@ -9,9 +9,6 @@
 
 #include "obs/trace.hpp"
 #include "sat/elim.hpp"
-#include "sat/probe.hpp"
-#include "sat/subsume.hpp"
-#include "sat/vivify.hpp"
 
 namespace satdiag::sat {
 
@@ -130,7 +127,7 @@ void Solver::reserve_vars(std::size_t extra) {
 void Solver::set_inprocess(const InprocessConfig& config) {
   inprocess_cfg_ = config;
   next_inprocess_ = stats_.conflicts + config.first_conflicts;
-  first_inprocess_props_ = stats_.propagations + config.run_budget();
+  first_inprocess_props_ = stats_.propagations + kFirstRunPropagations;
   inprocess_interval_ = std::max<std::uint64_t>(1, config.interval_conflicts);
 }
 
@@ -989,8 +986,8 @@ void Solver::garbage_collect() {
 void Solver::clear_root_reasons() {
   assert(decision_level() == 0);
   // Level-0 reasons are never read by analyze/analyze_final (they skip
-  // level-0 variables); forgetting them unlocks every arena clause so the
-  // simplification passes may remove or rewrite anything.
+  // level-0 variables); forgetting them unlocks every arena clause so
+  // cleaning and elimination may remove or rewrite anything.
   for (Lit p : trail_) {
     vardata_[static_cast<std::size_t>(p.var())].reason = kCRefUndef;
   }
@@ -1007,7 +1004,7 @@ bool Solver::enqueue_root(Lit p) {
   const std::size_t before = trail_.size();
   unchecked_enqueue(p, kCRefUndef);
   ok_ = (propagate() == kCRefUndef);
-  // The simplification passes delete clauses freely, and a root reason must
+  // Cleaning and elimination delete clauses freely, and a root reason must
   // not outlive the clause it points to; root reasons are never read (see
   // clear_root_reasons), so drop them as they appear.
   for (std::size_t i = before; i < trail_.size(); ++i) {
@@ -1121,24 +1118,9 @@ bool Solver::inprocess() {
   assert(decision_level() == 0);
   if (!ok_) return false;
   ++stats_.inprocess_runs;
-  const std::uint64_t work_before = stats_.subsumed + stats_.strengthened +
-                                    stats_.vivified + stats_.vars_eliminated +
-                                    stats_.failed_literals;
+  const std::uint64_t eliminated_before = stats_.vars_eliminated;
   clear_root_reasons();
   clean_clauses();
-  if (ok_) {
-    Subsumer subsumer(*this);
-    subsumer.run();
-  }
-  if (ok_) {
-    Prober prober(*this);
-    prober.run();
-  }
-  if (ok_) clean_clauses();  // probing may have fixed new root units
-  if (ok_) {
-    Vivifier vivifier(*this);
-    vivifier.run();
-  }
   if (ok_) {
     Eliminator eliminator(*this);
     eliminator.run();
@@ -1147,14 +1129,12 @@ bool Solver::inprocess() {
   if (ok_ && wasted_ * 4 > arena_.data.size()) garbage_collect();
   update_tier_stats();
   // Geometric back-off keeps the total inprocessing effort logarithmic in
-  // the conflict count. A run that accomplished nothing backs off 4x harder:
-  // the occurrence-index setup of the passes is paid per run even when every
-  // pass comes back empty, which dominates on enumeration-style instances
-  // whose formula stops simplifying after the first pass.
-  const std::uint64_t work_after = stats_.subsumed + stats_.strengthened +
-                                   stats_.vivified + stats_.vars_eliminated +
-                                   stats_.failed_literals;
-  const std::uint64_t factor = work_after == work_before ? 8 : 2;
+  // the conflict count. A run that eliminated nothing backs off 4x harder:
+  // the occurrence-index setup is paid per run even when no variable goes,
+  // which dominates on enumeration-style instances whose formula stops
+  // simplifying after the first run.
+  const std::uint64_t factor =
+      stats_.vars_eliminated == eliminated_before ? 8 : 2;
   inprocess_interval_ = std::min<std::uint64_t>(inprocess_interval_ * factor,
                                                 std::uint64_t{1} << 20);
   next_inprocess_ = stats_.conflicts + inprocess_interval_;

@@ -19,12 +19,10 @@
 //    two reduce rounds), or local (everything else, activity-sorted halving)
 //    tiers. LBD is recomputed whenever a learnt serves as a reason, and
 //    improvements promote the clause.
-//  * inprocess(): a budgeted simplification pipeline run between restarts at
-//    the root level — clause cleaning, binary-implication-graph subsumption
-//    and self-subsuming resolution (subsume.hpp), failed-literal probing on
-//    BIG roots (probe.hpp), learnt-clause vivification (vivify.hpp), and
-//    bounded variable elimination (elim.hpp) with a model-reconstruction
-//    stack (extend.hpp) so model_value stays exact on eliminated variables.
+//  * inprocess(): a budgeted simplification run between restarts at the
+//    root level — clause cleaning, then bounded variable elimination
+//    (elim.hpp, SatELite-style) with a model-reconstruction stack
+//    (extend.hpp) so model_value stays exact on eliminated variables.
 //
 // Frozen-variable contract: elimination only ever touches variables that are
 // neither decision variables nor frozen. Callers that will mention a
@@ -82,6 +80,14 @@ inline constexpr std::uint32_t kStampClauseOverhead = 3;
 /// Conflicts before the first inprocessing run and between runs.
 inline constexpr std::uint64_t kInprocessInterval = 2000;
 
+/// Propagations after which the first inprocessing run is due even when the
+/// search has made fewer than first_conflicts conflicts. Every solver of the
+/// perfbench diag_pool and serve_mix workloads ends below it (seed 1: at
+/// most 1.8k conflicts and 1.7M propagations), so it never pays for
+/// elimination and its models need no reconstruction. The value is
+/// measured, not derived: moving it moves the first run of every long solve.
+inline constexpr std::uint64_t kFirstRunPropagations = 3'300'000;
+
 /// Budgets and thresholds of the inprocessing pipeline. The defaults suit
 /// the diagnosis workloads; tests shrink the intervals to force the pipeline
 /// onto tiny formulas.
@@ -89,27 +95,17 @@ struct InprocessConfig {
   bool enabled = true;
   /// Conflict count before the first run (0 = preprocess on first solve).
   /// The schedule runs on the search's clock: the first run is due after
-  /// first_conflicts conflicts or once the search has made run_budget()
-  /// propagations, whichever comes first. The propagation rule is ski
-  /// rental: a search pays at most about one run's worth of work before it
-  /// buys the run. Every solver of the perfbench diag_pool and serve_mix
-  /// workloads ends below both (seed 1: at most 1.8k conflicts and 1.7M
-  /// propagations, against the default 3.3M), so it never pays for
-  /// subsumption, probing, vivification or elimination, and its models need
-  /// no reconstruction. Enumerations that are long in propagations but short
-  /// in conflicts (BSAT.All on the larger Table 2 circuits) still get the
-  /// run early. Instances whose formula stops simplifying are protected by
-  /// the no-progress back-off (a run that accomplishes nothing multiplies
-  /// the interval by 8, see Solver::inprocess).
+  /// first_conflicts conflicts or once the search has made
+  /// kFirstRunPropagations propagations, whichever comes first.
+  /// Enumerations that are long in propagations but short in conflicts
+  /// (BSAT.All on the larger Table 2 circuits) still get the run early.
+  /// Instances whose formula stops simplifying are protected by the
+  /// no-progress back-off (a run that eliminates nothing multiplies the
+  /// interval by 8, see Solver::inprocess).
   std::uint64_t first_conflicts = kInprocessInterval;
   /// Conflicts between runs; doubles after every productive run
   /// (geometric back-off).
   std::uint64_t interval_conflicts = kInprocessInterval;
-  /// Propagation budgets per run.
-  std::uint64_t probe_budget = 200000;
-  std::uint64_t vivify_budget = 100000;
-  /// Literal-visit budget of the subsumption pass per run.
-  std::uint64_t subsume_budget = 2000000;
   /// Resolvent-construction budget of the elimination pass per run.
   std::uint64_t elim_budget = 1000000;
   /// Skip elimination candidates with more occurrences on one polarity.
@@ -118,16 +114,9 @@ struct InprocessConfig {
   unsigned elim_grow = 0;
   /// Skip eliminations that would create a resolvent longer than this.
   unsigned elim_resolvent_limit = 32;
-  /// Learnts vivified per run (round-robin over the tiers).
-  std::size_t vivify_clauses = 64;
   /// Glue thresholds of the learnt-DB tiers.
   unsigned core_lbd = 3;
   unsigned mid_lbd = 6;
-
-  /// Work one run may do at most: the sum of its pass budgets.
-  std::uint64_t run_budget() const {
-    return probe_budget + vivify_budget + subsume_budget + elim_budget;
-  }
 };
 
 class Solver {
@@ -260,13 +249,9 @@ class Solver {
     std::uint64_t learned = 0;
     std::uint64_t removed = 0;
     std::uint64_t gc_runs = 0;
-    // Inprocessing pipeline counters.
+    // Inprocessing counters.
     std::uint64_t inprocess_runs = 0;
-    std::uint64_t subsumed = 0;       // clauses removed by BIG subsumption
-    std::uint64_t strengthened = 0;   // literals removed by self-subsumption
-    std::uint64_t vivified = 0;       // learnts shortened by vivification
     std::uint64_t vars_eliminated = 0;
-    std::uint64_t failed_literals = 0;
     // Learnt-DB tier sizes (snapshot; summed across workers by merge()).
     std::uint64_t tier_core = 0;
     std::uint64_t tier_mid = 0;
@@ -284,11 +269,7 @@ class Solver {
       removed += other.removed;
       gc_runs += other.gc_runs;
       inprocess_runs += other.inprocess_runs;
-      subsumed += other.subsumed;
-      strengthened += other.strengthened;
-      vivified += other.vivified;
       vars_eliminated += other.vars_eliminated;
-      failed_literals += other.failed_literals;
       tier_core += other.tier_core;
       tier_mid += other.tier_mid;
       tier_local += other.tier_local;
@@ -300,9 +281,6 @@ class Solver {
   std::size_t num_learnts() const;
 
  private:
-  friend class Subsumer;
-  friend class Prober;
-  friend class Vivifier;
   friend class Eliminator;
 
   using CRef = std::uint32_t;
@@ -386,8 +364,8 @@ class Solver {
 
   // Watcher for a size-2 clause: when the watching literal becomes false,
   // `implied` is the only other literal — no arena load, no watch movement,
-  // no replacement-watch scan. `learnt` tags redundant binaries (subsumption
-  // may promote them to irredundant; the counts track both kinds).
+  // no replacement-watch scan. `learnt` tags redundant binaries (elimination
+  // drops them instead of resolving on them; the counts track both kinds).
   struct BinWatcher {
     Lit implied;
     std::uint32_t learnt;
@@ -436,7 +414,7 @@ class Solver {
   LBool search();
   static double luby(double y, int i);
 
-  // ---- inprocessing internals (solver.cpp + the sat/ module files) -------
+  // ---- inprocessing internals (solver.cpp + elim.cpp) --------------------
   bool inprocess();
   bool inprocess_due() const {
     if (!inprocess_cfg_.enabled) return false;
@@ -445,14 +423,14 @@ class Solver {
             stats_.propagations >= first_inprocess_props_);
   }
   /// Forget root-level reasons (analyze/analyze_final skip level-0 vars, so
-  /// they are never read): afterwards no arena clause is locked and the
-  /// simplification passes may remove or rewrite any clause.
+  /// they are never read): afterwards no arena clause is locked and
+  /// cleaning and elimination may remove or rewrite any clause.
   void clear_root_reasons();
   /// Remove root-satisfied clauses and strip root-false literals, in the
   /// arena and the binary layer.
   void clean_clauses();
-  /// Erase deleted CRefs from clauses_ and the learnt tiers (the
-  /// simplification passes delete lazily; GC requires compacted lists).
+  /// Erase deleted CRefs from clauses_ and the learnt tiers (cleaning and
+  /// elimination delete lazily; GC requires compacted lists).
   void compact_clause_lists();
   /// Rewrite the (detached) clause c to `lits` — a subset of its literals,
   /// none assigned at the root, size >= 1. Migrates to the binary layer or
@@ -539,7 +517,7 @@ class Solver {
   // explicitly.
   InprocessConfig inprocess_cfg_;
   std::uint64_t next_inprocess_ = InprocessConfig{}.first_conflicts;
-  std::uint64_t first_inprocess_props_ = InprocessConfig{}.run_budget();
+  std::uint64_t first_inprocess_props_ = kFirstRunPropagations;
   std::uint64_t inprocess_interval_ = InprocessConfig{}.interval_conflicts;
   int totalize_head_ = 0;  // pick_totalize_lit() scan cursor
 

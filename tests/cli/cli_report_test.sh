@@ -2,7 +2,7 @@
 # Golden-schema regression test for the observability artifacts
 # (`--report-json`, `--trace-out`, `--stats-json`).
 #
-# The report's *shape* is the contract (schema "satdiag.report" v1, consumed
+# The report's *shape* is the contract (schema "satdiag.report" v3, consumed
 # by CI's observability smoke): every numeric value is normalized to
 # "<N>" and fixture paths to "<P*>", then the result is compared
 # byte-for-byte against tests/cli/golden/report.golden — so adding,

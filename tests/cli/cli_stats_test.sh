@@ -42,8 +42,7 @@ EOF
     --approach bsat --stats-json - > "$TMP/bsat.out"
 check_metrics "$TMP/bsat.out" \
     sat.conflicts sat.decisions sat.propagations sat.binary_propagations \
-    sat.restarts sat.inprocess_runs sat.subsumed sat.strengthened \
-    sat.vivified sat.vars_eliminated sat.failed_literals \
+    sat.restarts sat.inprocess_runs sat.vars_eliminated \
     cache.hits cache.misses cache.evictions cache.bytes \
     cnf.templates_built cnf.copies_stamped cnf.clauses_stamped
 

@@ -1,11 +1,10 @@
 // Forced-pipeline differentials of BSAT and COV on their real CNFs.
 //
 // The default inprocessing schedule waits for the search, so a
-// diagnosis-sized solve rarely reaches subsumption, probing, vivification or
-// variable elimination. These suites start the whole pipeline at the first
-// solve and repeat it from a one-conflict interval (first_conflicts = 0,
-// interval_conflicts = 1), and require the engines' answers under the
-// default schedule:
+// diagnosis-sized solve rarely reaches variable elimination. These suites
+// start the pipeline at the first solve and repeat it from a one-conflict
+// interval (first_conflicts = 0, interval_conflicts = 1), and require the
+// engines' answers under the default schedule:
 //  * serial BSAT on the mux-instrumented CNF: the select lines, correction
 //    inputs and cardinality outputs must stay frozen, and model
 //    reconstruction must restore every eliminated gate variable;

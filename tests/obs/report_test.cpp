@@ -67,7 +67,7 @@ TEST(RunReportTest, JsonHasTheSchemaEnvelope) {
   const std::string json = os.str();
 
   EXPECT_NE(json.find("\"schema\":\"satdiag.report\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
   EXPECT_NE(json.find("\"command\":\"diagnose\""), std::string::npos);
   EXPECT_NE(json.find("\"approach\":\"bsat\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_seconds\":1.25"), std::string::npos);

@@ -206,8 +206,9 @@ InprocessConfig aggressive_inprocess() {
 TEST(SolverDiffTest, InprocessingOnAndOffMatchBruteForce) {
   // Same corpus through an inprocessing-disabled and a maximally aggressive
   // solver: both verdicts must match brute force, and every model must
-  // satisfy the ORIGINAL clauses (subsumption/strengthening/probing must
-  // never change the solution set over decision variables).
+  // satisfy the ORIGINAL clauses (variable elimination must never change
+  // the solution set over decision variables, and reconstruction must
+  // restore every eliminated variable).
   Rng rng(0xb5);
   const std::size_t iters = difftest::iterations(200);
   for (std::size_t iter = 0; iter < iters; ++iter) {
@@ -231,12 +232,12 @@ TEST(SolverDiffTest, InprocessingOnAndOffMatchBruteForce) {
 
 TEST(SolverDiffTest, RandomizedInprocessConfigsMatchBruteForce) {
   // Inprocessing-randomized mode: every iteration draws a random
-  // InprocessConfig — pass budgets switched off or shrunk, the schedule
-  // collapsed to near-every-restart, elimination limits and tier thresholds
-  // perturbed — and the verdict must still match brute force, including a
-  // follow-up assumption solve (the diag layers re-enter every solver
-  // incrementally). The nightly diff-long CI job cranks the iteration count
-  // via SATDIAG_DIFF_ITERS.
+  // InprocessConfig — the elimination budget switched off or shrunk, the
+  // schedule collapsed to near-every-restart, elimination limits and tier
+  // thresholds perturbed — and the verdict must still match brute force,
+  // including a follow-up assumption solve (the diag layers re-enter every
+  // solver incrementally). The nightly diff-long CI job cranks the iteration
+  // count via SATDIAG_DIFF_ITERS.
   Rng rng(0xb7);
   const std::size_t iters = difftest::iterations(120);
   for (std::size_t iter = 0; iter < iters; ++iter) {
@@ -247,14 +248,10 @@ TEST(SolverDiffTest, RandomizedInprocessConfigsMatchBruteForce) {
     cfg.enabled = true;
     cfg.first_conflicts = rng.next_below(3);
     cfg.interval_conflicts = 1 + rng.next_below(4);
-    cfg.probe_budget = rng.next_bool() ? 0 : 1 + rng.next_below(100000);
-    cfg.vivify_budget = rng.next_bool() ? 0 : 1 + rng.next_below(100000);
-    cfg.subsume_budget = rng.next_bool() ? 0 : 1 + rng.next_below(1000000);
     cfg.elim_budget = rng.next_bool() ? 0 : 1 + rng.next_below(1000000);
     cfg.elim_occ_limit = 1 + static_cast<unsigned>(rng.next_below(60));
     cfg.elim_grow = static_cast<unsigned>(rng.next_below(3));
     cfg.elim_resolvent_limit = 2 + static_cast<unsigned>(rng.next_below(40));
-    cfg.vivify_clauses = 1 + rng.next_below(100);
     cfg.core_lbd = 2 + static_cast<unsigned>(rng.next_below(3));
     cfg.mid_lbd = cfg.core_lbd + 1 + static_cast<unsigned>(rng.next_below(4));
 

@@ -297,22 +297,22 @@ TEST(SolverTest, StatsAccumulate) {
 }
 
 // The default inprocessing schedule runs on the search's clock: a solve that
-// ends within first_conflicts conflicts and run_budget() propagations never
-// runs the pipeline, a longer one does. The solvers keep the default
-// configuration (no set_inprocess), so a return to start-of-solve
-// preprocessing fails here.
+// ends within first_conflicts conflicts and kFirstRunPropagations
+// propagations never runs the pipeline, a longer one does. The solvers keep
+// the default configuration (no set_inprocess), so a return to
+// start-of-solve preprocessing fails here.
 TEST(SolverTest, DefaultScheduleSkipsPipelineOnShortSolves) {
   Solver s;
   build_php(s, 6, 5);  // ~150 conflicts
   EXPECT_EQ(s.solve(), LBool::kFalse);
   ASSERT_LT(s.stats().conflicts, InprocessConfig{}.first_conflicts);
-  ASSERT_LT(s.stats().propagations, InprocessConfig{}.run_budget());
+  ASSERT_LT(s.stats().propagations, kFirstRunPropagations);
   EXPECT_EQ(s.stats().inprocess_runs, 0u);
   EXPECT_EQ(s.stats().vars_eliminated, 0u);
 }
 
 // An enumeration that is long in propagations but short in conflicts gets
-// the pipeline once its propagations pass one run's budget, also when the
+// the pipeline once its propagations pass kFirstRunPropagations, also when the
 // next solve would otherwise continue the previous search in place.
 TEST(SolverTest, DefaultScheduleRunsPipelineOnLongPropagationSolves) {
   Solver s;
@@ -321,7 +321,7 @@ TEST(SolverTest, DefaultScheduleRunsPipelineOnLongPropagationSolves) {
   for (int i = 0; i + 1 < kChain; ++i) s.add_clause(neg(i), pos(i + 1));
   const std::vector<Lit> head = {pos(0)};
   bool assume_head = false;
-  while (s.stats().propagations < InprocessConfig{}.run_budget()) {
+  while (s.stats().propagations < kFirstRunPropagations) {
     assume_head = !assume_head;
     ASSERT_EQ(assume_head ? s.solve(head) : s.solve(), LBool::kTrue);
   }

@@ -397,7 +397,7 @@ TEST(ServerTest, DiagnoseMatchesDirectExecution) {
   EXPECT_EQ(response_corrections(v), expected);
   const JsonValue* report = v.find("report");
   EXPECT_EQ(field_string(*report, "schema"), "satdiag.report");
-  EXPECT_EQ(report->find("schema_version")->integer, 2);
+  EXPECT_EQ(report->find("schema_version")->integer, 3);
   EXPECT_EQ(field_string(*report, "command"), "diagnose");
 }
 
