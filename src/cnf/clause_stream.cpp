@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "cnf/tseitin.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -14,7 +13,7 @@ namespace {
 using sat::Lit;
 using sat::Var;
 
-/// Clause sink with the sat::Solver surface encode_gate_function_into needs,
+/// Clause sink with the sat::Solver surface encode_copy needs,
 /// writing normalized clauses over relative indices into a ClauseStream.
 class TemplateSink {
  public:
@@ -63,10 +62,10 @@ class TemplateSink {
 
 std::size_t ClauseStream::bytes() const {
   return sizeof(ClauseStream) + local_flags.capacity() +
-         extern_gates.capacity() * sizeof(GateId) +
-         correction_local.capacity() * sizeof(std::uint32_t) +
-         gate_local.capacity() * sizeof(std::int32_t) +
-         input_locals.capacity() * sizeof(input_locals[0]) +
+         vars.gate_var.capacity() * sizeof(Var) +
+         vars.mux_gates.capacity() * sizeof(GateId) +
+         vars.correction_var.capacity() * sizeof(Var) +
+         vars.input_vars.capacity() * sizeof(vars.input_vars[0]) +
          lits.capacity() * sizeof(std::uint32_t) +
          sizes.capacity() * sizeof(std::uint32_t) +
          watch_plan_long.capacity() * sizeof(sat::StreamWatchOp) +
@@ -80,78 +79,19 @@ ClauseStream build_copy_template(const Netlist& nl,
                                  bool internal_decisions) {
   obs::Span span("cnf.template_build", "gates",
                  static_cast<std::int64_t>(nl.size()));
-  assert(nl.finalized());
   assert(instrumented.size() == nl.size());
-  assert(cone == nullptr || cone->size() == nl.size());
 
   ClauseStream ts;
-  ts.gate_local.assign(nl.size(), -1);
   TemplateSink sink(ts);
-  const auto in_copy = [&](GateId g) { return cone == nullptr || (*cone)[g]; };
-
-  // The two passes replicate build_diagnosis_instance's per-copy walk in
-  // lockstep: identical new_var order, identical clause emission order. Any
-  // edit here must keep the walk encoder (template_stamped=false) in sync —
-  // the clause_stream differential tests pin the two paths together.
-
-  // Pass 1: one post-mux value variable per in-cone gate, topo order.
-  for (const GateId g : nl.topo_order()) {
-    if (!in_copy(g)) continue;
-    ts.gate_local[g] = sink.new_var(internal_decisions);
-  }
-
-  // Pass 2: mux instrumentation + gate functions, topo order.
-  std::vector<Lit> ins;
-  for (const GateId g : nl.topo_order()) {
-    if (!in_copy(g)) continue;
-    const Lit out = Lit(static_cast<Var>(ts.gate_local[g]), false);
-    Lit function_out = out;
-    if (instrumented[g]) {
-      const auto slot = static_cast<std::uint32_t>(ts.extern_gates.size());
-      ts.extern_gates.push_back(g);
-      const Lit s = sat::pos(ClauseStream::kExternVarBase +
-                             static_cast<Var>(slot));
-      const Var correction = sink.new_var(/*decidable=*/true);
-      sink.freeze(correction);
-      ts.correction_local.push_back(static_cast<std::uint32_t>(correction));
-      // s -> (out != orig) via correction: c <-> (s & (out xor orig)).
-      sink.add_clause(~s, ~out, sat::pos(correction));
-      sink.add_clause(~s, out, sat::neg(correction));
-      if (gating_clauses) sink.add_clause(s, sat::neg(correction));
-      const Var orig = sink.new_var(/*decidable=*/false);
-      sink.add_clause(s, ~out, sat::pos(orig));
-      sink.add_clause(s, out, sat::neg(orig));
-      function_out = sat::pos(orig);
-    }
-    switch (nl.type(g)) {
-      case GateType::kInput:
-      case GateType::kDff:
-        break;  // free variable
-      case GateType::kConst0:
-        sink.add_clause(~function_out);
-        break;
-      case GateType::kConst1:
-        sink.add_clause(function_out);
-        break;
-      default: {
-        ins.clear();
-        for (const GateId f : nl.fanins(g)) {
-          assert(ts.gate_local[f] >= 0 && "cone must be fanin-closed");
-          ins.push_back(Lit(static_cast<Var>(ts.gate_local[f]), false));
-        }
-        encode_gate_function_into(sink, nl.type(g), function_out, ins);
-        break;
-      }
-    }
-  }
-
-  const auto& inputs = nl.inputs();
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!in_copy(inputs[i])) continue;
-    ts.input_locals.emplace_back(
-        static_cast<std::uint32_t>(i),
-        static_cast<std::uint32_t>(ts.gate_local[inputs[i]]));
-  }
+  Var next_slot = 0;
+  ts.vars = encode_copy(
+      sink, nl, cone,
+      [&](GateId g) {
+        return instrumented[g]
+                   ? sat::pos(ClauseStream::kExternVarBase + next_slot++)
+                   : Lit::undef();
+      },
+      gating_clauses, internal_decisions);
 
   // Watch plan: the two watched literals of every clause of size >= 2 are
   // its first two (the stream is normalized, and no template literal is
@@ -193,7 +133,7 @@ sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
                              std::span<const sat::Var> extern_vars) {
   obs::Span span("cnf.stamp_copy", "clauses",
                  static_cast<std::int64_t>(ts.sizes.size()));
-  assert(extern_vars.size() == ts.extern_gates.size());
+  assert(extern_vars.size() == ts.vars.mux_gates.size());
   static_assert(ClauseStream::kDecidable == sat::Solver::kVarDecidable &&
                 ClauseStream::kFrozen == sat::Solver::kVarFrozen);
   assert(ts.local_flags.size() == ts.num_locals);

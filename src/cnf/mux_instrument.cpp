@@ -148,116 +148,60 @@ std::shared_ptr<const ClauseStream> cached_copy_template(
       });
 }
 
-/// Template-stamped construction: identical variable numbering and clause
-/// database as the walk below, but the per-copy encoder runs once per
-/// distinct cone (process-wide, via the artifact cache) instead of once per
-/// test.
-DiagnosisInstance build_stamped_instance(
-    const Netlist& nl, const TestSet& tests,
-    const DiagnosisInstanceOptions& options) {
-  DiagnosisInstance inst;
+/// How one test's copy reaches the solver: stamped from a cached template
+/// (`ts` set, its extern slots resolved to `extern_vars`), or, with no
+/// template, encoded by walking the netlist over `cone` (nullptr = every
+/// gate).
+struct CopySource {
+  std::shared_ptr<const ClauseStream> ts;
+  std::vector<Var> extern_vars;
+  const std::vector<bool>* cone = nullptr;
+};
+
+/// Add one test's copy to the instance: its clauses, then the unit clauses
+/// that tie its inputs to the test vector and its erroneous output to the
+/// correct value, then its entries in `copies` and `correction_var`.
+void add_test_copy(DiagnosisInstance& inst, const Netlist& nl,
+                   const Test& test, const CopySource& source,
+                   const DiagnosisInstanceOptions& options) {
+  assert(test.input_values.size() == nl.inputs().size());
   Solver& solver = inst.solver;
-  const cache::ArtifactKey nl_fp = cache::netlist_fingerprint(nl);
-  const CopyCones cones = cached_copy_cones(nl, nl_fp, tests, options);
-  inst.instrumented = resolve_universe(nl, options, cones);
-
-  // Shared select lines first — identical allocation order to the walk.
-  inst.select_index.assign(nl.size(), DiagnosisInstance::kNoSelect);
-  for (std::size_t i = 0; i < inst.instrumented.size(); ++i) {
-    inst.select_var.push_back(solver.new_var(/*decidable=*/true));
-    solver.freeze(inst.select_var.back());
-    inst.select_index[inst.instrumented[i]] = static_cast<std::uint32_t>(i);
+  CopyVars walked;
+  const CopyVars* vars = &walked;
+  Var base = 0;  // a stamped copy's variables are template-relative
+  if (source.ts != nullptr) {
+    base = stamp_clause_stream(solver, *source.ts, source.extern_vars);
+    vars = &source.ts->vars;
+  } else {
+    walked = encode_copy(
+        solver, nl, source.cone,
+        [&](GateId g) {
+          const std::uint32_t sel = inst.select_index[g];
+          return sel == DiagnosisInstance::kNoSelect
+                     ? Lit::undef()
+                     : sat::pos(inst.select_var[sel]);
+        },
+        options.gating_clauses, options.internal_decisions);
   }
 
-  std::vector<bool> instrumented_flags(nl.size(), false);
-  for (const GateId g : inst.instrumented) instrumented_flags[g] = true;
-
-  // One template (+ its extern-slot → select-var map) per distinct cone tag.
-  // Tests sharing an erroneous output share a plan; without COI every test
-  // shares the single full-circuit plan.
-  struct CopyPlan {
-    std::shared_ptr<const ClauseStream> ts;
-    std::vector<Var> extern_vars;
-  };
-  std::unordered_map<std::uint64_t, CopyPlan> plans;
-  const auto plan_for = [&](std::size_t t) -> const CopyPlan& {
-    const bool coi = !cones.cones.empty();
-    const std::uint64_t tag = coi ? cones.tags[t] : kNoConeTag;
-    auto [it, inserted] = plans.try_emplace(tag);
-    if (inserted) {
-      const std::vector<bool>* cone = coi ? cones.cones[t].get() : nullptr;
-      it->second.ts = cached_copy_template(nl, nl_fp, cone, tag,
-                                           instrumented_flags,
-                                           inst.instrumented, options);
-      it->second.extern_vars.reserve(it->second.ts->extern_gates.size());
-      for (const GateId g : it->second.ts->extern_gates) {
-        it->second.extern_vars.push_back(
-            inst.select_var[inst.select_index[g]]);
-      }
-    }
-    return it->second;
-  };
-
-  // One exact variable reservation covering every upcoming copy: each
-  // variable owns four watch-list objects, and letting those tables grow
-  // geometrically across m stamps re-moves millions of vector headers —
-  // measurably the most expensive part of batch variable allocation.
-  {
-    std::size_t upcoming = 0;
-    for (std::size_t t = 0; t < tests.size(); ++t) {
-      upcoming += plan_for(t).ts->num_locals;
-    }
-    // Totalizer aux variables: at most n - 1 merge nodes over the n selects,
-    // each with at most min(n, max_k + 1) outputs, so rows * n bounds them.
-    // Left out, the counter's first new_var would re-move every
-    // just-reserved table.
-    const std::size_t rows = std::min<std::size_t>(inst.select_var.size(),
-                                                   options.max_k + 1);
-    upcoming += rows * inst.select_var.size();
-    solver.reserve_vars(upcoming);
+  CircuitEncoding enc;
+  enc.gate_var.assign(nl.size(), -1);
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (vars->gate_var[g] >= 0) enc.gate_var[g] = base + vars->gate_var[g];
   }
-
-  for (std::size_t t = 0; t < tests.size(); ++t) {
-    const Test& test = tests[t];
-    assert(test.input_values.size() == nl.inputs().size());
-
-    const CopyPlan& plan = plan_for(t);
-    const ClauseStream& ts = *plan.ts;
-    const Var base = stamp_clause_stream(solver, ts, plan.extern_vars);
-
-    CircuitEncoding enc;
-    enc.gate_var.assign(nl.size(), -1);
-    for (GateId g = 0; g < nl.size(); ++g) {
-      if (ts.gate_local[g] >= 0) {
-        enc.gate_var[g] = base + static_cast<Var>(ts.gate_local[g]);
-      }
-    }
-    std::vector<Var>& corrections = inst.correction_var.emplace_back();
-    corrections.resize(inst.instrumented.size(), -1);
-    for (std::size_t j = 0; j < ts.extern_gates.size(); ++j) {
-      corrections[inst.select_index[ts.extern_gates[j]]] =
-          base + static_cast<Var>(ts.correction_local[j]);
-    }
-
-    // Per-test unit constraints, in the walk's order: inputs, then the
-    // erroneous output.
-    for (const auto& [input_pos, local] : ts.input_locals) {
-      solver.add_clause(Lit(base + static_cast<Var>(local),
-                            /*negated=*/!test.input_values[input_pos]));
-    }
-    const GateId out_gate = test_output_gate(nl, test);
-    solver.add_clause(enc.lit(out_gate, /*negated=*/!test.correct_value));
-
-    inst.copies.push_back(std::move(enc));
+  std::vector<Var>& corrections =
+      inst.correction_var.emplace_back(inst.instrumented.size(), -1);
+  for (std::size_t j = 0; j < vars->mux_gates.size(); ++j) {
+    corrections[inst.select_index[vars->mux_gates[j]]] =
+        base + vars->correction_var[j];
   }
-
-  std::vector<Lit> select_lits;
-  select_lits.reserve(inst.select_var.size());
-  for (Var s : inst.select_var) select_lits.push_back(sat::pos(s));
-  inst.cardinality = encode_cardinality_tracker(
-      solver, std::move(select_lits), options.max_k);
-
-  return inst;
+  for (const auto& [input_pos, var] : vars->input_vars) {
+    solver.add_clause(
+        Lit(base + var, /*negated=*/!test.input_values[input_pos]));
+  }
+  const GateId out_gate = test_output_gate(nl, test);
+  solver.add_clause(enc.lit(out_gate, /*negated=*/!test.correct_value));
+  inst.copies.push_back(std::move(enc));
 }
 
 }  // namespace
@@ -277,27 +221,20 @@ DiagnosisInstance build_diagnosis_instance(
                  static_cast<std::int64_t>(tests.size()));
   assert(nl.finalized());
   assert(!tests.empty());
-  if (options.template_stamped) {
-    return build_stamped_instance(nl, tests, options);
-  }
-
-  // Reference walk encoder: one netlist traversal per test copy. Kept (under
-  // template_stamped=false) as the anchor the stamped path is differentially
-  // tested against — every change here must be mirrored in
-  // build_copy_template and vice versa.
+  const bool stamped = options.template_stamped;
   DiagnosisInstance inst;
   Solver& solver = inst.solver;
 
-  const CopyCones cones = copy_cones(
-      nl, tests, options,
-      [&](std::uint64_t, const std::vector<GateId>& roots) {
-        return std::make_shared<const std::vector<bool>>(
-            fanin_cone(nl, roots));
-      });
+  const cache::ArtifactKey nl_fp =
+      stamped ? cache::netlist_fingerprint(nl) : cache::ArtifactKey{};
+  const CopyCones cones =
+      stamped ? cached_copy_cones(nl, nl_fp, tests, options)
+              : copy_cones(nl, tests, options,
+                           [&](std::uint64_t, const std::vector<GateId>& roots) {
+                             return std::make_shared<const std::vector<bool>>(
+                                 fanin_cone(nl, roots));
+                           });
   inst.instrumented = resolve_universe(nl, options, cones);
-  const auto in_copy = [&](std::size_t t, GateId g) -> bool {
-    return cones.cones.empty() || (*cones.cones[t])[g];
-  };
 
   // Shared select lines (free/decision variables). Frozen: the diagnosis
   // layers mention them in assumptions, blocking clauses, and partition
@@ -306,79 +243,52 @@ DiagnosisInstance build_diagnosis_instance(
   for (std::size_t i = 0; i < inst.instrumented.size(); ++i) {
     inst.select_var.push_back(solver.new_var(/*decidable=*/true));
     solver.freeze(inst.select_var.back());
-    inst.select_index[inst.instrumented[i]] =
-        static_cast<std::uint32_t>(i);
+    inst.select_index[inst.instrumented[i]] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<bool> instrumented_flags(nl.size(), false);
+  for (const GateId g : inst.instrumented) instrumented_flags[g] = true;
+
+  // One copy source per distinct cone tag: tests sharing an erroneous output
+  // share one, and without COI every test shares the whole-circuit source.
+  std::unordered_map<std::uint64_t, CopySource> sources;
+  std::vector<const CopySource*> source_of(tests.size());
+  std::size_t upcoming = 0;  // variables of every stamped copy
+  const bool coi = !cones.cones.empty();
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const std::uint64_t tag = coi ? cones.tags[t] : kNoConeTag;
+    auto [it, inserted] = sources.try_emplace(tag);
+    CopySource& source = it->second;
+    if (inserted) {
+      source.cone = coi ? cones.cones[t].get() : nullptr;
+      if (stamped) {
+        source.ts = cached_copy_template(nl, nl_fp, source.cone, tag,
+                                         instrumented_flags,
+                                         inst.instrumented, options);
+        source.extern_vars.reserve(source.ts->vars.mux_gates.size());
+        for (const GateId g : source.ts->vars.mux_gates) {
+          source.extern_vars.push_back(inst.select_var[inst.select_index[g]]);
+        }
+      }
+    }
+    if (stamped) upcoming += source.ts->num_locals;
+    source_of[t] = &source;
+  }
+  if (stamped) {
+    // One exact variable reservation covering every upcoming copy: each
+    // variable owns four watch-list objects, and letting those tables grow
+    // geometrically across m stamps re-moves millions of vector headers —
+    // measurably the most expensive part of batch variable allocation.
+    // Totalizer aux variables: at most n - 1 merge nodes over the n
+    // selects, each with at most min(n, max_k + 1) outputs, so rows * n
+    // bounds them. Left out, the counter's first new_var would re-move
+    // every just-reserved table.
+    const std::size_t rows = std::min<std::size_t>(inst.select_var.size(),
+                                                   options.max_k + 1);
+    solver.reserve_vars(upcoming + rows * inst.select_var.size());
   }
 
-  std::vector<Lit> ins;
   for (std::size_t t = 0; t < tests.size(); ++t) {
-    const Test& test = tests[t];
-    assert(test.input_values.size() == nl.inputs().size());
-
-    CircuitEncoding enc;
-    enc.gate_var.assign(nl.size(), -1);
-    std::vector<Var>& corrections = inst.correction_var.emplace_back();
-    corrections.resize(inst.instrumented.size(), -1);
-
-    for (GateId g : nl.topo_order()) {
-      if (!in_copy(t, g)) continue;  // cannot influence this copy's outputs
-      // Variable carrying the value seen by fanouts (post-mux).
-      enc.gate_var[g] = solver.new_var(options.internal_decisions);
-    }
-    for (GateId g : nl.topo_order()) {
-      if (!in_copy(t, g)) continue;
-      const std::uint32_t sel = inst.select_index[g];
-      Lit function_out = enc.lit(g);
-      if (sel != DiagnosisInstance::kNoSelect) {
-        // Correction value c_g^t: a genuinely free variable. Frozen: the
-        // effect/repair layers assume it and read its model value.
-        const Var c = solver.new_var(/*decidable=*/true);
-        solver.freeze(c);
-        corrections[sel] = c;
-        const Lit s = sat::pos(inst.select_var[sel]);
-        const Lit out = enc.lit(g);
-        // s -> (out == c);  !s -> (out == original function value).
-        solver.add_clause(~s, ~out, sat::pos(c));
-        solver.add_clause(~s, out, sat::neg(c));
-        if (options.gating_clauses) {
-          solver.add_clause(s, sat::neg(c));  // c == 0 while s == 0
-        }
-        // The original function drives a fresh internal node.
-        const Var orig = solver.new_var(/*decidable=*/false);
-        solver.add_clause(s, ~out, sat::pos(orig));
-        solver.add_clause(s, out, sat::neg(orig));
-        function_out = sat::pos(orig);
-      }
-      switch (nl.type(g)) {
-        case GateType::kInput:
-        case GateType::kDff:
-          break;  // constrained below / free
-        case GateType::kConst0:
-          solver.add_clause(~function_out);
-          break;
-        case GateType::kConst1:
-          solver.add_clause(function_out);
-          break;
-        default: {
-          ins.clear();
-          for (GateId f : nl.fanins(g)) ins.push_back(enc.lit(f));
-          encode_gate_function(solver, nl.type(g), function_out, ins);
-          break;
-        }
-      }
-    }
-
-    // Constrain primary inputs to the test vector.
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      const GateId in = nl.inputs()[i];
-      if (!in_copy(t, in)) continue;  // outside the cone: unencoded
-      solver.add_clause(enc.lit(in, /*negated=*/!test.input_values[i]));
-    }
-    // Constrain the erroneous output to its correct value.
-    const GateId out_gate = test_output_gate(nl, test);
-    solver.add_clause(enc.lit(out_gate, /*negated=*/!test.correct_value));
-
-    inst.copies.push_back(std::move(enc));
+    add_test_copy(inst, nl, tests[t], *source_of[t], options);
   }
 
   // Cardinality over the select lines.

@@ -8,6 +8,10 @@
 // assumptions so the k = 1..K loop of BasicSATDiagnose reuses one instance
 // incrementally.
 //
+// encode_copy (cnf/tseitin.hpp) writes a copy's clauses. The builder has two
+// loaders for them: it stamps a cached ClauseStream template
+// (cnf/clause_stream.hpp), or it encodes the copy straight into the solver.
+//
 // Options mirror the advanced technique of Smith et al. (ASP-DAC'04):
 //  * gating clauses force c_g^i = 0 while s_g = 0 ("prevents up to |I|
 //    decisions of the SAT solver"),
@@ -49,10 +53,12 @@ struct DiagnosisInstanceOptions {
   bool cone_of_influence = false;
   /// Build copies by stamping cached ClauseStream templates (one encoder
   /// walk per distinct (circuit, cone, universe, options) key, relocated per
-  /// copy) instead of re-walking the netlist per test. Produces a
-  /// variable-for-variable and clause-for-clause identical instance — pinned
-  /// by tests/cnf/clause_stream_test.cpp, which is why the walk path is kept
-  /// as the reference anchor rather than deleted.
+  /// copy) instead of encoding every copy into the solver. Produces a
+  /// variable-for-variable and clause-for-clause identical instance. The
+  /// walk (false) is the reference: it loads clauses with add_clause and
+  /// computes cones with fanin_cone, against which
+  /// tests/cnf/clause_stream_test.cpp pins the template normalization,
+  /// relocation, bulk load and cached cones.
   bool template_stamped = true;
 };
 

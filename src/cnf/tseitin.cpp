@@ -7,14 +7,11 @@ namespace satdiag {
 using sat::Lit;
 using sat::Solver;
 
-void encode_gate_function(Solver& solver, GateType type, Lit out,
-                          std::span<const Lit> ins) {
-  encode_gate_function_into(solver, type, out, ins);
-}
-
 CircuitEncoding encode_circuit(Solver& solver, const Netlist& nl,
-                               bool internal_decisions) {
+                               bool internal_decisions,
+                               const std::vector<GateType>* function) {
   assert(nl.finalized());
+  assert(function == nullptr || function->size() == nl.size());
   CircuitEncoding enc;
   enc.gate_var.resize(nl.size());
   for (GateId g = 0; g < nl.size(); ++g) {
@@ -23,23 +20,11 @@ CircuitEncoding encode_circuit(Solver& solver, const Netlist& nl,
   }
   std::vector<Lit> ins;
   for (GateId g : nl.topo_order()) {
-    switch (nl.type(g)) {
-      case GateType::kInput:
-      case GateType::kDff:
-        break;  // free variable
-      case GateType::kConst0:
-        solver.add_clause(enc.lit(g, /*negated=*/true));
-        break;
-      case GateType::kConst1:
-        solver.add_clause(enc.lit(g));
-        break;
-      default: {
-        ins.clear();
-        for (GateId f : nl.fanins(g)) ins.push_back(enc.lit(f));
-        encode_gate_function(solver, nl.type(g), enc.lit(g), ins);
-        break;
-      }
-    }
+    ins.clear();
+    for (GateId f : nl.fanins(g)) ins.push_back(enc.lit(f));
+    encode_gate_function(solver,
+                         function != nullptr ? (*function)[g] : nl.type(g),
+                         enc.lit(g), ins);
   }
   return enc;
 }

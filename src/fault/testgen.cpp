@@ -28,53 +28,6 @@ std::vector<bool> extract_vector(const std::vector<std::uint64_t>& input_words,
   return v;
 }
 
-/// Encode the faulty behaviour of `nl` under `errors` into CNF over the
-/// given encoding's variables: replaced gates get their replacement
-/// function, stuck-at gates a unit clause.
-CircuitEncoding encode_faulty_circuit(sat::Solver& solver, const Netlist& nl,
-                                      const ErrorList& errors) {
-  std::vector<const DesignError*> at(nl.size(), nullptr);
-  for (const DesignError& e : errors) at[error_site(e)] = &e;
-
-  CircuitEncoding enc;
-  enc.gate_var.resize(nl.size());
-  for (GateId g = 0; g < nl.size(); ++g) {
-    enc.gate_var[g] = solver.new_var(nl.is_source(g));
-  }
-  std::vector<sat::Lit> ins;
-  for (GateId g : nl.topo_order()) {
-    if (const DesignError* e = at[g]; e != nullptr) {
-      if (const auto* sa = std::get_if<StuckAtError>(e)) {
-        solver.add_clause(enc.lit(g, /*negated=*/!sa->value));
-        continue;
-      }
-      const auto& gc = std::get<GateChangeError>(*e);
-      ins.clear();
-      for (GateId f : nl.fanins(g)) ins.push_back(enc.lit(f));
-      encode_gate_function(solver, gc.replacement, enc.lit(g), ins);
-      continue;
-    }
-    switch (nl.type(g)) {
-      case GateType::kInput:
-      case GateType::kDff:
-        break;
-      case GateType::kConst0:
-        solver.add_clause(enc.lit(g, /*negated=*/true));
-        break;
-      case GateType::kConst1:
-        solver.add_clause(enc.lit(g));
-        break;
-      default: {
-        ins.clear();
-        for (GateId f : nl.fanins(g)) ins.push_back(enc.lit(f));
-        encode_gate_function(solver, nl.type(g), enc.lit(g), ins);
-        break;
-      }
-    }
-  }
-  return enc;
-}
-
 }  // namespace
 
 TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
@@ -140,7 +93,19 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
   sat::Solver solver;
   const CircuitEncoding gold_enc =
       encode_circuit(solver, nl, /*internal_decisions=*/false);
-  const CircuitEncoding fault_enc = encode_faulty_circuit(solver, nl, errors);
+  // The faulty side: replaced gates get their replacement function,
+  // stuck-at gates a constant.
+  std::vector<GateType> faulty_function(nl.size());
+  for (GateId g = 0; g < nl.size(); ++g) faulty_function[g] = nl.type(g);
+  for (const DesignError& e : errors) {
+    const auto* sa = std::get_if<StuckAtError>(&e);
+    faulty_function[error_site(e)] =
+        sa == nullptr ? std::get<GateChangeError>(e).replacement
+        : sa->value   ? GateType::kConst1
+                      : GateType::kConst0;
+  }
+  const CircuitEncoding fault_enc = encode_circuit(
+      solver, nl, /*internal_decisions=*/false, &faulty_function);
   // Shared inputs.
   for (GateId in : nl.inputs()) {
     solver.add_clause(gold_enc.lit(in, true), fault_enc.lit(in, false));

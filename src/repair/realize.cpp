@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "cnf/mux_instrument.hpp"
+#include "netlist/analysis.hpp"
 #include "sim/simulator.hpp"
 
 namespace satdiag {
@@ -66,23 +68,63 @@ RepairResult realize_correction(const Netlist& nl, const TestSet& tests,
   }
 
   // Per test: read the model's fan-in values and the demanded output value
-  // (the post-mux variable of the corrected gate).
+  // (the post-mux variable of the corrected gate). A gate's model value is
+  // no demand where the test passes whatever value the gate takes: the test
+  // does not observe it, or sees it only through a masked path, and the
+  // solver chose it freely. Such gates are collected greedily, each only if
+  // the test passes under every assignment of the gates collected so far
+  // with the other corrected gates at their model values; lane L gives free
+  // gate i bit i of L, so one sweep covers up to six free gates. A gate that
+  // feeds another corrected gate keeps its demand, so every demanded gate
+  // sees its model fan-in pattern again when the fitted tables are
+  // simulated.
+  constexpr std::size_t kMaxFree = 6;
+  const auto lane_word = [](std::size_t i) {
+    std::uint64_t word = 0;
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      if ((lane >> i) & 1) word |= 1ULL << lane;
+    }
+    return word;
+  };
+  std::vector<GateId> correction_fanins;
+  for (GateId g : correction) {
+    for (GateId f : nl.fanins(g)) correction_fanins.push_back(f);
+  }
+  const std::vector<bool> feeds_correction =
+      fanin_cone(nl, correction_fanins);
+  ParallelSimulator sim(nl);
   result.consistent = true;
   for (std::size_t t = 0; t < tests.size(); ++t) {
     const CircuitEncoding& enc = inst.copies[t];
+    const auto model_value = [&](GateId g) {
+      return inst.solver.model_value(enc.gate_var[g]) == sat::LBool::kTrue;
+    };
+    const GateId obs = test_output_gate(nl, tests[t]);
+    sim.clear_overrides();
+    sim.set_input_lanes(~0ULL, tests[t].input_values);
+    std::vector<GateId> free_gates;
     for (std::size_t ci = 0; ci < correction.size(); ++ci) {
-      GateRepair& repair = result.repairs[ci];
       const GateId g = correction[ci];
+      if (!feeds_correction[g] && free_gates.size() < kMaxFree) {
+        free_gates.push_back(g);
+        for (GateId c : correction) {
+          sim.set_value_override(c, model_value(c) ? ~0ULL : 0ULL);
+        }
+        for (std::size_t i = 0; i < free_gates.size(); ++i) {
+          sim.set_value_override(free_gates[i], lane_word(i));
+        }
+        sim.run();
+        const std::uint64_t out = sim.value(obs);
+        if ((tests[t].correct_value ? out : ~out) == ~0ULL) continue;
+        free_gates.pop_back();
+      }
+      GateRepair& repair = result.repairs[ci];
       std::size_t pattern = 0;
       const auto fanins = nl.fanins(g);
       for (std::size_t i = 0; i < fanins.size(); ++i) {
-        if (inst.solver.model_value(enc.gate_var[fanins[i]]) ==
-            sat::LBool::kTrue) {
-          pattern |= std::size_t{1} << i;
-        }
+        if (model_value(fanins[i])) pattern |= std::size_t{1} << i;
       }
-      const bool demanded =
-          inst.solver.model_value(enc.gate_var[g]) == sat::LBool::kTrue;
+      const bool demanded = model_value(g);
       if (repair.constrained[pattern] &&
           repair.truth_table[pattern] != demanded) {
         result.consistent = false;
@@ -108,7 +150,6 @@ RepairResult realize_correction(const Netlist& nl, const TestSet& tests,
   // Verify by resimulation: override each repaired gate's value per test
   // according to the fitted table, check the erroneous outputs.
   result.verified = true;
-  ParallelSimulator sim(nl);
   for (const Test& test : tests) {
     sim.clear_overrides();
     sim.set_input_vector(0, test.input_values);

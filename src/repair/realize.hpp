@@ -5,7 +5,9 @@
 // 'correct' function of the gate." This module does exactly that: it solves
 // the diagnosis instance restricted to a chosen correction, reads off the
 // demanded value of every corrected gate per test together with the gate's
-// local fan-in values, fits a replacement function over the fan-ins
+// local fan-in values (a gate whose value the test does not depend on,
+// given the other corrected gates, demands nothing: the solver chose it
+// freely), fits a replacement function over the fan-ins
 // (partial truth table, original function as the don't-care filling), and
 // verifies by resimulation that the repaired netlist passes every test.
 //

@@ -87,6 +87,20 @@ TEST(MuxInstrumentTest, GatingClausesForceCorrectionZeroWhenOff) {
   const std::uint32_t sel = inst.select_index[o];
   EXPECT_EQ(inst.solver.model_value(inst.correction_var[0][sel]),
             LBool::kFalse);
+  // The pin is the clause, not the solver's default phase: c = 1 while
+  // s = 0 is UNSAT with gating and SAT without, for both builders.
+  for (const bool stamped : {true, false}) {
+    for (const bool gating : {true, false}) {
+      options.template_stamped = stamped;
+      options.gating_clauses = gating;
+      DiagnosisInstance built = build_diagnosis_instance(nl, tests, options);
+      std::vector<Lit> c_on{sat::neg(built.select_var[sel]),
+                            sat::pos(built.correction_var[0][sel])};
+      EXPECT_EQ(built.solver.solve(c_on),
+                gating ? LBool::kFalse : LBool::kTrue)
+          << "stamped=" << stamped << " gating=" << gating;
+    }
+  }
 }
 
 TEST(MuxInstrumentTest, RestrictedInstrumentationExcludesOtherGates) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "diag/bsat.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -109,6 +110,106 @@ TEST(RealizeTest, RecoversGoldenTypeOnFullyConstrainedGate) {
   ASSERT_TRUE(repair.repairs[0].matching_type.has_value());
   EXPECT_EQ(*repair.repairs[0].matching_type, GateType::kXor);
   for (bool c : repair.repairs[0].constrained) EXPECT_TRUE(c);
+}
+
+// Two erroneous gates, each observed by one test only: g1 = NOR(c, d)
+// should be OR, g2 = NAND(a, b) should be AND. `mask_g2` adds input e and
+// routes g2 into o1 through AND(g2, e) with e = 0, so o1's test sees g2
+// only through a masked path.
+struct TwoSiteFixture {
+  Netlist nl;
+  GateId g1 = kNoGate;
+  GateId g2 = kNoGate;
+  TestSet tests;
+};
+
+TwoSiteFixture make_two_site_fixture(bool mask_g2) {
+  TwoSiteFixture f;
+  Netlist& nl = f.nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId d = nl.add_input("d");
+  f.g1 = nl.add_gate(GateType::kNor, "g1", {c, d});
+  f.g2 = nl.add_gate(GateType::kNand, "g2", {a, b});
+  GateId o1 = kNoGate;
+  if (mask_g2) {
+    const GateId e = nl.add_input("e");
+    const GateId masked = nl.add_gate(GateType::kAnd, "m", {f.g2, e});
+    o1 = nl.add_gate(GateType::kOr, "o1", {f.g1, masked});
+  } else {
+    o1 = nl.add_gate(GateType::kBuf, "o1", {f.g1});
+  }
+  const GateId o2 = nl.add_gate(GateType::kBuf, "o2", {f.g2});
+  nl.add_output(o1);
+  nl.add_output(o2);
+  nl.finalize();
+  std::vector<bool> vec{true, true, false, false};
+  if (mask_g2) vec.push_back(false);
+  f.tests = {Test{vec, 0, false}, Test{vec, 1, true}};
+  return f;
+}
+
+// A test that does not observe a corrected gate leaves its correction
+// variable free; the solver's value there is no demand and must not clash
+// with the test that does observe the gate.
+void expect_two_site_repair(bool mask_g2) {
+  const TwoSiteFixture f = make_two_site_fixture(mask_g2);
+  const std::vector<GateId> correction{f.g1, f.g2};
+  ASSERT_EQ(first_failing_test(f.nl, f.tests, correction), std::nullopt);
+  const RepairResult repair = realize_correction(f.nl, f.tests, correction);
+  ASSERT_TRUE(repair.consistent);
+  EXPECT_TRUE(repair.verified);
+  ASSERT_EQ(repair.repairs.size(), 2u);
+  // Vector a=b=1, c=d=0: g1 sees pattern 0 and must give 0, g2 sees
+  // pattern 3 and must give 1; no other pattern is demanded.
+  EXPECT_EQ(repair.repairs[0].constrained,
+            (std::vector<bool>{true, false, false, false}));
+  EXPECT_FALSE(repair.repairs[0].truth_table[0]);
+  EXPECT_EQ(repair.repairs[1].constrained,
+            (std::vector<bool>{false, false, false, true}));
+  EXPECT_TRUE(repair.repairs[1].truth_table[3]);
+}
+
+TEST(RealizeTest, UnobservedGateIsNoDemand) {
+  expect_two_site_repair(/*mask_g2=*/false);
+}
+
+TEST(RealizeTest, MaskedGateIsNoDemand) {
+  expect_two_site_repair(/*mask_g2=*/true);
+}
+
+// o = AND(g1, g2) must read 0 on a = b = 1. Either gate alone may be free
+// but not both, so free gates are chosen jointly, not one flip at a time.
+TEST(RealizeTest, JointlyNeededGatesKeepADemand) {
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId g1 = nl.add_gate(GateType::kBuf, "g1", {a});
+  const GateId g2 = nl.add_gate(GateType::kBuf, "g2", {b});
+  nl.add_output(nl.add_gate(GateType::kAnd, "o", {g1, g2}));
+  nl.finalize();
+  const TestSet tests{satdiag::Test{{true, true}, 0, false}};
+  const RepairResult repair = realize_correction(nl, tests, {g1, g2});
+  ASSERT_TRUE(repair.consistent);
+  EXPECT_TRUE(repair.verified);
+}
+
+// g1 feeds the corrected g2 = AND(g1, b): g1 keeps its demand, so g2 sees
+// the fan-in pattern its own demand was read at.
+TEST(RealizeTest, GateFeedingACorrectedGateKeepsItsDemand) {
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId g1 = nl.add_gate(GateType::kBuf, "g1", {a});
+  const GateId g2 = nl.add_gate(GateType::kAnd, "g2", {g1, b});
+  nl.add_output(nl.add_gate(GateType::kBuf, "o", {g2}));
+  nl.finalize();
+  const TestSet tests{satdiag::Test{{true, true}, 0, false}};
+  const RepairResult repair = realize_correction(nl, tests, {g1, g2});
+  ASSERT_TRUE(repair.consistent);
+  EXPECT_TRUE(repair.verified);
+  EXPECT_EQ(repair.repairs[0].constrained, (std::vector<bool>{false, true}));
 }
 
 TEST(RealizeTest, InvalidCorrectionRejected) {
