@@ -21,13 +21,13 @@ class TemplateSink {
 
   Var new_var(bool decidable = true, bool default_phase = false) {
     (void)default_phase;  // instance building never sets a phase hint
-    out_->local_flags.push_back(decidable ? ClauseStream::kDecidable : 0);
+    out_->local_flags.push_back(decidable ? sat::Solver::kVarDecidable : 0);
     return static_cast<Var>(out_->num_locals++);
   }
 
   void freeze(Var v) {
     assert(v >= 0 && static_cast<std::uint32_t>(v) < out_->num_locals);
-    out_->local_flags[static_cast<std::size_t>(v)] |= ClauseStream::kFrozen;
+    out_->local_flags[static_cast<std::size_t>(v)] |= sat::Solver::kVarFrozen;
   }
 
   bool add_clause(sat::Clause lits) {
@@ -42,6 +42,7 @@ class TemplateSink {
       if (l == prev) continue;
       lits[out_n++] = prev = l;
     }
+    if (out_n < 2) ++out_->num_units;
     out_->sizes.push_back(static_cast<std::uint32_t>(out_n));
     for (std::size_t i = 0; i < out_n; ++i) {
       out_->lits.push_back(static_cast<std::uint32_t>(lits[i].index()));
@@ -67,9 +68,7 @@ std::size_t ClauseStream::bytes() const {
          vars.correction_var.capacity() * sizeof(Var) +
          vars.input_vars.capacity() * sizeof(vars.input_vars[0]) +
          lits.capacity() * sizeof(std::uint32_t) +
-         sizes.capacity() * sizeof(std::uint32_t) +
-         watch_plan_long.capacity() * sizeof(sat::StreamWatchOp) +
-         watch_plan_bin.capacity() * sizeof(sat::StreamWatchOp);
+         sizes.capacity() * sizeof(std::uint32_t);
 }
 
 ClauseStream build_copy_template(const Netlist& nl,
@@ -93,36 +92,6 @@ ClauseStream build_copy_template(const Netlist& nl,
       },
       gating_clauses, internal_decisions);
 
-  // Watch plan: the two watched literals of every clause of size >= 2 are
-  // its first two (the stream is normalized, and no template literal is
-  // assigned), grouped by watch list so stamping fills each list in one run.
-  {
-    std::size_t pos = 0;
-    std::uint32_t arena_off = 0;  // stream-relative arena word of the clause
-    for (const std::uint32_t size : ts.sizes) {
-      if (size < 2) {
-        ++ts.num_units;
-      } else {
-        const std::uint32_t c0 = ts.lits[pos];
-        const std::uint32_t c1 = ts.lits[pos + 1];
-        auto& plan = size == 2 ? ts.watch_plan_bin : ts.watch_plan_long;
-        const std::uint32_t off = size == 2 ? 0 : arena_off;
-        plan.push_back({c0 ^ 1u, c1, off});  // watch list of ~lit: code^1
-        plan.push_back({c1 ^ 1u, c0, off});
-        if (size >= 3) arena_off += size + sat::kStampClauseOverhead;
-      }
-      pos += size;
-    }
-    const auto by_list = [](const sat::StreamWatchOp& a,
-                            const sat::StreamWatchOp& b) {
-      return a.watch_index < b.watch_index;
-    };
-    std::stable_sort(ts.watch_plan_long.begin(), ts.watch_plan_long.end(),
-                     by_list);
-    std::stable_sort(ts.watch_plan_bin.begin(), ts.watch_plan_bin.end(),
-                     by_list);
-  }
-
   static obs::Counter& templates_built =
       obs::MetricsRegistry::global().counter("cnf.templates_built");
   templates_built.add(1);
@@ -134,40 +103,34 @@ sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
   obs::Span span("cnf.stamp_copy", "clauses",
                  static_cast<std::int64_t>(ts.sizes.size()));
   assert(extern_vars.size() == ts.vars.mux_gates.size());
-  static_assert(ClauseStream::kDecidable == sat::Solver::kVarDecidable &&
-                ClauseStream::kFrozen == sat::Solver::kVarFrozen);
   assert(ts.local_flags.size() == ts.num_locals);
   const Var base = solver.new_vars(ts.local_flags);
 
   // Every local is fresh (unassigned); with no template units and no extern
-  // assigned at the root, no stream literal has a value and the solver's
-  // fused stamped load applies: it relocates template codes and the watch
-  // plan inline, with no intermediate buffers.
-  if (ts.num_units == 0 && !solver.any_assigned(extern_vars)) {
-    solver.add_stamped_stream(ts.lits, ts.sizes, ts.watch_plan_long,
-                              ts.watch_plan_bin, base,
-                              ClauseStream::kExternVarBase, extern_vars);
-  } else {
-    // General case (template units, or selects already assigned at the
-    // root): relocate clause by clause into the simplifying add_clause,
-    // which drops satisfied clauses, strips false literals and propagates
-    // units in order.
-    sat::Clause clause;
-    std::size_t pos = 0;
-    for (const std::uint32_t size : ts.sizes) {
-      clause.clear();
-      for (std::uint32_t k = 0; k < size; ++k) {
-        const auto as_lit = Lit::from_index(static_cast<int>(ts.lits[pos + k]));
-        const Var v = as_lit.var();
-        const Var resolved =
-            v >= ClauseStream::kExternVarBase
-                ? extern_vars[static_cast<std::size_t>(
-                      v - ClauseStream::kExternVarBase)]
-                : base + v;
-        clause.push_back(Lit(resolved, as_lit.sign()));
-      }
-      pos += size;
-      if (!solver.add_clause(clause)) break;
+  // assigned at the root, no relocated literal has a value, and each clause
+  // is attached as it stands, in template literal order. Otherwise (template
+  // units, or selects already assigned at the root) each clause goes
+  // through the simplifying add_clause, which drops satisfied clauses,
+  // strips false literals and propagates units in order.
+  const bool pristine = ts.num_units == 0 && !solver.any_assigned(extern_vars);
+  sat::Clause clause;
+  std::size_t pos = 0;
+  for (const std::uint32_t size : ts.sizes) {
+    clause.clear();
+    for (std::uint32_t k = 0; k < size; ++k) {
+      const auto as_lit = Lit::from_index(static_cast<int>(ts.lits[pos + k]));
+      const Var v = as_lit.var();
+      const Var resolved =
+          v >= ClauseStream::kExternVarBase
+              ? extern_vars[static_cast<std::size_t>(
+                    v - ClauseStream::kExternVarBase)]
+              : base + v;
+      clause.push_back(Lit(resolved, as_lit.sign()));
+    }
+    pos += size;
+    if (!(pristine ? solver.add_stamped_clause(clause)
+                   : solver.add_clause(clause))) {
+      break;
     }
   }
   static obs::Counter& copies_stamped =

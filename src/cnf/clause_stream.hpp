@@ -3,25 +3,30 @@
 // A ClauseStream captures ONE instrumented circuit copy, encoded by
 // encode_copy (cnf/tseitin.hpp) over *relative* variable indices, together
 // with the copy's variable layout. Stamping a copy is then literal-offset
-// relocation into the solver's bulk loader (sat::Solver::add_stamped_stream)
-// — near-memcpy — and the encoder walk happens once per (circuit, cone,
-// universe, options) key, cached process-wide in cache::ArtifactCache,
-// instead of once per test.
+// relocation, clause by clause, into the solver — and the encoder walk
+// happens once per (circuit, cone, universe, options) key, cached
+// process-wide in cache::ArtifactCache, instead of once per test.
 //
 // Two literal spaces:
 //  * local variables — fresh per copy; index < kExternVarBase; relocated to
 //    `base + index` where base is the stamping solver's variable watermark.
 //    encode_copy allocates them in the order it allocates solver variables
-//    when it encodes a copy directly, so a stamped instance is
-//    variable-for-variable identical to the walk-built one.
+//    when it encodes a copy directly, so a stamped instance has the walk's
+//    variables and the walk's clause multiset.
 //  * extern slots — the shared select lines, encoded as variable
 //    kExternVarBase + slot and resolved through `extern_vars` against the
 //    instance's select variables at stamp time.
 //
 // Clauses are normalized at template-build time (sorted in template-code
-// order, duplicates removed, tautologies dropped). Relocation maps variables
-// injectively, so the normalized stream satisfies add_stamped_stream's
-// no-duplicate/no-tautology precondition after relocation too.
+// order, duplicates removed, tautologies dropped), and a pristine stamp
+// attaches them in that order, watching each clause's first two literals.
+// Template codes sort extern slots after every local, while add_clause
+// sorts by solver variable, where a select line precedes the copy's
+// locals: so a stamped mux clause watches two copy literals where the
+// walk-built one watches its select literal. The two instances are the same
+// formula but not the same watch lists, and their searches can differ.
+// Relocation maps variables injectively, so a normalized clause stays free
+// of duplicates and tautologies after it.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +42,10 @@ struct ClauseStream {
   /// (slot = var - kExternVarBase); below it, relative local indices.
   static constexpr sat::Var kExternVarBase = 1 << 29;
 
-  static constexpr std::uint8_t kDecidable = 1;
-  static constexpr std::uint8_t kFrozen = 2;
-
   // ---- per-copy variable layout -------------------------------------------
   std::uint32_t num_locals = 0;
-  std::vector<std::uint8_t> local_flags;  // kDecidable / kFrozen per local
+  /// sat::Solver::kVarDecidable / kVarFrozen per local.
+  std::vector<std::uint8_t> local_flags;
   /// The copy's variables as local indices. Extern slot j is the select
   /// line of vars.mux_gates[j].
   CopyVars vars;
@@ -51,17 +54,9 @@ struct ClauseStream {
   std::vector<std::uint32_t> lits;   // Lit::index() codes, concatenated
   std::vector<std::uint32_t> sizes;  // clause lengths, in emission order
   /// Unit clauses in the stream (const gates). Zero — the standard case —
-  /// means stamping into unassigned variables can take the solver's pristine
-  /// bulk path: nothing simplifies or propagates mid-stream.
+  /// means stamping into unassigned variables can attach each clause as it
+  /// stands: nothing simplifies or propagates mid-stream.
   std::uint32_t num_units = 0;
-
-  /// Deferred watch attachments (two per clause of size >= 3 resp. == 2),
-  /// over template codes, stable-sorted by watch list. Relocation is
-  /// injective, so runs of equal watch_index stay contiguous after it and
-  /// sat::Solver::add_stamped_stream can fill each watch list in one
-  /// sequential pass — see StreamWatchOp in sat/solver.hpp.
-  std::vector<sat::StreamWatchOp> watch_plan_long;
-  std::vector<sat::StreamWatchOp> watch_plan_bin;
 
   std::size_t bytes() const;
 };
@@ -77,12 +72,13 @@ ClauseStream build_copy_template(const Netlist& nl,
                                  bool gating_clauses, bool internal_decisions);
 
 /// Stamp one copy into `solver`: allocate num_locals fresh variables in one
-/// batch (flags/freezes from the layout descriptor), relocate the literal
-/// stream and watch plan by the new variable base (extern slots through
-/// `extern_vars`, one per vars.mux_gates entry), and bulk-load it. A stream
-/// with unit clauses, or with an extern already assigned at the root, is
-/// relocated and loaded one add_clause call per clause instead. Returns the
-/// copy's variable base.
+/// batch (flags/freezes from the layout descriptor), then relocate the
+/// clauses one by one by the new variable base (extern slots through
+/// `extern_vars`, one per vars.mux_gates entry) and attach each in template
+/// literal order (sat::Solver::add_stamped_clause). A stream with unit
+/// clauses, or with an extern already assigned at the root, sends each
+/// relocated clause through add_clause instead. Returns the copy's variable
+/// base.
 sat::Var stamp_clause_stream(sat::Solver& solver, const ClauseStream& ts,
                              std::span<const sat::Var> extern_vars);
 

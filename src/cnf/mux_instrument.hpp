@@ -53,12 +53,16 @@ struct DiagnosisInstanceOptions {
   bool cone_of_influence = false;
   /// Build copies by stamping cached ClauseStream templates (one encoder
   /// walk per distinct (circuit, cone, universe, options) key, relocated per
-  /// copy) instead of encoding every copy into the solver. Produces a
-  /// variable-for-variable and clause-for-clause identical instance. The
-  /// walk (false) is the reference: it loads clauses with add_clause and
-  /// computes cones with fanin_cone, against which
+  /// copy) instead of encoding every copy into the solver. Produces the
+  /// same variables and the same clause multiset, but not the same literal
+  /// order inside clauses: the walk's add_clause sorts a select line first
+  /// and watches it in every mux clause, a stamped copy watches two copy
+  /// literals there (see cnf/clause_stream.hpp), so the two searches can
+  /// differ in propagations; complete enumerations find the same
+  /// solutions. The walk (false) is the reference: it loads clauses with
+  /// add_clause and computes cones with fanin_cone, against which
   /// tests/cnf/clause_stream_test.cpp pins the template normalization,
-  /// relocation, bulk load and cached cones.
+  /// relocation, per-clause attach and cached cones.
   bool template_stamped = true;
 };
 

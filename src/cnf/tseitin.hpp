@@ -4,7 +4,9 @@
 // encoding) or the ClauseStream template builder's sink (relative-index
 // encoding). A sink provides `new_var(bool decidable)`, `freeze(Var)` and
 // the `add_clause` overloads of sat::Solver. One body serves both, so the
-// directly encoded and the template-stamped instances cannot diverge.
+// directly encoded and the template-stamped instances cannot diverge in
+// variables or clauses (only in the order of literals inside a clause, see
+// cnf/clause_stream.hpp).
 //  * encode_gate_function: one gate.
 //  * encode_circuit: a plain circuit (equivalence-miter ATPG, whose faulty
 //    side overrides gate functions).

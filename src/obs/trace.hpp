@@ -12,9 +12,6 @@
 //    oldest on overflow (drop-oldest; dropped_events() counts the loss).
 //    Because events are pushed at span *end*, long-lived enclosing phase
 //    spans are pushed last and survive any overflow.
-//  * BCP-adjacent call sites use SATDIAG_HOT_SPAN, compiled out entirely
-//    unless SATDIAG_OBS_HOT_SPANS is defined — zero cost even for the
-//    disabled-check when off.
 //
 // Drain contract: write_chrome_trace()/aggregate_phases() walk every
 // thread's ring without synchronizing with concurrent writers. Call them
@@ -152,14 +149,3 @@ struct PhaseAgg {
 std::vector<PhaseAgg> aggregate_phases();
 
 }  // namespace satdiag::obs
-
-// Spans on BCP-adjacent paths compile away entirely unless the build opts in
-// (-DSATDIAG_OBS_HOT_SPANS); `var` names the span object so a site can hold
-// several.
-#if defined(SATDIAG_OBS_HOT_SPANS)
-#define SATDIAG_HOT_SPAN(var, ...) ::satdiag::obs::Span var(__VA_ARGS__)
-#else
-#define SATDIAG_HOT_SPAN(var, ...) \
-  do {                             \
-  } while (false)
-#endif

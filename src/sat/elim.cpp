@@ -219,19 +219,17 @@ bool Eliminator::run() {
       }
       if (r.size() == 1) {
         if (!s_.enqueue_root(r[0])) break;
-      } else if (r.size() == 2) {
-        s_.attach_binary(r[0], r[1], /*learnt=*/false);
-        ++s_.num_bin_clauses_;
-        const auto rec = static_cast<std::uint32_t>(bins.size());
-        bins.push_back({r[0], r[1], false, false});
-        bin_occ[static_cast<std::size_t>(r[0].index())].push_back(rec);
-        bin_occ[static_cast<std::size_t>(r[1].index())].push_back(rec);
       } else {
-        const CRef nc = s_.arena_.alloc(r, /*learnt=*/false);
-        s_.clauses_.push_back(nc);
-        s_.attach_clause(nc);
-        for (Lit l : r) {
-          occ[static_cast<std::size_t>(l.index())].push_back(nc);
+        const CRef nc = s_.attach_irredundant(r);
+        if (nc == Solver::kCRefUndef) {  // binary
+          const auto rec = static_cast<std::uint32_t>(bins.size());
+          bins.push_back({r[0], r[1], false, false});
+          bin_occ[static_cast<std::size_t>(r[0].index())].push_back(rec);
+          bin_occ[static_cast<std::size_t>(r[1].index())].push_back(rec);
+        } else {
+          for (Lit l : r) {
+            occ[static_cast<std::size_t>(l.index())].push_back(nc);
+          }
         }
       }
     }

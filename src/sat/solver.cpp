@@ -66,9 +66,9 @@ Var Solver::new_var(bool decidable, bool default_phase) {
 }
 
 namespace {
-// Reserving to the exact needed size on every bulk load would defeat the
-// vectors' amortized doubling — each of m stamped copies would reallocate
-// and copy the whole array, turning construction quadratic. Grow
+// Reserving to the exact needed size on every batch allocation would defeat
+// the vectors' amortized doubling — each of m stamped copies would
+// reallocate and copy the whole array, turning construction quadratic. Grow
 // geometrically, and only when actually short.
 template <typename Vec>
 void reserve_amortized(Vec& v, std::size_t needed) {
@@ -158,15 +158,34 @@ bool Solver::add_clause(Clause lits) {
     ok_ = (propagate() == kCRefUndef);
     return ok_;
   }
+  attach_irredundant(lits);
+  return true;
+}
+
+bool Solver::add_stamped_clause(std::span<const Lit> lits) {
+  if (decision_level() != 0) cancel_until(0);  // leftover solve() trail
+  if (!ok_) return false;
+#ifndef NDEBUG
+  for (const Lit l : lits) {
+    assert(!is_eliminated(l.var()));
+    assert(value(l) == LBool::kUndef);
+  }
+#endif
+  attach_irredundant(lits);
+  return true;
+}
+
+Solver::CRef Solver::attach_irredundant(std::span<const Lit> lits) {
+  assert(lits.size() >= 2);
   if (lits.size() == 2) {
     attach_binary(lits[0], lits[1], /*learnt=*/false);
     ++num_bin_clauses_;
-    return true;
+    return kCRefUndef;
   }
   const CRef cref = arena_.alloc(lits, /*learnt=*/false);
   clauses_.push_back(cref);
   attach_clause(cref);
-  return true;
+  return cref;
 }
 
 bool Solver::any_assigned(std::span<const Var> vars) const {
@@ -175,103 +194,6 @@ bool Solver::any_assigned(std::span<const Var> vars) const {
     if (assigns_[i] != LBool::kUndef && vardata_[i].level == 0) return true;
   }
   return false;
-}
-
-bool Solver::add_stamped_stream(std::span<const std::uint32_t> codes,
-                                std::span<const std::uint32_t> sizes,
-                                std::span<const StreamWatchOp> plan_long,
-                                std::span<const StreamWatchOp> plan_bin,
-                                Var local_base, Var extern_base,
-                                std::span<const Var> extern_vars) {
-  static_assert(kStampClauseOverhead == kClauseOverhead);
-  if (decision_level() != 0) cancel_until(0);  // leftover solve() trail
-  if (!ok_) return false;
-  // Relocation on raw codes: (var << 1) | sign, so a local shifts by
-  // 2 * local_base and an extern slot swaps its variable bits wholesale.
-  const auto ext_base = static_cast<std::uint32_t>(extern_base);
-  const std::uint32_t local_off = static_cast<std::uint32_t>(local_base) << 1;
-  const auto reloc = [&](std::uint32_t code) -> std::uint32_t {
-    const std::uint32_t v = code >> 1;
-    if (v < ext_base) return code + local_off;
-    const Var ext = extern_vars[static_cast<std::size_t>(v - ext_base)];
-    return (static_cast<std::uint32_t>(ext) << 1) | (code & 1u);
-  };
-#ifndef NDEBUG
-  for (const std::uint32_t c : codes) {
-    const Lit l = Lit::from_index(static_cast<int>(reloc(c)));
-    assert(!is_eliminated(l.var()));
-    assert(value(l) == LBool::kUndef);
-  }
-  for (const std::uint32_t s : sizes) assert(s >= 2);
-#endif
-  // No literal is assigned and no clause can become one: nothing simplifies,
-  // nothing propagates. Fill the arena in one resize + relocation sweep and
-  // attach everything from the plan — the ops carry each clause's relative
-  // arena offset, so there is no per-clause cref bookkeeping either.
-  std::size_t arena_words = 0;
-  std::size_t num_long = 0;
-  std::size_t num_bin = 0;
-  for (const std::uint32_t s : sizes) {
-    if (s >= 3) {
-      arena_words += s + kClauseOverhead;
-      ++num_long;
-    } else {
-      ++num_bin;
-    }
-  }
-  const std::size_t old_words = arena_.data.size();
-  if (old_words + arena_words >= kBinReasonFlag) {
-    throw std::length_error("sat arena exceeds 2^31 words");
-  }
-  reserve_amortized(arena_.data, old_words + arena_words);
-  arena_.data.resize(old_words + arena_words);
-  reserve_amortized(clauses_, clauses_.size() + num_long);
-  std::uint32_t* p = arena_.data.data() + old_words;
-  std::size_t pos = 0;
-  for (const std::uint32_t size : sizes) {
-    if (size >= 3) {
-      clauses_.push_back(
-          static_cast<CRef>(static_cast<std::size_t>(p - arena_.data.data())));
-      p[0] = size << 2;  // header: irredundant, not deleted
-      p[1] = 0;          // activity 0.0f
-      p[2] = 0;          // meta
-      for (std::uint32_t k = 0; k < size; ++k) p[3 + k] = reloc(codes[pos + k]);
-      p += kClauseOverhead + size;
-    }
-    pos += size;
-  }
-  num_bin_clauses_ += num_bin;
-  // Ops arrive sorted by watch list and relocation is injective, so runs stay
-  // contiguous: relocate each list index once and fill the list in one go.
-  const auto arena_base = static_cast<std::uint32_t>(old_words);
-  std::size_t i = 0;
-  while (i < plan_long.size()) {
-    const std::uint32_t idx = plan_long[i].watch_index;
-    std::size_t j = i;
-    while (j < plan_long.size() && plan_long[j].watch_index == idx) ++j;
-    auto& list = watches_[reloc(idx)];
-    reserve_amortized(list, list.size() + (j - i));
-    for (; i < j; ++i) {
-      const StreamWatchOp& op = plan_long[i];
-      list.push_back(
-          {arena_base + op.arena_offset,
-           Lit::from_index(static_cast<int>(reloc(op.other_index)))});
-    }
-  }
-  i = 0;
-  while (i < plan_bin.size()) {
-    const std::uint32_t idx = plan_bin[i].watch_index;
-    std::size_t j = i;
-    while (j < plan_bin.size() && plan_bin[j].watch_index == idx) ++j;
-    auto& list = bin_watches_[reloc(idx)];
-    reserve_amortized(list, list.size() + (j - i));
-    for (; i < j; ++i) {
-      list.push_back(
-          {Lit::from_index(static_cast<int>(reloc(plan_bin[i].other_index))),
-           /*learnt=*/0u});
-    }
-  }
-  return true;
 }
 
 std::vector<Clause> Solver::snapshot_clauses() const {
@@ -361,19 +283,10 @@ bool Solver::block_model(Clause lits) {
   if (top != kUnassigned) cancel_until(top - 1);
   assert(value(lits[0]) == LBool::kUndef);
 
-  if (lits.size() == 2) {
-    attach_binary(lits[0], lits[1], /*learnt=*/false);
-    ++num_bin_clauses_;
-    if (value(lits[1]) == LBool::kFalse) {
-      unchecked_enqueue(lits[0], bin_reason(lits[1]));
-    }
-    return true;
-  }
-  const CRef cref = arena_.alloc(lits, /*learnt=*/false);
-  clauses_.push_back(cref);
-  attach_clause(cref);
+  const CRef cref = attach_irredundant(lits);
   if (value(lits[1]) == LBool::kFalse) {
-    unchecked_enqueue(lits[0], cref);
+    unchecked_enqueue(lits[0],
+                      lits.size() == 2 ? bin_reason(lits[1]) : cref);
   }
   return true;
 }
@@ -1160,9 +1073,6 @@ double Solver::luby(double y, int i) {
 }
 
 LBool Solver::search() {
-  // BCP-adjacent: compiled out unless -DSATDIAG_OBS_HOT_SPANS (one span per
-  // restart-quantum of search; propagate() itself stays uninstrumented).
-  SATDIAG_HOT_SPAN(search_span, "sat.search");
   const int restart_base = 100;
   int conflicts_this_restart = 0;
   const double restart_factor =

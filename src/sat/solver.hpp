@@ -54,29 +54,6 @@
 
 namespace satdiag::sat {
 
-/// One deferred watch attachment of a stamped clause stream: push a watcher
-/// onto watch list `watch_index`, with `other_index` the Lit::index() of the
-/// other watched literal (the blocker for long clauses, the implied literal
-/// for binaries). Streams carry these pre-sorted by watch_index so
-/// Solver::add_stamped_stream can fill each watch list in one contiguous run
-/// instead of 2·|clauses| random appends — the dominant cost of bulk
-/// instance construction (see clause_stream.hpp).
-///
-/// `arena_offset` is the clause's word offset within the stream's arena
-/// segment (kStampClauseOverhead words of header per clause): the loader
-/// resolves an op's clause reference as segment base + arena_offset, with no
-/// per-clause bookkeeping. Zero for binary ops (binaries live outside the
-/// arena).
-struct StreamWatchOp {
-  std::uint32_t watch_index;
-  std::uint32_t other_index;
-  std::uint32_t arena_offset;
-};
-
-/// Arena words per clause beyond its literals, fixed by the solver's clause
-/// layout; stream builders use it to precompute StreamWatchOp::arena_offset.
-inline constexpr std::uint32_t kStampClauseOverhead = 3;
-
 /// Conflicts before the first inprocessing run and between runs.
 inline constexpr std::uint64_t kInprocessInterval = 2000;
 
@@ -151,28 +128,18 @@ class Solver {
   bool add_clause(Lit a, Lit b) { return add_clause(Clause{a, b}); }
   bool add_clause(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
 
-  /// Pristine template stamping, fused with relocation: `codes` are
-  /// unrelocated stream codes ((var << 1) | sign) where var < extern_base
-  /// is a stream-local variable (resolved to local_base + var) and var >=
-  /// extern_base maps through extern_vars[var - extern_base]. The caller
-  /// guarantees that no resolved literal is assigned at the root (fresh
-  /// copy variables plus unassigned extern variables — see any_assigned)
-  /// and that every clause has size >= 2: nothing simplifies or propagates,
-  /// so the load skips value checks, fills the arena in one swept resize,
-  /// and attaches watches straight from the sorted plan — no intermediate
-  /// relocation buffers, no per-clause bookkeeping. This is the standard
-  /// instance-construction case; streams with units or assigned externs go
-  /// through add_clause one clause at a time instead.
-  bool add_stamped_stream(std::span<const std::uint32_t> codes,
-                          std::span<const std::uint32_t> sizes,
-                          std::span<const StreamWatchOp> plan_long,
-                          std::span<const StreamWatchOp> plan_bin,
-                          Var local_base, Var extern_base,
-                          std::span<const Var> extern_vars);
+  /// Pristine template stamping: add a relocated template clause as it
+  /// stands, watching lits[0] and lits[1]. The caller guarantees at least
+  /// two distinct, non-complementary literals, none assigned at the root
+  /// (fresh copy variables plus unassigned extern variables — see
+  /// any_assigned), so nothing sorts, simplifies or propagates. This is the
+  /// standard instance-construction case; streams with units or assigned
+  /// externs go through add_clause instead.
+  bool add_stamped_clause(std::span<const Lit> lits);
 
   /// True when any of `vars` is assigned at the root level — the template
   /// stamping path probes its extern (select) variables with this to decide
-  /// whether the pristine bulk load applies.
+  /// whether add_stamped_clause applies.
   bool any_assigned(std::span<const Var> vars) const;
 
   /// Snapshot of the irredundant clause database — the binary layer plus
@@ -388,6 +355,10 @@ class Solver {
                               : static_cast<std::size_t>(trail_lim_[0]);
   }
 
+  /// Attach an irredundant clause of size >= 2, watching lits[0] and
+  /// lits[1]: a binary goes to the binary layer (returns kCRefUndef),
+  /// anything longer into the arena (returns its reference).
+  CRef attach_irredundant(std::span<const Lit> lits);
   void attach_clause(CRef c);
   void attach_binary(Lit a, Lit b, bool learnt);
   void detach_clause(CRef c);

@@ -6,7 +6,8 @@
 // counts, cone-of-influence on/off, gating clauses on/off, restricted
 // instrumented universes, and templates that contain unit clauses (const
 // gates — the non-pristine stamp path). On top of DB identity, the BSAT
-// solution sets are pinned across builders and thread counts.
+// solution sets are pinned across builders and thread counts, and the
+// pristine stamp path's watch lists are pinned against add_clause's.
 #include "cnf/clause_stream.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "cache/artifact_cache.hpp"
 #include "cnf/mux_instrument.hpp"
+#include "cnf/tseitin.hpp"
 #include "common/diff_harness.hpp"
 #include "diag/bsat.hpp"
 #include "obs/metrics.hpp"
@@ -24,6 +26,7 @@ namespace satdiag {
 namespace {
 
 using sat::Clause;
+using sat::Lit;
 
 std::vector<Clause> sorted_db(const DiagnosisInstance& inst) {
   std::vector<Clause> db = inst.solver.snapshot_clauses();
@@ -162,6 +165,81 @@ TEST(ClauseStreamTest, TemplatesComeFromCacheOnRepeat) {
   { const auto second = build_diagnosis_instance(di.nl, di.tests, options); }
   EXPECT_EQ(templates_built.value(), after_first);
   expect_identical(di.nl, di.tests, options);
+}
+
+// The DB-identity tests compare sorted clause snapshots, which cannot see
+// which literals of a clause are watched or in what order a watch list holds
+// its clauses. A copy with no instrumented gate has no extern slots, so its
+// template literal order is add_clause's sorted order: stamping it must give
+// the watch lists that encoding it straight into a solver gives, hence the
+// same searches, down to every propagation, under the same fixed inputs.
+TEST(ClauseStreamTest, StampedWatchListsMatchDirectEncoding) {
+  std::size_t sat_runs = 0;
+  std::size_t unsat_runs = 0;
+  std::uint64_t conflicts = 0;
+  for (const std::uint64_t seed : {1ull, 5ull, 9ull}) {
+    difftest::DiffConfig config;
+    config.seed = seed;
+    config.gates = 200;
+    config.tests = 6;
+    const difftest::DiffInstance di = difftest::make_instance(config);
+    SCOPED_TRACE(config.describe());
+
+    const std::vector<bool> no_mux(di.nl.size(), false);
+    const ClauseStream ts =
+        build_copy_template(di.nl, nullptr, no_mux, /*gating_clauses=*/false,
+                            /*internal_decisions=*/true);
+    // No units and no extern slots: every clause takes the pristine path.
+    ASSERT_EQ(ts.num_units, 0u);
+    ASSERT_TRUE(ts.vars.mux_gates.empty());
+
+    sat::Solver stamped;
+    EXPECT_EQ(stamp_clause_stream(stamped, ts, {}), 0);
+    sat::Solver direct;
+    const CopyVars vars = encode_copy(
+        direct, di.nl, nullptr, [](GateId) { return Lit::undef(); },
+        /*gating_clauses=*/false, /*internal_decisions=*/true);
+    ASSERT_EQ(vars.gate_var, ts.vars.gate_var);
+    ASSERT_EQ(stamped.num_vars(), direct.num_vars());
+
+    for (const satdiag::Test& test : di.tests) {
+      const Lit out = sat::pos(vars.gate_var[test_output_gate(di.nl, test)]);
+      // Every input fixed: the output is implied, so one polarity is SAT and
+      // the other UNSAT. Every other input fixed: the search decides the
+      // rest and learns.
+      for (const int fixed_share : {1, 2}) {
+        for (const bool value : {test.correct_value, !test.correct_value}) {
+          std::vector<Lit> assumptions;
+          for (const auto& [pos, var] : vars.input_vars) {
+            if (pos % fixed_share == 0) {
+              assumptions.push_back(Lit(var, !test.input_values[pos]));
+            }
+          }
+          assumptions.push_back(value ? out : ~out);
+
+          const sat::LBool got = stamped.solve(assumptions);
+          ASSERT_EQ(got, direct.solve(assumptions));
+          EXPECT_EQ(stamped.stats().propagations, direct.stats().propagations);
+          EXPECT_EQ(stamped.stats().conflicts, direct.stats().conflicts);
+          EXPECT_EQ(stamped.stats().decisions, direct.stats().decisions);
+          if (got == sat::LBool::kTrue) {
+            ++sat_runs;
+            for (sat::Var v = 0; v < stamped.num_vars(); ++v) {
+              ASSERT_EQ(stamped.model_value(v), direct.model_value(v))
+                  << "var " << v;
+            }
+          } else {
+            ++unsat_runs;
+          }
+        }
+      }
+    }
+    conflicts += stamped.stats().conflicts;
+  }
+  // The fixtures must keep reaching both answers and real search.
+  EXPECT_GT(sat_runs, 0u);
+  EXPECT_GT(unsat_runs, 0u);
+  EXPECT_GT(conflicts, 0u);
 }
 
 // The end-to-end pin: BSAT solution sets are invariant under the builder
