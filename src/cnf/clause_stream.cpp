@@ -49,11 +49,6 @@ class TemplateSink {
     }
     return true;
   }
-  bool add_clause(Lit a) { return add_clause(sat::Clause{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(sat::Clause{a, b}); }
-  bool add_clause(Lit a, Lit b, Lit c) {
-    return add_clause(sat::Clause{a, b, c});
-  }
 
  private:
   ClauseStream* out_;
@@ -65,7 +60,6 @@ std::size_t ClauseStream::bytes() const {
   return sizeof(ClauseStream) + local_flags.capacity() +
          vars.gate_var.capacity() * sizeof(Var) +
          vars.mux_gates.capacity() * sizeof(GateId) +
-         vars.correction_var.capacity() * sizeof(Var) +
          vars.input_vars.capacity() * sizeof(vars.input_vars[0]) +
          lits.capacity() * sizeof(std::uint32_t) +
          sizes.capacity() * sizeof(std::uint32_t);
@@ -74,7 +68,6 @@ std::size_t ClauseStream::bytes() const {
 ClauseStream build_copy_template(const Netlist& nl,
                                  const std::vector<bool>* cone,
                                  const std::vector<bool>& instrumented,
-                                 bool gating_clauses,
                                  bool internal_decisions) {
   obs::Span span("cnf.template_build", "gates",
                  static_cast<std::int64_t>(nl.size()));
@@ -90,7 +83,7 @@ ClauseStream build_copy_template(const Netlist& nl,
                    ? sat::pos(ClauseStream::kExternVarBase + next_slot++)
                    : Lit::undef();
       },
-      gating_clauses, internal_decisions);
+      internal_decisions);
 
   static obs::Counter& templates_built =
       obs::MetricsRegistry::global().counter("cnf.templates_built");

@@ -22,7 +22,7 @@
 // attaches them in that order, watching each clause's first two literals.
 // Template codes sort extern slots after every local, while add_clause
 // sorts by solver variable, where a select line precedes the copy's
-// locals: so a stamped mux clause watches two copy literals where the
+// locals: so a stamped guarded clause watches two copy literals where the
 // walk-built one watches its select literal. The two instances are the same
 // formula but not the same watch lists, and their searches can differ.
 // Relocation maps variables injectively, so a normalized clause stays free
@@ -64,12 +64,11 @@ struct ClauseStream {
 /// Encode one instrumented circuit copy into a template with encode_copy.
 /// `cone` restricts the copy to a fanin cone (nullptr = every gate);
 /// `instrumented` flags the mux-carrying gates (those outside the cone get
-/// none). `internal_decisions`/`gating_clauses` mirror
-/// DiagnosisInstanceOptions.
+/// none). `internal_decisions` mirrors DiagnosisInstanceOptions.
 ClauseStream build_copy_template(const Netlist& nl,
                                  const std::vector<bool>* cone,
                                  const std::vector<bool>& instrumented,
-                                 bool gating_clauses, bool internal_decisions);
+                                 bool internal_decisions);
 
 /// Stamp one copy into `solver`: allocate num_locals fresh variables in one
 /// batch (flags/freezes from the layout descriptor), then relocate the

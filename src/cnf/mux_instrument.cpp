@@ -134,14 +134,12 @@ std::shared_ptr<const ClauseStream> cached_copy_template(
   // that restrict to the same final set share the template.
   kb.mix(instrumented.size());
   for (const GateId g : instrumented) kb.mix(g);
-  kb.mix(options.gating_clauses ? 1 : 0);
   kb.mix(options.internal_decisions ? 1 : 0);
   return cache::ArtifactCache::global().get_or_build<ClauseStream>(
       kb.key(),
       [&]() -> std::pair<std::shared_ptr<const ClauseStream>, std::size_t> {
         auto ts = std::make_shared<ClauseStream>(
             build_copy_template(nl, cone, instrumented_flags,
-                                options.gating_clauses,
                                 options.internal_decisions));
         const std::size_t bytes = ts->bytes();
         return {std::move(ts), bytes};
@@ -160,7 +158,7 @@ struct CopySource {
 
 /// Add one test's copy to the instance: its clauses, then the unit clauses
 /// that tie its inputs to the test vector and its erroneous output to the
-/// correct value, then its entries in `copies` and `correction_var`.
+/// correct value, then its entry in `copies`.
 void add_test_copy(DiagnosisInstance& inst, const Netlist& nl,
                    const Test& test, const CopySource& source,
                    const DiagnosisInstanceOptions& options) {
@@ -181,19 +179,13 @@ void add_test_copy(DiagnosisInstance& inst, const Netlist& nl,
                      ? Lit::undef()
                      : sat::pos(inst.select_var[sel]);
         },
-        options.gating_clauses, options.internal_decisions);
+        options.internal_decisions);
   }
 
   CircuitEncoding enc;
   enc.gate_var.assign(nl.size(), -1);
   for (GateId g = 0; g < nl.size(); ++g) {
     if (vars->gate_var[g] >= 0) enc.gate_var[g] = base + vars->gate_var[g];
-  }
-  std::vector<Var>& corrections =
-      inst.correction_var.emplace_back(inst.instrumented.size(), -1);
-  for (std::size_t j = 0; j < vars->mux_gates.size(); ++j) {
-    corrections[inst.select_index[vars->mux_gates[j]]] =
-        base + vars->correction_var[j];
   }
   for (const auto& [input_pos, var] : vars->input_vars) {
     solver.add_clause(

@@ -2,11 +2,12 @@
 //
 // One circuit copy per test; a correction multiplexer at every instrumented
 // gate g: select s_g shared by all copies, free correction value c_g^i per
-// copy. Copy i is constrained to test vector t_i at the primary inputs and to
-// the correct value v_i at the erroneous output o_i. A totalizer over the
-// select lines bounds the correction size; "at most k" is enforced with
-// assumptions so the k = 1..K loop of BasicSATDiagnose reuses one instance
-// incrementally.
+// copy, folded into g's clauses: copy i's one variable for g follows g's
+// function while s_g = 0 and is c_g^i while s_g = 1. Copy i is constrained
+// to test vector t_i at the primary inputs and to the correct value v_i at
+// the erroneous output o_i. A totalizer over the select lines bounds the
+// correction size; "at most k" is enforced with assumptions so the k = 1..K
+// loop of BasicSATDiagnose reuses one instance incrementally.
 //
 // encode_copy (cnf/tseitin.hpp) writes a copy's clauses. The builder has two
 // loaders for them: it stamps a cached ClauseStream template
@@ -14,12 +15,12 @@
 //
 // Options mirror the advanced technique of Smith et al. (ASP-DAC'04):
 //  * gating clauses force c_g^i = 0 while s_g = 0 ("prevents up to |I|
-//    decisions of the SAT solver"),
+//    decisions of the SAT solver"): subsumed, no c exists while s = 0,
 //  * restricting the instrumented set (e.g. to dominators) shrinks the
 //    search space for a first coarse pass,
 //  * internal gate variables can be excluded from decisions — the free
-//    variables are then exactly the select lines and correction inputs, as
-//    in the paper's description of F.
+//    variables are then exactly the select lines and the corrected values,
+//    as in the paper's description of F.
 #pragma once
 
 #include <vector>
@@ -36,9 +37,11 @@ struct DiagnosisInstanceOptions {
   std::vector<GateId> instrumented;
   /// Largest correction size the instance must support.
   unsigned max_k = 1;
-  /// Advanced heuristic: clause (s_g | ~c_g^i) per copy.
+  /// No effect: the folded multiplexer has no correction variable to gate.
+  /// Kept so that perfbench/src/diag_pool.cpp, which sets it, still builds;
+  /// delete it with that line.
   bool gating_clauses = true;
-  /// When false, internal gate variables are not decision variables.
+  /// When false, gate values without a select line are not decisions.
   bool internal_decisions = false;
   /// Cone-of-influence reduction: each test copy encodes only the fanin
   /// cone of that copy's constrained output, and the instrumented set is
@@ -56,9 +59,9 @@ struct DiagnosisInstanceOptions {
   /// copy) instead of encoding every copy into the solver. Produces the
   /// same variables and the same clause multiset, but not the same literal
   /// order inside clauses: the walk's add_clause sorts a select line first
-  /// and watches it in every mux clause, a stamped copy watches two copy
-  /// literals there (see cnf/clause_stream.hpp), so the two searches can
-  /// differ in propagations; complete enumerations find the same
+  /// and watches it in every guarded clause, a stamped copy watches two
+  /// copy literals there (see cnf/clause_stream.hpp), so the two searches
+  /// can differ in propagations; complete enumerations find the same
   /// solutions. The walk (false) is the reference: it loads clauses with
   /// add_clause and computes cones with fanin_cone, against which
   /// tests/cnf/clause_stream_test.cpp pins the template normalization,
@@ -76,9 +79,8 @@ struct DiagnosisInstance {
   static constexpr std::uint32_t kNoSelect = 0xffffffffu;
 
   /// Per test copy: variable of every gate (the *post-mux* value that feeds
-  /// fanouts), plus the free correction variables.
+  /// fanouts, and the correction value while the gate's select holds).
   std::vector<CircuitEncoding> copies;
-  std::vector<std::vector<sat::Var>> correction_var;  // [test][select index]
 
   CardinalityTracker cardinality;
 

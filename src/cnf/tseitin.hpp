@@ -3,7 +3,7 @@
 // The encoders are generic over a clause sink: sat::Solver (direct
 // encoding) or the ClauseStream template builder's sink (relative-index
 // encoding). A sink provides `new_var(bool decidable)`, `freeze(Var)` and
-// the `add_clause` overloads of sat::Solver. One body serves both, so the
+// `add_clause(Clause)`. One body serves both, so the
 // directly encoded and the template-stamped instances cannot diverge in
 // variables or clauses (only in the order of literals inside a clause, see
 // cnf/clause_stream.hpp).
@@ -11,7 +11,8 @@
 //  * encode_circuit: a plain circuit (equivalence-miter ATPG, whose faulty
 //    side overrides gate functions).
 //  * encode_copy: one instrumented copy of the diagnosis instance (Fig. 2
-//    of the paper), a correction multiplexer at every selected gate.
+//    of the paper), a correction multiplexer folded into every selected
+//    gate's clauses.
 #pragma once
 
 #include <cassert>
@@ -27,53 +28,60 @@ namespace satdiag {
 
 /// Add clauses asserting `out` equals gate function `type` over `ins`;
 /// arity must match a combinational type. A constant is a unit clause, an
-/// input or a DFF output stays a free variable; sources ignore `ins`.
+/// input or a DFF output stays a free variable; sources ignore `ins`. A
+/// `guard` other than Lit::undef() is appended to every clause, so the
+/// function holds only while the guard is false.
 template <typename Sink>
 void encode_gate_function(Sink& sink, GateType type, sat::Lit out,
-                          std::span<const sat::Lit> ins) {
+                          std::span<const sat::Lit> ins,
+                          sat::Lit guard = sat::Lit::undef()) {
   using sat::Clause;
   using sat::Lit;
   assert(is_source_type(type) || arity_ok(type, ins.size()));
+  const auto emit = [&](Clause clause) {
+    if (guard != Lit::undef()) clause.push_back(guard);
+    sink.add_clause(std::move(clause));
+  };
   // out <-> AND/OR(ins), with NAND/NOR inverting the output literal.
   const auto and_or_like = [&](bool or_gate, bool invert_out) {
     const Lit o = invert_out ? ~out : out;
     Clause big;
-    big.reserve(ins.size() + 1);
+    big.reserve(ins.size() + 2);
     for (Lit in : ins) {
       if (or_gate) {
-        sink.add_clause(o, ~in);
+        emit({o, ~in});
         big.push_back(in);
       } else {
-        sink.add_clause(~o, in);
+        emit({~o, in});
         big.push_back(~in);
       }
     }
     big.push_back(or_gate ? ~o : o);
-    sink.add_clause(std::move(big));
+    emit(std::move(big));
   };
   const auto xor2 = [&](Lit z, Lit a, Lit b) {
-    sink.add_clause(~z, a, b);
-    sink.add_clause(~z, ~a, ~b);
-    sink.add_clause(z, ~a, b);
-    sink.add_clause(z, a, ~b);
+    emit({~z, a, b});
+    emit({~z, ~a, ~b});
+    emit({z, ~a, b});
+    emit({z, a, ~b});
   };
   switch (type) {
     case GateType::kInput:
     case GateType::kDff:
       return;
     case GateType::kConst0:
-      sink.add_clause(~out);
+      emit({~out});
       return;
     case GateType::kConst1:
-      sink.add_clause(out);
+      emit({out});
       return;
     case GateType::kBuf:
-      sink.add_clause(~out, ins[0]);
-      sink.add_clause(out, ~ins[0]);
+      emit({~out, ins[0]});
+      emit({out, ~ins[0]});
       return;
     case GateType::kNot:
-      sink.add_clause(~out, ~ins[0]);
-      sink.add_clause(out, ins[0]);
+      emit({~out, ~ins[0]});
+      emit({out, ins[0]});
       return;
     case GateType::kAnd:
     case GateType::kNand:
@@ -94,8 +102,8 @@ void encode_gate_function(Sink& sink, GateType type, sat::Lit out,
       }
       const Lit target = type == GateType::kXor ? out : ~out;
       if (ins.size() == 1) {
-        sink.add_clause(~target, acc);
-        sink.add_clause(target, ~acc);
+        emit({~target, acc});
+        emit({target, ~acc});
       } else {
         xor2(target, acc, ins[ins.size() - 1]);
       }
@@ -126,13 +134,11 @@ CircuitEncoding encode_circuit(sat::Solver& solver, const Netlist& nl,
 
 /// The variables encode_copy gave one instrumented circuit copy.
 struct CopyVars {
-  /// Post-mux value variable per gate (the value its fanouts read); -1
-  /// outside the copy's cone.
+  /// Value variable per gate (the value its fanouts read); -1 outside the
+  /// copy's cone. At a mux gate it is also the copy's correction value.
   std::vector<sat::Var> gate_var;
-  /// The copy's mux gates in topological order, and each one's correction
-  /// variable c_g.
+  /// The copy's mux gates in topological order.
   std::vector<GateId> mux_gates;
-  std::vector<sat::Var> correction_var;
   /// In-cone primary inputs as (input position, variable).
   std::vector<std::pair<std::uint32_t, sat::Var>> input_vars;
 };
@@ -140,59 +146,53 @@ struct CopyVars {
 /// Encode one instrumented circuit copy into `sink`. `cone` restricts the
 /// copy to a fanin-closed gate set (nullptr = every gate). `select_of(g)`
 /// is the select literal s of gate g's correction multiplexer, or
-/// Lit::undef() where g carries none; at a mux gate with value v,
-/// correction c and original function value orig:
-///   s -> (v == c),  !s -> (v == orig),  and with `gating_clauses` the
-///   Smith et al. clause (s | ~c), which holds c at 0 while s is 0.
-/// Variables come in a fixed order, whatever the sink: every in-cone gate's
-/// value in topological order, then per gate in the same order c, orig and
-/// the gate function's intermediates. `internal_decisions` is the
-/// decidability of the gate values.
+/// Lit::undef() where g carries none; it is called once per in-cone gate,
+/// in topological order. A mux gate's function clauses carry s, so its
+/// value v follows the function while s = 0 and is the free correction
+/// while s = 1: Fig. 2's multiplexer with the correction input and the
+/// original function node eliminated (every resolvent on the correction
+/// is a tautology). Variables come in a fixed order, whatever the sink:
+/// every in-cone gate's value in topological order, then the XOR
+/// intermediates in the same order. A mux gate's value is decidable and
+/// frozen; `internal_decisions` is the decidability of the others.
 template <typename Sink, typename SelectOf>
 CopyVars encode_copy(Sink& sink, const Netlist& nl,
                      const std::vector<bool>* cone, SelectOf select_of,
-                     bool gating_clauses, bool internal_decisions) {
+                     bool internal_decisions) {
   using sat::Lit;
-  using sat::Var;
   assert(nl.finalized());
   assert(cone == nullptr || cone->size() == nl.size());
   CopyVars out;
   out.gate_var.assign(nl.size(), -1);
   const auto in_copy = [&](GateId g) { return cone == nullptr || (*cone)[g]; };
 
-  // Pass 1: one post-mux value variable per in-cone gate.
+  // Pass 1: one value variable per in-cone gate, and its select line.
+  std::vector<Lit> select(nl.size(), Lit::undef());
   for (const GateId g : nl.topo_order()) {
-    if (in_copy(g)) out.gate_var[g] = sink.new_var(internal_decisions);
+    if (!in_copy(g)) continue;
+    select[g] = select_of(g);
+    if (select[g] == Lit::undef()) {
+      out.gate_var[g] = sink.new_var(internal_decisions);
+    } else {
+      // Frozen: the repair layer reads a corrected gate's value long after
+      // inprocessing has started.
+      out.gate_var[g] = sink.new_var(/*decidable=*/true);
+      sink.freeze(out.gate_var[g]);
+      out.mux_gates.push_back(g);
+    }
   }
 
-  // Pass 2: mux instrumentation and gate functions.
+  // Pass 2: gate functions, guarded by the select line at mux gates.
   std::vector<Lit> ins;
   for (const GateId g : nl.topo_order()) {
     if (!in_copy(g)) continue;
-    const Lit value = sat::pos(out.gate_var[g]);
-    Lit function_out = value;
-    if (const Lit s = select_of(g); s != Lit::undef()) {
-      // Frozen: the diagnosis and repair layers assume c and read its model
-      // value long after inprocessing has started.
-      const Var c = sink.new_var(/*decidable=*/true);
-      sink.freeze(c);
-      out.mux_gates.push_back(g);
-      out.correction_var.push_back(c);
-      sink.add_clause(~s, ~value, sat::pos(c));
-      sink.add_clause(~s, value, sat::neg(c));
-      if (gating_clauses) sink.add_clause(s, sat::neg(c));
-      // The original function drives a fresh internal node.
-      const Var orig = sink.new_var(/*decidable=*/false);
-      sink.add_clause(s, ~value, sat::pos(orig));
-      sink.add_clause(s, value, sat::neg(orig));
-      function_out = sat::pos(orig);
-    }
     ins.clear();
     for (const GateId f : nl.fanins(g)) {
       assert(out.gate_var[f] >= 0 && "cone must be fanin-closed");
       ins.push_back(sat::pos(out.gate_var[f]));
     }
-    encode_gate_function(sink, nl.type(g), function_out, ins);
+    encode_gate_function(sink, nl.type(g), sat::pos(out.gate_var[g]), ins,
+                         select[g]);
   }
 
   const auto& inputs = nl.inputs();

@@ -1,7 +1,7 @@
 // Advanced SAT-based diagnosis heuristics (Smith/Veneris/Viglas, ASP-DAC'04;
 // Sec. 2.3 of the paper).
 //
-// Beyond the gating clauses and non-decision internal variables (handled by
+// Beyond non-decision internal variables (handled by
 // DiagnosisInstanceOptions), this implements the paper's two-pass region
 // diagnosis: "instead of inserting a multiplexer at each gate only
 // dominators are selected in a first run. In a second run a finer level of

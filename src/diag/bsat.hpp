@@ -18,7 +18,7 @@ namespace satdiag {
 
 struct BsatOptions {
   unsigned k = 1;
-  /// Instance construction knobs (instrumented set, gating clauses, ...).
+  /// Instance construction knobs (instrumented set, cone of influence, ...).
   /// max_k inside is overridden with `k`.
   /// Cone-of-influence reduction is on by default here: the enumerated
   /// solution sets are provably unchanged (a gate outside every cone is

@@ -48,7 +48,6 @@ RepairResult realize_correction(const Netlist& nl, const TestSet& tests,
   DiagnosisInstanceOptions options;
   options.instrumented = correction;
   options.max_k = 0;  // bound imposed via assumptions
-  options.gating_clauses = false;  // c values must stay free
   options.internal_decisions = false;
   DiagnosisInstance inst = build_diagnosis_instance(nl, tests, options);
   std::vector<sat::Lit> assumptions;

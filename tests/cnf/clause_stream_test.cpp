@@ -3,7 +3,7 @@
 // The stamped builder (template_stamped=true, the default) must produce a
 // clause database that is variable-for-variable and clause-for-clause
 // identical to the reference walk encoder, for every instance shape: test
-// counts, cone-of-influence on/off, gating clauses on/off, restricted
+// counts, cone-of-influence on/off, internal decisions on/off, restricted
 // instrumented universes, and templates that contain unit clauses (const
 // gates — the non-pristine stamp path). On top of DB identity, the BSAT
 // solution sets are pinned across builders and thread counts, and the
@@ -50,7 +50,6 @@ void expect_identical(const Netlist& nl, const TestSet& tests,
   ASSERT_EQ(walk.solver.num_clauses(), stamped.solver.num_clauses());
   EXPECT_EQ(walk.select_var, stamped.select_var);
   EXPECT_EQ(walk.instrumented, stamped.instrumented);
-  EXPECT_EQ(walk.correction_var, stamped.correction_var);
   for (std::size_t t = 0; t < tests.size(); ++t) {
     EXPECT_EQ(walk.copies[t].gate_var, stamped.copies[t].gate_var)
         << "copy " << t;
@@ -72,13 +71,13 @@ TEST(ClauseStreamTest, DbIdentityAcrossShapes) {
       const difftest::DiffInstance di = difftest::make_instance(config);
 
       for (const bool coi : {false, true}) {
-        for (const bool gating : {false, true}) {
+        for (const bool decisions : {false, true}) {
           DiagnosisInstanceOptions options;
           options.max_k = 2;
           options.cone_of_influence = coi;
-          options.gating_clauses = gating;
+          options.internal_decisions = decisions;
           SCOPED_TRACE(config.describe() + (coi ? " coi" : " full") +
-                       (gating ? " gating" : " ungated"));
+                       (decisions ? " decide" : " nodecide"));
           bool select_assigned = false;
           expect_identical(di.nl, di.tests, options, &select_assigned);
           select_assigned_instances += select_assigned ? 1 : 0;
@@ -187,7 +186,7 @@ TEST(ClauseStreamTest, StampedWatchListsMatchDirectEncoding) {
 
     const std::vector<bool> no_mux(di.nl.size(), false);
     const ClauseStream ts =
-        build_copy_template(di.nl, nullptr, no_mux, /*gating_clauses=*/false,
+        build_copy_template(di.nl, nullptr, no_mux,
                             /*internal_decisions=*/true);
     // No units and no extern slots: every clause takes the pristine path.
     ASSERT_EQ(ts.num_units, 0u);
@@ -198,7 +197,7 @@ TEST(ClauseStreamTest, StampedWatchListsMatchDirectEncoding) {
     sat::Solver direct;
     const CopyVars vars = encode_copy(
         direct, di.nl, nullptr, [](GateId) { return Lit::undef(); },
-        /*gating_clauses=*/false, /*internal_decisions=*/true);
+        /*internal_decisions=*/true);
     ASSERT_EQ(vars.gate_var, ts.vars.gate_var);
     ASSERT_EQ(stamped.num_vars(), direct.num_vars());
 

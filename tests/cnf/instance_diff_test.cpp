@@ -2,7 +2,7 @@
 // exactly the selects of a correction C asserted iff C is a valid correction
 // by Definition 3 (first_failing_test, which simulates and shares no CNF
 // with the builders). Checked for both builders (template-stamped and the
-// walk), cone of influence on/off and gating clauses on/off, over every
+// walk), cone of influence on/off and internal decisions on/off, over every
 // single gate of the universe and random pairs at max_k = 2.
 #include <gtest/gtest.h>
 
@@ -58,12 +58,12 @@ std::string check_builders_against_definition3(
   const difftest::DiffInstance di = make_fixture(config);
   for (const bool stamped : {true, false}) {
     for (const bool coi : {false, true}) {
-      for (const bool gating : {false, true}) {
+      for (const bool decisions : {false, true}) {
         DiagnosisInstanceOptions options;
         options.max_k = 2;
         options.template_stamped = stamped;
         options.cone_of_influence = coi;
-        options.gating_clauses = gating;
+        options.internal_decisions = decisions;
         DiagnosisInstance inst =
             build_diagnosis_instance(di.nl, di.tests, options);
 
@@ -85,7 +85,7 @@ std::string check_builders_against_definition3(
           if (sat == valid) return "";
           std::ostringstream out;
           out << (stamped ? "stamped" : "walk") << " coi=" << coi
-              << " gating=" << gating << " C=" << describe(correction)
+              << " decisions=" << decisions << " C=" << describe(correction)
               << ": instance " << (sat ? "SAT" : "UNSAT")
               << ", Definition 3 says " << (valid ? "valid" : "invalid");
           return out.str();

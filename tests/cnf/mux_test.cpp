@@ -60,47 +60,65 @@ TEST(MuxInstrumentTest, SelectSharedAcrossTests) {
   const auto gates = inst.selected_gates_from_model();
   ASSERT_EQ(gates.size(), 1u);
   EXPECT_EQ(gates[0], o);
-  // The two correction variables must take opposite values.
-  const std::uint32_t sel = inst.select_index[o];
-  const sat::Var c0 = inst.correction_var[0][sel];
-  const sat::Var c1 = inst.correction_var[1][sel];
+  // The two copies' values of o are their correction values, and must be
+  // opposite.
+  const sat::Var c0 = inst.copies[0].gate_var[o];
+  const sat::Var c1 = inst.copies[1].gate_var[o];
   EXPECT_EQ(inst.solver.model_value(c0), LBool::kFalse);
   EXPECT_EQ(inst.solver.model_value(c1), LBool::kTrue);
 }
 
-TEST(MuxInstrumentTest, GatingClausesForceCorrectionZeroWhenOff) {
+// The folded multiplexer at one gate o, for both builders: under s = 0 the
+// copy's value of o is its function of the fanins (the opposite value is
+// UNSAT), under s = 1 either value is SAT. The test constrains a second
+// output, q = BUF(a), to its fault-free value, so nothing but o's own
+// clauses bears on o's value, which is assumed directly.
+void expect_select_guards_function(GateType type) {
   Netlist nl;
   const GateId a = nl.add_input("a");
-  const GateId o = nl.add_gate(GateType::kNot, "o", {a});
+  const GateId b = nl.add_input("b");
+  const bool unary = type == GateType::kNot;
+  const GateId o = nl.add_gate(type, "o", unary ? std::vector<GateId>{a}
+                                                : std::vector<GateId>{a, b});
+  const GateId q = nl.add_gate(GateType::kBuf, "q", {a});
   nl.add_output(o);
+  nl.add_output(q);
   nl.finalize();
-  TestSet tests{satdiag::Test{{false}, 0, true}};  // NOT(0)=1 already correct... but
-  // the test demands the *correct* value, so the instance is SAT without
-  // any correction; the gating clause then pins c to 0.
-  DiagnosisInstanceOptions options;
-  options.max_k = 1;
-  options.gating_clauses = true;
-  DiagnosisInstance inst = build_diagnosis_instance(nl, tests, options);
-  std::vector<Lit> all_off;
-  for (sat::Var s : inst.select_var) all_off.push_back(sat::neg(s));
-  ASSERT_EQ(inst.solver.solve(all_off), LBool::kTrue);
-  const std::uint32_t sel = inst.select_index[o];
-  EXPECT_EQ(inst.solver.model_value(inst.correction_var[0][sel]),
-            LBool::kFalse);
-  // The pin is the clause, not the solver's default phase: c = 1 while
-  // s = 0 is UNSAT with gating and SAT without, for both builders.
-  for (const bool stamped : {true, false}) {
-    for (const bool gating : {true, false}) {
-      options.template_stamped = stamped;
-      options.gating_clauses = gating;
-      DiagnosisInstance built = build_diagnosis_instance(nl, tests, options);
-      std::vector<Lit> c_on{sat::neg(built.select_var[sel]),
-                            sat::pos(built.correction_var[0][sel])};
-      EXPECT_EQ(built.solver.solve(c_on),
-                gating ? LBool::kFalse : LBool::kTrue)
-          << "stamped=" << stamped << " gating=" << gating;
+  for (const bool va : {false, true}) {
+    for (const bool vb : {false, true}) {
+      const bool function =
+          eval_gate(type, unary ? std::vector<bool>{va}
+                                : std::vector<bool>{va, vb});
+      const TestSet tests{satdiag::Test{{va, vb}, 1, va}};
+      for (const bool stamped : {true, false}) {
+        DiagnosisInstanceOptions options;
+        options.max_k = 1;
+        options.instrumented = {o};
+        options.template_stamped = stamped;
+        DiagnosisInstance inst = build_diagnosis_instance(nl, tests, options);
+        const sat::Var s = inst.select_var[inst.select_index[o]];
+        const sat::Var v = inst.copies[0].gate_var[o];
+        for (const bool select : {false, true}) {
+          for (const bool value : {false, true}) {
+            const std::vector<Lit> assumptions{sat::Lit(s, !select),
+                                               sat::Lit(v, !value)};
+            const LBool expected = select || value == function
+                                       ? LBool::kTrue
+                                       : LBool::kFalse;
+            EXPECT_EQ(inst.solver.solve(assumptions), expected)
+                << "type=" << static_cast<int>(type) << " a=" << va
+                << " b=" << vb << " stamped=" << stamped
+                << " s=" << select << " v=" << value;
+          }
+        }
+      }
     }
   }
+}
+
+TEST(MuxInstrumentTest, SelectLineGuardsGateFunction) {
+  expect_select_guards_function(GateType::kNot);
+  expect_select_guards_function(GateType::kAnd);
 }
 
 TEST(MuxInstrumentTest, RestrictedInstrumentationExcludesOtherGates) {

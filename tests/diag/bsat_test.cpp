@@ -152,21 +152,6 @@ TEST(BsatTest, MoreTestsNarrowSolutions) {
   EXPECT_GE(small.solutions.size(), large.solutions.size());
 }
 
-TEST(BsatTest, GatingClausesDoNotChangeSolutions) {
-  const Scenario s = make_scenario(7, 1, 6);
-  BsatOptions with;
-  with.k = 1;
-  with.instance.gating_clauses = true;
-  BsatOptions without = with;
-  without.instance.gating_clauses = false;
-  const BsatResult a = basic_sat_diagnose(s.faulty, s.tests, with);
-  const BsatResult b = basic_sat_diagnose(s.faulty, s.tests, without);
-  ASSERT_TRUE(a.complete);
-  ASSERT_TRUE(b.complete);
-  EXPECT_EQ(std::set<std::vector<GateId>>(a.solutions.begin(), a.solutions.end()),
-            std::set<std::vector<GateId>>(b.solutions.begin(), b.solutions.end()));
-}
-
 TEST(BsatTest, ActivitySeedKeepsSolutionSpace) {
   const Scenario s = make_scenario(9, 1, 6);
   BsatOptions plain;

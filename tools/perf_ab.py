@@ -20,8 +20,12 @@ BENCHMARK.json's run_seconds. With --repeat SEED every pair runs at that
 one seed instead: the inputs no longer vary between pairs, so the base
 IQR measures run-to-run noise alone rather than noise plus seed-to-seed
 variation of the work. It reports whether the two
-sides did the same work (equal fingerprints in every pair, error_rate 0),
-and for every metric of BENCHMARK.json (end-to-end ones, or per-layer ones
+sides did the same work (equal fingerprints in every pair, error_rate 0).
+When they did not, it lists each differing fingerprint key once, with its
+base and head values summed over the pairs and the relative change, and
+says whether every solutions.* key is equal (a change that only saves
+work moves counters such as sat.propagations but no answer). Then, for
+every metric of BENCHMARK.json (end-to-end ones, or per-layer ones
 with --trace 1) both medians, the relative change, the base side's
 IQR/median and how many pairs each side won, with a verdict:
 
@@ -126,6 +130,33 @@ def pair_seeds(pairs, repeat=None):
     return [i if repeat is None else repeat for i in range(1, pairs + 1)]
 
 
+def fingerprint_diffs(runs, pairs):
+    """Fingerprint keys that differ between the sides in some pair.
+
+    One row per key, in first-seen order: the key, its base and head values
+    summed over the pairs (None when a value is missing or not a number),
+    and the number of pairs in which the two sides differ.
+    """
+    keys = []
+    for s in pairs:
+        for side in ("base", "head"):
+            keys += [k for k in runs[side][s]["fingerprint"] if k not in keys]
+
+    def total(side, key):
+        try:
+            return sum(int(runs[side][s]["fingerprint"][key]) for s in pairs)
+        except (KeyError, ValueError):
+            return None
+
+    rows = []
+    for key in keys:
+        differ = sum(runs["base"][s]["fingerprint"].get(key) !=
+                     runs["head"][s]["fingerprint"].get(key) for s in pairs)
+        if differ:
+            rows.append((key, total("base", key), total("head", key), differ))
+    return rows
+
+
 def report(workload, specs, runs, seeds, out=sys.stdout):
     """Print one workload's comparison; return True when it passes.
 
@@ -142,10 +173,20 @@ def report(workload, specs, runs, seeds, out=sys.stdout):
           (workload, len(pairs), at, "equal" if same_work else "DIFFER",
            max(errors)), file=out)
     if not same_work:
-        for s in pairs:
-            print("  pair %d (seed %d) base %s\n  pair %d (seed %d) head %s" %
-                  (s, seeds[s - 1], runs["base"][s]["fingerprint"], s,
-                   seeds[s - 1], runs["head"][s]["fingerprint"]), file=out)
+        rows = fingerprint_diffs(runs, pairs)
+        print("  %-26s %14s %14s %9s  %s" % ("fingerprint key", "base sum",
+              "head sum", "change", "pairs differing"), file=out)
+        for key, base, head, differ in rows:
+            change = ("%+8.1f%%" % (100 * relative(head - base, base))
+                      if base is not None and head is not None else "")
+            print("  %-26s %14s %14s %9s  %d/%d" %
+                  (key, "-" if base is None else base,
+                   "-" if head is None else head, change, differ,
+                   len(pairs)), file=out)
+        solutions = [row[0] for row in rows if row[0].startswith("solutions.")]
+        print("  solutions.* keys: %s" %
+              ("equal in every pair" if not solutions
+               else "DIFFER (" + ", ".join(solutions) + ")"), file=out)
     print("  %-26s %14s %14s %9s %8s %7s  %s" %
           ("metric", "base median", "head median", "change", "base IQR",
            "wins", "verdict"), file=out)
@@ -229,12 +270,12 @@ def main_ab(args):
 # ---------------------------------------------------------------------------
 # Self-test over canned result lines
 
-def canned(fp, wall, p50, error_rate=0.0):
+def canned(fp, wall, p50, error_rate=0.0, extra=""):
     metrics = {"wall_s": {"value": wall, "unit": "s"},
                "op_p50_ms": {"value": p50, "unit": "ms"}}
-    return ("workload sim_sweep: canned\nfingerprint instances=11 faults=%d\n"
+    return ("workload sim_sweep: canned\nfingerprint instances=11 faults=%d%s\n"
             "error_rate %.6f (0 of 11)\nmetric wall_s %f s n=1\n%s\n" %
-            (fp, error_rate, wall,
+            (fp, extra, error_rate, wall,
              json.dumps({"correct": True, "attempted": 11, "failed": 0,
                          "metrics": metrics})))
 
@@ -302,6 +343,26 @@ def self_test():
     assert not report("sim_sweep", specs, runs, pair_seeds(len(tight)), sink)
     runs["head"][3] = parse_run(canned(7, 6.0, 22.0, error_rate=0.1))
     assert not report("sim_sweep", specs, runs, pair_seeds(len(tight)), sink)
+
+    # Differing work is listed once per key, summed over the pairs, and the
+    # solutions.* keys are judged on their own; the run still fails.
+    def work(pair, props, sols=5):
+        return parse_run(canned(7, 10.0, 38.0, extra=(
+            " solutions.bsat=%d sat.propagations=%d" % (sols, props * pair))))
+    runs = {"base": {s: work(s, 100) for s in (1, 2, 3, 4)},
+            "head": {s: work(s, 50) for s in (1, 2, 3, 4)}}
+    assert fingerprint_diffs(runs, [1, 2, 3, 4]) == [
+        ("sat.propagations", 1000, 500, 4)]
+    listed = io.StringIO()
+    assert not report("sim_sweep", specs, runs, pair_seeds(4), listed)
+    text = listed.getvalue()
+    assert text.count("sat.propagations") == 1, text
+    assert "-50.0%" in text and "4/4" in text, text
+    assert "solutions.* keys: equal in every pair" in text, text
+    runs["head"][2] = work(2, 50, sols=6)
+    listed = io.StringIO()
+    report("sim_sweep", specs, runs, pair_seeds(4), listed)
+    assert "solutions.* keys: DIFFER (solutions.bsat)" in listed.getvalue()
     print("perf_ab self-test passed")
     return 0
 
