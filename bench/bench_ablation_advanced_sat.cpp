@@ -34,16 +34,19 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
   ExperimentConfig config;
-  config.circuit = args.get_string("circuit", "s1423_like");
-  config.scale = args.get_double("scale", 1.0);
-  config.num_errors = static_cast<std::size_t>(args.get_int("errors", 2));
-  config.num_tests = static_cast<std::size_t>(args.get_int("tests", 16));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
-  const double limit = args.get_double("limit", 120.0);
-  config.time_limit_seconds = limit;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        config.circuit = args.get_string("circuit", "s1423_like");
+        config.scale = args.get_double("scale", 1.0);
+        config.num_errors =
+            static_cast<std::size_t>(args.get_int("errors", 2));
+        config.num_tests = static_cast<std::size_t>(args.get_int("tests", 16));
+        config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+        config.time_limit_seconds = args.get_double("limit", 120.0);
+      })) {
+    return 2;
+  }
+  const double limit = config.time_limit_seconds;
 
   const auto prepared = prepare_experiment(config);
   if (!prepared) {

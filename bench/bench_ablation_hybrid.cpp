@@ -20,14 +20,19 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
-  const std::string circuit = args.get_string("circuit", "s953_like");
-  const double scale = args.get_double("scale", 0.5);
-  const std::size_t tests_n =
-      static_cast<std::size_t>(args.get_int("tests", 8));
-  const int rounds = static_cast<int>(args.get_int("rounds", 5));
-  const double limit = args.get_double("limit", 60.0);
+  std::string circuit;
+  double scale = 0.0, limit = 0.0;
+  std::size_t tests_n = 0;
+  int rounds = 0;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        circuit = args.get_string("circuit", "s953_like");
+        scale = args.get_double("scale", 0.5);
+        tests_n = static_cast<std::size_t>(args.get_int("tests", 8));
+        rounds = static_cast<int>(args.get_int("rounds", 5));
+        limit = args.get_double("limit", 60.0);
+      })) {
+    return 2;
+  }
 
   Summary plain_total, seeded_total, repair_total;
   Summary plain_dec, seeded_dec;

@@ -18,12 +18,15 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
-  const double scale = args.get_double("scale", 0.5);
-  const double limit = args.get_double("limit", 30.0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
+  double scale = 0.0, limit = 0.0;
+  std::uint64_t seed = 0;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        scale = args.get_double("scale", 0.5);
+        limit = args.get_double("limit", 30.0);
+        seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+      })) {
+    return 2;
+  }
 
   // A spread of benchmark sizes (the paper plots "all benchmarks").
   const std::vector<std::string> circuits = {

@@ -65,10 +65,12 @@ double time_bsim(const Scenario& s, int repeats) {
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
+  std::uint64_t seed = 0;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+      })) {
+    return 2;
+  }
 
   std::printf("# Table 1 empirical check\n\n");
 

@@ -16,16 +16,20 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
-  const bool full = args.get_bool("full", false);
-  const double scale = args.get_double("scale", full ? 1.0 : 0.25);
-  const double limit = args.get_double("limit", full ? 1800.0 : 30.0);
-  const std::int64_t max_solutions =
-      args.get_int("max-solutions", full ? -1 : 20000);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const bool csv = args.get_bool("csv", false);
+  double scale = 0.0, limit = 0.0;
+  std::int64_t max_solutions = 0;
+  std::uint64_t seed = 0;
+  bool csv = false;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        const bool full = args.get_bool("full", false);
+        scale = args.get_double("scale", full ? 1.0 : 0.25);
+        limit = args.get_double("limit", full ? 1800.0 : 30.0);
+        max_solutions = args.get_int("max-solutions", full ? -1 : 20000);
+        seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+        csv = args.get_bool("csv", false);
+      })) {
+    return 2;
+  }
 
   struct Cell {
     const char* circuit;

@@ -1,16 +1,23 @@
 // Construction of the SAT-based diagnosis instance (Fig. 2 of the paper).
 //
-// One circuit copy per test; a correction multiplexer at every instrumented
-// gate g: select s_g shared by all copies, free correction value c_g^i per
-// copy, folded into g's clauses: copy i's one variable for g follows g's
-// function while s_g = 0 and is c_g^i while s_g = 1. Copy i is constrained
-// to test vector t_i at the primary inputs and to the correct value v_i at
-// the erroneous output o_i. A totalizer over the select lines bounds the
-// correction size; "at most k" is enforced with assumptions so the k = 1..K
-// loop of BasicSATDiagnose reuses one instance incrementally.
+// Up to one circuit copy per test; a correction multiplexer at every
+// instrumented gate g: select s_g shared by all copies, free correction value
+// c_g^i per copy, folded into g's clauses: copy i's one variable for g
+// follows g's function while s_g = 0 and is c_g^i while s_g = 1. Copy i is
+// constrained to test vector t_i at the primary inputs and to the correct
+// value v_i at the erroneous output o_i. A totalizer over the select lines
+// bounds the correction size; "at most k" is enforced with assumptions so
+// the k = 1..K loop of BasicSATDiagnose reuses one instance incrementally.
 //
-// encode_copy (cnf/tseitin.hpp) writes a copy's clauses. The builder has two
-// loaders for them: it stamps a cached ClauseStream template
+// The instance is built in two parts. The shell (build_diagnosis_shell)
+// holds every test's cone, the universe, the select lines and the
+// totalizer; add_test_copy then adds one test's copy, also into a solver
+// that has already searched. build_diagnosis_instance is the shell plus
+// every copy; BSAT starts from the shell and adds a copy only when
+// simulation refutes a model on that test (diag/bsat.hpp).
+//
+// encode_copy (cnf/tseitin.hpp) writes a copy's clauses. add_test_copy has
+// two loaders for them: it stamps a cached ClauseStream template
 // (cnf/clause_stream.hpp), or it encodes the copy straight into the solver.
 //
 // Options mirror the advanced technique of Smith et al. (ASP-DAC'04):
@@ -23,6 +30,7 @@
 //    as in the paper's description of F.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "cnf/cardinality.hpp"
@@ -70,6 +78,11 @@ struct DiagnosisInstanceOptions {
 };
 
 struct DiagnosisInstance {
+  DiagnosisInstance();
+  DiagnosisInstance(DiagnosisInstance&&) noexcept;
+  DiagnosisInstance& operator=(DiagnosisInstance&&) noexcept;
+  ~DiagnosisInstance();
+
   sat::Solver solver;
 
   /// Instrumented gates; index in this vector == select index.
@@ -78,8 +91,9 @@ struct DiagnosisInstance {
   std::vector<std::uint32_t> select_index;    // per GateId; kNoSelect if none
   static constexpr std::uint32_t kNoSelect = 0xffffffffu;
 
-  /// Per test copy: variable of every gate (the *post-mux* value that feeds
-  /// fanouts, and the correction value while the gate's select holds).
+  /// Per test, in test order: the variable of every gate of that test's
+  /// copy (the *post-mux* value that feeds fanouts, and the correction value
+  /// while the gate's select holds). Empty while the test has no copy.
   std::vector<CircuitEncoding> copies;
 
   CardinalityTracker cardinality;
@@ -93,6 +107,15 @@ struct DiagnosisInstance {
   std::vector<GateId> selected_gates_from_model() const;
 
   std::size_t num_tests() const { return copies.size(); }
+  bool has_copy(std::size_t t) const { return !copies[t].gate_var.empty(); }
+  /// Tests whose copy has been added.
+  std::size_t num_copies() const;
+
+  /// What add_test_copy needs after the shell is built: the netlist, the
+  /// tests, the cones and the copy sources made so far. The netlist and the
+  /// test set given to the build must outlive every add_test_copy call.
+  struct CopyMaker;
+  std::unique_ptr<CopyMaker> maker;
 };
 
 /// The gates build_diagnosis_instance instruments, in select-index order:
@@ -103,8 +126,23 @@ std::vector<GateId> diagnosis_universe(const Netlist& nl,
                                        const TestSet& tests,
                                        const DiagnosisInstanceOptions& options);
 
-/// Build the instance. `tests` must be non-empty; test input_values must
-/// cover nl.inputs().
+/// Build the instance without any test copy: every test's cone, the
+/// universe (diagnosis_universe over all tests), the frozen select lines and
+/// the totalizer. `tests` must be non-empty; test input_values must cover
+/// nl.inputs(). Keeps pointers to `nl` and `tests` for add_test_copy.
+DiagnosisInstance build_diagnosis_shell(const Netlist& nl,
+                                        const TestSet& tests,
+                                        const DiagnosisInstanceOptions& options);
+
+/// Add test t's copy: its clauses, then the unit clauses that tie its
+/// inputs to the test vector and its erroneous output to the correct value.
+/// The copy's source (cone, cached template, select map) is made when the
+/// first test with that cone is added, so a test that never gets a copy
+/// costs no template build. Callable on a solver that has already searched:
+/// the copy is added at the root (the trail is reset). t must have no copy.
+void add_test_copy(DiagnosisInstance& inst, std::size_t t);
+
+/// The shell plus every test's copy, in test order.
 DiagnosisInstance build_diagnosis_instance(
     const Netlist& nl, const TestSet& tests,
     const DiagnosisInstanceOptions& options);

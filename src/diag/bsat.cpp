@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <memory>
+#include <optional>
 
 #include "diag/validity.hpp"
 #include "exec/parallel.hpp"
@@ -45,7 +46,7 @@ sat::Clause blocking_clause(const DiagnosisInstance& inst,
 
 /// One enumeration shard. With several shards the instrumented universe is
 /// partitioned by the minimum selected gate: every shard builds the same
-/// full-universe instance and restricts itself to corrections whose minimum
+/// full-universe shell and restricts itself to corrections whose minimum
 /// gate falls in its partition by assuming a per-partition activation
 /// variable (the partition clauses of *all* partitions are present in
 /// *every* shard, guarded by their act vars). The other partitions' clauses
@@ -54,10 +55,15 @@ sat::Clause blocking_clause(const DiagnosisInstance& inst,
 /// clause raised the summed propagations by 16.5%. The partitions stay
 /// disjoint and exhaustive over the solution space, so the merged per-bound
 /// sets do not depend on the shard count. A lone shard owns the whole
-/// universe: no activation variable or partition clause.
+/// universe: no activation variable or partition clause. Each shard
+/// refines on its own: a model that simulation refutes on a test without a
+/// copy gets that test's copy in that shard, at most once per test.
 struct BsatShard {
   std::unique_ptr<DiagnosisInstance> inst;
   sat::Lit activate = sat::Lit::undef();  // partition act var, if partitioned
+  /// Tests without a copy, and their indices in the full test set.
+  TestSet pending;
+  std::vector<std::size_t> pending_index;
   std::vector<std::vector<GateId>> bound_solutions;
   bool retired = false;  // instance became UNSAT at the root
 };
@@ -136,15 +142,20 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
 
   Timer build_timer;
   obs::Span build_span("phase.build");
-  // Every shard stamps its copies from the SAME cached ClauseStream
-  // template: the first shard to miss the artifact cache runs the encoder
-  // walk once, the others block on its in-flight future and relocate the
+  // Every shard builds a shell; its copies come during the enumeration. A
+  // copy is stamped from the SAME cached ClauseStream template in every
+  // shard: the first shard to miss the artifact cache runs the encoder walk
+  // once, the others block on its in-flight future and relocate the
   // finished template (no redundant re-encoding per shard).
   for_each_shard([&](std::size_t s) {
     DiagnosisInstanceOptions inst_options = options.instance;
     inst_options.max_k = options.k;
     shards[s].inst = std::make_unique<DiagnosisInstance>(
-        build_diagnosis_instance(nl, tests, inst_options));
+        build_diagnosis_shell(nl, tests, inst_options));
+    shards[s].pending = tests;
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      shards[s].pending_index.push_back(t);
+    }
     DiagnosisInstance& inst = *shards[s].inst;
     if (num_shards > 1) {
       shards[s].activate =
@@ -157,14 +168,11 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
   });
   build_span.close();
   result.build_seconds = build_timer.seconds();
-  result.num_vars =
-      static_cast<std::size_t>(shards[0].inst->solver.num_vars());
-  result.num_clauses = shards[0].inst->solver.num_clauses();
 
   enumerate_span.open("phase.enumerate");
   Timer solve_timer;
-  // Time of the first model any shard finds: written once by the shard
-  // that wins the flag, read after the join.
+  // Time of the first correction any shard emits: written once by the
+  // shard that wins the flag, read after the join.
   std::atomic<bool> first_found{false};
   std::atomic<bool> truncated{false};
   for (unsigned bound = 1; bound <= options.k; ++bound) {
@@ -186,18 +194,29 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
                                              shard.bound_solutions.size()) >=
                        options.max_solutions;
           },
-          [&](const sat::Solver&) {
+          [&](const sat::Solver&) -> std::optional<sat::Clause> {
+            std::vector<GateId> correction = inst.selected_gates_from_model();
+            // Definition 3 on the tests without a copy (the copies hold C
+            // valid on theirs). A refuting test gets its copy, and the
+            // solver searches again with nothing blocked.
+            if (const auto failing =
+                    first_failing_test(nl, shard.pending, correction)) {
+              add_test_copy(inst, shard.pending_index[*failing]);
+              const auto at = static_cast<std::ptrdiff_t>(*failing);
+              shard.pending.erase(shard.pending.begin() + at);
+              shard.pending_index.erase(shard.pending_index.begin() + at);
+              return std::nullopt;
+            }
             if (!first_found.exchange(true, std::memory_order_relaxed)) {
               result.first_seconds = solve_timer.seconds();
             }
-            std::vector<GateId> correction = inst.selected_gates_from_model();
             sat::Clause blocking = blocking_clause(inst, correction);
             shard.bound_solutions.push_back(std::move(correction));
             return blocking;
           });
-      // The first_failing_test early-out rules out the empty model (and
-      // with several shards the partition clause does too), so a stop
-      // other than exhaustion or a budget means root-UNSAT.
+      // The empty model is never emitted: some test fails (the early-out
+      // above), so it fails on a pending test or on that test's copy. A
+      // stop other than exhaustion or a budget means root-UNSAT.
       if (sat::truncated(stop)) {
         truncated.store(true, std::memory_order_relaxed);
       } else if (stop != sat::EnumStop::kExhausted) {
@@ -250,8 +269,12 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
   if (!first_found.load(std::memory_order_relaxed)) {
     result.first_seconds = result.all_seconds;
   }
+  result.num_vars =
+      static_cast<std::size_t>(shards[0].inst->solver.num_vars());
+  result.num_clauses = shards[0].inst->solver.num_clauses();
   for (const BsatShard& shard : shards) {
     result.solver_stats.merge(shard.inst->solver.stats());
+    result.num_copies += shard.inst->num_copies();
   }
   return result;
 }

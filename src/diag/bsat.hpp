@@ -1,11 +1,22 @@
 // BSAT — basic SAT-based diagnosis (BasicSATDiagnose, Fig. 3).
 //
-// Builds the multiplexer-instrumented instance (one circuit copy per test),
-// then for i = 1..k enumerates all solutions under the cardinality
-// assumption "at most i selects", blocking each solution. Blocking smaller
-// corrections before increasing the limit guarantees that every returned
-// correction contains only essential candidates (Lemma 3); every returned
-// correction is valid by construction (Lemma 1).
+// Builds the multiplexer-instrumented instance, then for i = 1..k
+// enumerates all solutions under the cardinality assumption "at most i
+// selects", blocking each solution. Blocking smaller corrections before
+// increasing the limit guarantees that every returned correction contains
+// only essential candidates (Lemma 3).
+//
+// Test copies are added lazily (counterexample-guided refinement, after
+// CEGAR): the enumeration starts from the instance shell, which has no
+// copy, and each model's correction C is first checked by simulation
+// (first_failing_test, Definition 3) on the tests that have no copy yet.
+// A test that refutes C gets its circuit copy and the solver searches
+// again, blocking nothing; a C that passes is emitted and subset-blocked.
+// So every returned correction is valid on every test (Lemma 1): by SAT on
+// the tests with a copy, by simulation on the rest. The answers are those
+// of the full instance: a correction valid on all tests satisfies any
+// subset of the copies, so it stays a model until it is emitted. At most
+// one copy per test is added; tests that never refute a model cost no copy.
 #pragma once
 
 #include "cnf/mux_instrument.hpp"
@@ -40,8 +51,8 @@ struct BsatOptions {
   /// instrumented set, and one thread (or a universe of at most one gate)
   /// means one shard over the whole set, enumerated on the calling thread.
   /// With N > 1 the set is partitioned by the minimum selected gate: every
-  /// shard builds an identical full-universe instance and restricts itself
-  /// to corrections whose lowest-indexed gate falls in its partition by
+  /// shard builds an identical full-universe shell, adds the test copies
+  /// its own models need, and restricts itself to corrections whose lowest-indexed gate falls in its partition by
   /// assuming a per-partition activation variable. Each shard carries the
   /// act-var-guarded clauses of every partition, not only its own: on
   /// s38417_like at 4 threads, a shard holding just its own partition as
@@ -66,14 +77,23 @@ struct BsatResult {
   std::vector<std::vector<GateId>> solutions;
   bool complete = true;
 
-  double build_seconds = 0.0;  // "CNF" column of Table 2
-  /// "One": time from the start of the enumeration to the first model any
-  /// shard found (all_seconds when none was found).
+  /// "CNF" column of Table 2: the instance shells. The test copies are
+  /// added during the enumeration and counted in all_seconds.
+  double build_seconds = 0.0;
+  /// "One": time from the start of the enumeration to the first correction
+  /// any shard emitted (all_seconds when none was found).
   double first_seconds = 0.0;
   double all_seconds = 0.0;    // "All"
 
+  /// Variables and clauses of the first shard's instance as it stood when
+  /// the enumeration ended: the shell, the copies that shard needed, and
+  /// the clauses the search kept (blocking clauses, after elimination).
   std::size_t num_vars = 0;
   std::size_t num_clauses = 0;
+  /// Test copies built, summed over the shards (at one thread, at most the
+  /// number of tests). Equals the rise of cnf.copies_stamped when templates
+  /// are stamped.
+  std::size_t num_copies = 0;
   sat::Solver::Stats solver_stats;
 };
 

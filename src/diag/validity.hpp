@@ -6,8 +6,10 @@
 // interpreter with the diagnosis engines: it runs the reference evaluation
 // loop (sweep_words) over lanes that enumerate, per test, every assignment
 // of C's gates. BSAT calls it with the empty correction to find out whether
-// any test fails at all; the tests use it as the independent oracle for
-// Lemmas 1 and 3.
+// any test fails at all, and then once per model, on the tests that have no
+// circuit copy yet, to decide whether the model's correction is emitted or
+// a test's copy is added (diag/bsat.hpp). The tests use it as the
+// independent oracle for Lemmas 1 and 3.
 #pragma once
 
 #include <optional>

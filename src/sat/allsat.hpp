@@ -8,11 +8,15 @@
 // fallback of test generation. The caller's on_model callback records its
 // solution and returns the blocking clause (the negated asserted selects
 // for subset blocking, the full cube for exact model enumeration); the loop
-// owns the budget checks, the solve and the in-search blocking. Bounds stay
-// with the callers: BSAT merges and cross-blocks its shards between them.
+// owns the budget checks, the solve and the in-search blocking. A callback
+// may instead answer that the formula grew (BSAT adds a test copy when
+// simulation refutes the model): the loop then solves again and blocks
+// nothing. Bounds stay with the callers: BSAT merges and cross-blocks its
+// shards between them.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <span>
 
 #include "sat/solver.hpp"
@@ -36,13 +40,17 @@ inline bool truncated(EnumStop stop) {
 
 /// Enumerate models under `assumptions`: before each solve check the
 /// deadline and `cap_reached`, then hand each model to `on_model` and block
-/// the clause it returns. Blocking is in-search (Solver::block_model), so
+/// the clause it returns. nullopt from `on_model` means it added clauses to
+/// the solver instead: the model is not a solution, nothing is blocked and
+/// the loop solves again (kRootUnsat if the additions made the formula
+/// UNSAT at the root). Blocking is in-search (Solver::block_model), so
 /// every literal of a returned clause must be over a decision variable. The
 /// solver keeps the blocking clauses afterwards (that is what Fig. 3
 /// prescribes: smaller corrections stay blocked as k increases).
 EnumStop enumerate(Solver& solver, std::span<const Lit> assumptions,
                    Deadline deadline,
                    const std::function<bool()>& cap_reached,
-                   const std::function<Clause(const Solver&)>& on_model);
+                   const std::function<std::optional<Clause>(const Solver&)>&
+                       on_model);
 
 }  // namespace satdiag::sat

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace satdiag {
@@ -102,6 +103,25 @@ std::vector<std::string> CliArgs::unused() const {
     if (!queried_.count(key)) out.push_back(key);
   }
   return out;
+}
+
+bool read_driver_flags(int argc, const char* const* argv, CliArgs& args,
+                       const std::function<void()>& read_flags) {
+  try {
+    std::string error;
+    if (!args.parse(argc, argv, error)) throw CliUsageError(error);
+    read_flags();
+    if (!args.positional().empty()) {
+      throw CliUsageError("unexpected argument '" + args.positional().front() +
+                          "'");
+    }
+    const std::vector<std::string> unused = args.unused();
+    if (!unused.empty()) throw CliUsageError("unknown flag --" + unused.front());
+  } catch (const CliUsageError& e) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "driver", e.what());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace satdiag

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -57,5 +58,14 @@ class CliArgs {
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
+
+/// The flag front end of the bench drivers, which have no command layer:
+/// parses argv into `args`, then runs `read_flags`, which reads every flag
+/// the driver knows. A malformed flag token, a value a getter rejects
+/// (CliUsageError), a positional argument or a flag read_flags never read
+/// is printed to stderr as "<argv[0]>: <problem naming the flag>" and the
+/// call returns false: the driver exits 2 before doing any work.
+bool read_driver_flags(int argc, const char* const* argv, CliArgs& args,
+                       const std::function<void()>& read_flags);
 
 }  // namespace satdiag

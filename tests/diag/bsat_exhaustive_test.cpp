@@ -14,6 +14,7 @@
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
 #include "netlist/scan.hpp"
+#include "obs/metrics.hpp"
 
 namespace satdiag {
 namespace {
@@ -107,6 +108,50 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_k" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(BsatTest, LazyCopiesMatchBruteForce) {
+  // Enough tests that simulation, not a copy, rules out most models: BSAT
+  // starts without copies and adds one per refuting test, so its list must
+  // still be every essential correction of size <= 2, built from fewer
+  // copies than tests.
+  GeneratorParams params;
+  params.num_inputs = 8;
+  params.num_outputs = 4;
+  params.num_gates = 60;
+  params.seed = 1;
+  const Netlist golden = make_full_scan(generate_circuit(params)).comb;
+  Rng rng(42);
+  InjectorOptions inject;
+  inject.num_errors = 2;
+  const auto errors = inject_errors(golden, rng, inject);
+  ASSERT_TRUE(errors.has_value());
+  const Netlist faulty = apply_errors(golden, *errors);
+  const TestSet tests = generate_failing_tests(golden, *errors, 12, rng);
+  ASSERT_GE(tests.size(), 8u);
+
+  const SolutionSet expected =
+      brute_force_essential_corrections(faulty, tests, 2);
+  ASSERT_FALSE(expected.empty());
+  const obs::Counter& copies_stamped =
+      obs::MetricsRegistry::global().counter("cnf.copies_stamped");
+  for (std::size_t threads : {1u, 4u}) {
+    BsatOptions options;
+    options.k = 2;
+    options.num_threads = threads;
+    const std::uint64_t before = copies_stamped.value();
+    const BsatResult bsat = basic_sat_diagnose(faulty, tests, options);
+    ASSERT_TRUE(bsat.complete) << threads << " threads";
+    EXPECT_EQ(SolutionSet(bsat.solutions.begin(), bsat.solutions.end()),
+              expected)
+        << threads << " threads";
+    EXPECT_GE(bsat.num_copies, 1u) << threads << " threads";
+    EXPECT_EQ(copies_stamped.value() - before, bsat.num_copies)
+        << threads << " threads";
+    if (threads == 1) {
+      EXPECT_LT(bsat.num_copies, tests.size());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace satdiag

@@ -5,9 +5,10 @@
 // start the pipeline at the first solve and repeat it from a one-conflict
 // interval (first_conflicts = 0, interval_conflicts = 1), and require the
 // engines' answers under the default schedule:
-//  * serial BSAT on the mux-instrumented CNF: the select lines, correction
-//    inputs and cardinality outputs must stay frozen, and model
-//    reconstruction must restore every eliminated gate variable;
+//  * serial BSAT on the mux-instrumented CNF, built up front or with test
+//    copies added lazily after elimination ran: the select lines and
+//    cardinality outputs must stay frozen, and model reconstruction must
+//    restore every eliminated gate variable;
 //  * two partition shards that cross-block each other's solutions at every
 //    bound barrier, as parallel BSAT does: the activation variables must
 //    stay frozen so later bounds can still assume them;
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "cnf/cardinality.hpp"
@@ -25,6 +27,7 @@
 #include "diag/bsat.hpp"
 #include "diag/bsim.hpp"
 #include "diag/cover.hpp"
+#include "diag/validity.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "sat/allsat.hpp"
@@ -82,10 +85,14 @@ std::string describe_mismatch(const char* what, const Solutions& ours,
 }
 
 /// BasicSATDiagnose's bound loop with subset blocking, on an instance whose
-/// solver runs the pipeline from its first solve on. Adds the solver's
-/// eliminated variable count to `eliminated`.
+/// solver runs the pipeline from its first solve on. With `lazy` it starts
+/// from the shell and adds a test's copy when simulation refutes a model on
+/// that test, as basic_sat_diagnose does; otherwise every copy is built up
+/// front. Adds the solver's eliminated variable count to `eliminated` and
+/// the copies added after elimination ran to `late_copies`.
 std::string check_forced_pipeline(const difftest::DiffConfig& config,
-                                  std::uint64_t& eliminated) {
+                                  bool lazy, std::uint64_t& eliminated,
+                                  std::uint64_t& late_copies) {
   const Scenario s = make_scenario(config);
   if (s.tests.empty()) return "";
   BsatOptions options;
@@ -95,12 +102,28 @@ std::string check_forced_pipeline(const difftest::DiffConfig& config,
   DiagnosisInstanceOptions inst_options = options.instance;
   inst_options.max_k = kMaxK;
   DiagnosisInstance inst =
-      build_diagnosis_instance(s.faulty, s.tests, inst_options);
+      lazy ? build_diagnosis_shell(s.faulty, s.tests, inst_options)
+           : build_diagnosis_instance(s.faulty, s.tests, inst_options);
   inst.solver.set_inprocess(forced_pipeline());
+  // Tests without a copy, by index.
+  std::vector<std::size_t> pending;
+  for (std::size_t t = 0; t < s.tests.size(); ++t) {
+    if (!inst.has_copy(t)) pending.push_back(t);
+  }
 
   Solutions solutions;
-  const auto on_model = [&](const sat::Solver&) {
+  const auto on_model =
+      [&](const sat::Solver&) -> std::optional<sat::Clause> {
     std::vector<GateId> correction = inst.selected_gates_from_model();
+    TestSet pending_tests;
+    for (const std::size_t t : pending) pending_tests.push_back(s.tests[t]);
+    if (const auto failing =
+            first_failing_test(s.faulty, pending_tests, correction)) {
+      if (inst.solver.stats().vars_eliminated > 0) ++late_copies;
+      add_test_copy(inst, pending[*failing]);
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(*failing));
+      return std::nullopt;
+    }
     sat::Clause blocking = subset_blocking(inst, correction);
     solutions.push_back(std::move(correction));
     return blocking;
@@ -117,20 +140,39 @@ std::string check_forced_pipeline(const difftest::DiffConfig& config,
   eliminated += inst.solver.stats().vars_eliminated;
 
   if (solutions == reference.solutions) return "";
-  return describe_mismatch("forced pipeline", solutions, reference.solutions);
+  return describe_mismatch(lazy ? "forced pipeline, lazy copies"
+                                : "forced pipeline",
+                           solutions, reference.solutions);
 }
 
 TEST(BsatInprocessDiffTest, ForcedPipelineMatchesDefaultSchedule) {
   std::uint64_t eliminated = 0;
+  std::uint64_t late_copies = 0;
   EXPECT_TRUE(difftest::run_diff(
       "BSAT forced pipeline vs default schedule",
       [&](const difftest::DiffConfig& config) {
-        return check_forced_pipeline(config, eliminated);
+        return check_forced_pipeline(config, /*lazy=*/false, eliminated,
+                                     late_copies);
       },
       difftest::DiffConfig{.seed = 15000, .gates = 140, .tests = 6}, 6));
   // The comparison only covers the frozen-variable contract when the
   // pipeline actually eliminated variables somewhere.
   EXPECT_GT(eliminated, 0u);
+}
+
+TEST(BsatInprocessDiffTest, ForcedPipelineLazyCopiesMatchDefaultSchedule) {
+  // Copies attached to a solver whose elimination already ran: they may
+  // mention only frozen variables (the select lines) and fresh ones.
+  std::uint64_t eliminated = 0;
+  std::uint64_t late_copies = 0;
+  EXPECT_TRUE(difftest::run_diff(
+      "BSAT forced pipeline with lazy copies vs default schedule",
+      [&](const difftest::DiffConfig& config) {
+        return check_forced_pipeline(config, /*lazy=*/true, eliminated,
+                                     late_copies);
+      },
+      difftest::DiffConfig{.seed = 15500, .gates = 140, .tests = 6}, 6));
+  EXPECT_GT(late_copies, 0u);
 }
 
 /// Two shards over identical instances, split by the minimum gate of a

@@ -242,17 +242,27 @@ TEST(BsatTest, CappedParallelRunKeepsTheSameSolutions) {
 
 TEST(BsatTest, OneThreadEnumeratesThePlainInstance) {
   // One thread means one shard over the whole universe: no partition
-  // activation variable or clause.
+  // activation variable or clause. Its instance is the shell plus the
+  // copies it built; without cone-of-influence every copy has the same
+  // variables, so the count pins that nothing else was added.
   const Scenario s = make_scenario(14, 2, 6);
   BsatOptions options;
   options.k = 2;
+  options.instance.cone_of_influence = false;
   const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
   DiagnosisInstanceOptions inst_options = options.instance;
   inst_options.max_k = options.k;
-  const DiagnosisInstance plain =
+  const DiagnosisInstance shell =
+      build_diagnosis_shell(s.faulty, s.tests, inst_options);
+  const DiagnosisInstance full =
       build_diagnosis_instance(s.faulty, s.tests, inst_options);
-  EXPECT_EQ(result.num_vars, static_cast<std::size_t>(plain.solver.num_vars()));
-  EXPECT_EQ(result.num_clauses, plain.solver.num_clauses());
+  const auto shell_vars = static_cast<std::size_t>(shell.solver.num_vars());
+  const std::size_t copy_vars =
+      (static_cast<std::size_t>(full.solver.num_vars()) - shell_vars) /
+      s.tests.size();
+  ASSERT_GE(result.num_copies, 1u);
+  ASSERT_LE(result.num_copies, s.tests.size());
+  EXPECT_EQ(result.num_vars, shell_vars + result.num_copies * copy_vars);
 }
 
 TEST(BsatTest, PassingTestsYieldNoCorrection) {
@@ -303,21 +313,34 @@ TEST(BsatTest, PassCheckSimulatesConstantGates) {
 
 TEST(BsatTest, InstanceSizeReported) {
   const Scenario s = make_scenario(12, 1, 4);
+  // Theta(|I| * m) variables (paper Table 1): at least one var per gate per
+  // test copy — on the unreduced full instance the paper describes.
+  DiagnosisInstanceOptions inst_options;
+  inst_options.max_k = 1;
+  const DiagnosisInstance unreduced_full =
+      build_diagnosis_instance(s.faulty, s.tests, inst_options);
+  EXPECT_EQ(unreduced_full.num_copies(), s.tests.size());
+  EXPECT_GE(static_cast<std::size_t>(unreduced_full.solver.num_vars()),
+            s.faulty.size() * s.tests.size());
+  inst_options.cone_of_influence = true;
+  const DiagnosisInstance reduced_full =
+      build_diagnosis_instance(s.faulty, s.tests, inst_options);
+  EXPECT_LE(reduced_full.solver.num_vars(), unreduced_full.solver.num_vars());
+  EXPECT_LE(reduced_full.solver.num_clauses(),
+            unreduced_full.solver.num_clauses());
+
+  // BSAT reports the instance it enumerated on: the shell plus the copies
+  // it needed, never more than one per test.
   BsatOptions options;
   options.k = 1;
-  // Theta(|I| * m) variables (paper Table 1): at least one var per gate per
-  // test copy — on the unreduced instance the paper describes.
   options.instance.cone_of_influence = false;
   const BsatResult unreduced = basic_sat_diagnose(s.faulty, s.tests, options);
-  EXPECT_GE(unreduced.num_vars, s.faulty.size() * s.tests.size());
+  EXPECT_GT(unreduced.num_vars, 0u);
   EXPECT_GT(unreduced.num_clauses, 0u);
-
-  // The default cone-of-influence instance never exceeds the unreduced one
-  // and still reports a non-trivial size.
+  EXPECT_GE(unreduced.num_copies, 1u);
+  EXPECT_LE(unreduced.num_copies, s.tests.size());
   options.instance.cone_of_influence = true;
   const BsatResult reduced = basic_sat_diagnose(s.faulty, s.tests, options);
-  EXPECT_LE(reduced.num_vars, unreduced.num_vars);
-  EXPECT_LE(reduced.num_clauses, unreduced.num_clauses);
   EXPECT_GT(reduced.num_vars, 0u);
   // Same enumerated corrections either way (gates outside every cone are
   // never essential).

@@ -147,5 +147,26 @@ TEST(CliTest, ParseRejectsEmptyFlagName) {
   }
 }
 
+TEST(CliTest, DriverFlagsRejectWhatNoReaderTakes) {
+  // read_driver_flags accepts exactly the flags read_flags reads; anything
+  // else is a usage error before the driver does any work.
+  const auto run = [](std::initializer_list<const char*> args) {
+    std::vector<const char*> argv{"driver"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    CliArgs cli;
+    std::int64_t seed = 0;
+    const bool ok = read_driver_flags(
+        static_cast<int>(argv.size()), argv.data(), cli,
+        [&] { seed = cli.get_int("seed", 1); });
+    return std::make_pair(ok, seed);
+  };
+  EXPECT_EQ(run({}), std::make_pair(true, std::int64_t{1}));
+  EXPECT_EQ(run({"--seed", "7"}), std::make_pair(true, std::int64_t{7}));
+  EXPECT_FALSE(run({"--help"}).first);            // unread flag
+  EXPECT_FALSE(run({"--seed", "7x"}).first);      // CliUsageError value
+  EXPECT_FALSE(run({"extra"}).first);             // positional argument
+  EXPECT_FALSE(run({"--=1"}).first);              // malformed flag token
+}
+
 }  // namespace
 }  // namespace satdiag
