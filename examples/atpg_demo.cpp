@@ -17,9 +17,12 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("inputs", 20));
+  std::size_t n = 0;
+  if (!read_driver_flags(argc, argv, args, [&] {
+        n = static_cast<std::size_t>(args.get_int("inputs", 20));
+      })) {
+    return 2;
+  }
 
   // A wide AND stuck-at-0: the faulty chip differs from the golden design
   // ONLY on the all-ones vector — a 2^-n needle for random search.

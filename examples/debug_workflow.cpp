@@ -17,16 +17,15 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
   ExperimentConfig config;
-  config.circuit = args.get_string("circuit", "s1423_like");
-  config.num_errors = static_cast<std::size_t>(args.get_int("errors", 2));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  config.scale = args.get_double("scale", 0.5);
-  config.time_limit_seconds = args.get_double("time-limit", 120.0);
-  for (const auto& flag : args.unused()) {
-    std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+  if (!read_driver_flags(argc, argv, args, [&] {
+        config.circuit = args.get_string("circuit", "s1423_like");
+        config.num_errors =
+            static_cast<std::size_t>(args.get_int("errors", 2));
+        config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+        config.scale = args.get_double("scale", 0.5);
+        config.time_limit_seconds = args.get_double("time-limit", 120.0);
+      })) {
     return 2;
   }
 

@@ -14,14 +14,17 @@ using namespace satdiag;
 
 int main(int argc, char** argv) {
   CliArgs args;
-  std::string error;
-  args.parse(argc, argv, error);
   ExperimentConfig config;
-  config.circuit = args.get_string("circuit", "s953_like");
-  config.scale = args.get_double("scale", 0.5);
-  config.num_errors = static_cast<std::size_t>(args.get_int("errors", 1));
-  config.num_tests = static_cast<std::size_t>(args.get_int("tests", 8));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+  if (!read_driver_flags(argc, argv, args, [&] {
+        config.circuit = args.get_string("circuit", "s953_like");
+        config.scale = args.get_double("scale", 0.5);
+        config.num_errors =
+            static_cast<std::size_t>(args.get_int("errors", 1));
+        config.num_tests = static_cast<std::size_t>(args.get_int("tests", 8));
+        config.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+      })) {
+    return 2;
+  }
   config.time_limit_seconds = 120.0;
 
   const auto prepared = prepare_experiment(config);

@@ -57,9 +57,8 @@ BsimResult basic_sim_diagnose(const Netlist& nl, const TestSet& tests,
     sim.run();
     for (std::size_t b = 0; b < batch; ++b) {
       const Test& test = tests[base + b];
-      auto candidates =
-          path_trace(nl, sim.values(), b, test_output_gate(nl, test),
-                     options.trace, rng);
+      auto candidates = path_trace(nl, sim, b, test_output_gate(nl, test),
+                                   options.trace, rng);
       for (GateId g : candidates) ++result.mark_count[g];
       result.candidate_sets[base + b] = std::move(candidates);
     }

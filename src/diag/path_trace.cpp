@@ -5,11 +5,9 @@
 
 namespace satdiag {
 
-std::vector<GateId> path_trace(const Netlist& nl,
-                               std::span<const std::uint64_t> values,
+std::vector<GateId> path_trace(const Netlist& nl, const ParallelSimulator& sim,
                                std::size_t bit, GateId erroneous_output,
                                const PathTraceOptions& options, Rng* rng) {
-  assert(values.size() == nl.size());
   std::vector<bool> marked(nl.size(), false);
   std::vector<GateId> stack;
   auto mark = [&](GateId g) {
@@ -31,8 +29,7 @@ std::vector<GateId> path_trace(const Netlist& nl,
     controlling.clear();
     if (cv.has_value()) {
       for (GateId f : fanins) {
-        const bool value = (values[f] >> bit) & 1ULL;
-        if (value == *cv) controlling.push_back(f);
+        if (sim.value_bit(f, bit) == *cv) controlling.push_back(f);
       }
     }
     if (controlling.empty()) {

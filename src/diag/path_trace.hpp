@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace satdiag {
@@ -30,11 +30,10 @@ struct PathTraceOptions {
 };
 
 /// Trace from `erroneous_output` using the simulated values of the
-/// implementation (`values[g]` bit `bit` = value of gate g under the test
+/// implementation (`sim.value_bit(g, bit)` = value of gate g under the test
 /// vector). Returns the sorted set of marked candidate gates.
 /// `rng` is required only for the kRandomControlling policy.
-std::vector<GateId> path_trace(const Netlist& nl,
-                               std::span<const std::uint64_t> values,
+std::vector<GateId> path_trace(const Netlist& nl, const ParallelSimulator& sim,
                                std::size_t bit, GateId erroneous_output,
                                const PathTraceOptions& options = {},
                                Rng* rng = nullptr);

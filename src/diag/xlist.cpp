@@ -18,9 +18,10 @@ std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
   assert(!tests.empty() && tests.size() <= 64);
   std::vector<std::uint64_t> masks(candidates.size(), 0);
   if (candidates.empty()) return masks;
-  // The prototype pays the one full priming sweep (replicated test chunk,
-  // no X); worker clones start from its warm value planes, so every batch
-  // costs only the merged injection cones of 64 / |tests| candidates.
+  // The prototype pays the one priming sweep of the observed cone
+  // (replicated test chunk, no X); worker clones start from its warm value
+  // planes, so every batch costs only the merged injection cones of
+  // 64 / |tests| candidates.
   const Sim3XBatch prototype(nl, tests);
   const std::size_t cap = prototype.capacity();
   const std::size_t num_batches = (candidates.size() + cap - 1) / cap;

@@ -80,7 +80,7 @@ class Netlist {
   /// Levelization: sources at level 0, gate level = 1 + max(fanin levels).
   const std::vector<std::uint32_t>& levels() const { return levels_; }
   std::uint32_t depth() const { return depth_; }
-  /// Inline: the dirty-cone schedulers walk fanouts per changed gate.
+  /// Fanouts of g, DFF data edges included.
   std::span<const GateId> fanouts(GateId g) const {
     return {fanout_data_.data() + fanout_offset_[g],
             fanout_data_.data() + fanout_offset_[g + 1]};

@@ -67,26 +67,45 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) {
                  static_cast<std::int64_t>(nl.size()));
   assert(nl.finalized());
   const std::size_t n = nl.size();
-  instrs_.resize(n);
-  comb_topo_.reserve(nl.num_combinational_gates());
+  gate_ = nl.topo_order();  // the sources first
+  comb_begin_ = static_cast<Position>(nl.num_sources());
+  position_.resize(n);
+  for (Position p = 0; p < n; ++p) {
+    assert((p < comb_begin_) == nl.is_source(gate_[p]));
+    position_[gate_[p]] = p;
+  }
 
+  instrs_.resize(n);
+  fanout_offset_.assign(n + 1, 0);
   for (GateId g = 0; g < n; ++g) {
     if (!nl.is_combinational(g)) continue;
     const auto fanins = nl.fanins(g);
     SimInstr in;
     in.op = opcode_for(nl.type(g), fanins.size());
     if (fanins.size() <= 2) {
-      in.a = fanins[0];
-      if (fanins.size() == 2) in.b = fanins[1];
+      in.a = position_[fanins[0]];
+      if (fanins.size() == 2) in.b = position_[fanins[1]];
     } else {
       in.a = static_cast<std::uint32_t>(fanin_csr_.size());
       in.b = static_cast<std::uint32_t>(fanins.size());
-      fanin_csr_.insert(fanin_csr_.end(), fanins.begin(), fanins.end());
+      for (GateId f : fanins) fanin_csr_.push_back(position_[f]);
     }
-    instrs_[g] = in;
+    instrs_[position_[g]] = in;
+    for (GateId f : fanins) ++fanout_offset_[position_[f] + 1];
   }
-  for (GateId g : nl.topo_order()) {
-    if (nl.is_combinational(g)) comb_topo_.push_back(g);
+
+  // Fanout CSR over positions, filled in position order so every list is
+  // ascending.
+  for (std::size_t p = 0; p < n; ++p) {
+    fanout_offset_[p + 1] += fanout_offset_[p];
+  }
+  fanout_csr_.resize(fanout_offset_[n]);
+  std::vector<std::uint32_t> cursor(fanout_offset_.begin(),
+                                    fanout_offset_.end() - 1);
+  for (Position p = comb_begin_; p < n; ++p) {
+    for (GateId f : nl.fanins(gate_[p])) {
+      fanout_csr_[cursor[position_[f]]++] = p;
+    }
   }
 }
 

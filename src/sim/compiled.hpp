@@ -1,13 +1,18 @@
 // The compiled netlist shared by both simulation backends.
 //
-// The constructor flattens a finalized netlist into an opcode stream over
-// the topological order: specialized no-copy opcodes for 1- and 2-input
-// gates, CSR fan-in slices for k-ary gates, and the combinational gates as a
-// dense stream for full sweeps. One interpreter (IncrementalSimulator,
-// sim/incremental.hpp) evaluates the stream over either value algebra: a
-// 64-pattern word (ParallelSimulator) or a (value, known) plane pair
-// (ThreeValuedSimulator). LanePlan packs candidates into lane groups of one
-// word for the batched evaluators.
+// The constructor gives every gate a position in one evaluation order — the
+// sources first, then the combinational gates of Netlist::topo_order() — and
+// flattens the netlist into an opcode stream over those positions:
+// specialized no-copy opcodes for 1- and 2-input gates, CSR fan-in slices
+// for k-ary gates, and a fanout CSR that lists combinational fanouts only.
+// Every operand and fanout is a position, and every combinational fanout of
+// a gate has a larger position than the gate, so one forward scan over
+// positions is a topological evaluation. One interpreter
+// (IncrementalSimulator, sim/incremental.hpp) evaluates the stream over
+// either value algebra: a 64-pattern word (ParallelSimulator) or a (value,
+// known) plane pair (ThreeValuedSimulator), stored in position order.
+// LanePlan packs candidates into lane groups of one word for the batched
+// evaluators.
 //
 // The netlist must not be mutated (substitute_type) after compilation: gate
 // functions are baked into the opcode stream. Each simulator owns its
@@ -17,6 +22,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -44,9 +50,12 @@ enum class SimOp : std::uint8_t {
   kXnorK,
 };
 
+/// A gate's place in the evaluation order (CompiledNetlist::position).
+using Position = std::uint32_t;
+
 struct SimInstr {
-  std::uint32_t a = 0;  // fanin id (1/2-input) or CSR offset (k-ary)
-  std::uint32_t b = 0;  // second fanin id (2-input) or fanin count (k-ary)
+  Position a = 0;       // fanin position (1/2-input) or CSR offset (k-ary)
+  std::uint32_t b = 0;  // second fanin position (2-input) or fanin count
   SimOp op = SimOp::kSource;
 };
 
@@ -54,35 +63,47 @@ class CompiledNetlist {
  public:
   explicit CompiledNetlist(const Netlist& nl);
 
-  /// Rebind-copy: adopt another compilation's opcode stream for a
-  /// structurally identical netlist (same gate types, fanins, and topo
+  /// Rebind-copy: adopt another compilation (positions, opcode stream, CSRs)
+  /// for a structurally identical netlist (same gate types, fanins, and topo
   /// order — e.g. a copy of a cached golden circuit) without re-flattening.
   CompiledNetlist([[maybe_unused]] const Netlist& nl,
                   const CompiledNetlist& prototype)
-      : instrs_(prototype.instrs_),
-        fanin_csr_(prototype.fanin_csr_),
-        comb_topo_(prototype.comb_topo_) {
-    assert(nl.size() == prototype.instrs_.size());
+      : CompiledNetlist(prototype) {
+    assert(nl.size() == prototype.size());
   }
 
   /// Opcode for evaluating `type` at the given fan-in count. Unary AND/OR/
   /// XOR collapse to the identity, unary NAND/NOR/XNOR to the inverter.
   static SimOp opcode_for(GateType type, std::size_t arity);
 
-  SimInstr instr(GateId g) const { return instrs_[g]; }
+  std::size_t size() const { return gate_.size(); }
+  Position position(GateId g) const { return position_[g]; }
+  GateId gate(Position p) const { return gate_[p]; }
+  /// Positions [0, comb_begin()) are the sources, the rest combinational.
+  Position comb_begin() const { return comb_begin_; }
+
+  SimInstr instr(Position p) const { return instrs_[p]; }
 
   /// Recompile one slot for a gate-substitution what-if (same arity).
-  void set_op(GateId g, SimOp op) { instrs_[g].op = op; }
+  void set_op(Position p, SimOp op) { instrs_[p].op = op; }
 
-  GateId csr_fanin(std::uint32_t slot) const { return fanin_csr_[slot]; }
+  Position csr_fanin(std::uint32_t slot) const { return fanin_csr_[slot]; }
 
-  /// Combinational gates of the topological order: the full-sweep stream.
-  const std::vector<GateId>& comb_topo() const { return comb_topo_; }
+  /// Combinational fanouts of p, all at larger positions. A DFF's data edge
+  /// is not listed: the DFF is a source, changed only when assigned.
+  std::span<const Position> fanouts(Position p) const {
+    return {fanout_csr_.data() + fanout_offset_[p],
+            fanout_csr_.data() + fanout_offset_[p + 1]};
+  }
 
  private:
-  std::vector<SimInstr> instrs_;
-  std::vector<GateId> fanin_csr_;
-  std::vector<GateId> comb_topo_;
+  std::vector<Position> position_;  // by GateId
+  std::vector<GateId> gate_;        // by Position: Netlist::topo_order()
+  Position comb_begin_ = 0;
+  std::vector<SimInstr> instrs_;    // by Position
+  std::vector<Position> fanin_csr_;
+  std::vector<std::uint32_t> fanout_offset_;  // by Position, size() + 1
+  std::vector<Position> fanout_csr_;
 };
 
 /// Lane-group packing plan for candidate-batched evaluation.

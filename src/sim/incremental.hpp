@@ -1,35 +1,43 @@
 // The incremental simulation core behind both simulation backends.
 //
 // IncrementalSimulator<Algebra> interprets the CompiledNetlist opcode stream
-// (sim/compiled.hpp) over one Algebra::Word per gate. ParallelSimulator
-// (sim/simulator.hpp, a 64-pattern word) and ThreeValuedSimulator
-// (sim/sim3.hpp, a (value, known) plane pair) are its two instances; only
-// the lane algebra differs between them.
+// (sim/compiled.hpp) over one Algebra::Word per gate, stored in position
+// order: the sources first, then the combinational gates in topological
+// order. ParallelSimulator (sim/simulator.hpp, a 64-pattern word) and
+// ThreeValuedSimulator (sim/sim3.hpp, a (value, known) plane pair) are its
+// two instances; only the lane algebra differs between them. The public
+// interface speaks GateIds and maps them to positions at the boundary.
 //
-// run() is dirty-cone incremental. The first call sweeps the whole stream in
-// topological order; later calls drain a LevelWorklist seeded by the sources
-// and overrides changed since the previous run(), and a gate whose word
-// comes out unchanged ends its cone. The drain visits only the levels
-// between the lowest and the highest scheduled one, so a run costs its
-// event cone, not the circuit's depth. confine_events() narrows the gates an
-// event may reach to a domain closed under fanins; the 3-valued X loops
-// confine it to the fanin cones of the outputs they observe.
+// run() is dirty-cone incremental. The first call is one linear sweep over
+// the combinational positions; later calls drain a dirty bitmap over
+// positions, seeded by the sources and overrides changed since the previous
+// run(). Every combinational fanout has a larger position than its gate, so
+// one forward bit scan evaluates each dirty gate once, after all of its
+// changed fanins; a gate whose word comes out unchanged ends its cone. The
+// scan walks only the bitmap words between the lowest and the highest one
+// scheduled, so a run costs its event cone, not the circuit.
+// confine_events() narrows the gates an event may reach to a domain closed
+// under fanins; the 3-valued X loops confine it to the fanin cones of the
+// outputs they observe, and the first sweep and the input broadcast then
+// skip everything outside it.
 //
-// Every gate carries one override pair, a lane mask and a forced word: the
-// lanes of the mask read the forced word, whether the gate is computed or a
-// source. A gate-substitution override swaps the gate's opcode instead. The
-// first override settles all pending work, so an UndoTrail starts from a
-// fully evaluated checkpoint; while overrides are live every word written is
-// logged, and clear_overrides() writes the logged words back (O(#words
-// written)) instead of evaluating the cones a second time. The log also
-// tells a caller which gates the overrides changed and from what
-// (for_each_logged_write): the fault grade reads its outputs from it.
+// An override site carries a lane mask and a forced word: the lanes of the
+// mask read the forced word, whether the gate is computed or a source. A
+// gate-substitution override swaps the site's opcode instead. Only sites
+// store override records. The first override settles all pending work, so
+// an UndoTrail starts from a fully evaluated checkpoint; while overrides are
+// live every word written is logged, and clear_overrides() writes the logged
+// words back (O(#words written)) instead of evaluating the cones a second
+// time. The log also tells a caller which gates the overrides changed and
+// from what (for_each_logged_write): the fault grade reads its outputs from
+// it.
 //
 // An Algebra provides:
 //   Word                 trivially copyable and ==; Word{} is the value of a
 //                        source never assigned (0, or X, in every lane)
-//   Plane                per-gate Word storage built from a gate count;
-//                        plane[g] reads a Word, plane.set(g, w) writes one
+//   Plane                Word storage built from a gate count, indexed by
+//                        position; plane[p] reads a Word, plane.set(p, w)
+//                        writes one
 //   constant(bool)       0 or 1 in every lane
 //   and2, or2, xor2, invert
 //   blend(w, forced, m)  w with the lanes of m taken from forced
@@ -41,6 +49,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -51,175 +60,98 @@
 
 namespace satdiag {
 
-/// Level-bucketed dirty-cone worklist. Gates drain strictly level by level; a
-/// recomputation can only schedule strictly higher levels, so one sweep
-/// terminates. The worklist tracks the lowest and highest scheduled level,
-/// so drain() and reset() walk only the buckets between them, not all
-/// depth() + 1.
+/// Override sites and undo log of the value plane, over positions.
 ///
-/// A per-gate "schedulable" byte decides which fanouts an event reaches. By
-/// default it is set on every combinational gate (a DFF is a source: it
-/// changes only when assigned, so its data edge ends the cone). confine()
-/// narrows it to a domain closed under fanins.
-class LevelWorklist {
- public:
-  explicit LevelWorklist(const Netlist& nl)
-      : nl_(&nl),
-        buckets_(nl.depth() + 1),
-        scheduled_(nl.size(), 0),
-        schedulable_(nl.size(), 0) {
-    for (GateId g = 0; g < nl.size(); ++g) {
-      schedulable_[g] = nl.is_combinational(g);
-    }
-  }
-
-  void schedule(GateId g) {
-    if (!scheduled_[g]) {
-      scheduled_[g] = 1;
-      const std::uint32_t level = nl_->levels()[g];
-      buckets_[level].push_back(g);
-      lo_ = std::min(lo_, level);
-      hi_ = std::max(hi_, level);
-    }
-  }
-
-  /// True when no gate is scheduled.
-  bool empty() const { return lo_ > hi_; }
-
-  /// Schedule the schedulable fanouts of g.
-  void schedule_fanouts(GateId g) {
-    for (GateId out : nl_->fanouts(g)) {
-      if (schedulable_[out]) schedule(out);
-    }
-  }
-
-  /// Let events reach only the combinational gates of `domain` (one flag
-  /// per gate). With a domain closed under fanins every gate inside it
-  /// still sees exact values; a gate outside it goes stale unless it is
-  /// scheduled itself.
-  void confine(const std::vector<bool>& domain) {
-    for (GateId g = 0; g < nl_->size(); ++g) {
-      schedulable_[g] = domain[g] && nl_->is_combinational(g);
-    }
-  }
-
-  /// Re-evaluate all scheduled gates in level order. `eval(g)` recomputes
-  /// one gate and calls schedule_fanouts itself when the value changed,
-  /// which can only raise hi_.
-  template <typename Eval>
-  void drain(Eval&& eval) {
-    for (std::uint32_t level = lo_; level <= hi_; ++level) {
-      auto& bucket = buckets_[level];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const GateId g = bucket[i];
-        scheduled_[g] = 0;
-        eval(g);
-      }
-      bucket.clear();
-    }
-    lo_ = kNoLevel;
-    hi_ = 0;
-  }
-
-  /// Drop all pending marks (a full sweep satisfies every dirty cone).
-  void reset() {
-    for (std::uint32_t level = lo_; level <= hi_; ++level) {
-      for (GateId g : buckets_[level]) scheduled_[g] = 0;
-      buckets_[level].clear();
-    }
-    lo_ = kNoLevel;
-    hi_ = 0;
-  }
-
- private:
-  static constexpr std::uint32_t kNoLevel = UINT32_MAX;
-
-  const Netlist* nl_;
-  std::vector<std::vector<GateId>> buckets_;
-  std::vector<std::uint8_t> scheduled_;
-  std::vector<std::uint8_t> schedulable_;
-  // Lowest and highest scheduled level; lo_ > hi_ when nothing is pending.
-  std::uint32_t lo_ = kNoLevel;
-  std::uint32_t hi_ = 0;
-};
-
-/// Undo log of the value plane while what-if overrides are live.
-///
-/// The simulator sets its first override only at a clean checkpoint. From
-/// then on it logs the old word of every value-plane write with record(),
-/// and every source word assigned while live with record_source() —
-/// including, before the first override on a source, the source's own word,
-/// which the override then masks. restore() writes the logged words back
-/// newest first, which returns the plane exactly to the checkpoint, and then
-/// re-assigns the logged source words in order through the ordinary source
-/// path, so a source changed while overrides were live becomes ordinary
-/// pending work for the next run().
+/// A site is a position with an override record: a forced lane mask, its
+/// forced word, and the function the gate evaluates. The simulator adds its
+/// first site only at a clean checkpoint. From then on it logs the old word
+/// of every value-plane write with record(), and every source word assigned
+/// while live with record_source() — including, before the first override
+/// on a source, the source's own word, which the override then masks.
+/// restore() writes the logged words back newest first, which returns the
+/// plane exactly to the checkpoint, and then re-assigns the logged source
+/// words in order through the ordinary source path, so a source changed
+/// while overrides were live becomes ordinary pending work for the next
+/// run().
 template <class Word>
 class UndoTrail {
  public:
-  explicit UndoTrail(std::size_t gates) : on_site_(gates, 0) {}
+  struct Site {
+    Position pos = 0;
+    std::uint64_t mask = 0;  // forced lanes
+    Word forced{};           // their word
+    GateType type{};         // the function the gate evaluates
+  };
+
+  explicit UndoTrail(std::size_t positions) : site_of_(positions, 0) {}
 
   /// True while any override is set.
   bool live() const { return !sites_.empty(); }
-  /// True while g carries an override.
-  bool on_site(GateId g) const { return on_site_[g] != 0; }
-  /// Gates carrying an override, in the order they got their first one.
-  const std::vector<GateId>& sites() const { return sites_; }
-  void add_site(GateId g) {
-    if (!on_site_[g]) {
-      on_site_[g] = 1;
-      sites_.push_back(g);
+  /// The override record of p, or nullptr.
+  const Site* site(Position p) const {
+    const std::uint32_t i = site_of_[p];
+    return i != 0 ? &sites_[i - 1] : nullptr;
+  }
+  /// Sites in the order they got their first override.
+  const std::vector<Site>& sites() const { return sites_; }
+  /// The record of p, added with no forced lanes and function `type` when
+  /// p has none yet.
+  Site& add_site(Position p, GateType type) {
+    if (site_of_[p] == 0) {
+      sites_.push_back(Site{p, 0, Word{}, type});
+      site_of_[p] = static_cast<std::uint32_t>(sites_.size());
     }
+    return sites_[site_of_[p] - 1];
   }
 
   /// Log the word a value-plane write is about to replace (no-op unless
   /// live).
-  void record(GateId g, const Word& old) {
-    if (live()) writes_.push_back({g, old});
+  void record(Position p, const Word& old) {
+    if (live()) writes_.push_back({p, old});
   }
-  /// Log source g's own word, assigned while live.
-  void record_source(GateId g, const Word& word) {
+  /// Log source p's own word, assigned while live.
+  void record_source(Position p, const Word& word) {
     assert(live());
-    sources_.push_back({g, word});
+    sources_.push_back({p, word});
   }
-  /// The latest word logged for source g; g must have one.
-  const Word& source_word(GateId g) const {
+  /// The latest word logged for source p; p must have one.
+  const Word& source_word(Position p) const {
     for (auto it = sources_.rbegin(); it != sources_.rend(); ++it) {
-      if (it->gate == g) return it->word;
+      if (it->pos == p) return it->word;
     }
     assert(false && "no source word logged for this gate");
     return sources_.back().word;
   }
 
-  /// Visit every logged write as `visit(g, old word)`, oldest first.
+  /// Visit every logged write as `visit(p, old word)`, oldest first.
   template <class Visit>
   void for_each_write(Visit&& visit) const {
-    for (const Entry& e : writes_) visit(e.gate, e.word);
+    for (const Entry& e : writes_) visit(e.pos, e.word);
   }
 
-  /// Undo every logged write through `write(g, word)`, drop the override
+  /// Undo every logged write through `write(p, word)`, drop the override
   /// sites, then replay the logged source words through
-  /// `assign_source(g, word)` (called with the trail no longer live).
+  /// `assign_source(p, word)` (called with the trail no longer live).
   template <class Write, class AssignSource>
   void restore(Write&& write, AssignSource&& assign_source) {
     for (auto it = writes_.rbegin(); it != writes_.rend(); ++it) {
-      write(it->gate, it->word);
+      write(it->pos, it->word);
     }
     writes_.clear();
-    for (GateId g : sites_) on_site_[g] = 0;
+    for (const Site& s : sites_) site_of_[s.pos] = 0;
     sites_.clear();
-    for (const Entry& e : sources_) assign_source(e.gate, e.word);
+    for (const Entry& e : sources_) assign_source(e.pos, e.word);
     sources_.clear();
   }
 
  private:
   struct Entry {
-    GateId gate;
+    Position pos;
     Word word;
   };
 
-  std::vector<std::uint8_t> on_site_;
-  std::vector<GateId> sites_;
+  std::vector<std::uint32_t> site_of_;  // by position: 1 + index, 0 if none
+  std::vector<Site> sites_;
   std::vector<Entry> writes_;
   std::vector<Entry> sources_;
 };
@@ -239,6 +171,7 @@ class IncrementalSimulator {
   /// Broadcast one input vector into every lane of `lanes`: bits[i] becomes
   /// the value of input i in all those lanes. The lane-batched evaluator
   /// uses it to replicate a test into every candidate group in one pass.
+  /// Inputs outside a confine_events() domain are skipped.
   void set_input_lanes(std::uint64_t lanes, const std::vector<bool>& bits);
 
   /// Drop all overrides and restore the plane from the undo trail:
@@ -258,15 +191,21 @@ class IncrementalSimulator {
   /// those whose value the overrides changed.
   template <class Visit>
   void for_each_logged_write(Visit&& visit) const {
-    trail_.for_each_write(visit);
+    trail_.for_each_write(
+        [&](Position p, const Word& w) { visit(compiled_.gate(p), w); });
   }
 
  protected:
   IncrementalSimulator(const Netlist& nl, CompiledNetlist compiled);
 
+  /// The stored word of gate g.
+  Word word(GateId g) const { return values_[compiled_.position(g)]; }
+
   /// Assign source g's word. A live override keeps its lanes; the whole
   /// word takes effect when clear_overrides() drops the override.
-  void assign_source(GateId g, Word w);
+  void assign_source(GateId g, Word w) {
+    assign_source_at(compiled_.position(g), w);
+  }
 
   /// Force the lanes of `mask` of gate g (computed or source) to `forced`
   /// until clear_overrides(). The first override after pending changes
@@ -278,73 +217,129 @@ class IncrementalSimulator {
   /// clear_overrides().
   void substitute(GateId g, GateType type);
 
-  /// Let run() propagate only into the combinational gates of `domain` (see
-  /// LevelWorklist::confine); call it before the first override.
+  /// Let run() propagate only into the combinational gates of `domain` (one
+  /// flag per gate, closed under fanins): every gate inside it still sees
+  /// exact values; a gate outside it goes stale unless it is overridden
+  /// itself. Call it before the first run() to restrict the first sweep and
+  /// set_input_lanes() to the domain as well.
   void confine_events(const std::vector<bool>& domain) {
-    worklist_.confine(domain);
+    for (GateId g = 0; g < nl_->size(); ++g) {
+      std::uint8_t& f = flags_[compiled_.position(g)];
+      f = domain[g] ? (f | kInDomain) : (f & ~kInDomain);
+    }
   }
 
-  /// Reference evaluation: `sweep()` recomputes every gate (overrides
-  /// included) without the opcode interpreter. While overrides are live
-  /// every word is logged first, so clear_overrides() still restores.
+  /// The function gate g evaluates: its netlist type or a substitute.
+  GateType eval_type(GateId g) const {
+    const auto* s = override_at(g);
+    return s != nullptr ? s->type : nl_->type(g);
+  }
+
+  /// Gate g's override record (forced lanes, forced word, function), or
+  /// nullptr when g carries no override.
+  const typename UndoTrail<Word>::Site* override_at(GateId g) const {
+    return site_at(compiled_.position(g));
+  }
+
+  /// Reference evaluation: `sweep(store)` recomputes every gate (overrides
+  /// included) without the opcode interpreter and hands each word to
+  /// `store(g, word)`. While overrides are live every word is logged first,
+  /// so clear_overrides() still restores.
   template <class Sweep>
   void run_reference(Sweep&& sweep) {
     if (trail_.live()) {
-      for (GateId g = 0; g < nl_->size(); ++g) trail_.record(g, values_[g]);
+      for (Position p = 0; p < num_positions(); ++p) {
+        trail_.record(p, values_[p]);
+      }
     }
-    sweep();
-    worklist_.reset();  // a full sweep satisfies every pending dirty mark
+    sweep([this](GateId g, const Word& w) {
+      values_.set(compiled_.position(g), w);
+    });
+    reset_dirty();  // a full sweep satisfies every pending dirty mark
     all_dirty_ = false;
   }
 
+  const Netlist* nl_;
+
  private:
-  Word exec(GateId g) const;
-  void write(GateId g, Word w);
-  void begin_override(GateId g);
-  /// The word assigned to source g, even while an override masks it.
-  Word source_word(GateId g) const;
+  Word exec(Position p) const;
+  void write(Position p, Word w);
+  void begin_override();
+  void assign_source_at(Position p, Word w);
+  /// The word assigned to source p, even while an override masks it.
+  Word source_word(Position p) const;
+  Position num_positions() const {
+    return static_cast<Position>(compiled_.size());
+  }
+
+  const typename UndoTrail<Word>::Site* site_at(Position p) const {
+    return (flags_[p] & kSite) ? trail_.site(p) : nullptr;
+  }
+  typename UndoTrail<Word>::Site& add_site(Position p, GateType type) {
+    flags_[p] |= kSite;
+    return trail_.add_site(p, type);
+  }
+
+  void schedule(Position p) {
+    const std::size_t w = p >> 6;
+    dirty_[w] |= 1ULL << (p & 63);
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w);
+  }
+  void schedule_fanouts(Position p) {
+    for (Position out : compiled_.fanouts(p)) {
+      if (flags_[out] & kInDomain) schedule(out);
+    }
+  }
+  bool nothing_dirty() const { return lo_ > hi_; }
+  void reset_dirty() {
+    for (std::size_t w = lo_; w <= hi_; ++w) dirty_[w] = 0;
+    lo_ = SIZE_MAX;
+    hi_ = 0;
+  }
 
   CompiledNetlist compiled_;
-  LevelWorklist worklist_;
-  UndoTrail<Word> trail_;  // override sites and undo log
-  bool all_dirty_ = true;  // the first run() is a full stream sweep
-
- protected:
-  const Netlist* nl_;
-  typename Algebra::Plane values_;
-  std::vector<std::uint64_t> force_mask_;  // per-gate overridden lanes
-  std::vector<Word> forced_;               // their forced word
-  std::vector<GateType> eval_type_;        // per-gate effective function
+  typename Algebra::Plane values_;  // by position
+  UndoTrail<Word> trail_;           // override sites and undo log
+  // One bit per position; lo_/hi_ bound the words with a bit set (lo_ > hi_
+  // when nothing is pending).
+  std::vector<std::uint64_t> dirty_;
+  std::size_t lo_ = SIZE_MAX;
+  std::size_t hi_ = 0;
+  // By position: kInDomain (events may enter; see confine_events) and
+  // kSite (the trail holds an override record), one byte the drain reads
+  // for every gate it schedules or evaluates.
+  static constexpr std::uint8_t kInDomain = 1;
+  static constexpr std::uint8_t kSite = 2;
+  std::vector<std::uint8_t> flags_;
+  bool all_dirty_ = true;  // the first run() is a full sweep
 };
 
 template <class Algebra>
 IncrementalSimulator<Algebra>::IncrementalSimulator(const Netlist& nl,
                                                     CompiledNetlist compiled)
-    : compiled_(std::move(compiled)),
-      worklist_(nl),
-      trail_(nl.size()),
-      nl_(&nl),
+    : nl_(&nl),
+      compiled_(std::move(compiled)),
       values_(nl.size()),
-      force_mask_(nl.size(), 0),
-      forced_(nl.size()),
-      eval_type_(nl.size()) {
-  for (GateId g = 0; g < nl.size(); ++g) {
-    const GateType type = nl.type(g);
-    eval_type_[g] = type;
+      trail_(nl.size()),
+      dirty_((nl.size() + 63) / 64, 0),
+      flags_(nl.size(), kInDomain) {
+  for (Position p = 0; p < compiled_.comb_begin(); ++p) {
+    const GateType type = nl.type(compiled_.gate(p));
     if (type == GateType::kConst0 || type == GateType::kConst1) {
-      values_.set(g, Algebra::constant(type == GateType::kConst1));
+      values_.set(p, Algebra::constant(type == GateType::kConst1));
     }
   }
 }
 
 // The one opcode interpreter of both backends.
 template <class Algebra>
-typename Algebra::Word IncrementalSimulator<Algebra>::exec(GateId g) const {
-  const SimInstr in = compiled_.instr(g);
+typename Algebra::Word IncrementalSimulator<Algebra>::exec(Position p) const {
+  const SimInstr in = compiled_.instr(p);
   const auto& v = values_;
   switch (in.op) {
     case SimOp::kSource:
-      return v[g];
+      return v[p];
     case SimOp::kBuf:
       return v[in.a];
     case SimOp::kNot:
@@ -390,34 +385,32 @@ typename Algebra::Word IncrementalSimulator<Algebra>::exec(GateId g) const {
 }
 
 template <class Algebra>
-void IncrementalSimulator<Algebra>::write(GateId g, Word w) {
-  trail_.record(g, values_[g]);
-  values_.set(g, w);
+void IncrementalSimulator<Algebra>::write(Position p, Word w) {
+  trail_.record(p, values_[p]);
+  values_.set(p, w);
 }
 
 template <class Algebra>
-void IncrementalSimulator<Algebra>::begin_override(GateId g) {
+void IncrementalSimulator<Algebra>::begin_override() {
   // The undo trail starts at a clean checkpoint: settle pending work first.
-  if (!trail_.live() && (all_dirty_ || !worklist_.empty())) run();
-  trail_.add_site(g);
+  if (!trail_.live() && (all_dirty_ || !nothing_dirty())) run();
 }
 
 template <class Algebra>
 typename Algebra::Word IncrementalSimulator<Algebra>::source_word(
-    GateId g) const {
-  return force_mask_[g] ? trail_.source_word(g) : values_[g];
+    Position p) const {
+  const auto* s = site_at(p);
+  return s != nullptr && s->mask != 0 ? trail_.source_word(p) : values_[p];
 }
 
 template <class Algebra>
-void IncrementalSimulator<Algebra>::assign_source(GateId g, Word w) {
-  if (w == source_word(g)) return;
-  if (trail_.live()) trail_.record_source(g, w);
-  if (const std::uint64_t m = force_mask_[g]) {
-    w = Algebra::blend(w, forced_[g], m);
-  }
-  if (w != values_[g]) {
-    write(g, w);
-    if (!all_dirty_) worklist_.schedule_fanouts(g);
+void IncrementalSimulator<Algebra>::assign_source_at(Position p, Word w) {
+  if (w == source_word(p)) return;
+  if (trail_.live()) trail_.record_source(p, w);
+  if (const auto* s = site_at(p)) w = Algebra::blend(w, s->forced, s->mask);
+  if (w != values_[p]) {
+    write(p, w);
+    if (!all_dirty_) schedule_fanouts(p);
   }
 }
 
@@ -427,70 +420,86 @@ void IncrementalSimulator<Algebra>::set_input_lanes(
   assert(bits.size() == nl_->inputs().size());
   if (lanes == 0) return;
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    const GateId g = nl_->inputs()[i];
-    assign_source(g, Algebra::blend(source_word(g),
-                                    Algebra::constant(bits[i]), lanes));
+    const Position p = compiled_.position(nl_->inputs()[i]);
+    if (!(flags_[p] & kInDomain)) continue;
+    assign_source_at(p, Algebra::blend(source_word(p),
+                                       Algebra::constant(bits[i]), lanes));
   }
 }
 
 template <class Algebra>
 void IncrementalSimulator<Algebra>::force(GateId g, std::uint64_t mask,
                                           Word forced) {
-  begin_override(g);
-  if (nl_->is_source(g) && force_mask_[g] == 0) {
-    trail_.record_source(g, values_[g]);  // the word the override masks
+  const Position p = compiled_.position(g);
+  begin_override();
+  auto& site = add_site(p, nl_->type(g));
+  if (nl_->is_source(g) && site.mask == 0) {
+    trail_.record_source(p, values_[p]);  // the word the override masks
   }
-  forced_[g] = Algebra::blend(forced_[g], forced, mask);
-  force_mask_[g] |= mask;
-  worklist_.schedule(g);
+  site.forced = Algebra::blend(site.forced, forced, mask);
+  site.mask |= mask;
+  schedule(p);
 }
 
 template <class Algebra>
 void IncrementalSimulator<Algebra>::substitute(GateId g, GateType type) {
   assert(nl_->is_combinational(g));
   assert(arity_ok(type, nl_->fanins(g).size()));
-  if (eval_type_[g] == type) return;
-  begin_override(g);
-  eval_type_[g] = type;
-  compiled_.set_op(g, CompiledNetlist::opcode_for(type, nl_->fanins(g).size()));
-  worklist_.schedule(g);
+  if (eval_type(g) == type) return;
+  const Position p = compiled_.position(g);
+  begin_override();
+  add_site(p, nl_->type(g)).type = type;
+  compiled_.set_op(p, CompiledNetlist::opcode_for(type, nl_->fanins(g).size()));
+  schedule(p);
 }
 
 template <class Algebra>
 void IncrementalSimulator<Algebra>::clear_overrides() {
   if (!trail_.live()) return;
-  for (GateId g : trail_.sites()) {
-    force_mask_[g] = 0;
-    if (eval_type_[g] != nl_->type(g)) {
-      eval_type_[g] = nl_->type(g);
-      compiled_.set_op(
-          g, CompiledNetlist::opcode_for(nl_->type(g), nl_->fanins(g).size()));
+  for (const auto& s : trail_.sites()) {
+    flags_[s.pos] &= ~kSite;
+    const GateId g = compiled_.gate(s.pos);
+    if (s.type != nl_->type(g)) {
+      compiled_.set_op(s.pos, CompiledNetlist::opcode_for(
+                                  nl_->type(g), nl_->fanins(g).size()));
     }
   }
-  worklist_.reset();  // the checkpoint had no pending work
-  trail_.restore([this](GateId g, const Word& w) { values_.set(g, w); },
-                 [this](GateId g, const Word& w) { assign_source(g, w); });
+  reset_dirty();  // the checkpoint had no pending work
+  trail_.restore([this](Position p, const Word& w) { values_.set(p, w); },
+                 [this](Position p, const Word& w) { assign_source_at(p, w); });
 }
 
 template <class Algebra>
 void IncrementalSimulator<Algebra>::run() {
   if (all_dirty_) {
-    // First evaluation: one pass over the stream in topological order. No
+    // First evaluation: one pass over the domain in position order. No
     // override is live yet (the first one settles this sweep).
-    for (GateId g : compiled_.comb_topo()) values_.set(g, exec(g));
-    worklist_.reset();
+    for (Position p = compiled_.comb_begin(); p < num_positions(); ++p) {
+      if (flags_[p] & kInDomain) values_.set(p, exec(p));
+    }
+    reset_dirty();
     all_dirty_ = false;
     return;
   }
-  worklist_.drain([this](GateId g) {
-    Word w = exec(g);  // SimOp::kSource returns the stored word
-    // The site flag is one byte per gate; most drained gates carry none.
-    if (trail_.on_site(g)) w = Algebra::blend(w, forced_[g], force_mask_[g]);
-    if (w != values_[g]) {
-      write(g, w);
-      worklist_.schedule_fanouts(g);  // appends strictly higher levels only
+  // Fanouts sit at larger positions, so the scan meets each dirty gate after
+  // all of its changed fanins; evaluating one can only set later bits.
+  for (std::size_t w = lo_; w <= hi_; ++w) {
+    for (std::uint64_t bits; (bits = dirty_[w]) != 0;) {
+      dirty_[w] = bits & (bits - 1);
+      const Position p =
+          static_cast<Position>(w * 64 + std::countr_zero(bits));
+      Word v = exec(p);  // SimOp::kSource returns the stored word
+      if (const auto* s = site_at(p)) {
+        v = Algebra::blend(v, s->forced, s->mask);
+      }
+      if (v != values_[p]) {
+        write(p, v);
+        schedule_fanouts(p);
+      }
     }
-  });
+  }
+  lo_ = SIZE_MAX;
+  hi_ = 0;
 }
 
 }  // namespace satdiag

@@ -53,24 +53,25 @@ Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity) {
 template class IncrementalSimulator<PlaneAlgebra>;
 
 void ThreeValuedSimulator::run_full() {
-  run_reference([this] {
+  run_reference([this](auto&& store) {
     for (GateId g : nl_->topo_order()) {
+      Val3 v = value(g);
       if (nl_->is_combinational(g)) {
         const auto fanins = nl_->fanins(g);
         fanin_buf_.resize(fanins.size());
         for (std::size_t i = 0; i < fanins.size(); ++i) {
           fanin_buf_[i] = value(fanins[i]);
         }
-        const Val3 v =
-            eval_gate_val3(nl_->type(g), fanin_buf_.data(), fanin_buf_.size());
-        values_.set(g, Word{v.one, v.one | v.zero});
+        v = eval_gate_val3(eval_type(g), fanin_buf_.data(), fanin_buf_.size());
       }
+      Word w{v.one, v.one | v.zero};
       // Forced lanes, applied here without PlaneAlgebra::blend.
-      const std::uint64_t m = force_mask_[g];
-      Word p = values_[g];
-      p.val = (p.val & ~m) | (forced_[g].val & m);
-      p.known = (p.known & ~m) | (forced_[g].known & m);
-      values_.set(g, p);
+      if (const auto* site = override_at(g)) {
+        const std::uint64_t m = site->mask;
+        w.val = (w.val & ~m) | (site->forced.val & m);
+        w.known = (w.known & ~m) | (site->forced.known & m);
+      }
+      store(g, w);
     }
   });
 }
@@ -85,12 +86,16 @@ Sim3XBatch::Sim3XBatch(const Netlist& nl, const TestSet& tests,
   assert(begin + count <= tests.size());
   out_gates_.reserve(count);
   for (std::size_t b = 0; b < count; ++b) {
-    const Test& test = tests[begin + b];
-    out_gates_.push_back(test_output_gate(nl, test));
-    sim_.set_input_lanes(plan_.spread(1ULL << b), test.input_values);
+    out_gates_.push_back(test_output_gate(nl, tests[begin + b]));
   }
+  // Confined before the broadcast and the priming sweep, which then touch
+  // only the cone: values outside it are never read.
   sim_.confine_events(fanin_cone(nl, out_gates_));
-  sim_.run();  // prime the X-free planes; clones inherit them warm
+  for (std::size_t b = 0; b < count; ++b) {
+    sim_.set_input_lanes(plan_.spread(1ULL << b),
+                         tests[begin + b].input_values);
+  }
+  sim_.run();  // prime the X-free cone; clones inherit it warm
 }
 
 void Sim3XBatch::run_singles(std::span<const GateId> batch,

@@ -9,15 +9,16 @@
 // version of "can changing this gate affect the output".
 //
 // ThreeValuedSimulator is the incremental core (sim/incremental.hpp) over
-// PlaneAlgebra: each gate stores a (value, known) plane pair — `val` holds
-// the 1-lanes, `known` the non-X lanes, val ⊆ known — and inject_x is its
-// override, X forced under a lane mask until clear_overrides(). Its
+// PlaneAlgebra: each gate stores a (value, known) plane pair in position
+// order — `val` holds the 1-lanes, `known` the non-X lanes, val ⊆ known —
+// and inject_x is its override, X forced under a lane mask until
+// clear_overrides(); only the injection sites hold a forced word. Its
 // reference path, run_full(), evaluates through the dual-rail
-// eval_gate_val3 and never through the opcode interpreter, so the
-// differential tests compare two independent evaluators. Sim3XBatch, the
-// lane-batched X-injection mode, confines its events to the fanin cone of
-// the outputs its tests observe, so an X that no test can see is never
-// propagated.
+// eval_gate_val3 over Netlist fanins and never through the opcode
+// interpreter, so the differential tests compare two independent
+// evaluators. Sim3XBatch, the lane-batched X-injection mode, confines its
+// events to the fanin cone of the outputs its tests observe, so an X that
+// no test can see is never propagated, and primes only that cone.
 #pragma once
 
 #include <cassert>
@@ -73,10 +74,10 @@ struct PlaneAlgebra {
   /// made the lane-batched X-injection loops measurably slower.
   struct Plane {
     explicit Plane(std::size_t n) : val(n, 0), known(n, 0) {}
-    Word operator[](std::size_t g) const { return Word{val[g], known[g]}; }
-    void set(std::size_t g, Word w) {
-      val[g] = w.val;
-      known[g] = w.known;
+    Word operator[](std::size_t p) const { return Word{val[p], known[p]}; }
+    void set(std::size_t p, Word w) {
+      val[p] = w.val;
+      known[p] = w.known;
     }
     std::vector<std::uint64_t> val;
     std::vector<std::uint64_t> known;
@@ -130,7 +131,8 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
   void run_full();
 
   Val3 value(GateId g) const {
-    return Val3{values_.val[g], values_.known[g] & ~values_.val[g]};
+    const Word w = word(g);
+    return Val3{w.val, w.known & ~w.val};
   }
 
  private:
@@ -147,13 +149,14 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
 /// run_singles call then gives every candidate gate of the batch its own
 /// group — the gate is forced to X only in that group's lanes, and all
 /// candidates of the batch share ONE dirty-cone sweep (the per-candidate
-/// dirty cones merge in one LevelWorklist drain). Because
+/// dirty cones merge in one bitmap drain). Because
 /// bitwise evaluation and the masks never mix lanes, group i is
 /// bit-identical to a scalar simulator evaluating candidate i alone — the
 /// property pinned by tests/common/diff_harness.
 ///
 /// Switching batches only moves X masks: the replicated inputs stay in
-/// place, so every batch after the constructor's priming sweep costs an
+/// place, so every batch after the constructor's priming sweep of the cone
+/// costs an
 /// undo-trail restore of the previous batch (O(#pairs it wrote)) plus one
 /// evaluation of the current injection sites' merged fanout cones — not
 /// |tests| input re-broadcasts, and not one sweep per candidate.
@@ -161,7 +164,9 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
 /// Those cones stop at the fanin cone of the chunk's erroneous outputs
 /// (ThreeValuedSimulator::confine_events): an X outside it cannot reach an
 /// observed output. The cone is closed under fanins, so every gate inside
-/// it sees exact values, and a candidate outside it gets mask 0.
+/// it sees exact values, and a candidate outside it gets mask 0. The
+/// constructor broadcasts only the inputs inside the cone and primes only
+/// the cone's gates: nothing outside it is ever read.
 ///
 /// Copyable; copy-as-clone is the worker-state pattern of the exec/
 /// runtime (a primed prototype is cloned into each worker lane, so clones
@@ -169,8 +174,8 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
 class Sim3XBatch {
  public:
   /// Packs tests[begin, begin + count); count must be in [1, 64]. The
-  /// constructor replicates the chunk into every lane group and pays one
-  /// full priming sweep.
+  /// constructor replicates the chunk into every lane group of the cone's
+  /// inputs and pays one priming sweep over the cone.
   Sim3XBatch(const Netlist& nl, const TestSet& tests, std::size_t begin,
              std::size_t count);
   /// Whole test set (tests.size() in [1, 64]).

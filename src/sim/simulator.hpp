@@ -5,12 +5,13 @@
 // runtimes" the paper attributes to simulation-based diagnosis.
 //
 // ParallelSimulator is the incremental core (sim/incremental.hpp) over
-// WordAlgebra, one 64-pattern word per gate; a value override forces every
-// lane of its gate, a type override swaps its function. Its reference path,
-// run_full(), evaluates through sweep_words and the generic per-gate
-// dispatch (eval_gate_words) and never through the opcode interpreter, so
-// the differential tests compare two independent evaluators. Use
-// set_type_override, not substitute_type, for post-construction what-if
+// WordAlgebra, one 64-pattern word per gate in position order; a value
+// override forces every lane of its gate, a type override swaps its
+// function. Its reference path, run_full(), evaluates through sweep_words
+// and the generic per-gate dispatch (eval_gate_words) over a plane indexed
+// by GateId, never through the opcode interpreter or the compiled
+// positions, so the differential tests compare two independent evaluators.
+// Use set_type_override, not substitute_type, for post-construction what-if
 // changes of a gate's function.
 #pragma once
 
@@ -56,7 +57,7 @@ struct WordAlgebra {
   using Word = std::uint64_t;
   struct Plane : std::vector<std::uint64_t> {
     using vector::vector;
-    void set(std::size_t g, Word w) { (*this)[g] = w; }
+    void set(std::size_t p, Word w) { (*this)[p] = w; }
   };
 
   static Word constant(bool v) { return v ? ~0ULL : 0ULL; }
@@ -106,14 +107,15 @@ class ParallelSimulator : public IncrementalSimulator<WordAlgebra> {
   /// equivalent to run() but always O(|circuit|).
   void run_full();
 
-  std::uint64_t value(GateId g) const { return values_[g]; }
+  std::uint64_t value(GateId g) const { return word(g); }
   bool value_bit(GateId g, std::size_t bit) const {
-    return (values_[g] >> bit) & 1ULL;
+    return (word(g) >> bit) & 1ULL;
   }
-  std::span<const std::uint64_t> values() const { return values_; }
 
  private:
-  std::vector<std::uint64_t> fanin_buf_;  // run_full() scratch
+  // run_full() scratch: the plane by GateId, and one gate's fanin words.
+  std::vector<std::uint64_t> by_gate_;
+  std::vector<std::uint64_t> fanin_buf_;
 };
 
 }  // namespace satdiag

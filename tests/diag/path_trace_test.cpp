@@ -18,7 +18,7 @@ std::vector<GateId> trace_single(const Netlist& nl,
   ParallelSimulator sim(nl);
   sim.set_input_vector(0, inputs);
   sim.run();
-  return path_trace(nl, sim.values(), 0, output, options, rng);
+  return path_trace(nl, sim, 0, output, options, rng);
 }
 
 TEST(PathTraceTest, MarksOneControllingInput) {

@@ -16,6 +16,14 @@
 namespace satdiag {
 namespace {
 
+/// The simulator's words indexed by GateId.
+std::vector<std::uint64_t> plane_by_gate(const Netlist& nl,
+                                         const ParallelSimulator& sim) {
+  std::vector<std::uint64_t> words(nl.size());
+  for (GateId g = 0; g < nl.size(); ++g) words[g] = sim.value(g);
+  return words;
+}
+
 Netlist random_netlist(std::uint64_t seed, std::size_t gates,
                        std::size_t dffs) {
   GeneratorParams params;
@@ -236,8 +244,7 @@ TEST(SimulatorDiffTest, RunIsIdempotentWithoutChanges) {
   Rng rng(1);
   for (GateId in : nl.inputs()) sim.set_source(in, rng.next_u64());
   sim.run();
-  std::vector<std::uint64_t> snapshot(sim.values().begin(),
-                                      sim.values().end());
+  const std::vector<std::uint64_t> snapshot = plane_by_gate(nl, sim);
   sim.run();
   for (GateId g = 0; g < nl.size(); ++g) {
     ASSERT_EQ(sim.value(g), snapshot[g]);
