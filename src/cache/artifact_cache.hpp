@@ -2,20 +2,20 @@
 // same circuit pay only the solve" layer).
 //
 // Artifacts are immutable compile products — parsed/generated netlists,
-// full-scan views, CompiledNetlist opcode streams, golden output rows, and
-// ClauseStream instance templates — addressed by a 128-bit content key
-// (ArtifactKind + whatever the producer mixes in: netlist fingerprint,
-// instrumented-universe hash, cone root, encoder options, ...). Consumers
-// hold them as shared_ptr<const T>; a cached value is never mutated after
-// construction, matching the netlist library's immutability contract (the
-// only post-finalize mutation in-tree is substitute_type, and a substituted
-// netlist fingerprints differently, so it can never alias a cached entry).
+// full-scan views, CompiledNetlist opcode streams, golden output rows and
+// fanin cones — addressed by a 128-bit content key (ArtifactKind + whatever
+// the producer mixes in: netlist fingerprint, test-set hash, cone root,
+// ...). Consumers hold them as shared_ptr<const T>; a cached value is never
+// mutated after construction, matching the netlist library's immutability
+// contract (the only post-finalize mutation in-tree is substitute_type, and
+// a substituted netlist fingerprints differently, so it can never alias a
+// cached entry).
 //
 // get_or_build is the single entry point and is safe under concurrency: the
 // first caller of a key builds while holding no lock, every concurrent
 // caller of the same key blocks on the entry's shared_future instead of
-// duplicating the build (this is what lets N parallel BSAT shards stamp from
-// ONE template — the first shard encodes, the rest wait and reuse). The
+// duplicating the build (parallel BSAT shards asking for one cone build it
+// once — the first shard computes it, the rest wait and reuse). The
 // cache is bounded: least-recently-used ready entries are evicted once the
 // byte budget is exceeded; outstanding shared_ptrs keep evicted values alive.
 #pragma once
@@ -55,7 +55,6 @@ enum class ArtifactKind : std::uint64_t {
   kCompiled = 2,     // CompiledCircuit (netlist + opcode stream)
   kGoldenOutputs = 3,  // golden output rows per test set
   kCone = 4,         // fanin-cone flag vector per root set
-  kCopyTemplate = 5,  // ClauseStream diagnosis-copy template
 };
 
 /// Incremental 128-bit mixer (two lanes of splitmix-style finalization —
@@ -80,7 +79,7 @@ class KeyBuilder {
 };
 
 /// Structural fingerprint of a finalized netlist: size, gate types, fanins,
-/// input/output/DFF lists. Gate names are deliberately excluded — templates
+/// input/output/DFF lists. Gate names are deliberately excluded — cones
 /// and compiled streams depend only on structure. O(|gates| + |edges|).
 ArtifactKey netlist_fingerprint(const Netlist& nl);
 

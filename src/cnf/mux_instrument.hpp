@@ -16,9 +16,14 @@
 // every copy; BSAT starts from the shell and adds a copy only when
 // simulation refutes a model on that test (diag/bsat.hpp).
 //
-// encode_copy (cnf/tseitin.hpp) writes a copy's clauses. add_test_copy has
-// two loaders for them: it stamps a cached ClauseStream template
-// (cnf/clause_stream.hpp), or it encodes the copy straight into the solver.
+// add_test_copy is the one loader of a copy: encode_copy (cnf/tseitin.hpp)
+// walks the copy's cone straight into the solver through a sink that
+// normalizes each clause (the copy's literals sorted by index, the select
+// guard last). A pristine copy (no const gate, no select assigned at the
+// root) attaches each clause as it stands, so a guarded clause watches two
+// copy literals; any other copy loads its clauses with add_clause. The cones
+// come from the artifact cache that diagnosis_universe also reads, so the
+// shard planner and the shell agree by construction.
 //
 // Options mirror the advanced technique of Smith et al. (ASP-DAC'04):
 //  * gating clauses force c_g^i = 0 while s_g = 0 ("prevents up to |I|
@@ -62,19 +67,6 @@ struct DiagnosisInstanceOptions {
   /// that read model values of arbitrary gates from the copies
   /// (repair/realize.cpp) need the full encodings.
   bool cone_of_influence = false;
-  /// Build copies by stamping cached ClauseStream templates (one encoder
-  /// walk per distinct (circuit, cone, universe, options) key, relocated per
-  /// copy) instead of encoding every copy into the solver. Produces the
-  /// same variables and the same clause multiset, but not the same literal
-  /// order inside clauses: the walk's add_clause sorts a select line first
-  /// and watches it in every guarded clause, a stamped copy watches two
-  /// copy literals there (see cnf/clause_stream.hpp), so the two searches
-  /// can differ in propagations; complete enumerations find the same
-  /// solutions. The walk (false) is the reference: it loads clauses with
-  /// add_clause and computes cones with fanin_cone, against which
-  /// tests/cnf/clause_stream_test.cpp pins the template normalization,
-  /// relocation, per-clause attach and cached cones.
-  bool template_stamped = true;
 };
 
 struct DiagnosisInstance {
@@ -136,10 +128,8 @@ DiagnosisInstance build_diagnosis_shell(const Netlist& nl,
 
 /// Add test t's copy: its clauses, then the unit clauses that tie its
 /// inputs to the test vector and its erroneous output to the correct value.
-/// The copy's source (cone, cached template, select map) is made when the
-/// first test with that cone is added, so a test that never gets a copy
-/// costs no template build. Callable on a solver that has already searched:
-/// the copy is added at the root (the trail is reset). t must have no copy.
+/// Callable on a solver that has already searched: the copy is added at the
+/// root (the trail is reset). t must have no copy.
 void add_test_copy(DiagnosisInstance& inst, std::size_t t);
 
 /// The shell plus every test's copy, in test order.

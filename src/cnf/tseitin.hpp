@@ -1,12 +1,9 @@
 // Tseitin encoding of netlists into CNF.
 //
-// The encoders are generic over a clause sink: sat::Solver (direct
-// encoding) or the ClauseStream template builder's sink (relative-index
-// encoding). A sink provides `new_var(bool decidable)`, `freeze(Var)` and
-// `add_clause(Clause)`. One body serves both, so the
-// directly encoded and the template-stamped instances cannot diverge in
-// variables or clauses (only in the order of literals inside a clause, see
-// cnf/clause_stream.hpp).
+// The encoders are generic over a clause sink: sat::Solver itself, or the
+// diagnosis copy loader's sink (cnf/mux_instrument.cpp), which normalizes
+// each clause and picks how the solver attaches it. A sink provides
+// `new_var(bool decidable)`, `freeze(Var)` and `add_clause(Clause)`.
 //  * encode_gate_function: one gate.
 //  * encode_circuit: a plain circuit (equivalence-miter ATPG, whose faulty
 //    side overrides gate functions).

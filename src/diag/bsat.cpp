@@ -142,11 +142,10 @@ BsatResult basic_sat_diagnose(const Netlist& nl, const TestSet& tests,
 
   Timer build_timer;
   obs::Span build_span("phase.build");
-  // Every shard builds a shell; its copies come during the enumeration. A
-  // copy is stamped from the SAME cached ClauseStream template in every
-  // shard: the first shard to miss the artifact cache runs the encoder walk
-  // once, the others block on its in-flight future and relocate the
-  // finished template (no redundant re-encoding per shard).
+  // Every shard builds a shell; its copies come during the enumeration,
+  // each encoded straight into that shard's solver. The shells read their
+  // cones from the artifact cache: the first shard to miss it computes a
+  // cone, the others block on its in-flight future and reuse it.
   for_each_shard([&](std::size_t s) {
     DiagnosisInstanceOptions inst_options = options.instance;
     inst_options.max_k = options.k;

@@ -91,8 +91,7 @@ struct BsatResult {
   std::size_t num_vars = 0;
   std::size_t num_clauses = 0;
   /// Test copies built, summed over the shards (at one thread, at most the
-  /// number of tests). Equals the rise of cnf.copies_stamped when templates
-  /// are stamped.
+  /// number of tests). Equals the rise of cnf.copies_stamped.
   std::size_t num_copies = 0;
   sat::Solver::Stats solver_stats;
 };

@@ -58,10 +58,9 @@ HybridResult hybrid_diagnose(const Netlist& nl, const TestSet& tests,
   }
 
   Timer sat_timer;
-  // The SAT phase goes through the template-stamped instance builder: its
-  // restricted-universe instance gets its own cached ClauseStream keyed on
-  // the final instrumented set, so repeated hybrid runs on one circuit (and
-  // all shards of a multi-threaded run) stamp instead of re-encoding.
+  // The SAT phase is plain BSAT over the restricted universe: the
+  // neighbourhood only shrinks the set of select lines each test copy
+  // carries (cnf/mux_instrument.hpp).
   const BsatResult sat = basic_sat_diagnose(nl, tests, bsat);
   result.sat_seconds = sat_timer.seconds();
   result.solutions = sat.solutions;

@@ -26,7 +26,7 @@ void ensure_standard_metrics() {
         "sat.binary_propagations", "sat.restarts", "sat.learned",
         "sat.removed", "sat.gc_runs", "sat.inprocess_runs",
         "sat.vars_eliminated", "exec.shards_run", "cache.builds",
-        "cnf.templates_built", "cnf.copies_stamped", "cnf.clauses_stamped"}) {
+        "cnf.copies_stamped", "cnf.clauses_stamped"}) {
     reg.counter(name);
   }
   for (const char* name :

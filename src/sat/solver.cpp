@@ -66,45 +66,15 @@ Var Solver::new_var(bool decidable, bool default_phase) {
 }
 
 namespace {
-// Reserving to the exact needed size on every batch allocation would defeat
-// the vectors' amortized doubling — each of m stamped copies would
-// reallocate and copy the whole array, turning construction quadratic. Grow
+// Reserving to the exact needed size on every call would defeat the
+// vectors' amortized doubling: repeated reservations would each reallocate
+// and copy the whole array, turning construction quadratic. Grow
 // geometrically, and only when actually short.
 template <typename Vec>
 void reserve_amortized(Vec& v, std::size_t needed) {
   if (needed > v.capacity()) v.reserve(std::max(needed, v.capacity() * 2));
 }
 }  // namespace
-
-Var Solver::new_vars(std::span<const std::uint8_t> flags) {
-  const Var base = num_vars();
-  const std::size_t n = assigns_.size() + flags.size();
-  reserve_vars(flags.size());
-  assigns_.resize(n, LBool::kUndef);
-  vardata_.resize(n);
-  saved_phase_.resize(n, false);
-  decision_.resize(n, false);
-  frozen_.resize(n, false);
-  eliminated_.resize(n, false);
-  activity_.resize(n, 0.0);
-  heap_pos_.resize(n, -1);
-  seen_.resize(n, false);
-  model_.resize(n, LBool::kUndef);
-  lbd_stamp_.resize(n + 1, 0);
-  watches_.resize(2 * n);
-  bin_watches_.resize(2 * n);
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    const Var v = base + static_cast<Var>(i);
-    if ((flags[i] & kVarFrozen) != 0) frozen_[static_cast<std::size_t>(v)] = true;
-    if ((flags[i] & kVarDecidable) != 0) {
-      decision_[static_cast<std::size_t>(v)] = true;
-      // Zero activity never beats a parent in the max-heap, so each insert
-      // is a constant-time append.
-      heap_insert(v);
-    }
-  }
-  return base;
-}
 
 void Solver::reserve_vars(std::size_t extra) {
   const std::size_t n = assigns_.size() + extra;
@@ -194,31 +164,6 @@ bool Solver::any_assigned(std::span<const Var> vars) const {
     if (assigns_[i] != LBool::kUndef && vardata_[i].level == 0) return true;
   }
   return false;
-}
-
-std::vector<Clause> Solver::snapshot_clauses() const {
-  std::vector<Clause> out;
-  for (std::size_t i = 0; i < root_trail_size(); ++i) {
-    out.push_back(Clause{trail_[i]});
-  }
-  for (std::size_t idx = 0; idx < bin_watches_.size(); ++idx) {
-    const Lit a = ~Lit::from_index(static_cast<int>(idx));
-    for (const BinWatcher& w : bin_watches_[idx]) {
-      if (w.learnt) continue;
-      if (a < w.implied) out.push_back(Clause{a, w.implied});
-    }
-  }
-  for (const CRef c : clauses_) {
-    if (arena_.deleted(c)) continue;
-    Clause lits;
-    lits.reserve(arena_.size(c));
-    for (std::uint32_t i = 0; i < arena_.size(c); ++i) {
-      lits.push_back(arena_.lit(c, i));
-    }
-    std::sort(lits.begin(), lits.end());
-    out.push_back(std::move(lits));
-  }
-  return out;
 }
 
 bool Solver::block_model(Clause lits) {

@@ -106,18 +106,9 @@ class Solver {
 
   /// Pre-extend every per-variable array for `extra` upcoming new_var calls
   /// (one reallocation instead of ~13 amortized growths per variable). Used
-  /// by the template-stamping path, which knows each copy's variable count
-  /// up front.
+  /// by the diagnosis shell, which knows its select and totalizer variable
+  /// count up front.
   void reserve_vars(std::size_t extra);
-
-  /// Batch variable allocation: equivalent to flags.size() new_var calls but
-  /// with one resize of every per-variable array instead of ~17 push_backs
-  /// per variable. Bit 0 of a flag marks the variable decidable (entering
-  /// the order heap with zero activity, an O(1) max-heap append), bit 1
-  /// frozen; phases start false. Returns the first new variable.
-  static constexpr std::uint8_t kVarDecidable = 1;
-  static constexpr std::uint8_t kVarFrozen = 2;
-  Var new_vars(std::span<const std::uint8_t> flags);
 
   /// Add a clause; returns false when the formula is already UNSAT at the
   /// root level. Literals may be unsorted and contain duplicates. When
@@ -128,25 +119,19 @@ class Solver {
   bool add_clause(Lit a, Lit b) { return add_clause(Clause{a, b}); }
   bool add_clause(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
 
-  /// Pristine template stamping: add a relocated template clause as it
-  /// stands, watching lits[0] and lits[1]. The caller guarantees at least
-  /// two distinct, non-complementary literals, none assigned at the root
-  /// (fresh copy variables plus unassigned extern variables — see
-  /// any_assigned), so nothing sorts, simplifies or propagates. This is the
-  /// standard instance-construction case; streams with units or assigned
-  /// externs go through add_clause instead.
+  /// Pristine copy loading: add a normalized clause as it stands, watching
+  /// lits[0] and lits[1]. The caller guarantees at least two distinct,
+  /// non-complementary literals, none assigned at the root (fresh copy
+  /// variables plus unassigned select lines — see any_assigned), so nothing
+  /// sorts, simplifies or propagates. The diagnosis copy loader
+  /// (cnf/mux_instrument.cpp) uses it for copies with no units and no
+  /// assigned select; other copies go through add_clause.
   bool add_stamped_clause(std::span<const Lit> lits);
 
-  /// True when any of `vars` is assigned at the root level — the template
-  /// stamping path probes its extern (select) variables with this to decide
-  /// whether add_stamped_clause applies.
+  /// True when any of `vars` is assigned at the root level — the copy
+  /// loader probes a copy's select lines with this to decide whether
+  /// add_stamped_clause applies.
   bool any_assigned(std::span<const Var> vars) const;
-
-  /// Snapshot of the irredundant clause database — the binary layer plus
-  /// non-learnt arena clauses, with root-level trail literals included as
-  /// unit clauses. Every clause comes out sorted. For differential tests
-  /// (walk-vs-stamp instance equality) and external tooling; not a hot path.
-  std::vector<Clause> snapshot_clauses() const;
 
   /// Enumeration fast path: add a clause whose literals are all false under
   /// the current model (a blocking clause) *without* resetting the search.

@@ -25,8 +25,7 @@ TEST(ArtifactKeyTest, KindSeparatesDomains) {
   std::set<std::uint64_t> seen;
   for (const ArtifactKind kind :
        {ArtifactKind::kNetlist, ArtifactKind::kCompiled,
-        ArtifactKind::kGoldenOutputs, ArtifactKind::kCone,
-        ArtifactKind::kCopyTemplate}) {
+        ArtifactKind::kGoldenOutputs, ArtifactKind::kCone}) {
     KeyBuilder kb(kind);
     kb.mix(42u);
     EXPECT_TRUE(seen.insert(pack(kb.key())).second)

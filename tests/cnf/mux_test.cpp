@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench/builtin_circuits.hpp"
+#include "common/diff_harness.hpp"
+#include "netlist/analysis.hpp"
 
 namespace satdiag {
 namespace {
@@ -68,11 +73,11 @@ TEST(MuxInstrumentTest, SelectSharedAcrossTests) {
   EXPECT_EQ(inst.solver.model_value(c1), LBool::kTrue);
 }
 
-// The folded multiplexer at one gate o, for both builders: under s = 0 the
-// copy's value of o is its function of the fanins (the opposite value is
-// UNSAT), under s = 1 either value is SAT. The test constrains a second
-// output, q = BUF(a), to its fault-free value, so nothing but o's own
-// clauses bears on o's value, which is assumed directly.
+// The folded multiplexer at one gate o: under s = 0 the copy's value of o
+// is its function of the fanins (the opposite value is UNSAT), under s = 1
+// either value is SAT. The test constrains a second output, q = BUF(a), to
+// its fault-free value, so nothing but o's own clauses bears on o's value,
+// which is assumed directly.
 void expect_select_guards_function(GateType type) {
   Netlist nl;
   const GateId a = nl.add_input("a");
@@ -90,26 +95,21 @@ void expect_select_guards_function(GateType type) {
           eval_gate(type, unary ? std::vector<bool>{va}
                                 : std::vector<bool>{va, vb});
       const TestSet tests{satdiag::Test{{va, vb}, 1, va}};
-      for (const bool stamped : {true, false}) {
-        DiagnosisInstanceOptions options;
-        options.max_k = 1;
-        options.instrumented = {o};
-        options.template_stamped = stamped;
-        DiagnosisInstance inst = build_diagnosis_instance(nl, tests, options);
-        const sat::Var s = inst.select_var[inst.select_index[o]];
-        const sat::Var v = inst.copies[0].gate_var[o];
-        for (const bool select : {false, true}) {
-          for (const bool value : {false, true}) {
-            const std::vector<Lit> assumptions{sat::Lit(s, !select),
-                                               sat::Lit(v, !value)};
-            const LBool expected = select || value == function
-                                       ? LBool::kTrue
-                                       : LBool::kFalse;
-            EXPECT_EQ(inst.solver.solve(assumptions), expected)
-                << "type=" << static_cast<int>(type) << " a=" << va
-                << " b=" << vb << " stamped=" << stamped
-                << " s=" << select << " v=" << value;
-          }
+      DiagnosisInstanceOptions options;
+      options.max_k = 1;
+      options.instrumented = {o};
+      DiagnosisInstance inst = build_diagnosis_instance(nl, tests, options);
+      const sat::Var s = inst.select_var[inst.select_index[o]];
+      const sat::Var v = inst.copies[0].gate_var[o];
+      for (const bool select : {false, true}) {
+        for (const bool value : {false, true}) {
+          const std::vector<Lit> assumptions{sat::Lit(s, !select),
+                                             sat::Lit(v, !value)};
+          const LBool expected =
+              select || value == function ? LBool::kTrue : LBool::kFalse;
+          EXPECT_EQ(inst.solver.solve(assumptions), expected)
+              << "type=" << static_cast<int>(type) << " a=" << va
+              << " b=" << vb << " s=" << select << " v=" << value;
         }
       }
     }
@@ -174,6 +174,71 @@ TEST(MuxInstrumentTest, CardinalityBoundsSolutionSize) {
     }
     if (!inst.solver.add_clause(block)) break;
   }
+}
+
+// Under cone_of_influence the shell reads every test's cone from the
+// artifact cache. Against fanin_cone computed here, independently of that
+// cache: the universe is the requested set restricted to the union of the
+// tests' output cones, and each copy encodes exactly its own test's cone.
+TEST(MuxInstrumentTest, CoiUniverseIsTheUnionOfOutputCones) {
+  std::size_t proper_unions = 0;
+  for (const std::uint64_t seed : {1ull, 4ull, 8ull}) {
+    difftest::DiffConfig config;
+    config.seed = seed;
+    config.gates = 160;
+    config.tests = 5;
+    const difftest::DiffInstance di = difftest::make_instance(config);
+    SCOPED_TRACE(config.describe());
+
+    std::vector<std::vector<bool>> cones;
+    std::vector<bool> union_cone(di.nl.size(), false);
+    for (const satdiag::Test& test : di.tests) {
+      cones.push_back(fanin_cone(di.nl, {test_output_gate(di.nl, test)}));
+      for (GateId g = 0; g < di.nl.size(); ++g) {
+        if (cones.back()[g]) union_cone[g] = true;
+      }
+    }
+
+    // Every combinational gate requested, then every third one.
+    std::vector<GateId> third;
+    for (std::size_t i = 0; i < di.pool.size(); i += 3) {
+      third.push_back(di.pool[i]);
+    }
+    for (const std::vector<GateId>& requested :
+         {std::vector<GateId>{}, third}) {
+      DiagnosisInstanceOptions options;
+      options.max_k = 2;
+      options.cone_of_influence = true;
+      options.instrumented = requested;
+      std::vector<GateId> expected;
+      for (GateId g = 0; g < di.nl.size(); ++g) {
+        const bool asked =
+            requested.empty()
+                ? di.nl.is_combinational(g)
+                : std::find(requested.begin(), requested.end(), g) !=
+                      requested.end();
+        if (asked && union_cone[g]) expected.push_back(g);
+      }
+      if (requested.empty() &&
+          expected.size() < di.nl.num_combinational_gates()) {
+        ++proper_unions;
+      }
+      EXPECT_EQ(diagnosis_universe(di.nl, di.tests, options), expected);
+
+      const DiagnosisInstance inst =
+          build_diagnosis_instance(di.nl, di.tests, options);
+      EXPECT_EQ(inst.instrumented, expected);
+      for (std::size_t t = 0; t < di.tests.size(); ++t) {
+        for (GateId g = 0; g < di.nl.size(); ++g) {
+          EXPECT_EQ(inst.copies[t].gate_var[g] >= 0, cones[t][g])
+              << "test " << t << " gate " << g;
+        }
+      }
+    }
+  }
+  // The fixtures must keep cones that leave gates out, or the union check
+  // cannot tell the reduction from no reduction.
+  EXPECT_GT(proper_unions, 0u);
 }
 
 }  // namespace
