@@ -5,6 +5,8 @@
 // decisions on/off, over every single gate of the universe and random pairs
 // at max_k = 2, and for copies that load through add_clause because they
 // meet a root value (the non-pristine path of cnf/mux_instrument.hpp).
+// Last, BSAT's solution sets are pinned across instance shapes and
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 
 #include "cnf/mux_instrument.hpp"
 #include "common/diff_harness.hpp"
+#include "diag/bsat.hpp"
 #include "diag/validity.hpp"
 #include "util/rng.hpp"
 
@@ -246,6 +249,45 @@ TEST(InstanceDiffTest, NonPristineCopiesAgreeWithDefinition3) {
   }
   // Copies that hold the fixed select must keep being added after it.
   EXPECT_GT(reached, 0u);
+}
+
+// The end-to-end pin: on a fixture with failing tests, BSAT solution sets
+// are invariant under the instance shape (cone of influence off, the
+// paper's unreduced instance, against the default cone-of-influence shell)
+// and the enumeration thread count, and every enumerated correction is
+// valid by Definition 3. The suite name is
+// the one this pin has always run under, from when test copies were
+// stamped from clause-stream templates.
+TEST(ClauseStreamTest, SolutionSetsAcrossBuildersAndThreads) {
+  difftest::DiffConfig config;
+  config.seed = 2;
+  config.gates = 140;
+  config.tests = 6;
+  const difftest::DiffInstance di = make_fixture(config);
+
+  BsatOptions base;
+  base.k = 2;
+  base.instance.max_k = 2;
+
+  BsatOptions full = base;
+  full.instance.cone_of_influence = false;
+  const BsatResult reference = basic_sat_diagnose(di.nl, di.tests, full);
+  EXPECT_TRUE(reference.complete);
+  EXPECT_FALSE(reference.solutions.empty());
+  for (const std::vector<GateId>& correction : reference.solutions) {
+    EXPECT_EQ(first_failing_test(di.nl, di.tests, correction), std::nullopt);
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    BsatOptions coi = base;
+    coi.instance.cone_of_influence = true;
+    coi.num_threads = threads;
+    const BsatResult result = basic_sat_diagnose(di.nl, di.tests, coi);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.solutions, reference.solutions)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
