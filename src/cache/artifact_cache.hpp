@@ -2,10 +2,9 @@
 // same circuit pay only the solve" layer).
 //
 // Artifacts are immutable compile products — parsed/generated netlists,
-// full-scan views, CompiledNetlist opcode streams, golden output rows and
-// fanin cones — addressed by a 128-bit content key (ArtifactKind + whatever
-// the producer mixes in: netlist fingerprint, test-set hash, cone root,
-// ...). Consumers hold them as shared_ptr<const T>; a cached value is never
+// full-scan views, golden output rows and fanin cones — addressed by a
+// 128-bit content key (ArtifactKind + whatever the producer mixes in:
+// netlist fingerprint, test-set hash, cone root, ...). Consumers hold them as shared_ptr<const T>; a cached value is never
 // mutated after construction, matching the netlist library's immutability
 // contract (the only post-finalize mutation in-tree is substitute_type, and
 // a substituted netlist fingerprints differently, so it can never alias a
@@ -52,7 +51,7 @@ struct ArtifactKeyHash {
 
 enum class ArtifactKind : std::uint64_t {
   kNetlist = 1,      // generated circuit / full-scan comb view
-  kCompiled = 2,     // CompiledCircuit (netlist + opcode stream)
+  kCompiled = 2,     // full-scan view of an experiment circuit
   kGoldenOutputs = 3,  // golden output rows per test set
   kCone = 4,         // fanin-cone flag vector per root set
 };

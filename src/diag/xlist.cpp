@@ -13,8 +13,7 @@ namespace satdiag {
 std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
                                          const Netlist& nl,
                                          const TestSet& tests,
-                                         std::span<const GateId> candidates,
-                                         const Deadline& deadline) {
+                                         std::span<const GateId> candidates) {
   assert(!tests.empty() && tests.size() <= 64);
   std::vector<std::uint64_t> masks(candidates.size(), 0);
   if (candidates.empty()) return masks;
@@ -28,7 +27,6 @@ std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
   exec::LaneLocal<Sim3XBatch> lane_batch(pool.num_threads());
   exec::parallel_for(pool, num_batches, [&](std::size_t batch,
                                             std::size_t lane) {
-    if (deadline.expired()) return;
     Sim3XBatch& xb = lane_batch.get(lane, [&] { return prototype; });
     const std::size_t begin = batch * cap;
     const std::size_t end = std::min(begin + cap, candidates.size());
@@ -104,13 +102,12 @@ std::vector<GateId> xlist_single_candidates(const Netlist& nl,
     if (alive.empty()) break;
     const std::uint64_t full =
         chunk.size() == 64 ? ~0ULL : (1ULL << chunk.size()) - 1;
-    const auto masks = x_reach_masks(workers, nl, chunk, alive, options.deadline);
+    const auto masks = x_reach_masks(workers, nl, chunk, alive);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < alive.size(); ++i) {
       if (masks[i] == full) alive[kept++] = alive[i];
     }
     alive.resize(kept);
-    if (options.deadline.expired()) break;
   }
   return alive;
 }

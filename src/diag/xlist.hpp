@@ -16,12 +16,10 @@
 
 #include "exec/thread_pool.hpp"
 #include "netlist/testset.hpp"
-#include "util/timer.hpp"
 
 namespace satdiag {
 
 struct XListOptions {
-  Deadline deadline;
   /// Candidate-parallel lanes (exec/ runtime): whole 64-candidate injection
   /// batches are sharded over per-thread Sim3XBatch evaluators cloned from
   /// one primed prototype. Results are bit-identical for every thread count
@@ -40,8 +38,7 @@ struct XListOptions {
 std::vector<std::uint64_t> x_reach_masks(exec::ThreadPool& pool,
                                          const Netlist& nl,
                                          const TestSet& tests,
-                                         std::span<const GateId> candidates,
-                                         const Deadline& deadline = {});
+                                         std::span<const GateId> candidates);
 
 /// Gates g such that injecting X at g makes every test's erroneous output X.
 /// Only combinational gates in the fanin cone of every erroneous output are

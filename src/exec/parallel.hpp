@@ -108,7 +108,8 @@ void parallel_for(ThreadPool& pool, std::size_t n, Body&& body,
 }
 
 /// Worker-owned scratch state, created on first use per lane (e.g. simulator
-/// clones over a shared CompiledNetlist, per-worker SAT solvers). The factory
+/// clones, which share their prototype's immutable CompiledNetlist and own
+/// their value planes and overrides; per-worker SAT solvers). The factory
 /// must produce equivalent state for every lane: lane state carries no
 /// result-relevant history across shards.
 template <typename T>

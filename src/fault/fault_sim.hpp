@@ -5,9 +5,9 @@
 // 64-pattern round a golden sweep on a prototype simulator, then the
 // candidate axis sharded across the thread pool, each worker owning a
 // ParallelSimulator clone of the golden prototype (the clone shares the
-// netlist and copies the compiled opcode stream plus the golden value
-// plane, so a worker pays only dirty-cone resimulation per site, never a
-// full sweep, and an undo-trail restore instead of a second cone).
+// netlist and the immutable compiled opcode stream and copies the golden
+// value plane, so a worker pays only dirty-cone resimulation per site, never
+// a full sweep, and an undo-trail restore instead of a second cone).
 //
 // Each site is simulated once per round, not once per polarity (PPSFP:
 // single fault, 64 patterns per word; Waicukauski et al., "Fault Simulation

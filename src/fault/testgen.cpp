@@ -39,9 +39,7 @@ TestSet generate_failing_tests(const Netlist& nl, const ErrorList& errors,
 
   // One simulator runs both personalities per word: a full golden sweep,
   // then an incremental faulty sweep that re-evaluates only the error cones.
-  ParallelSimulator sim = options.compiled_prototype != nullptr
-                              ? ParallelSimulator(nl, *options.compiled_prototype)
-                              : ParallelSimulator(nl);
+  ParallelSimulator sim(nl);
   std::vector<std::uint64_t> input_words(nl.inputs().size());
   std::vector<std::uint64_t> golden_out(nl.outputs().size());
 

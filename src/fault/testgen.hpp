@@ -9,7 +9,6 @@
 
 #include "fault/error_model.hpp"
 #include "netlist/testset.hpp"
-#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -21,10 +20,6 @@ struct TestGenOptions {
   /// Use the SAT miter when random simulation cannot fill the request.
   bool use_atpg_fallback = true;
   Deadline deadline;
-  /// Optional cached compilation of a netlist structurally identical to the
-  /// one being tested (the artifact cache's CompiledNetlist for the golden
-  /// circuit): the simulator rebinds it instead of re-flattening.
-  const CompiledNetlist* compiled_prototype = nullptr;
 };
 
 /// Generate up to `count` failing tests for `errors` on `nl` (combinational

@@ -10,7 +10,6 @@
 #include "exec/parallel.hpp"
 #include "gen/profiles.hpp"
 #include "netlist/scan.hpp"
-#include "sim/compiled.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -29,48 +28,34 @@ Netlist build_circuit(const ExperimentConfig& config) {
   return make_builtin(config.circuit);
 }
 
-/// Cached compile products of one experiment circuit: the full-scan golden
-/// view plus its simulator compilation (bound to this bundle's own netlist;
-/// consumers rebind it onto their copies). Immutable once built.
-struct CircuitArtifacts {
-  explicit CircuitArtifacts(Netlist g) : golden(std::move(g)), compiled(golden) {}
-  Netlist golden;
-  CompiledNetlist compiled;
-
-  std::size_t bytes() const {
-    // Rough: gates dominate both the netlist (fanin/fanout CSR-ish vectors)
-    // and the opcode stream; good enough for the cache's LRU budget.
-    return golden.size() * 64;
-  }
-};
-
-std::shared_ptr<const CircuitArtifacts> cached_circuit(
-    const ExperimentConfig& config) {
+/// The full-scan golden view of one experiment circuit, cached. Immutable
+/// once built.
+std::shared_ptr<const Netlist> cached_circuit(const ExperimentConfig& config) {
   // The circuit is a pure function of (name, scale, seed) — retries and all
   // downstream randomness never change it, so the grid's 12 cells over 3
   // profiles build each circuit once and the bench harness's repeat runs
-  // skip generation + scan insertion + compilation entirely.
+  // skip generation + scan insertion entirely.
   cache::KeyBuilder kb(cache::ArtifactKind::kCompiled);
   kb.mix(std::string_view(config.circuit));
   kb.mix_double(config.scale);
   kb.mix(config.seed);
-  return cache::ArtifactCache::global().get_or_build<CircuitArtifacts>(
+  return cache::ArtifactCache::global().get_or_build<Netlist>(
       kb.key(),
-      [&]() -> std::pair<std::shared_ptr<const CircuitArtifacts>,
-                         std::size_t> {
-        auto artifacts = std::make_shared<CircuitArtifacts>(
+      [&]() -> std::pair<std::shared_ptr<const Netlist>, std::size_t> {
+        auto golden = std::make_shared<const Netlist>(
             make_full_scan(build_circuit(config)).comb);
-        const std::size_t bytes = artifacts->bytes();
-        return {std::move(artifacts), bytes};
+        // Rough: gates dominate the netlist's fanin/fanout vectors; good
+        // enough for the cache's LRU budget.
+        const std::size_t bytes = golden->size() * 64;
+        return {std::move(golden), bytes};
       });
 }
 }  // namespace
 
 std::optional<PreparedExperiment> prepare_experiment(
     const ExperimentConfig& config) {
-  const std::shared_ptr<const CircuitArtifacts> artifacts =
-      cached_circuit(config);
-  const Netlist& golden = artifacts->golden;
+  const std::shared_ptr<const Netlist> cached = cached_circuit(config);
+  const Netlist& golden = *cached;
 
   for (std::size_t attempt = 0; attempt <= kSeedRetries; ++attempt) {
     PreparedExperiment prepared;
@@ -95,9 +80,6 @@ std::optional<PreparedExperiment> prepare_experiment(
 
     TestGenOptions testgen;
     testgen.deadline = Deadline::after_seconds(config.time_limit_seconds);
-    // prepared.golden is a copy of the cached netlist, so the cached
-    // compilation rebinds onto it directly.
-    testgen.compiled_prototype = &artifacts->compiled;
     prepared.tests = generate_failing_tests(prepared.golden, prepared.errors,
                                             config.num_tests, rng, testgen);
     if (prepared.tests.size() < config.num_tests) {

@@ -14,10 +14,11 @@
 // LanePlan packs candidates into lane groups of one word for the batched
 // evaluators.
 //
-// The netlist must not be mutated (substitute_type) after compilation: gate
-// functions are baked into the opcode stream. Each simulator owns its
-// CompiledNetlist, so gate-substitution what-ifs (set_op) never interfere
-// across simulators.
+// A CompiledNetlist is immutable once built, and the netlist must not be
+// mutated (substitute_type) after compilation: gate functions are baked into
+// the opcode stream. A simulator and its copies share one compile; a
+// gate-substitution what-if lives in the simulator's own override record
+// (sim/incremental.hpp), never in the stream.
 #pragma once
 
 #include <cassert>
@@ -63,15 +64,6 @@ class CompiledNetlist {
  public:
   explicit CompiledNetlist(const Netlist& nl);
 
-  /// Rebind-copy: adopt another compilation (positions, opcode stream, CSRs)
-  /// for a structurally identical netlist (same gate types, fanins, and topo
-  /// order — e.g. a copy of a cached golden circuit) without re-flattening.
-  CompiledNetlist([[maybe_unused]] const Netlist& nl,
-                  const CompiledNetlist& prototype)
-      : CompiledNetlist(prototype) {
-    assert(nl.size() == prototype.size());
-  }
-
   /// Opcode for evaluating `type` at the given fan-in count. Unary AND/OR/
   /// XOR collapse to the identity, unary NAND/NOR/XNOR to the inverter.
   static SimOp opcode_for(GateType type, std::size_t arity);
@@ -83,9 +75,6 @@ class CompiledNetlist {
   Position comb_begin() const { return comb_begin_; }
 
   SimInstr instr(Position p) const { return instrs_[p]; }
-
-  /// Recompile one slot for a gate-substitution what-if (same arity).
-  void set_op(Position p, SimOp op) { instrs_[p].op = op; }
 
   Position csr_fanin(std::uint32_t slot) const { return fanin_csr_[slot]; }
 

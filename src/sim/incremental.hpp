@@ -22,10 +22,12 @@
 // skip everything outside it.
 //
 // An override site carries a lane mask and a forced word: the lanes of the
-// mask read the forced word, whether the gate is computed or a source. A
-// gate-substitution override swaps the site's opcode instead. Only sites
-// store override records. The first override settles all pending work, so
-// an UndoTrail starts from a fully evaluated checkpoint; while overrides are
+// mask read the forced word, whether the gate is computed or a source. It
+// also carries the opcode the gate evaluates, which exec() runs in place of
+// the compiled slot: a gate-substitution override sets that opcode and
+// leaves the shared, immutable opcode stream alone. Only sites store
+// override records. The first override settles all pending work, so an
+// UndoTrail starts from a fully evaluated checkpoint; while overrides are
 // live every word written is logged, and clear_overrides() writes the logged
 // words back (O(#words written)) instead of evaluating the cones a second
 // time. The log also tells a caller which gates the overrides changed and
@@ -44,14 +46,17 @@
 // No operation mixes lanes, which the lane-batched evaluators (LanePlan)
 // rely on.
 //
-// The netlist must not be mutated (substitute_type) after construction:
-// gate functions are compiled into the opcode stream.
+// The compile is immutable and shared: copying a simulator (the worker
+// clones of the exec/ runtime) copies its planes, flags and trail but not
+// the opcode stream. The netlist must not be mutated (substitute_type) after
+// construction: gate functions are compiled into the opcode stream.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -63,16 +68,16 @@ namespace satdiag {
 /// Override sites and undo log of the value plane, over positions.
 ///
 /// A site is a position with an override record: a forced lane mask, its
-/// forced word, and the function the gate evaluates. The simulator adds its
-/// first site only at a clean checkpoint. From then on it logs the old word
-/// of every value-plane write with record(), and every source word assigned
-/// while live with record_source() — including, before the first override
-/// on a source, the source's own word, which the override then masks.
-/// restore() writes the logged words back newest first, which returns the
-/// plane exactly to the checkpoint, and then re-assigns the logged source
-/// words in order through the ordinary source path, so a source changed
-/// while overrides were live becomes ordinary pending work for the next
-/// run().
+/// forced word, and the function the gate evaluates (type and opcode). The
+/// simulator adds its first site only at a clean checkpoint. From then on it
+/// logs the old word of every value-plane write with record(), and every
+/// source word assigned while live with record_source() — including, before
+/// the first override on a source, the source's own word, which the override
+/// then masks. restore() writes the logged words back newest first, which
+/// returns the plane exactly to the checkpoint, and then re-assigns the
+/// logged source words in order through the ordinary source path, so a
+/// source changed while overrides were live becomes ordinary pending work
+/// for the next run().
 template <class Word>
 class UndoTrail {
  public:
@@ -81,6 +86,7 @@ class UndoTrail {
     std::uint64_t mask = 0;  // forced lanes
     Word forced{};           // their word
     GateType type{};         // the function the gate evaluates
+    SimOp op = SimOp::kSource;  // its opcode, which exec() runs
   };
 
   explicit UndoTrail(std::size_t positions) : site_of_(positions, 0) {}
@@ -94,11 +100,11 @@ class UndoTrail {
   }
   /// Sites in the order they got their first override.
   const std::vector<Site>& sites() const { return sites_; }
-  /// The record of p, added with no forced lanes and function `type` when
-  /// p has none yet.
-  Site& add_site(Position p, GateType type) {
+  /// The record of p, added with no forced lanes and function `type`
+  /// (opcode `op`) when p has none yet.
+  Site& add_site(Position p, GateType type, SimOp op) {
     if (site_of_[p] == 0) {
-      sites_.push_back(Site{p, 0, Word{}, type});
+      sites_.push_back(Site{p, 0, Word{}, type, op});
       site_of_[p] = static_cast<std::uint32_t>(sites_.size());
     }
     return sites_[site_of_[p] - 1];
@@ -192,19 +198,19 @@ class IncrementalSimulator {
   template <class Visit>
   void for_each_logged_write(Visit&& visit) const {
     trail_.for_each_write(
-        [&](Position p, const Word& w) { visit(compiled_.gate(p), w); });
+        [&](Position p, const Word& w) { visit(compiled_->gate(p), w); });
   }
 
  protected:
-  IncrementalSimulator(const Netlist& nl, CompiledNetlist compiled);
+  explicit IncrementalSimulator(const Netlist& nl);
 
   /// The stored word of gate g.
-  Word word(GateId g) const { return values_[compiled_.position(g)]; }
+  Word word(GateId g) const { return values_[compiled_->position(g)]; }
 
   /// Assign source g's word. A live override keeps its lanes; the whole
   /// word takes effect when clear_overrides() drops the override.
   void assign_source(GateId g, Word w) {
-    assign_source_at(compiled_.position(g), w);
+    assign_source_at(compiled_->position(g), w);
   }
 
   /// Force the lanes of `mask` of gate g (computed or source) to `forced`
@@ -224,7 +230,7 @@ class IncrementalSimulator {
   /// set_input_lanes() to the domain as well.
   void confine_events(const std::vector<bool>& domain) {
     for (GateId g = 0; g < nl_->size(); ++g) {
-      std::uint8_t& f = flags_[compiled_.position(g)];
+      std::uint8_t& f = flags_[compiled_->position(g)];
       f = domain[g] ? (f | kInDomain) : (f & ~kInDomain);
     }
   }
@@ -238,7 +244,7 @@ class IncrementalSimulator {
   /// Gate g's override record (forced lanes, forced word, function), or
   /// nullptr when g carries no override.
   const typename UndoTrail<Word>::Site* override_at(GateId g) const {
-    return site_at(compiled_.position(g));
+    return site_at(compiled_->position(g));
   }
 
   /// Reference evaluation: `sweep(store)` recomputes every gate (overrides
@@ -253,7 +259,7 @@ class IncrementalSimulator {
       }
     }
     sweep([this](GateId g, const Word& w) {
-      values_.set(compiled_.position(g), w);
+      values_.set(compiled_->position(g), w);
     });
     reset_dirty();  // a full sweep satisfies every pending dirty mark
     all_dirty_ = false;
@@ -269,15 +275,16 @@ class IncrementalSimulator {
   /// The word assigned to source p, even while an override masks it.
   Word source_word(Position p) const;
   Position num_positions() const {
-    return static_cast<Position>(compiled_.size());
+    return static_cast<Position>(compiled_->size());
   }
 
   const typename UndoTrail<Word>::Site* site_at(Position p) const {
     return (flags_[p] & kSite) ? trail_.site(p) : nullptr;
   }
-  typename UndoTrail<Word>::Site& add_site(Position p, GateType type) {
+  typename UndoTrail<Word>::Site& add_site(Position p) {
     flags_[p] |= kSite;
-    return trail_.add_site(p, type);
+    return trail_.add_site(p, nl_->type(compiled_->gate(p)),
+                           compiled_->instr(p).op);
   }
 
   void schedule(Position p) {
@@ -287,7 +294,7 @@ class IncrementalSimulator {
     hi_ = std::max(hi_, w);
   }
   void schedule_fanouts(Position p) {
-    for (Position out : compiled_.fanouts(p)) {
+    for (Position out : compiled_->fanouts(p)) {
       if (flags_[out] & kInDomain) schedule(out);
     }
   }
@@ -298,7 +305,7 @@ class IncrementalSimulator {
     hi_ = 0;
   }
 
-  CompiledNetlist compiled_;
+  std::shared_ptr<const CompiledNetlist> compiled_;  // shared by copies
   typename Algebra::Plane values_;  // by position
   UndoTrail<Word> trail_;           // override sites and undo log
   // One bit per position; lo_/hi_ bound the words with a bit set (lo_ > hi_
@@ -316,28 +323,30 @@ class IncrementalSimulator {
 };
 
 template <class Algebra>
-IncrementalSimulator<Algebra>::IncrementalSimulator(const Netlist& nl,
-                                                    CompiledNetlist compiled)
+IncrementalSimulator<Algebra>::IncrementalSimulator(const Netlist& nl)
     : nl_(&nl),
-      compiled_(std::move(compiled)),
+      compiled_(std::make_shared<const CompiledNetlist>(nl)),
       values_(nl.size()),
       trail_(nl.size()),
       dirty_((nl.size() + 63) / 64, 0),
       flags_(nl.size(), kInDomain) {
-  for (Position p = 0; p < compiled_.comb_begin(); ++p) {
-    const GateType type = nl.type(compiled_.gate(p));
+  for (Position p = 0; p < compiled_->comb_begin(); ++p) {
+    const GateType type = nl.type(compiled_->gate(p));
     if (type == GateType::kConst0 || type == GateType::kConst1) {
       values_.set(p, Algebra::constant(type == GateType::kConst1));
     }
   }
 }
 
-// The one opcode interpreter of both backends.
+// The one opcode interpreter of both backends. A site's opcode stands in for
+// the compiled one, so a substituted gate runs its what-if function.
 template <class Algebra>
 typename Algebra::Word IncrementalSimulator<Algebra>::exec(Position p) const {
-  const SimInstr in = compiled_.instr(p);
+  const SimInstr in = compiled_->instr(p);
+  const auto* s = site_at(p);
+  const SimOp op = s != nullptr ? s->op : in.op;
   const auto& v = values_;
-  switch (in.op) {
+  switch (op) {
     case SimOp::kSource:
       return v[p];
     case SimOp::kBuf:
@@ -360,25 +369,25 @@ typename Algebra::Word IncrementalSimulator<Algebra>::exec(Position p) const {
     case SimOp::kNandK: {
       Word acc = Algebra::constant(true);
       for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = Algebra::and2(acc, v[compiled_.csr_fanin(in.a + i)]);
+        acc = Algebra::and2(acc, v[compiled_->csr_fanin(in.a + i)]);
       }
-      return in.op == SimOp::kAndK ? acc : Algebra::invert(acc);
+      return op == SimOp::kAndK ? acc : Algebra::invert(acc);
     }
     case SimOp::kOrK:
     case SimOp::kNorK: {
       Word acc = Algebra::constant(false);
       for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = Algebra::or2(acc, v[compiled_.csr_fanin(in.a + i)]);
+        acc = Algebra::or2(acc, v[compiled_->csr_fanin(in.a + i)]);
       }
-      return in.op == SimOp::kOrK ? acc : Algebra::invert(acc);
+      return op == SimOp::kOrK ? acc : Algebra::invert(acc);
     }
     case SimOp::kXorK:
     case SimOp::kXnorK: {
       Word acc = Algebra::constant(false);
       for (std::uint32_t i = 0; i < in.b; ++i) {
-        acc = Algebra::xor2(acc, v[compiled_.csr_fanin(in.a + i)]);
+        acc = Algebra::xor2(acc, v[compiled_->csr_fanin(in.a + i)]);
       }
-      return in.op == SimOp::kXorK ? acc : Algebra::invert(acc);
+      return op == SimOp::kXorK ? acc : Algebra::invert(acc);
     }
   }
   return Word{};
@@ -420,7 +429,7 @@ void IncrementalSimulator<Algebra>::set_input_lanes(
   assert(bits.size() == nl_->inputs().size());
   if (lanes == 0) return;
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    const Position p = compiled_.position(nl_->inputs()[i]);
+    const Position p = compiled_->position(nl_->inputs()[i]);
     if (!(flags_[p] & kInDomain)) continue;
     assign_source_at(p, Algebra::blend(source_word(p),
                                        Algebra::constant(bits[i]), lanes));
@@ -430,9 +439,9 @@ void IncrementalSimulator<Algebra>::set_input_lanes(
 template <class Algebra>
 void IncrementalSimulator<Algebra>::force(GateId g, std::uint64_t mask,
                                           Word forced) {
-  const Position p = compiled_.position(g);
+  const Position p = compiled_->position(g);
   begin_override();
-  auto& site = add_site(p, nl_->type(g));
+  auto& site = add_site(p);
   if (nl_->is_source(g) && site.mask == 0) {
     trail_.record_source(p, values_[p]);  // the word the override masks
   }
@@ -446,24 +455,18 @@ void IncrementalSimulator<Algebra>::substitute(GateId g, GateType type) {
   assert(nl_->is_combinational(g));
   assert(arity_ok(type, nl_->fanins(g).size()));
   if (eval_type(g) == type) return;
-  const Position p = compiled_.position(g);
+  const Position p = compiled_->position(g);
   begin_override();
-  add_site(p, nl_->type(g)).type = type;
-  compiled_.set_op(p, CompiledNetlist::opcode_for(type, nl_->fanins(g).size()));
+  auto& site = add_site(p);
+  site.type = type;
+  site.op = CompiledNetlist::opcode_for(type, nl_->fanins(g).size());
   schedule(p);
 }
 
 template <class Algebra>
 void IncrementalSimulator<Algebra>::clear_overrides() {
   if (!trail_.live()) return;
-  for (const auto& s : trail_.sites()) {
-    flags_[s.pos] &= ~kSite;
-    const GateId g = compiled_.gate(s.pos);
-    if (s.type != nl_->type(g)) {
-      compiled_.set_op(s.pos, CompiledNetlist::opcode_for(
-                                  nl_->type(g), nl_->fanins(g).size()));
-    }
-  }
+  for (const auto& s : trail_.sites()) flags_[s.pos] &= ~kSite;
   reset_dirty();  // the checkpoint had no pending work
   trail_.restore([this](Position p, const Word& w) { values_.set(p, w); },
                  [this](Position p, const Word& w) { assign_source_at(p, w); });
@@ -474,7 +477,7 @@ void IncrementalSimulator<Algebra>::run() {
   if (all_dirty_) {
     // First evaluation: one pass over the domain in position order. No
     // override is live yet (the first one settles this sweep).
-    for (Position p = compiled_.comb_begin(); p < num_positions(); ++p) {
+    for (Position p = compiled_->comb_begin(); p < num_positions(); ++p) {
       if (flags_[p] & kInDomain) values_.set(p, exec(p));
     }
     reset_dirty();

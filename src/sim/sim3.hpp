@@ -107,7 +107,7 @@ extern template class IncrementalSimulator<PlaneAlgebra>;
 class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
  public:
   explicit ThreeValuedSimulator(const Netlist& nl)
-      : IncrementalSimulator(nl, CompiledNetlist(nl)) {}
+      : IncrementalSimulator(nl) {}
 
   void set_source(GateId g, Val3 v) {
     assert(nl_->is_source(g));

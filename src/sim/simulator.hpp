@@ -6,8 +6,10 @@
 //
 // ParallelSimulator is the incremental core (sim/incremental.hpp) over
 // WordAlgebra, one 64-pattern word per gate in position order; a value
-// override forces every lane of its gate, a type override swaps its
-// function. Its reference path, run_full(), evaluates through sweep_words
+// override forces every lane of its gate, a type override gives its
+// override record another opcode. A copy shares the compiled netlist and
+// owns its value plane and overrides, so clones run different what-ifs
+// side by side. Its reference path, run_full(), evaluates through sweep_words
 // and the generic per-gate dispatch (eval_gate_words) over a plane indexed
 // by GateId, never through the opcode interpreter or the compiled
 // positions, so the differential tests compare two independent evaluators.
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/compiled.hpp"
 #include "sim/incremental.hpp"
 
 namespace satdiag {
@@ -74,14 +75,7 @@ extern template class IncrementalSimulator<WordAlgebra>;
 
 class ParallelSimulator : public IncrementalSimulator<WordAlgebra> {
  public:
-  explicit ParallelSimulator(const Netlist& nl)
-      : IncrementalSimulator(nl, CompiledNetlist(nl)) {}
-
-  /// Construct by rebinding a cached compilation of a structurally
-  /// identical netlist (see CompiledNetlist's rebind-copy constructor) —
-  /// skips the flattening walk.
-  ParallelSimulator(const Netlist& nl, const CompiledNetlist& prototype)
-      : IncrementalSimulator(nl, CompiledNetlist(nl, prototype)) {}
+  explicit ParallelSimulator(const Netlist& nl) : IncrementalSimulator(nl) {}
 
   /// Assign the 64-pattern word of a source gate (input or DFF output).
   /// While a value override is active on `g` the override stays visible;

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "exec/parallel.hpp"
 #include "gen/generator.hpp"
+#include "sim/sim3.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -227,6 +230,165 @@ TEST(WhatIfTest, LaterRunSeedsLevelsOutsideThePreviousDrainRange) {
   check.run_full();
   for (GateId h = 0; h < nl.size(); ++h) {
     ASSERT_EQ(sim.value(h), check.value(h)) << "gate " << nl.gate_name(h);
+  }
+}
+
+/// Four inputs feeding unary AND/NAND/BUF gates (opcodes kBuf and kNot),
+/// 2-input and k-ary gates, so a type what-if can land on every opcode
+/// family, including the unary collapses AND->BUF and NAND->NOT.
+struct MixedArityCircuit {
+  Netlist nl;
+  GateId and1, nand1, buf1, and2, or3, xor3, nor4;
+
+  MixedArityCircuit() {
+    const GateId a = nl.add_input("a");
+    const GateId b = nl.add_input("b");
+    const GateId c = nl.add_input("c");
+    const GateId d = nl.add_input("d");
+    and1 = nl.add_gate(GateType::kAnd, "and1", {a});
+    nand1 = nl.add_gate(GateType::kNand, "nand1", {b});
+    buf1 = nl.add_gate(GateType::kBuf, "buf1", {c});
+    and2 = nl.add_gate(GateType::kAnd, "and2", {and1, nand1});
+    or3 = nl.add_gate(GateType::kOr, "or3", {and1, buf1, d});
+    xor3 = nl.add_gate(GateType::kXor, "xor3", {nand1, and2, or3});
+    nor4 = nl.add_gate(GateType::kNor, "nor4", {and2, or3, xor3, d});
+    nl.add_output(xor3);
+    nl.add_output(nor4);
+    nl.finalize();
+  }
+};
+
+TEST(WhatIfTest, ClonesRunConcurrentTypeOverrides) {
+  const MixedArityCircuit circuit;
+  const Netlist& nl = circuit.nl;
+  Rng rng(7);
+  std::vector<std::uint64_t> input_words(nl.inputs().size());
+  for (std::uint64_t& w : input_words) w = rng.next_u64();
+  const auto set_inputs = [&](ParallelSimulator& sim) {
+    for (std::size_t i = 0; i < input_words.size(); ++i) {
+      sim.set_source(nl.inputs()[i], input_words[i]);
+    }
+  };
+
+  ParallelSimulator prototype(nl);
+  set_inputs(prototype);
+  prototype.run();
+  const std::vector<std::uint64_t> baseline = plane_by_gate(nl, prototype);
+
+  const std::vector<std::pair<GateId, GateType>> what_ifs = {
+      {circuit.and1, GateType::kNand},  // kBuf -> kNot
+      {circuit.nand1, GateType::kAnd},  // kNot -> kBuf
+      {circuit.buf1, GateType::kNot},
+      {circuit.and2, GateType::kXnor},
+      {circuit.or3, GateType::kNand},
+      {circuit.xor3, GateType::kOr},
+      {circuit.nor4, GateType::kXor},
+      {circuit.and1, GateType::kXnor},  // kBuf -> kNot via XNOR
+  };
+  // Fresh simulators with one substitution each, evaluated by the
+  // reference sweep, which never reads an opcode.
+  std::vector<std::vector<std::uint64_t>> expected;
+  for (const auto& [g, type] : what_ifs) {
+    ParallelSimulator fresh(nl);
+    set_inputs(fresh);
+    fresh.set_type_override(g, type);
+    fresh.run_full();
+    expected.push_back(plane_by_gate(nl, fresh));
+    ASSERT_NE(expected.back()[g], baseline[g]) << "what-if on " << g;
+  }
+
+  exec::ThreadPool pool(4);
+  exec::LaneLocal<ParallelSimulator> clones(pool.num_threads());
+  std::vector<std::vector<std::uint64_t>> with(what_ifs.size());
+  std::vector<std::vector<std::uint64_t>> cleared(what_ifs.size());
+  exec::parallel_for(
+      pool, what_ifs.size(),
+      [&](std::size_t i, std::size_t lane) {
+        ParallelSimulator& sim = clones.get(lane, [&] { return prototype; });
+        sim.set_type_override(what_ifs[i].first, what_ifs[i].second);
+        sim.run();
+        with[i] = plane_by_gate(nl, sim);
+        sim.clear_overrides();
+        sim.run();
+        cleared[i] = plane_by_gate(nl, sim);
+      },
+      1);
+
+  for (std::size_t i = 0; i < what_ifs.size(); ++i) {
+    EXPECT_EQ(with[i], expected[i]) << "what-if " << i;
+    EXPECT_EQ(cleared[i], baseline) << "what-if " << i;
+  }
+  // The clones' what-ifs never reached the prototype.
+  prototype.run();
+  EXPECT_EQ(plane_by_gate(nl, prototype), baseline);
+}
+
+TEST(WhatIfTest, ClonesRunConcurrentXInjections) {
+  const MixedArityCircuit circuit;
+  const Netlist& nl = circuit.nl;
+  Rng rng(9);
+  std::vector<Val3> inputs(nl.inputs().size());
+  for (Val3& v : inputs) {
+    const std::uint64_t one = rng.next_u64();
+    v = Val3{one, ~one};
+  }
+  const auto set_inputs = [&](ThreeValuedSimulator& sim) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      sim.set_source(nl.inputs()[i], inputs[i]);
+    }
+  };
+  const auto plane = [&](const ThreeValuedSimulator& sim) {
+    std::vector<Val3> out(nl.size());
+    for (GateId g = 0; g < nl.size(); ++g) out[g] = sim.value(g);
+    return out;
+  };
+
+  ThreeValuedSimulator prototype(nl);
+  set_inputs(prototype);
+  prototype.run();
+  const std::vector<Val3> baseline = plane(prototype);
+
+  const std::vector<std::pair<GateId, std::uint64_t>> injections = {
+      {circuit.and1, ~0ULL},
+      {circuit.nand1, 0xffff0000ffff0000ULL},
+      {circuit.buf1, 0x00000000ffffffffULL},
+      {circuit.and2, ~0ULL},
+      {circuit.or3, 0x5555555555555555ULL},
+      {circuit.xor3, ~0ULL},
+      {nl.inputs()[3], 0x0f0f0f0f0f0f0f0fULL},
+      {circuit.nor4, 0xf0f0f0f0f0f0f0f0ULL},
+  };
+  std::vector<std::vector<Val3>> expected;
+  for (const auto& [g, mask] : injections) {
+    ThreeValuedSimulator fresh(nl);
+    set_inputs(fresh);
+    fresh.inject_x(g, mask);
+    fresh.run_full();
+    expected.push_back(plane(fresh));
+  }
+
+  exec::ThreadPool pool(4);
+  exec::LaneLocal<ThreeValuedSimulator> clones(pool.num_threads());
+  std::vector<std::vector<Val3>> with(injections.size());
+  std::vector<std::vector<Val3>> cleared(injections.size());
+  exec::parallel_for(
+      pool, injections.size(),
+      [&](std::size_t i, std::size_t lane) {
+        ThreeValuedSimulator& sim =
+            clones.get(lane, [&] { return prototype; });
+        sim.inject_x(injections[i].first, injections[i].second);
+        sim.run();
+        with[i] = plane(sim);
+        sim.clear_overrides();
+        sim.run();
+        cleared[i] = plane(sim);
+      },
+      1);
+
+  for (std::size_t i = 0; i < injections.size(); ++i) {
+    EXPECT_EQ(with[i], expected[i]) << "injection " << i;
+    EXPECT_NE(with[i], baseline) << "injection " << i;
+    EXPECT_EQ(cleared[i], baseline) << "injection " << i;
   }
 }
 
