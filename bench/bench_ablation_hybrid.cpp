@@ -1,14 +1,16 @@
-// Ablation: the Section 6 hybrid proposals vs plain BSAT.
+// Ablation: the Section 6 hybrid vs plain BSAT.
 //
-// Measures total time (the whole diagnosis call, simulation included for the
-// hybrids), decision counts and the instance size reduction from COV-guided
-// restriction, across several seeds.
+// The hybrid is BSAT seeded with BSIM's mark counts
+// (BsatOptions::select_activity_seed), the path `--approach hybrid` runs.
+// Measures total time (the whole diagnosis call, simulation included for
+// the hybrid) and decision counts across several seeds.
 //
 // Run:  ./bench_ablation_hybrid [--circuit s953_like] [--scale 0.5]
 //       [--tests 8] [--rounds 5] [--limit 60]
 #include <cstdio>
 
-#include "diag/hybrid.hpp"
+#include "diag/bsat.hpp"
+#include "diag/bsim.hpp"
 #include "report/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -34,10 +36,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Summary plain_total, seeded_total, repair_total;
+  Summary plain_total, seeded_total;
   Summary plain_dec, seeded_dec;
-  Summary repair_gates;
-  int plain_sols = 0, seeded_sols = 0, repair_sols = 0;
+  int plain_sols = 0, seeded_sols = 0;
   int usable = 0;
 
   for (int round = 0; round < rounds; ++round) {
@@ -62,27 +63,16 @@ int main(int argc, char** argv) {
     plain_dec.add(static_cast<double>(base.solver_stats.decisions));
     plain_sols += static_cast<int>(base.solutions.size());
 
-    HybridOptions seed;
-    seed.mode = HybridMode::kSeedActivity;
-    seed.k = 1;
+    BsatOptions seed = plain;
     seed.deadline = Deadline::after_seconds(limit);
-    const HybridResult seeded =
-        hybrid_diagnose(prepared->faulty, prepared->tests, seed);
-    seeded_total.add(seeded.sim_seconds + seeded.sat_seconds);
+    Timer seeded_timer;
+    seed.select_activity_seed =
+        basic_sim_diagnose(prepared->faulty, prepared->tests).mark_count;
+    const BsatResult seeded =
+        basic_sat_diagnose(prepared->faulty, prepared->tests, seed);
+    seeded_total.add(seeded_timer.seconds());
     seeded_dec.add(static_cast<double>(seeded.solver_stats.decisions));
     seeded_sols += static_cast<int>(seeded.solutions.size());
-
-    HybridOptions repair;
-    repair.mode = HybridMode::kRepairCover;
-    repair.k = 1;
-    repair.deadline = Deadline::after_seconds(limit);
-    const HybridResult repaired =
-        hybrid_diagnose(prepared->faulty, prepared->tests, repair);
-    repair_total.add(repaired.sim_seconds + repaired.sat_seconds);
-    repair_gates.add(
-        static_cast<double>(repaired.instrumented) /
-        static_cast<double>(prepared->faulty.num_combinational_gates()));
-    repair_sols += static_cast<int>(repaired.solutions.size());
   }
 
   std::printf("# hybrid ablation on %s, %d usable rounds\n", circuit.c_str(),
@@ -95,12 +85,7 @@ int main(int argc, char** argv) {
   table.add_row({"BSIM-seeded", strprintf("%.3f", seeded_total.mean()),
                  strprintf("%.0f", seeded_dec.mean()),
                  std::to_string(seeded_sols), "complete, same space"});
-  table.add_row({"COV-restricted", strprintf("%.3f", repair_total.mean()),
-                 "-", std::to_string(repair_sols),
-                 strprintf("instance %.0f%% of gates",
-                           repair_gates.mean() * 100.0)});
   std::printf("%s", table.to_string().c_str());
-  std::printf("\n# Sec. 6 expectation: seeding cuts decisions; restriction\n"
-              "# shrinks the instance at some completeness risk.\n");
+  std::printf("\n# Sec. 6 expectation: seeding cuts decisions.\n");
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "cache/artifact_cache.hpp"
 #include "diag/bsat.hpp"
 #include "diag/cover.hpp"
-#include "diag/hybrid.hpp"
 #include "netlist/scan.hpp"
 #include "obs/trace.hpp"
 #include "report/testfile.hpp"
@@ -249,32 +248,34 @@ DiagnoseResult execute(const DiagnoseRequest& req, const Deadline& deadline) {
     result.build_seconds = cov.build_seconds;
     result.first_seconds = cov.first_seconds;
     result.all_seconds = cov.all_seconds;
-  } else if (req.approach == "bsat") {
+  } else {
     BsatOptions options;
     options.k = k;
     options.deadline = budget;
     options.max_solutions = req.max_solutions;
     options.num_threads = req.threads;
+    // hybrid (Sec. 6): BSIM's mark counts steer BSAT's select decisions;
+    // the solution space is BSAT's.
+    const bool hybrid = req.approach == "hybrid";
+    double sim_seconds = 0.0;
+    if (hybrid) {
+      Timer sim_timer;
+      obs::Span sim_span("phase.sim");
+      options.select_activity_seed = basic_sim_diagnose(nl, tests).mark_count;
+      sim_seconds = sim_timer.seconds();
+    }
     BsatResult bsat = basic_sat_diagnose(nl, tests, options);
     obs::add_solver_stats(bsat.solver_stats);
     result.solutions = std::move(bsat.solutions);
     result.complete = bsat.complete;
-    result.build_seconds = bsat.build_seconds;
-    result.first_seconds = bsat.first_seconds;
-    result.all_seconds = bsat.all_seconds;
-  } else {
-    HybridOptions options;
-    options.mode = HybridMode::kSeedActivity;
-    options.k = k;
-    options.deadline = budget;
-    options.max_solutions = req.max_solutions;
-    options.num_threads = req.threads;
-    HybridResult hybrid = hybrid_diagnose(nl, tests, options);
-    obs::add_solver_stats(hybrid.solver_stats);
-    result.solutions = std::move(hybrid.solutions);
-    result.complete = hybrid.complete;
-    result.build_seconds = hybrid.sim_seconds;
-    result.all_seconds = hybrid.sat_seconds;
+    if (hybrid) {
+      result.build_seconds = sim_seconds;
+      result.all_seconds = bsat.build_seconds + bsat.all_seconds;
+    } else {
+      result.build_seconds = bsat.build_seconds;
+      result.first_seconds = bsat.first_seconds;
+      result.all_seconds = bsat.all_seconds;
+    }
   }
   return result;
 }

@@ -85,7 +85,8 @@ struct DiagnoseResult {
   /// bsim: one singleton per Gmax gate; otherwise the correction sets.
   std::vector<std::vector<GateId>> solutions;
   bool complete = true;
-  /// hybrid: build = simulation seconds, all = SAT seconds.
+  /// hybrid: build = BSIM seconds, all = BSAT seconds (shells and
+  /// enumeration), first stays 0.
   double build_seconds = 0.0;
   double first_seconds = 0.0;
   double all_seconds = 0.0;

@@ -49,11 +49,13 @@ struct ArtifactKeyHash {
   }
 };
 
+/// Each value is mixed into its kind's keys, so a value never changes: a
+/// renamed kind keeps its number, and the keys it was cached under.
 enum class ArtifactKind : std::uint64_t {
-  kNetlist = 1,      // generated circuit / full-scan comb view
-  kCompiled = 2,     // full-scan view of an experiment circuit
+  kNetlist = 1,        // generated circuit / full-scan comb view
+  kFullScan = 2,       // full-scan view of an experiment circuit
   kGoldenOutputs = 3,  // golden output rows per test set
-  kCone = 4,         // fanin-cone flag vector per root set
+  kCone = 4,           // fanin-cone flag vector per root set
 };
 
 /// Incremental 128-bit mixer (two lanes of splitmix-style finalization —

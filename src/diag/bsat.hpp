@@ -17,6 +17,10 @@
 // of the full instance: a correction valid on all tests satisfies any
 // subset of the copies, so it stays a model until it is emitted. At most
 // one copy per test is added; tests that never refute a model cost no copy.
+//
+// Sec. 6's hybrid is this search steered by simulation: `--approach hybrid`
+// runs BSIM first and passes its mark counts as select_activity_seed. The
+// seed only orders the decisions, so the solutions are BSAT's.
 #pragma once
 
 #include "cnf/mux_instrument.hpp"
@@ -42,9 +46,9 @@ struct BsatOptions {
   }();
   std::int64_t max_solutions = -1;  // unlimited when negative
   Deadline deadline;
-  /// Hybrid hook (Sec. 6): per-gate weights (e.g. BSIM mark counts M(g));
-  /// select variables of heavily marked gates are boosted in the decision
-  /// heuristic and hinted to positive polarity. Empty = off.
+  /// Per-gate weights, indexed by GateId (the hybrid passes BSIM's mark
+  /// counts M(g)): the select variables of heavily marked gates are boosted
+  /// in the decision heuristic and hinted to positive polarity. Empty = off.
   std::vector<std::uint32_t> select_activity_seed;
   /// Candidate-parallel enumeration lanes (exec/ runtime). One code path
   /// serves every count: it runs one enumeration shard per partition of the

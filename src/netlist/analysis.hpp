@@ -4,8 +4,7 @@
 //  * fanin cones — the diagnosis universe of the SAT instances
 //    (cnf/mux_instrument.cpp) and X-list's candidate restriction,
 //  * undirected shortest-path distance — the quality metric of Table 3
-//    ("number of gates on a shortest path to any error") and the radius of
-//    the hybrid engine's instrumented neighbourhood.
+//    ("number of gates on a shortest path to any error").
 #pragma once
 
 #include <vector>

@@ -35,7 +35,7 @@ std::shared_ptr<const Netlist> cached_circuit(const ExperimentConfig& config) {
   // downstream randomness never change it, so the grid's 12 cells over 3
   // profiles build each circuit once and the bench harness's repeat runs
   // skip generation + scan insertion entirely.
-  cache::KeyBuilder kb(cache::ArtifactKind::kCompiled);
+  cache::KeyBuilder kb(cache::ArtifactKind::kFullScan);
   kb.mix(std::string_view(config.circuit));
   kb.mix_double(config.scale);
   kb.mix(config.seed);

@@ -68,7 +68,7 @@ namespace satdiag {
 /// Override sites and undo log of the value plane, over positions.
 ///
 /// A site is a position with an override record: a forced lane mask, its
-/// forced word, and the function the gate evaluates (type and opcode). The
+/// forced word, and the opcode of the function the gate evaluates. The
 /// simulator adds its first site only at a clean checkpoint. From then on it
 /// logs the old word of every value-plane write with record(), and every
 /// source word assigned while live with record_source() — including, before
@@ -83,10 +83,9 @@ class UndoTrail {
  public:
   struct Site {
     Position pos = 0;
-    std::uint64_t mask = 0;  // forced lanes
-    Word forced{};           // their word
-    GateType type{};         // the function the gate evaluates
-    SimOp op = SimOp::kSource;  // its opcode, which exec() runs
+    std::uint64_t mask = 0;     // forced lanes
+    Word forced{};              // their word
+    SimOp op = SimOp::kSource;  // the gate's function, which exec() runs
   };
 
   explicit UndoTrail(std::size_t positions) : site_of_(positions, 0) {}
@@ -100,11 +99,11 @@ class UndoTrail {
   }
   /// Sites in the order they got their first override.
   const std::vector<Site>& sites() const { return sites_; }
-  /// The record of p, added with no forced lanes and function `type`
-  /// (opcode `op`) when p has none yet.
-  Site& add_site(Position p, GateType type, SimOp op) {
+  /// The record of p, added with no forced lanes and opcode `op` when p
+  /// has none yet.
+  Site& add_site(Position p, SimOp op) {
     if (site_of_[p] == 0) {
-      sites_.push_back(Site{p, 0, Word{}, type, op});
+      sites_.push_back(Site{p, 0, Word{}, op});
       site_of_[p] = static_cast<std::uint32_t>(sites_.size());
     }
     return sites_[site_of_[p] - 1];
@@ -235,36 +234,6 @@ class IncrementalSimulator {
     }
   }
 
-  /// The function gate g evaluates: its netlist type or a substitute.
-  GateType eval_type(GateId g) const {
-    const auto* s = override_at(g);
-    return s != nullptr ? s->type : nl_->type(g);
-  }
-
-  /// Gate g's override record (forced lanes, forced word, function), or
-  /// nullptr when g carries no override.
-  const typename UndoTrail<Word>::Site* override_at(GateId g) const {
-    return site_at(compiled_->position(g));
-  }
-
-  /// Reference evaluation: `sweep(store)` recomputes every gate (overrides
-  /// included) without the opcode interpreter and hands each word to
-  /// `store(g, word)`. While overrides are live every word is logged first,
-  /// so clear_overrides() still restores.
-  template <class Sweep>
-  void run_reference(Sweep&& sweep) {
-    if (trail_.live()) {
-      for (Position p = 0; p < num_positions(); ++p) {
-        trail_.record(p, values_[p]);
-      }
-    }
-    sweep([this](GateId g, const Word& w) {
-      values_.set(compiled_->position(g), w);
-    });
-    reset_dirty();  // a full sweep satisfies every pending dirty mark
-    all_dirty_ = false;
-  }
-
   const Netlist* nl_;
 
  private:
@@ -283,8 +252,7 @@ class IncrementalSimulator {
   }
   typename UndoTrail<Word>::Site& add_site(Position p) {
     flags_[p] |= kSite;
-    return trail_.add_site(p, nl_->type(compiled_->gate(p)),
-                           compiled_->instr(p).op);
+    return trail_.add_site(p, compiled_->instr(p).op);
   }
 
   void schedule(Position p) {
@@ -454,12 +422,12 @@ template <class Algebra>
 void IncrementalSimulator<Algebra>::substitute(GateId g, GateType type) {
   assert(nl_->is_combinational(g));
   assert(arity_ok(type, nl_->fanins(g).size()));
-  if (eval_type(g) == type) return;
   const Position p = compiled_->position(g);
+  const SimOp op = CompiledNetlist::opcode_for(type, nl_->fanins(g).size());
+  const auto* s = site_at(p);
+  if ((s != nullptr ? s->op : compiled_->instr(p).op) == op) return;
   begin_override();
-  auto& site = add_site(p);
-  site.type = type;
-  site.op = CompiledNetlist::opcode_for(type, nl_->fanins(g).size());
+  add_site(p).op = op;
   schedule(p);
 }
 

@@ -6,75 +6,7 @@
 
 namespace satdiag {
 
-Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity) {
-  switch (type) {
-    case GateType::kConst0:
-      return Val3::all(false);
-    case GateType::kConst1:
-      return Val3::all(true);
-    case GateType::kInput:
-    case GateType::kDff:
-      assert(false && "source gates have no combinational function");
-      return Val3::all_x();
-    case GateType::kBuf:
-      return fanins[0];
-    case GateType::kNot:
-      return Val3{fanins[0].zero, fanins[0].one};
-    case GateType::kAnd:
-    case GateType::kNand: {
-      Val3 acc = Val3::all(true);
-      for (std::size_t i = 0; i < arity; ++i) {
-        acc = Val3{acc.one & fanins[i].one, acc.zero | fanins[i].zero};
-      }
-      return type == GateType::kAnd ? acc : Val3{acc.zero, acc.one};
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      Val3 acc = Val3::all(false);
-      for (std::size_t i = 0; i < arity; ++i) {
-        acc = Val3{acc.one | fanins[i].one, acc.zero & fanins[i].zero};
-      }
-      return type == GateType::kOr ? acc : Val3{acc.zero, acc.one};
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      Val3 acc = Val3::all(false);
-      for (std::size_t i = 0; i < arity; ++i) {
-        const Val3& b = fanins[i];
-        acc = Val3{(acc.one & b.zero) | (acc.zero & b.one),
-                   (acc.one & b.one) | (acc.zero & b.zero)};
-      }
-      return type == GateType::kXor ? acc : Val3{acc.zero, acc.one};
-    }
-  }
-  return Val3::all_x();
-}
-
 template class IncrementalSimulator<PlaneAlgebra>;
-
-void ThreeValuedSimulator::run_full() {
-  run_reference([this](auto&& store) {
-    for (GateId g : nl_->topo_order()) {
-      Val3 v = value(g);
-      if (nl_->is_combinational(g)) {
-        const auto fanins = nl_->fanins(g);
-        fanin_buf_.resize(fanins.size());
-        for (std::size_t i = 0; i < fanins.size(); ++i) {
-          fanin_buf_[i] = value(fanins[i]);
-        }
-        v = eval_gate_val3(eval_type(g), fanin_buf_.data(), fanin_buf_.size());
-      }
-      Word w{v.one, v.one | v.zero};
-      // Forced lanes, applied here without PlaneAlgebra::blend.
-      if (const auto* site = override_at(g)) {
-        const std::uint64_t m = site->mask;
-        w.val = (w.val & ~m) | (site->forced.val & m);
-        w.known = (w.known & ~m) | (site->forced.known & m);
-      }
-      store(g, w);
-    }
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Lane-batched candidate X-injection

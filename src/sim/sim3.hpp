@@ -12,13 +12,13 @@
 // PlaneAlgebra: each gate stores a (value, known) plane pair in position
 // order — `val` holds the 1-lanes, `known` the non-X lanes, val ⊆ known —
 // and inject_x is its override, X forced under a lane mask until
-// clear_overrides(); only the injection sites hold a forced word. Its
-// reference path, run_full(), evaluates through the dual-rail
-// eval_gate_val3 over Netlist fanins and never through the opcode
-// interpreter, so the differential tests compare two independent
-// evaluators. Sim3XBatch, the lane-batched X-injection mode, confines its
-// events to the fanin cone of the outputs its tests observe, so an X that
-// no test can see is never propagated, and primes only that cone.
+// clear_overrides(); only the injection sites hold a forced word. The
+// differential tests compare it with a 3-valued reference model
+// (tests/common/reference_sim.hpp) that folds the dual rails over Netlist
+// fanins and keeps its own X masks, never the opcode interpreter or the
+// override records. Sim3XBatch, the lane-batched X-injection mode, confines
+// its events to the fanin cone of the outputs its tests observe, so an X
+// that no test can see is never propagated, and primes only that cone.
 #pragma once
 
 #include <cassert>
@@ -50,10 +50,6 @@ struct Val3 {
   friend bool operator==(const Val3&, const Val3&) = default;
 };
 
-/// Dual-rail gate evaluation (generic dispatch; the run_full() reference and
-/// unit tests use it directly).
-Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity);
-
 /// The 3-valued lane algebra over (value, known) plane pairs. Operands are
 /// normalized (val ⊆ known, X lanes read 0 in val), so the known-1 lanes of
 /// a gate are `val` and its known-0 lanes `known & ~val`:
@@ -61,8 +57,8 @@ Val3 eval_gate_val3(GateType type, const Val3* fanins, std::size_t arity);
 ///   OR:   1 iff some 1; known iff all known or some known-1.
 ///   XOR:  known iff all known.
 ///   Negation complements the value lanes inside `known` and keeps `known`.
-/// These match the dual-rail fold of eval_gate_val3 bit for bit, which the
-/// differential tests (run() vs run_full()) enforce.
+/// These match the dual-rail fold of the tests' reference model bit for bit,
+/// which the differential tests enforce.
 struct PlaneAlgebra {
   struct Word {
     std::uint64_t val = 0;
@@ -125,18 +121,10 @@ class ThreeValuedSimulator : public IncrementalSimulator<PlaneAlgebra> {
     force(g, mask, Word{});
   }
 
-  /// Reference evaluation path: a full topological resweep through the
-  /// generic dual-rail dispatch. Kept as the semantic anchor for
-  /// differential tests; equivalent to run() but always O(|circuit|).
-  void run_full();
-
   Val3 value(GateId g) const {
     const Word w = word(g);
     return Val3{w.val, w.known & ~w.val};
   }
-
- private:
-  std::vector<Val3> fanin_buf_;  // run_full() scratch
 };
 
 /// Lane-batched single-gate X-injection over the compiled 3-valued kernel —

@@ -9,12 +9,15 @@
 // override forces every lane of its gate, a type override gives its
 // override record another opcode. A copy shares the compiled netlist and
 // owns its value plane and overrides, so clones run different what-ifs
-// side by side. Its reference path, run_full(), evaluates through sweep_words
-// and the generic per-gate dispatch (eval_gate_words) over a plane indexed
-// by GateId, never through the opcode interpreter or the compiled
-// positions, so the differential tests compare two independent evaluators.
-// Use set_type_override, not substitute_type, for post-construction what-if
-// changes of a gate's function.
+// side by side. Use set_type_override, not substitute_type, for
+// post-construction what-if changes of a gate's function.
+//
+// sweep_words is the one-shot evaluation loop: one topological pass through
+// the generic per-gate dispatch (eval_gate_words) over a plane indexed by
+// GateId, with no compile step. The validity check (diag/validity.hpp) runs
+// it, and so does the 2-valued reference model of the differential tests
+// (tests/common/reference_sim.hpp), which shares no opcode or override code
+// with the simulator.
 #pragma once
 
 #include <cassert>
@@ -27,7 +30,7 @@
 
 namespace satdiag {
 
-/// The reference evaluation loop: one topological pass over `nl` through
+/// The one-shot evaluation loop: one topological pass over `nl` through
 /// the generic per-gate dispatch (eval_gate_words), one 64-pattern word per
 /// gate. On entry `values` (nl.size() words) holds the primary-input and
 /// DFF-output words; every other gate, constants included, is evaluated
@@ -96,20 +99,10 @@ class ParallelSimulator : public IncrementalSimulator<WordAlgebra> {
   /// Cleared by clear_overrides().
   void set_type_override(GateId g, GateType type) { substitute(g, type); }
 
-  /// Reference evaluation path: a full topological resweep through
-  /// sweep_words. Kept as the semantic anchor for differential tests;
-  /// equivalent to run() but always O(|circuit|).
-  void run_full();
-
   std::uint64_t value(GateId g) const { return word(g); }
   bool value_bit(GateId g, std::size_t bit) const {
     return (word(g) >> bit) & 1ULL;
   }
-
- private:
-  // run_full() scratch: the plane by GateId, and one gate's fanin words.
-  std::vector<std::uint64_t> by_gate_;
-  std::vector<std::uint64_t> fanin_buf_;
 };
 
 }  // namespace satdiag

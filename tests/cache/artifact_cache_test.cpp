@@ -22,9 +22,14 @@ namespace {
 std::uint64_t pack(const ArtifactKey& k) { return k.hi ^ k.lo; }
 
 TEST(ArtifactKeyTest, KindSeparatesDomains) {
+  // Each kind's number is mixed into its keys, so the numbers must not move.
+  EXPECT_EQ(static_cast<std::uint64_t>(ArtifactKind::kNetlist), 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(ArtifactKind::kFullScan), 2u);
+  EXPECT_EQ(static_cast<std::uint64_t>(ArtifactKind::kGoldenOutputs), 3u);
+  EXPECT_EQ(static_cast<std::uint64_t>(ArtifactKind::kCone), 4u);
   std::set<std::uint64_t> seen;
   for (const ArtifactKind kind :
-       {ArtifactKind::kNetlist, ArtifactKind::kCompiled,
+       {ArtifactKind::kNetlist, ArtifactKind::kFullScan,
         ArtifactKind::kGoldenOutputs, ArtifactKind::kCone}) {
     KeyBuilder kb(kind);
     kb.mix(42u);

@@ -6,6 +6,7 @@
 #include <span>
 #include <sstream>
 
+#include "common/reference_sim.hpp"
 #include "diag/bsim.hpp"
 #include "diag/xlist.hpp"
 #include "exec/thread_pool.hpp"
@@ -90,9 +91,9 @@ std::vector<std::uint64_t> scalar_reach_masks(
     const std::vector<std::vector<GateId>>& candidates, bool use_run_full) {
   std::vector<std::uint64_t> masks(candidates.size(), 0);
   if (use_run_full) {
-    // Fresh simulator and reference full-resweep per candidate.
+    // A fresh reference model and full resweep per candidate.
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      ThreeValuedSimulator sim(nl);
+      reference::Sim3 sim(nl);
       for (std::size_t b = 0; b < tests.size(); ++b) {
         sim.set_input_vector(b, tests[b].input_values);
       }

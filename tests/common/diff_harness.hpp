@@ -56,7 +56,8 @@ DiffInstance make_instance(const DiffConfig& config);
 /// Scalar anchors. The incremental anchor is the exact per-candidate loop
 /// the batched mode replaces (one primed simulator, clear/inject/run per
 /// candidate, tests in lanes 0..|tests|); the full anchor re-derives every
-/// mask with a fresh simulator and the run_full() reference sweep.
+/// mask with a fresh 3-valued reference model (common/reference_sim.hpp)
+/// and its run_full() sweep.
 std::vector<std::uint64_t> scalar_reach_masks(
     const Netlist& nl, const TestSet& tests,
     const std::vector<std::vector<GateId>>& candidates, bool use_run_full);

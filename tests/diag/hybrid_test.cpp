@@ -1,10 +1,10 @@
-#include "diag/hybrid.hpp"
-
+// Sec. 6's hybrid: BSAT seeded with BSIM's mark counts
+// (BsatOptions::select_activity_seed), the path `--approach hybrid` runs.
+// The seed only orders the select decisions, so the solutions are BSAT's.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "diag/validity.hpp"
+#include "diag/bsat.hpp"
+#include "diag/bsim.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/generator.hpp"
@@ -42,80 +42,38 @@ Scenario make_scenario(std::uint64_t seed, std::size_t errors_n,
   return s;
 }
 
+/// BSAT options with BSIM's mark counts as the select-activity seed.
+BsatOptions seeded_options(const Scenario& s, unsigned k) {
+  BsatOptions options;
+  options.k = k;
+  options.select_activity_seed =
+      basic_sim_diagnose(s.faulty, s.tests).mark_count;
+  return options;
+}
+
 TEST(HybridTest, SeedActivityPreservesSolutionSpace) {
   const Scenario s = make_scenario(1, 1, 8);
-  HybridOptions options;
-  options.mode = HybridMode::kSeedActivity;
-  options.k = 1;
-  const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
+  const BsatOptions options = seeded_options(s, 1);
+  ASSERT_EQ(options.select_activity_seed.size(), s.faulty.size());
+  const BsatResult hybrid = basic_sat_diagnose(s.faulty, s.tests, options);
   ASSERT_TRUE(hybrid.complete);
 
   BsatOptions plain;
   plain.k = 1;
   const BsatResult reference = basic_sat_diagnose(s.faulty, s.tests, plain);
   ASSERT_TRUE(reference.complete);
-  EXPECT_EQ(
-      std::set<std::vector<GateId>>(hybrid.solutions.begin(),
-                                    hybrid.solutions.end()),
-      std::set<std::vector<GateId>>(reference.solutions.begin(),
-                                    reference.solutions.end()));
-}
-
-TEST(HybridTest, RepairCoverReturnsOnlyValidCorrections) {
-  const Scenario s = make_scenario(2, 1, 8);
-  HybridOptions options;
-  options.mode = HybridMode::kRepairCover;
-  options.k = 1;
-  const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
-  for (const auto& solution : hybrid.solutions) {
-    EXPECT_EQ(first_failing_test(s.faulty, s.tests, solution),
-              std::nullopt);
-  }
-}
-
-TEST(HybridTest, RepairCoverShrinksInstance) {
-  const Scenario s = make_scenario(3, 1, 8);
-  HybridOptions options;
-  options.mode = HybridMode::kRepairCover;
-  options.k = 1;
-  options.neighbourhood_radius = 1;
-  const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
-  EXPECT_LT(hybrid.instrumented, s.faulty.num_combinational_gates());
-}
-
-TEST(HybridTest, RepairCoverFindsInjectedError) {
-  // PT marks lie on sensitized paths which contain the real site, so the
-  // covered-gate neighbourhood should include it and BSAT recovers it.
-  int recovered = 0;
-  int rounds = 0;
-  for (std::uint64_t seed = 4; seed < 9; ++seed) {
-    const Scenario s = make_scenario(seed, 1, 8);
-    HybridOptions options;
-    options.mode = HybridMode::kRepairCover;
-    options.k = 1;
-    options.neighbourhood_radius = 2;
-    const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
-    ++rounds;
-    const GateId site = error_site(s.errors[0]);
-    for (const auto& solution : hybrid.solutions) {
-      if (solution == std::vector<GateId>{site}) {
-        ++recovered;
-        break;
-      }
-    }
-  }
-  EXPECT_GE(recovered, rounds - 1);
+  EXPECT_FALSE(reference.solutions.empty());
+  EXPECT_EQ(hybrid.solutions, reference.solutions);
 }
 
 TEST(HybridTest, TimingFieldsPopulated) {
   const Scenario s = make_scenario(10, 1, 6);
-  HybridOptions options;
-  options.mode = HybridMode::kSeedActivity;
-  options.k = 1;
-  const HybridResult hybrid = hybrid_diagnose(s.faulty, s.tests, options);
-  EXPECT_GE(hybrid.sim_seconds, 0.0);
-  EXPECT_GE(hybrid.sat_seconds, 0.0);
-  EXPECT_GT(hybrid.instrumented, 0u);
+  const BsatResult hybrid =
+      basic_sat_diagnose(s.faulty, s.tests, seeded_options(s, 1));
+  EXPECT_GE(hybrid.build_seconds, 0.0);
+  EXPECT_GE(hybrid.all_seconds, hybrid.first_seconds);
+  EXPECT_GE(hybrid.first_seconds, 0.0);
+  EXPECT_GT(hybrid.num_vars, 0u);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ bool is_valid(const Netlist& nl, const TestSet& tests,
 }
 
 /// X injected at `candidate` reaches every test's erroneous output, by the
-/// diff harness's fresh-simulator run_full() anchor (fewer than 64 tests).
+/// diff harness's reference-model run_full() anchor (fewer than 64 tests).
 bool x_reaches_every_test(const Netlist& nl, const TestSet& tests,
                           const std::vector<GateId>& candidate) {
   const auto masks =

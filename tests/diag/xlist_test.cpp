@@ -73,7 +73,7 @@ TEST(XListTest, OutputGroupsLargerThanOneChunkMatchRunFullReference) {
   // 100 tests over two outputs, 72 of them on one: X-list cuts that group
   // into two chunks and feeds each chunk only the survivors. The reference
   // applies the criterion to every combinational gate with a fresh
-  // run_full() simulation per 64-test slice.
+  // reference-model run_full() per 64-test slice.
   GeneratorParams params;
   params.num_inputs = 10;
   params.num_outputs = 6;

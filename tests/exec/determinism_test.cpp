@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "diag/bsat.hpp"
-#include "diag/hybrid.hpp"
+#include "diag/bsim.hpp"
 #include "diag/xlist.hpp"
 #include "fault/fault_sim.hpp"
 #include "report/experiment.hpp"
@@ -56,7 +56,7 @@ TEST(ParallelDeterminismTest, BsatSolutionListsAreThreadCountInvariant) {
 
 TEST(ParallelDeterminismTest, BsatRestrictedInstrumentationStaysInvariant) {
   // Exercise the universe partition on a caller-restricted instrumented
-  // set (the hybrid kRepairCover shape).
+  // set.
   const PreparedExperiment prepared = prepare("s298_like", 1, 4);
   std::vector<GateId> instrumented;
   for (GateId g = 0; g < prepared.faulty.size(); ++g) {
@@ -86,8 +86,8 @@ TEST(ParallelDeterminismTest, BsatRestrictedInstrumentationStaysInvariant) {
 TEST(ParallelDeterminismTest, TinyUniverseWithMoreThreadsThanGates) {
   // Regression: ceil-partitioning used to place a shard's begin past the
   // universe end (9 gates on 8 lanes -> shard 5 begin == 10), crashing in
-  // the reversed-range instrumented.assign. The hybrid kRepairCover path
-  // reaches this shape whenever the covered neighbourhood is small.
+  // the reversed-range instrumented.assign. Any restricted universe smaller
+  // than the thread count reaches this shape.
   const PreparedExperiment prepared = prepare("s298_like", 1, 4);
   std::vector<GateId> instrumented;
   for (GateId g = 0; g < prepared.faulty.size() && instrumented.size() < 9;
@@ -149,14 +149,18 @@ TEST(ParallelDeterminismTest, BsatMergedStatsCountAllWorkers) {
 }
 
 TEST(ParallelDeterminismTest, HybridSolutionsAreThreadCountInvariant) {
+  // The hybrid is BSAT seeded with BSIM's mark counts.
   const PreparedExperiment prepared = prepare("s526_like", 2, 6);
-  std::optional<HybridResult> reference;
+  const std::vector<std::uint32_t> marks =
+      basic_sim_diagnose(prepared.faulty, prepared.tests).mark_count;
+  std::optional<BsatResult> reference;
   for (std::size_t threads : kThreadCounts) {
-    HybridOptions options;
+    BsatOptions options;
     options.k = 2;
     options.num_threads = threads;
-    const HybridResult result =
-        hybrid_diagnose(prepared.faulty, prepared.tests, options);
+    options.select_activity_seed = marks;
+    const BsatResult result =
+        basic_sat_diagnose(prepared.faulty, prepared.tests, options);
     if (!reference) {
       reference = result;
       EXPECT_FALSE(result.solutions.empty());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/builtin_circuits.hpp"
+#include "common/reference_sim.hpp"
 #include "gen/generator.hpp"
 #include "gen/profiles.hpp"
 #include "netlist/scan.hpp"
@@ -121,9 +122,10 @@ TEST(FaultSimTest, NoSitesOrNoRoundsYieldEmptyResults) {
 
 TEST(FaultSimTest, DetectionMatchesAllOutputScanReference) {
   // The grade reads the outputs a flip reached from the simulator's undo
-  // trail. The reference re-derives every site with a fresh simulator, the
-  // run_full() sweep and a scan of ALL outputs, on a deep full-scan circuit
-  // with many outputs (the pseudo outputs of the scan cells included).
+  // trail. The reference re-derives every site with a fresh 2-valued
+  // reference model, its run_full() sweep and a scan of ALL outputs, on a
+  // deep full-scan circuit with many outputs (the pseudo outputs of the scan
+  // cells included).
   GeneratorParams params;
   params.num_inputs = 10;
   params.num_outputs = 12;
@@ -149,17 +151,17 @@ TEST(FaultSimTest, DetectionMatchesAllOutputScanReference) {
       words.push_back(rng.next_u64());
     }
     const auto fresh = [&] {
-      ParallelSimulator sim(nl);
+      reference::Sim2 sim(nl);
       for (std::size_t i = 0; i < words.size(); ++i) {
         sim.set_source(nl.inputs()[i], words[i]);
       }
       return sim;
     };
-    ParallelSimulator golden = fresh();
+    reference::Sim2 golden = fresh();
     golden.run_full();
     for (std::size_t i = 0; i < sites.size(); ++i) {
       const std::uint64_t good = golden.value(sites[i]);
-      ParallelSimulator sim = fresh();
+      reference::Sim2 sim = fresh();
       sim.set_value_override(sites[i], ~good);
       sim.run_full();
       std::uint64_t observed = 0;

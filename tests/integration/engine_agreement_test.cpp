@@ -5,13 +5,14 @@
 //   * BSAT(k=1) solutions  ==  {g : first_failing_test(..., {g}) is nullopt}
 //     (Lemma 1 soundness + enumeration completeness; the check simulates,
 //     so BSAT is not judged by its own CNF),
-//   * hybrid (seed-activity) solutions  ==  BSAT solutions (same space, the
-//     BSIM seeding only steers decisions),
+//   * hybrid solutions (BSAT seeded with BSIM's mark counts)  ==  BSAT
+//     solutions (same space, the seed only steers decisions),
 //   * valid singles  ⊆  X-list singles (the 01X check is a necessary
 //     condition: it never rejects a valid correction),
 //   * X-list singles  ==  the pool gates whose X reaches every test's output
-//     under the scalar run_full() anchor of tests/common/diff_harness (the
-//     two simulation-side criteria are the same check),
+//     under the 3-valued reference model's run_full() anchor of
+//     tests/common/diff_harness (the two simulation-side criteria are the
+//     same check),
 //   * the injected error site appears in every one of these sets, and the
 //     BSIM path-trace marks it in the union of its candidate sets.
 //
@@ -26,7 +27,6 @@
 #include "common/diff_harness.hpp"
 #include "diag/bsim.hpp"
 #include "diag/bsat.hpp"
-#include "diag/hybrid.hpp"
 #include "diag/validity.hpp"
 #include "diag/xlist.hpp"
 #include "fault/injector.hpp"
@@ -118,11 +118,11 @@ TEST(EngineAgreementTest, EnginesAgreeOnSingleErrorInstances) {
     EXPECT_EQ(flatten_singletons(sat.solutions), valid_singles);
 
     // Hybrid steers the same search space: identical solution set.
-    HybridOptions hybrid;
-    hybrid.mode = HybridMode::kSeedActivity;
-    hybrid.k = 1;
-    const HybridResult hyb =
-        hybrid_diagnose(inst->faulty, inst->tests, hybrid);
+    BsatOptions hybrid = bsat;
+    hybrid.select_activity_seed =
+        basic_sim_diagnose(inst->faulty, inst->tests).mark_count;
+    const BsatResult hyb =
+        basic_sat_diagnose(inst->faulty, inst->tests, hybrid);
     EXPECT_EQ(flatten_singletons(hyb.solutions), valid_singles);
 
     // X-list singles are the full-resweep criterion — and a superset of the

@@ -8,13 +8,15 @@
 // circuit in a random topological order with the sources dealt in among
 // the gates: ids, positions and the breadth-first topo order then all
 // disagree, and every check here compares two evaluations that reach a
-// gate's word by different routes.
+// gate's word by different routes: most compare a simulator with its
+// reference model (common/reference_sim.hpp), which indexes by GateId.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/diff_harness.hpp"
+#include "common/reference_sim.hpp"
 #include "diag/xlist.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_sim.hpp"
@@ -129,7 +131,7 @@ TEST(PermutedIdsDiffTest, ParallelRunMatchesRunFullAfterOverridesAndSource) {
         random_words(nl.inputs().size(), rng);
 
     ParallelSimulator sim(nl);
-    ParallelSimulator original(c.original);
+    reference::Sim2 original(c.original);
     for (std::size_t i = 0; i < words.size(); ++i) {
       sim.set_source(nl.inputs()[i], words[i]);
       original.set_source(c.original.inputs()[i], words[i]);
@@ -159,13 +161,13 @@ TEST(PermutedIdsDiffTest, ParallelRunMatchesRunFullAfterOverridesAndSource) {
     const GateType swap_type =
         nl.type(swapped) == GateType::kXor ? GateType::kNand : GateType::kXor;
 
-    const auto apply = [&](ParallelSimulator& s) {
+    const auto apply = [&](auto& s) {
       s.set_value_override(forced, forced_word);
       s.set_value_override(input, input_word);
       s.set_type_override(swapped, swap_type);
     };
     const auto fresh = [&](bool with_change, bool with_overrides) {
-      ParallelSimulator s(nl);
+      reference::Sim2 s(nl);
       for (std::size_t i = 0; i < words.size(); ++i) {
         s.set_source(nl.inputs()[i], words[i]);
       }
@@ -174,7 +176,7 @@ TEST(PermutedIdsDiffTest, ParallelRunMatchesRunFullAfterOverridesAndSource) {
       s.run_full();
       return s;
     };
-    const auto expect_equal = [&](const ParallelSimulator& ref,
+    const auto expect_equal = [&](const reference::Sim2& ref,
                                   const char* step) {
       for (GateId g = 0; g < nl.size(); ++g) {
         ASSERT_EQ(sim.value(g), ref.value(g))
@@ -216,7 +218,7 @@ TEST(PermutedIdsDiffTest, ThreeValuedRunMatchesRunFullAfterInjections) {
     const Val3 changed_value{rng.next_u64() & 0xff, 0xff00};
 
     const auto fresh = [&](bool with_change, bool with_x) {
-      ThreeValuedSimulator s(nl);
+      reference::Sim3 s(nl);
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         s.set_source(nl.inputs()[i], inputs[i]);
       }
@@ -229,8 +231,12 @@ TEST(PermutedIdsDiffTest, ThreeValuedRunMatchesRunFullAfterInjections) {
       s.run_full();
       return s;
     };
-    ThreeValuedSimulator sim = fresh(false, false);
-    const auto expect_equal = [&](const ThreeValuedSimulator& ref,
+    ThreeValuedSimulator sim(nl);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      sim.set_source(nl.inputs()[i], inputs[i]);
+    }
+    sim.run();
+    const auto expect_equal = [&](const reference::Sim3& ref,
                                   const char* step) {
       for (GateId g = 0; g < nl.size(); ++g) {
         ASSERT_EQ(sim.value(g), ref.value(g))
@@ -266,19 +272,19 @@ TEST(PermutedIdsDiffTest, StuckAtGradeMatchesAllOutputScan) {
   const std::vector<std::uint64_t> words =
       random_words(nl.inputs().size(), word_rng);
   const auto fresh = [&] {
-    ParallelSimulator sim(nl);
+    reference::Sim2 sim(nl);
     for (std::size_t i = 0; i < words.size(); ++i) {
       sim.set_source(nl.inputs()[i], words[i]);
     }
     return sim;
   };
-  ParallelSimulator golden = fresh();
+  reference::Sim2 golden = fresh();
   golden.run_full();
   std::size_t expected_detected = 0;
   std::vector<std::uint8_t> expected_site(sites.size(), 0);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     const std::uint64_t good = golden.value(sites[i]);
-    ParallelSimulator sim = fresh();
+    reference::Sim2 sim = fresh();
     sim.set_value_override(sites[i], ~good);
     sim.run_full();
     std::uint64_t observed = 0;

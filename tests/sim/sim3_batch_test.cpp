@@ -1,7 +1,8 @@
 // The lane-batched candidate X-injection mode of the unified sim3 kernel:
 // LanePlan packing, the set_input_lanes broadcast, and Sim3XBatch — pinned
-// against the scalar per-candidate path (and the run_full() reference) by
-// the shared differential harness in tests/common/diff_harness.{hpp,cpp}.
+// against the scalar per-candidate path (and the 3-valued reference model's
+// run_full()) by the shared differential harness in
+// tests/common/diff_harness.{hpp,cpp}.
 // Suite names carry "Diff" so `ctest -R Diff` selects the randomized
 // differential layer (the nightly CI job cranks SATDIAG_DIFF_ITERS up).
 #include <gtest/gtest.h>

@@ -1,21 +1,24 @@
-// Differential tests for the incremental 3-valued backend: two simulators
-// over the same netlist receive identical mutation sequences — source words
-// with X lanes, per-lane input vectors, X injections at random sites and
-// masks, override clears — one evaluated with the dirty-cone run(), the
-// other with the retained reference full-resweep path run_full(). All 64
-// pattern lanes of every gate must agree after every evaluation (mirroring
-// tests/sim/simulator_diff_test.cpp for the 2-valued kernel).
+// Differential tests for the incremental 3-valued backend: the simulator and
+// the 3-valued reference model (common/reference_sim.hpp) over the same
+// netlist receive identical mutation sequences — source words with X lanes,
+// per-lane input vectors, X injections at random sites and masks (repeated
+// partial masks on one gate included), override clears; the simulator
+// evaluates with the dirty-cone run(), the model with its full resweep
+// run_full(). All 64 pattern lanes of every gate must agree after every
+// evaluation (mirroring tests/sim/simulator_diff_test.cpp for the 2-valued
+// kernel).
 //
 // Also pins the consumers rewired onto cone-only resim: xlist candidate
 // lists and the diff harness's incremental X-reach anchor (one persistent
-// simulator, clear/inject/run per candidate) must equal a run_full()-driven
-// recomputation.
+// simulator, clear/inject/run per candidate) must equal the reference
+// model's recomputation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
 #include "common/diff_harness.hpp"
+#include "common/reference_sim.hpp"
 #include "diag/xlist.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
@@ -38,7 +41,7 @@ Netlist random_netlist(std::uint64_t seed, std::size_t gates) {
 }
 
 void expect_all_gates_equal(const ThreeValuedSimulator& inc,
-                            const ThreeValuedSimulator& ref, const Netlist& nl,
+                            const reference::Sim3& ref, const Netlist& nl,
                             const char* where) {
   for (GateId g = 0; g < nl.size(); ++g) {
     const Val3 a = inc.value(g);
@@ -66,9 +69,10 @@ TEST(Sim3DiffTest, RandomXSequencesMatchReference) {
     }
 
     ThreeValuedSimulator inc(nl);
-    ThreeValuedSimulator ref(nl);
+    reference::Sim3 ref(nl);
+    GateId injected = kNoGate;  // the last gate given a partial X mask
     for (int step = 0; step < 120; ++step) {
-      switch (rng.next_below(5)) {
+      switch (rng.next_below(6)) {
         case 0: {  // random 3-valued word on a random primary input
           const GateId g = rng.pick(nl.inputs());
           const Val3 v = random_val3(rng);
@@ -82,6 +86,7 @@ TEST(Sim3DiffTest, RandomXSequencesMatchReference) {
               rng.next_bool() ? ~0ULL : rng.next_u64();
           inc.inject_x(g, mask);
           ref.inject_x(g, mask);
+          if (mask != ~0ULL) injected = g;
           break;
         }
         case 2: {  // widen an existing injection or add a second site
@@ -93,6 +98,7 @@ TEST(Sim3DiffTest, RandomXSequencesMatchReference) {
         case 3: {
           inc.clear_overrides();
           ref.clear_overrides();
+          injected = kNoGate;
           break;
         }
         case 4: {  // one binary pattern slot of every primary input
@@ -104,6 +110,13 @@ TEST(Sim3DiffTest, RandomXSequencesMatchReference) {
           }
           inc.set_input_vector(bit, bits);
           ref.set_input_vector(bit, bits);
+          break;
+        }
+        case 5: {  // another partial mask on the same gate: the lanes add up
+          if (injected == kNoGate) break;
+          const std::uint64_t mask = rng.next_u64();
+          inc.inject_x(injected, mask);
+          ref.inject_x(injected, mask);
           break;
         }
       }
@@ -122,7 +135,8 @@ TEST(Sim3DiffTest, RandomXSequencesMatchReference) {
 
 TEST(Sim3DiffTest, PerCandidateXInjectionLoopMatchesFreshSimulation) {
   // The X-list hot pattern: one injection per candidate, run, clear. The
-  // incremental values must equal a from-scratch run_full() each time.
+  // incremental values must equal the reference model's run_full() each
+  // time.
   const Netlist nl = random_netlist(77, 300);
   Rng rng(99);
 
@@ -147,7 +161,7 @@ TEST(Sim3DiffTest, PerCandidateXInjectionLoopMatchesFreshSimulation) {
     inc.inject_x(g);
     inc.run();
 
-    ThreeValuedSimulator fresh(nl);
+    reference::Sim3 fresh(nl);
     for (std::size_t b = 0; b < vectors.size(); ++b) {
       fresh.set_input_vector(b, vectors[b]);
     }
@@ -168,7 +182,7 @@ TEST(Sim3DiffTest, PerCandidateXInjectionLoopMatchesFreshSimulation) {
 // Undo-trail restores: random interleavings of 3-valued source values,
 // per-lane input vectors, X injections (sources included), runs, clears and
 // mid-trail clones. After every clear + run each gate must equal a fresh
-// simulator's run_full() on the inputs assigned so far.
+// reference model's run_full() on the inputs assigned so far.
 TEST(Sim3DiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
   const std::size_t iters = difftest::iterations(12);
   for (std::size_t iter = 0; iter < iters; ++iter) {
@@ -192,7 +206,7 @@ TEST(Sim3DiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
     if (rng.next_bool()) sim->run();
 
     const auto check = [&](std::size_t step) {
-      ThreeValuedSimulator fresh(nl);
+      reference::Sim3 fresh(nl);
       for (GateId g : nl.inputs()) fresh.set_source(g, inputs[g]);
       fresh.run_full();
       for (GateId g = 0; g < nl.size(); ++g) {
@@ -266,7 +280,7 @@ TEST(Sim3DiffTest, RunIsIdempotentWithoutChanges) {
 
 // ---------------------------------------------------------------------------
 // Consumer equality: the rewired xlist / X-check loops must produce the same
-// results as a run_full()-driven recomputation.
+// results as the reference model's recomputation.
 
 struct XListScenario {
   Netlist golden;
@@ -299,12 +313,12 @@ TEST(Sim3DiffTest, XListCandidatesMatchFullResweepReference) {
   const XListScenario s = make_scenario(55);
   const auto candidates = xlist_single_candidates(s.faulty, s.tests);
 
-  // Reference: the same criterion evaluated with one fresh run_full()-driven
-  // simulator per candidate gate.
+  // Reference: the same criterion evaluated with one fresh reference model
+  // per candidate gate.
   std::vector<GateId> expected;
   for (GateId g = 0; g < s.faulty.size(); ++g) {
     if (!s.faulty.is_combinational(g)) continue;
-    ThreeValuedSimulator sim(s.faulty);
+    reference::Sim3 sim(s.faulty);
     for (std::size_t b = 0; b < s.tests.size(); ++b) {
       sim.set_input_vector(b, s.tests[b].input_values);
     }

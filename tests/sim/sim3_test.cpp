@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/reference_sim.hpp"
 #include "gen/generator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -22,34 +23,34 @@ TEST(Val3Test, Encoding) {
 
 TEST(Val3Test, AndWithControllingZeroKillsX) {
   const Val3 ins[2] = {Val3::all(false), Val3::all_x()};
-  const Val3 out = eval_gate_val3(GateType::kAnd, ins, 2);
+  const Val3 out = reference::eval_gate_val3(GateType::kAnd, ins, 2);
   EXPECT_TRUE(out.is_zero(0));  // 0 AND X = 0
 }
 
 TEST(Val3Test, AndWithNonControllingOnePropagatesX) {
   const Val3 ins[2] = {Val3::all(true), Val3::all_x()};
-  const Val3 out = eval_gate_val3(GateType::kAnd, ins, 2);
+  const Val3 out = reference::eval_gate_val3(GateType::kAnd, ins, 2);
   EXPECT_TRUE(out.is_x(0));  // 1 AND X = X
 }
 
 TEST(Val3Test, OrWithControllingOneKillsX) {
   const Val3 ins[2] = {Val3::all(true), Val3::all_x()};
-  const Val3 out = eval_gate_val3(GateType::kOr, ins, 2);
+  const Val3 out = reference::eval_gate_val3(GateType::kOr, ins, 2);
   EXPECT_TRUE(out.is_one(0));
 }
 
 TEST(Val3Test, XorAlwaysPropagatesX) {
   const Val3 ins[2] = {Val3::all(true), Val3::all_x()};
-  const Val3 out = eval_gate_val3(GateType::kXor, ins, 2);
+  const Val3 out = reference::eval_gate_val3(GateType::kXor, ins, 2);
   EXPECT_TRUE(out.is_x(0));
 }
 
 TEST(Val3Test, NotSwapsRails) {
   const Val3 ins[1] = {Val3::all(false)};
-  const Val3 out = eval_gate_val3(GateType::kNot, ins, 1);
+  const Val3 out = reference::eval_gate_val3(GateType::kNot, ins, 1);
   EXPECT_TRUE(out.is_one(0));
   const Val3 insx[1] = {Val3::all_x()};
-  EXPECT_TRUE(eval_gate_val3(GateType::kNot, insx, 1).is_x(0));
+  EXPECT_TRUE(reference::eval_gate_val3(GateType::kNot, insx, 1).is_x(0));
 }
 
 TEST(Sim3Test, BinaryValuesMatchTwoValuedSimulator) {
@@ -149,7 +150,7 @@ TEST(Sim3Test, ClearingASourceInjectionRestoresTheSourceValue) {
   const GateId z = nl.add_gate(GateType::kAnd, "z", {a, b});
   nl.add_output(z);
   nl.finalize();
-  const auto assign = [&](ThreeValuedSimulator& sim) {
+  const auto assign = [&](auto& sim) {
     sim.set_input_vector(0, {true, true});
     sim.set_input_vector(1, {false, true});
   };
@@ -163,7 +164,7 @@ TEST(Sim3Test, ClearingASourceInjectionRestoresTheSourceValue) {
   sim.clear_overrides();
   sim.run();
 
-  ThreeValuedSimulator fresh(nl);
+  reference::Sim3 fresh(nl);
   assign(fresh);
   fresh.run_full();
   for (GateId g = 0; g < nl.size(); ++g) {

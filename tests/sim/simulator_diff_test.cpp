@@ -1,8 +1,9 @@
-// Differential tests for the compiled incremental simulation kernel: two
-// simulators over the same netlist receive identical mutation sequences, one
-// evaluated with the dirty-cone run(), the other with the retained reference
-// full-resim path run_full(). All 64 pattern lanes of every gate must agree
-// after every evaluation.
+// Differential tests for the compiled incremental simulation kernel: the
+// simulator and the 2-valued reference model (common/reference_sim.hpp)
+// over the same netlist receive identical mutation sequences; the simulator
+// evaluates with the dirty-cone run(), the model with its full resweep
+// run_full(). All 64 pattern lanes of every gate must agree after every
+// evaluation.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <memory>
 
 #include "common/diff_harness.hpp"
+#include "common/reference_sim.hpp"
 #include "gen/generator.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +39,7 @@ Netlist random_netlist(std::uint64_t seed, std::size_t gates,
 }
 
 void expect_all_gates_equal(const ParallelSimulator& inc,
-                            const ParallelSimulator& ref, const Netlist& nl,
+                            const reference::Sim2& ref, const Netlist& nl,
                             const char* where) {
   for (GateId g = 0; g < nl.size(); ++g) {
     ASSERT_EQ(inc.value(g), ref.value(g))
@@ -56,7 +58,7 @@ TEST(SimulatorDiffTest, RandomOverrideSequencesMatchReference) {
     }
 
     ParallelSimulator inc(nl);
-    ParallelSimulator ref(nl);
+    reference::Sim2 ref(nl);
     for (int step = 0; step < 120; ++step) {
       switch (rng.next_below(5)) {
         case 0: {  // random word on a random source
@@ -117,7 +119,8 @@ TEST(SimulatorDiffTest, RandomOverrideSequencesMatchReference) {
 
 TEST(SimulatorDiffTest, PerCandidateFaultLoopMatchesFreshSimulation) {
   // The diagnosis hot pattern: one override per candidate, run, clear. The
-  // incremental values must equal a from-scratch full evaluation each time.
+  // incremental values must equal the reference model's full evaluation
+  // each time.
   const Netlist nl = random_netlist(77, 300, 0);
   Rng rng(99);
 
@@ -135,7 +138,7 @@ TEST(SimulatorDiffTest, PerCandidateFaultLoopMatchesFreshSimulation) {
       inc.set_value_override(g, polarity ? ~0ULL : 0ULL);
       inc.run();
 
-      ParallelSimulator fresh(nl);
+      reference::Sim2 fresh(nl);
       for (std::size_t i = 0; i < input_words.size(); ++i) {
         fresh.set_source(nl.inputs()[i], input_words[i]);
       }
@@ -153,9 +156,9 @@ TEST(SimulatorDiffTest, PerCandidateFaultLoopMatchesFreshSimulation) {
 
 // Undo-trail restores: random interleavings of source assignments,
 // overrides (sources included), runs, clears and mid-trail clones. After
-// every clear + run each gate must equal a fresh simulator's run_full() on
-// the sources assigned so far, so a restore that misses a write or drops a
-// source assigned while overrides were live shows up.
+// every clear + run each gate must equal a fresh reference model's
+// run_full() on the sources assigned so far, so a restore that misses a
+// write or drops a source assigned while overrides were live shows up.
 TEST(SimulatorDiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
   const std::size_t iters = difftest::iterations(12);
   for (std::size_t iter = 0; iter < iters; ++iter) {
@@ -176,7 +179,7 @@ TEST(SimulatorDiffTest, UndoTrailInterleavingsMatchFreshSimulation) {
     if (rng.next_bool()) sim->run();
 
     const auto check = [&](std::size_t step) {
-      ParallelSimulator fresh(nl);
+      reference::Sim2 fresh(nl);
       for (GateId g : sources) fresh.set_source(g, words[g]);
       fresh.run_full();
       for (GateId g = 0; g < nl.size(); ++g) {

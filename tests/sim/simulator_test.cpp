@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/builtin_circuits.hpp"
+#include "common/reference_sim.hpp"
 #include "gen/generator.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +94,7 @@ TEST(SimulatorTest, ClearingASourceOverrideRestoresTheSourceWord) {
   const GateId z = nl.add_gate(GateType::kAnd, "z", {a, b});
   nl.add_output(z);
   nl.finalize();
-  const auto assign = [&](ParallelSimulator& sim) {
+  const auto assign = [&](auto& sim) {
     sim.set_source(a, 0xf0f0);
     sim.set_source(b, 0xff00);
   };
@@ -107,7 +108,7 @@ TEST(SimulatorTest, ClearingASourceOverrideRestoresTheSourceWord) {
   sim.clear_overrides();
   sim.run();
 
-  ParallelSimulator fresh(nl);
+  reference::Sim2 fresh(nl);
   assign(fresh);
   fresh.run_full();
   for (GateId g = 0; g < nl.size(); ++g) {

@@ -2,12 +2,15 @@
 // the deleted standalone EventSimulator (load_baseline / propagate / revert):
 // the same role — a baseline sweep, then cheap override propagation with an
 // O(touched cones) revert — is now ParallelSimulator's incremental mode
-// (set_value_override / set_type_override, run(), clear_overrides()).
+// (set_value_override / set_type_override, run(), clear_overrides()). The
+// expected planes come from the reference models (common/reference_sim.hpp),
+// which keep their own substituted types and never read an opcode.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 
+#include "common/reference_sim.hpp"
 #include "exec/parallel.hpp"
 #include "gen/generator.hpp"
 #include "sim/sim3.hpp"
@@ -17,9 +20,9 @@
 namespace satdiag {
 namespace {
 
-/// The simulator's words indexed by GateId.
-std::vector<std::uint64_t> plane_by_gate(const Netlist& nl,
-                                         const ParallelSimulator& sim) {
+/// The words of a 2-valued simulator or model, indexed by GateId.
+template <class Sim>
+std::vector<std::uint64_t> plane_by_gate(const Netlist& nl, const Sim& sim) {
   std::vector<std::uint64_t> words(nl.size());
   for (GateId g = 0; g < nl.size(); ++g) words[g] = sim.value(g);
   return words;
@@ -47,8 +50,8 @@ TEST(WhatIfTest, TypeOverridePropagationMatchesFreshSimulation) {
   sim.run();  // the baseline sweep
   const std::vector<std::uint64_t> baseline = plane_by_gate(nl, sim);
 
-  // Pick a few gates, override their type, compare against a fresh
-  // simulation with the same substitution.
+  // Pick a few gates, override their type, compare against the reference
+  // model with the same substitution: a wrong opcode shows up here.
   for (GateId g = 0; g < nl.size(); ++g) {
     if (!nl.is_combinational(g) || g % 13 != 0) continue;
     const GateType replacement =
@@ -58,12 +61,12 @@ TEST(WhatIfTest, TypeOverridePropagationMatchesFreshSimulation) {
     sim.set_type_override(g, replacement);
     sim.run();
 
-    ParallelSimulator check(nl);
+    reference::Sim2 check(nl);
     for (std::size_t i = 0; i < input_words.size(); ++i) {
       check.set_source(nl.inputs()[i], input_words[i]);
     }
     check.set_type_override(g, replacement);
-    check.run();
+    check.run_full();
     for (GateId h = 0; h < nl.size(); ++h) {
       ASSERT_EQ(sim.value(h), check.value(h)) << "gate " << h;
     }
@@ -165,13 +168,13 @@ TEST(WhatIfTest, SequentialOverridesAccumulate) {
   sim.set_value_override(g2, 0ULL);
   sim.run();
 
-  ParallelSimulator check(nl);
+  reference::Sim2 check(nl);
   for (std::size_t i = 0; i < input_words.size(); ++i) {
     check.set_source(nl.inputs()[i], input_words[i]);
   }
   check.set_value_override(g1, ~0ULL);
   check.set_value_override(g2, 0ULL);
-  check.run();
+  check.run_full();
   for (GateId h = 0; h < nl.size(); ++h) {
     ASSERT_EQ(sim.value(h), check.value(h));
   }
@@ -214,7 +217,7 @@ TEST(WhatIfTest, LaterRunSeedsLevelsOutsideThePreviousDrainRange) {
   sim.set_source(a, 0x3333333333333333ULL);
   sim.run();
 
-  ParallelSimulator check(nl);
+  reference::Sim2 check(nl);
   check.set_source(a, 0x3333333333333333ULL);
   check.set_source(b, 0x0f0f0f0f0f0f0f0fULL);
   check.set_value_override(chain_b[10], 0xfedcba9876543210ULL);
@@ -264,7 +267,7 @@ TEST(WhatIfTest, ClonesRunConcurrentTypeOverrides) {
   Rng rng(7);
   std::vector<std::uint64_t> input_words(nl.inputs().size());
   for (std::uint64_t& w : input_words) w = rng.next_u64();
-  const auto set_inputs = [&](ParallelSimulator& sim) {
+  const auto set_inputs = [&](auto& sim) {
     for (std::size_t i = 0; i < input_words.size(); ++i) {
       sim.set_source(nl.inputs()[i], input_words[i]);
     }
@@ -285,11 +288,11 @@ TEST(WhatIfTest, ClonesRunConcurrentTypeOverrides) {
       {circuit.nor4, GateType::kXor},
       {circuit.and1, GateType::kXnor},  // kBuf -> kNot via XNOR
   };
-  // Fresh simulators with one substitution each, evaluated by the
-  // reference sweep, which never reads an opcode.
+  // Reference models with one substitution each, which never read an
+  // opcode.
   std::vector<std::vector<std::uint64_t>> expected;
   for (const auto& [g, type] : what_ifs) {
-    ParallelSimulator fresh(nl);
+    reference::Sim2 fresh(nl);
     set_inputs(fresh);
     fresh.set_type_override(g, type);
     fresh.run_full();
@@ -332,12 +335,12 @@ TEST(WhatIfTest, ClonesRunConcurrentXInjections) {
     const std::uint64_t one = rng.next_u64();
     v = Val3{one, ~one};
   }
-  const auto set_inputs = [&](ThreeValuedSimulator& sim) {
+  const auto set_inputs = [&](auto& sim) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       sim.set_source(nl.inputs()[i], inputs[i]);
     }
   };
-  const auto plane = [&](const ThreeValuedSimulator& sim) {
+  const auto plane = [&](const auto& sim) {
     std::vector<Val3> out(nl.size());
     for (GateId g = 0; g < nl.size(); ++g) out[g] = sim.value(g);
     return out;
@@ -360,7 +363,7 @@ TEST(WhatIfTest, ClonesRunConcurrentXInjections) {
   };
   std::vector<std::vector<Val3>> expected;
   for (const auto& [g, mask] : injections) {
-    ThreeValuedSimulator fresh(nl);
+    reference::Sim3 fresh(nl);
     set_inputs(fresh);
     fresh.inject_x(g, mask);
     fresh.run_full();
